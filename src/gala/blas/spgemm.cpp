@@ -224,6 +224,19 @@ graph::Graph contract_csr(const graph::Graph& fine, std::span<const cid_t> fine_
     gpusim::attach_traffic(span, st.traffic);
   }
 
+  // Row c sums entry (c, d) over c's members and row d sums (d, c) over d's,
+  // so with inexact weights the two directions can differ in the last bits.
+  // Mirror every upper entry onto its reverse so the coarse graph is exactly
+  // symmetric, as every GraphBuilder graph is (graph::load_binary requires
+  // it). Rows ascend, so the reverse of (c, d), d > c, is the next
+  // below-diagonal entry of row d. A host-side fix-up: no traffic charged.
+  std::vector<eid_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (vid_t c = 0; c < num_coarse; ++c) {
+    for (eid_t e = offsets[c]; e < offsets[c + 1]; ++e) {
+      if (neighbors[e] > c) weights[cursor[neighbors[e]]++] = weights[e];
+    }
+  }
+
   return graph::GraphBuilder::from_sorted_csr(num_coarse, std::move(offsets),
                                               std::move(neighbors), std::move(weights));
 }

@@ -7,7 +7,9 @@
 // floating-point sum order, making the output bit-identical across the hash
 // and sorted-merge accumulators (both sum each output entry's contributions
 // in that encounter order) and identical to the legacy edge-list
-// builder path for exact-weight graphs.
+// builder path for exact-weight graphs. Each lower-triangle entry then takes
+// its upper entry's weight, so the output is exactly symmetric for any
+// weights.
 //
 // Counting conventions match core/aggregation.cpp's historical builder loop:
 // off-diagonal entries contribute from both endpoints' rows (each

@@ -4,7 +4,8 @@
 // and disappear in batches. This extension applies a batch of edge updates
 // and *repairs* the previous community structure instead of restarting:
 //
-//   1. rebuild the CSR with the updates applied,
+//   1. merge the batch into the sorted CSR (untouched rows are block-copied,
+//      only the rows the batch touches are re-merged),
 //   2. warm-start the BSP engine from the previous assignment,
 //   3. let MG pruning (Equation 6) act as delta screening — vertices whose
 //      converged neighbourhood is untouched satisfy the inequality on

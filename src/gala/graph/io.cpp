@@ -123,25 +123,60 @@ Graph load_binary(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   GALA_CHECK(in.is_open(), "cannot open binary graph: " << path);
   GALA_CHECK(read_pod<std::uint64_t>(in) == kBinaryMagic, "bad magic in " << path);
-  const auto offsets = read_vec<eid_t>(in);
-  const auto adj = read_vec<vid_t>(in);
-  const auto w = read_vec<wt_t>(in);
-  GALA_CHECK(!offsets.empty() && adj.size() == w.size(), "inconsistent binary graph " << path);
+  auto offsets = read_vec<eid_t>(in);
+  auto adj = read_vec<vid_t>(in);
+  auto w = read_vec<wt_t>(in);
+  GALA_CHECK(!offsets.empty() && adj.size() == w.size() && offsets.size() - 1 < kInvalidVid,
+             "inconsistent binary graph " << path);
   GALA_CHECK(offsets.front() == 0 && offsets.back() == adj.size(),
              "corrupt offsets in " << path << ": [" << offsets.front() << ", " << offsets.back()
                                    << "] for " << adj.size() << " adjacency entries");
   const vid_t n = static_cast<vid_t>(offsets.size() - 1);
-  GraphBuilder builder(n);
+
+  // The snapshot is adopted as stored, so check every convention
+  // from_sorted_csr relies on, in O(V+E). cursor[u] walks row u's
+  // below-diagonal entries: the rows v < u are scanned in ascending order,
+  // so each entry u->v (v < u) must be exactly the next one the cursor meets
+  // when row v reaches its entry v->u — the reverse entry, with the same
+  // weight bit for bit.
+  // Offsets first: the walk reads ahead into later rows, so every row must
+  // lie inside the adjacency before any is scanned.
+  std::vector<eid_t> cursor(offsets.begin(), offsets.end() - 1);
   for (vid_t v = 0; v < n; ++v) {
     GALA_CHECK(offsets[v] <= offsets[v + 1],
                "non-monotone offsets at vertex " << v << " in " << path);
-    for (eid_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      GALA_CHECK(adj[e] < n,
-                 "neighbour id " << adj[e] << " out of range [0, " << n << ") in " << path);
-      if (adj[e] >= v) builder.add_edge(v, adj[e], w[e]);
-    }
   }
-  return builder.build();
+  for (vid_t v = 0; v < n; ++v) {
+    eid_t below = 0;  // entries v->u with u < v
+    for (eid_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const vid_t u = adj[e];
+      GALA_CHECK(u < n, "neighbour id " << u << " out of range [0, " << n << ") in " << path);
+      GALA_CHECK(w[e] > 0, "bad weight " << w[e] << " on entry " << v << "->" << u
+                                         << " (must be > 0) in " << path);
+      if (e > offsets[v]) {
+        GALA_CHECK(adj[e - 1] != u,
+                   "duplicate neighbour " << u << " in row " << v << " in " << path);
+        GALA_CHECK(adj[e - 1] < u, "unsorted row " << v << " in " << path);
+      }
+      if (u < v) {
+        ++below;
+      } else if (u > v) {
+        eid_t& r = cursor[u];
+        const bool in_row = r < offsets[u + 1];
+        // An unconsumed entry u->x, x < v, means the finished row x lacks x->u.
+        GALA_CHECK(!in_row || adj[r] >= v,
+                   "missing reverse edge " << adj[r] << "->" << u << " in " << path);
+        GALA_CHECK(in_row && adj[r] == v,
+                   "missing reverse edge " << u << "->" << v << " in " << path);
+        GALA_CHECK(w[r] == w[e], "asymmetric weight on edge {" << v << "," << u << "}: " << w[e]
+                                                               << " vs " << w[r] << " in " << path);
+        ++r;
+      }
+    }
+    GALA_CHECK(cursor[v] == offsets[v] + below,
+               "missing reverse edge " << adj[cursor[v]] << "->" << v << " in " << path);
+  }
+  return GraphBuilder::from_sorted_csr(n, std::move(offsets), std::move(adj), std::move(w));
 }
 
 }  // namespace gala::graph

@@ -22,6 +22,7 @@ namespace gala {
 namespace {
 
 using exec::ExecutionContext;
+using testing::expect_same_graph;
 
 /// The pre-SpGEMM contraction, verbatim: emit each undirected fine edge once
 /// from the u >= v side into the edge-list builder. The SpGEMM must
@@ -40,27 +41,6 @@ graph::Graph legacy_contract(const graph::Graph& g, std::span<const cid_t> fine_
     }
   }
   return builder.build();
-}
-
-void expect_same_graph(const graph::Graph& a, const graph::Graph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_adjacency(), b.num_adjacency());
-  EXPECT_EQ(a.total_weight(), b.total_weight());
-  EXPECT_EQ(a.num_edges(), b.num_edges());
-  EXPECT_EQ(a.max_out_degree(), b.max_out_degree());
-  for (vid_t v = 0; v < a.num_vertices(); ++v) {
-    EXPECT_EQ(a.degree(v), b.degree(v)) << "degree of " << v;
-    EXPECT_EQ(a.self_loop(v), b.self_loop(v)) << "self-loop of " << v;
-    const auto an = a.neighbors(v);
-    const auto bn = b.neighbors(v);
-    ASSERT_EQ(an.size(), bn.size()) << "row " << v;
-    const auto aw = a.weights(v);
-    const auto bw = b.weights(v);
-    for (std::size_t i = 0; i < an.size(); ++i) {
-      EXPECT_EQ(an[i], bn[i]) << "row " << v << " entry " << i;
-      EXPECT_EQ(aw[i], bw[i]) << "row " << v << " entry " << i;
-    }
-  }
 }
 
 /// A dense community map with a mix of singletons, merged pairs, and one

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "gala/common/json.hpp"  // header-only; used to parse emitted telemetry
+#include "test_util.hpp"
 
 namespace {
 
@@ -17,12 +18,7 @@ namespace fs = std::filesystem;
 
 class CliE2e : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gala_cli_e2e";
-    fs::create_directories(dir_);
-  }
-
-  std::string path(const std::string& name) const { return (dir_ / name).string(); }
+  std::string path(const std::string& name) const { return tmp_.file(name); }
 
   /// Runs the CLI with `args`, capturing stdout+stderr; returns exit code.
   int run(const std::string& args, std::string* output = nullptr) const {
@@ -38,7 +34,7 @@ class CliE2e : public ::testing::Test {
     return WEXITSTATUS(status);
   }
 
-  fs::path dir_;
+  gala::testing::ScopedTempDir tmp_;
 };
 
 TEST_F(CliE2e, GenerateDetectPipeline) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -23,8 +22,6 @@
 
 namespace gala::telemetry {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Fresh-state fixture: every test starts with an empty, armed recorder at
 /// the default depth (the recorder is a process-wide singleton).
@@ -227,14 +224,14 @@ TEST_F(FlightRecorderTest, WritePostmortemReportsIoFailureWithoutThrowing) {
   rec.record(FlightKind::Apply);
   EXPECT_FALSE(rec.write_postmortem("/nonexistent-dir/flight.json", "reason"));
 
-  const std::string path = (fs::temp_directory_path() / "gala_flight_ok.json").string();
+  const gala::testing::ScopedTempDir tmp;
+  const std::string path = tmp.file("flight_ok.json");
   EXPECT_TRUE(rec.write_postmortem(path, "reason"));
   std::ifstream in(path);
   std::ostringstream ss;
   ss << in.rdbuf();
   const JsonValue doc = parse_json(ss.str());
   EXPECT_EQ(doc.at("events").array.size(), 1u);
-  fs::remove(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +262,8 @@ TEST_F(FlightRecorderTest, EveryInjectedFaultProducesNonEmptyPostMortem) {
   plan.rules.push_back(r);
   resilience::ScopedFaultPlan armed(plan);
 
-  const std::string path = (fs::temp_directory_path() / "gala_flight_chaos.json").string();
+  const gala::testing::ScopedTempDir tmp;
+  const std::string path = tmp.file("flight_chaos.json");
   resilience::SupervisorConfig sup;
   sup.flight_dump_path = path;
   const auto result = resilience::run_louvain_supervised(g, {}, sup);
@@ -289,7 +287,6 @@ TEST_F(FlightRecorderTest, EveryInjectedFaultProducesNonEmptyPostMortem) {
   EXPECT_TRUE(saw_fault);
   EXPECT_TRUE(saw_retry);
   EXPECT_NE(doc.at("reason").string.find("retry"), std::string::npos);
-  fs::remove(path);
 }
 
 TEST_F(FlightRecorderTest, KindNamesAreUniqueAndNonEmpty) {

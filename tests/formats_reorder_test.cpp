@@ -1,7 +1,6 @@
 // Matrix Market / METIS loaders and the vertex reordering utilities.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
 #include "gala/core/gala.hpp"
@@ -12,15 +11,21 @@
 namespace gala::graph {
 namespace {
 
-std::string temp_file(const std::string& name, const std::string& content) {
-  const auto dir = std::filesystem::temp_directory_path() / "gala_formats_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / name).string();
-  std::ofstream(path) << content;
-  return path;
-}
+/// Loader tests write their inputs into a directory of their own.
+class FormatFileTest : public ::testing::Test {
+ protected:
+  std::string temp_file(const std::string& name, const std::string& content) const {
+    const std::string path = tmp_.file(name);
+    std::ofstream(path) << content;
+    return path;
+  }
 
-TEST(MatrixMarket, LoadsSymmetricWeighted) {
+  testing::ScopedTempDir tmp_;
+};
+using MatrixMarket = FormatFileTest;
+using Metis = FormatFileTest;
+
+TEST_F(MatrixMarket, LoadsSymmetricWeighted) {
   const auto path = temp_file("sym.mtx",
                               "%%MatrixMarket matrix coordinate real symmetric\n"
                               "% a comment\n"
@@ -35,7 +40,7 @@ TEST(MatrixMarket, LoadsSymmetricWeighted) {
   EXPECT_DOUBLE_EQ(g.weights(0)[0], 1.5);  // edge {0,1}
 }
 
-TEST(MatrixMarket, PatternEntriesGetUnitWeight) {
+TEST_F(MatrixMarket, PatternEntriesGetUnitWeight) {
   const auto path = temp_file("pat.mtx",
                               "%%MatrixMarket matrix coordinate pattern symmetric\n"
                               "3 3 2\n"
@@ -45,7 +50,7 @@ TEST(MatrixMarket, PatternEntriesGetUnitWeight) {
   EXPECT_DOUBLE_EQ(g.total_weight(), 2.0);
 }
 
-TEST(MatrixMarket, GeneralMatricesAreSymmetrisedBySumming) {
+TEST_F(MatrixMarket, GeneralMatricesAreSymmetrisedBySumming) {
   const auto path = temp_file("gen.mtx",
                               "%%MatrixMarket matrix coordinate real general\n"
                               "2 2 2\n"
@@ -56,7 +61,7 @@ TEST(MatrixMarket, GeneralMatricesAreSymmetrisedBySumming) {
   EXPECT_DOUBLE_EQ(g.weights(0)[0], 3.0);
 }
 
-TEST(MatrixMarket, DiagonalBecomesSelfLoop) {
+TEST_F(MatrixMarket, DiagonalBecomesSelfLoop) {
   const auto path = temp_file("diag.mtx",
                               "%%MatrixMarket matrix coordinate real symmetric\n"
                               "2 2 2\n"
@@ -66,7 +71,7 @@ TEST(MatrixMarket, DiagonalBecomesSelfLoop) {
   EXPECT_DOUBLE_EQ(g.self_loop(0), 4.0);
 }
 
-TEST(MatrixMarket, RejectsMalformedInput) {
+TEST_F(MatrixMarket, RejectsMalformedInput) {
   EXPECT_THROW(load_matrix_market(temp_file("bad1.mtx", "not a banner\n1 1 0\n")), Error);
   EXPECT_THROW(load_matrix_market(temp_file(
                    "bad2.mtx", "%%MatrixMarket matrix coordinate real symmetric\n2 3 0\n")),
@@ -77,11 +82,9 @@ TEST(MatrixMarket, RejectsMalformedInput) {
                Error);  // truncated
 }
 
-TEST(Metis, RoundTripThroughSaveAndLoad) {
+TEST_F(Metis, RoundTripThroughSaveAndLoad) {
   const Graph g = testing::small_planted(5, 200, 4, 0.2);
-  const auto dir = std::filesystem::temp_directory_path() / "gala_formats_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / "round.graph").string();
+  const auto path = tmp_.file("round.graph");
   save_metis(g, path);
   const Graph loaded = load_metis(path);
   EXPECT_EQ(loaded.num_vertices(), g.num_vertices());
@@ -90,7 +93,7 @@ TEST(Metis, RoundTripThroughSaveAndLoad) {
   loaded.validate();
 }
 
-TEST(Metis, LoadsUnweightedListing) {
+TEST_F(Metis, LoadsUnweightedListing) {
   const auto path = temp_file("plain.graph",
                               "% triangle plus pendant\n"
                               "4 4 0\n"
@@ -104,18 +107,17 @@ TEST(Metis, LoadsUnweightedListing) {
   EXPECT_EQ(g.num_edges(), 4u);
 }
 
-TEST(Metis, HeaderEdgeCountMismatchThrows) {
+TEST_F(Metis, HeaderEdgeCountMismatchThrows) {
   const auto path = temp_file("mismatch.graph", "3 5 0\n2\n1 3\n2\n");
   EXPECT_THROW(load_metis(path), Error);
 }
 
-TEST(Metis, SelfLoopsRejectedOnSave) {
+TEST_F(Metis, SelfLoopsRejectedOnSave) {
   GraphBuilder b(2);
   b.add_edge(0, 0, 1.0);
   b.add_edge(0, 1, 1.0);
   const Graph g = b.build();
-  const auto dir = std::filesystem::temp_directory_path() / "gala_formats_test";
-  EXPECT_THROW(save_metis(g, (dir / "loops.graph").string()), Error);
+  EXPECT_THROW(save_metis(g, tmp_.file("loops.graph")), Error);
 }
 
 // ------------------------------------------------------------- reorder ----

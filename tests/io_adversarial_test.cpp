@@ -1,17 +1,19 @@
-// Adversarial graph inputs: truncated binaries, lying size fields, malformed
-// edge-list lines. Every case must surface as a structured gala::Error that
-// names the file (and line, for text inputs) — never a crash, never an
-// unbounded allocation, never silently-wrong data.
+// Adversarial graph inputs: truncated binaries, lying size fields, binaries
+// that break the CSR conventions, malformed edge-list lines. Every case must
+// surface as a structured gala::Error that names the file (and line, for
+// text inputs) — never a crash, never an unbounded allocation, never
+// silently-wrong data.
 #include "gala/graph/io.hpp"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "gala/common/error.hpp"
 #include "test_util.hpp"
@@ -21,14 +23,26 @@ namespace {
 
 class AdversarialIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("gala_io_adv_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::string path(const std::string& name) const { return tmp_.file(name); }
 
-  std::string path(const std::string& name) const { return (dir_ / name).string(); }
+  /// Writes a binary snapshot with the given raw CSR arrays, valid or not.
+  std::string write_binary(const std::string& name, const std::vector<std::uint64_t>& offsets,
+                           const std::vector<std::uint32_t>& adj, const std::vector<double>& w) {
+    const std::string p = path(name);
+    std::ofstream out(p, std::ios::binary);
+    const std::uint64_t magic = 0x47414c41475246ULL;
+    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    const auto write_array = [&out](const auto& v) {
+      const std::uint64_t len = v.size();
+      out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+      out.write(reinterpret_cast<const char*>(v.data()),
+                static_cast<std::streamsize>(v.size() * sizeof(v[0])));
+    };
+    write_array(offsets);
+    write_array(adj);
+    write_array(w);
+    return p;
+  }
 
   std::string write_text(const std::string& name, const std::string& content) {
     const std::string p = path(name);
@@ -52,7 +66,7 @@ class AdversarialIoTest : public ::testing::Test {
     }
   }
 
-  std::filesystem::path dir_;
+  gala::testing::ScopedTempDir tmp_;
 };
 
 // ---- binary format ----------------------------------------------------------
@@ -115,47 +129,66 @@ TEST_F(AdversarialIoTest, ZeroVertexBinaryIsRejected) {
 }
 
 TEST_F(AdversarialIoTest, CorruptOffsetsAreRejected) {
-  const std::string p = path("offsets.galabin");
-  std::ofstream out(p, std::ios::binary);
-  const std::uint64_t magic = 0x47414c41475246ULL;
   // offsets = [0, 5] but only 1 adjacency entry: offsets.back() mismatch.
-  const std::uint64_t offsets_len = 2;
-  const std::uint64_t offs[2] = {0, 5};
-  const std::uint64_t adj_len = 1;
-  const std::uint32_t adj[1] = {0};
-  const std::uint64_t w_len = 1;
-  const double w[1] = {1.0};
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&offsets_len), sizeof(offsets_len));
-  out.write(reinterpret_cast<const char*>(offs), sizeof(offs));
-  out.write(reinterpret_cast<const char*>(&adj_len), sizeof(adj_len));
-  out.write(reinterpret_cast<const char*>(adj), sizeof(adj));
-  out.write(reinterpret_cast<const char*>(&w_len), sizeof(w_len));
-  out.write(reinterpret_cast<const char*>(w), sizeof(w));
-  out.close();
+  const std::string p = write_binary("offsets.galabin", {0, 5}, {0}, {1.0});
   expect_error([&] { load_binary(p); }, {"corrupt offsets", p});
 }
 
 TEST_F(AdversarialIoTest, OutOfRangeNeighbourIdIsRejected) {
-  const std::string p = path("badneighbour.galabin");
-  std::ofstream out(p, std::ios::binary);
-  const std::uint64_t magic = 0x47414c41475246ULL;
   // 2 vertices, one edge 0 -> 9 (vertex 9 does not exist).
-  const std::uint64_t offsets_len = 3;
-  const std::uint64_t offs[3] = {0, 1, 2};
-  const std::uint64_t adj_len = 2;
-  const std::uint32_t adj[2] = {9, 0};
-  const std::uint64_t w_len = 2;
-  const double w[2] = {1.0, 1.0};
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&offsets_len), sizeof(offsets_len));
-  out.write(reinterpret_cast<const char*>(offs), sizeof(offs));
-  out.write(reinterpret_cast<const char*>(&adj_len), sizeof(adj_len));
-  out.write(reinterpret_cast<const char*>(adj), sizeof(adj));
-  out.write(reinterpret_cast<const char*>(&w_len), sizeof(w_len));
-  out.write(reinterpret_cast<const char*>(w), sizeof(w));
-  out.close();
+  const std::string p = write_binary("badneighbour.galabin", {0, 1, 2}, {9, 0}, {1.0, 1.0});
   expect_error([&] { load_binary(p); }, {"out of range", p});
+}
+
+// The loader adopts the stored CSR as-is, so every convention the graph
+// relies on — sorted unique rows, positive weights, each entry mirrored with
+// the same weight — must be rejected when broken, not repaired.
+
+TEST_F(AdversarialIoTest, NonMonotoneOffsetsAreRejected) {
+  // Row 0 claims to run past the end of the adjacency.
+  const std::string p = write_binary("nonmonotone.galabin", {0, 9, 1, 2}, {1, 0}, {1.0, 1.0});
+  expect_error([&] { load_binary(p); }, {"non-monotone offsets at vertex 1", p});
+}
+
+TEST_F(AdversarialIoTest, UnsortedRowIsRejected) {
+  // Star 0-{1,2} with row 0 stored as [2, 1].
+  const std::string p =
+      write_binary("unsorted.galabin", {0, 2, 3, 4}, {2, 1, 0, 0}, {1.0, 1.0, 1.0, 1.0});
+  expect_error([&] { load_binary(p); }, {"unsorted row 0", p});
+}
+
+TEST_F(AdversarialIoTest, DuplicateNeighbourIsRejected) {
+  const std::string p =
+      write_binary("duplicate.galabin", {0, 2, 4}, {1, 1, 0, 0}, {1.0, 1.0, 1.0, 1.0});
+  expect_error([&] { load_binary(p); }, {"duplicate neighbour 1 in row 0", p});
+}
+
+TEST_F(AdversarialIoTest, MissingReverseEdgeIsRejected) {
+  // Only 0->1 stored, then only 1->0 stored.
+  const std::string p = write_binary("upper_only.galabin", {0, 1, 1}, {1}, {1.0});
+  expect_error([&] { load_binary(p); }, {"missing reverse edge 1->0", p});
+  const std::string q = write_binary("lower_only.galabin", {0, 0, 1}, {0}, {1.0});
+  expect_error([&] { load_binary(q); }, {"missing reverse edge 0->1", q});
+}
+
+TEST_F(AdversarialIoTest, ReverseWeightMismatchIsRejected) {
+  // Off by one ulp: the reverse weight must match exactly.
+  const std::string p =
+      write_binary("asymmetric.galabin", {0, 1, 2}, {1, 0}, {1.0, std::nextafter(1.0, 2.0)});
+  expect_error([&] { load_binary(p); }, {"asymmetric weight on edge {0,1}", p});
+}
+
+TEST_F(AdversarialIoTest, ZeroWeightIsRejected) {
+  const std::string p = write_binary("zero.galabin", {0, 1, 2}, {1, 0}, {0.0, 0.0});
+  expect_error([&] { load_binary(p); }, {"bad weight", p});
+  const std::string q = write_binary("negative.galabin", {0, 1, 2}, {1, 0}, {-1.0, -1.0});
+  expect_error([&] { load_binary(q); }, {"bad weight", q});
+}
+
+TEST_F(AdversarialIoTest, NanWeightIsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string p = write_binary("nan.galabin", {0, 1, 2}, {1, 0}, {nan, nan});
+  expect_error([&] { load_binary(p); }, {"bad weight", p});
 }
 
 TEST_F(AdversarialIoTest, MissingBinaryFileIsStructuredError) {

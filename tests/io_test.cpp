@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "test_util.hpp"
@@ -14,11 +13,9 @@ namespace {
 
 class IoTest : public ::testing::Test {
  protected:
-  std::string temp_path(const std::string& name) {
-    const auto dir = std::filesystem::temp_directory_path() / "gala_io_test";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-  }
+  std::string temp_path(const std::string& name) const { return tmp_.file(name); }
+
+  testing::ScopedTempDir tmp_;
 };
 
 bool graphs_equal(const Graph& a, const Graph& b) {

@@ -1,7 +1,6 @@
 // JSON writer and run reports, plus the distributed full pipeline.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
 #include "gala/core/gala.hpp"
@@ -53,9 +52,8 @@ TEST(RunReport, ContainsTheKeyFacts) {
 TEST(RunReport, SavesToDisk) {
   const auto g = testing::two_triangles();
   const auto result = core::run_louvain(g);
-  const auto dir = std::filesystem::temp_directory_path() / "gala_report_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / "run.json").string();
+  const testing::ScopedTempDir tmp;
+  const auto path = tmp.file("run.json");
   metrics::save_run_report(g, {}, result, path);
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());

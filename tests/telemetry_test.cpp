@@ -16,6 +16,7 @@
 #include "gala/core/bsp_louvain.hpp"
 #include "gala/graph/generators.hpp"
 #include "gala/telemetry/telemetry.hpp"
+#include "test_util.hpp"
 
 namespace gala {
 namespace {
@@ -320,7 +321,8 @@ TEST(Tracer, SummaryAggregatesByCategoryAndName) {
 // Sinks.
 
 TEST(Sinks, ChromeTraceSinkWritesParseableFile) {
-  const fs::path path = fs::temp_directory_path() / "gala_sink_chrome.json";
+  const testing::ScopedTempDir tmp;
+  const fs::path path = tmp.path() / "sink_chrome.json";
   Tracer tracer;
   tracer.add_sink(std::make_shared<telemetry::ChromeTraceSink>(path.string()));
   EXPECT_TRUE(tracer.enabled());  // add_sink enables
@@ -331,11 +333,11 @@ TEST(Sinks, ChromeTraceSinkWritesParseableFile) {
   const JsonValue doc = parse_json(read_file(path.string()));
   ASSERT_EQ(doc.at("traceEvents").array.size(), 1u);
   EXPECT_EQ(doc.at("traceEvents").array[0].at("name").string, "synced");
-  fs::remove(path);
 }
 
 TEST(Sinks, JsonSinkWritesFlatSpanDump) {
-  const fs::path path = fs::temp_directory_path() / "gala_sink_flat.json";
+  const testing::ScopedTempDir tmp;
+  const fs::path path = tmp.path() / "sink_flat.json";
   Tracer tracer;
   tracer.add_sink(std::make_shared<telemetry::JsonSink>(path.string()));
   {
@@ -350,11 +352,11 @@ TEST(Sinks, JsonSinkWritesFlatSpanDump) {
   EXPECT_EQ(inner.at("name").string, "inner");
   EXPECT_EQ(inner.at("depth").number, 1);
   EXPECT_EQ(inner.at("args").at("v").number, 7);
-  fs::remove(path);
 }
 
 TEST(Sinks, TextSinkWritesOneLinePerSpan) {
-  const fs::path path = fs::temp_directory_path() / "gala_sink_text.txt";
+  const testing::ScopedTempDir tmp;
+  const fs::path path = tmp.path() / "sink_text.txt";
   {
     std::FILE* f = std::fopen(path.string().c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -369,7 +371,6 @@ TEST(Sinks, TextSinkWritesOneLinePerSpan) {
   const std::string text = read_file(path.string());
   EXPECT_NE(text.find("test/hello"), std::string::npos);
   EXPECT_NE(text.find("n=3"), std::string::npos);
-  fs::remove(path);
 }
 
 // ---------------------------------------------------------------------------
