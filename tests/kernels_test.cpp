@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "gala/common/prng.hpp"
 #include "gala/graph/generators.hpp"
@@ -68,12 +69,22 @@ void expect_same_decision(const Decision& got, const Decision& want, vid_t v) {
   EXPECT_NEAR(got.weight_to_curr, want.weight_to_curr, 1e-9) << "vertex " << v;
 }
 
+// gtest names each case after the bytes of its parameter, so the alignment
+// gaps are spelled out as zeroed fields: implicit padding is uninitialised
+// and would give the same case a different name from build to build.
 struct KernelCase {
+  KernelCase(vid_t n_, eid_t m_, cid_t k_, std::uint64_t seed_)
+      : n(n_), m(m_), k(k_), seed(seed_) {}
+
   vid_t n;
+  std::uint32_t n_pad = 0;
   eid_t m;
   cid_t k;
+  std::uint32_t k_pad = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<KernelCase>,
+              "every byte of KernelCase must be a zero-initialised field");
 
 class KernelAgreement : public ::testing::TestWithParam<KernelCase> {};
 

@@ -190,7 +190,8 @@ int cmd_detect(int argc, const char* const* argv) {
       .add_flag("supervise", "run under the resilience supervisor (retry/rollback/degrade)")
       .add_flag("strict", "supervised: fail closed on the first fault (no recovery)")
       .add_flag("probe-min-budget", "after the run, binary-search the smallest feasible budget "
-                "(completes unsupervised, bit-identical partition, peak within budget)")
+                "(completes unsupervised, bit-identical partition, peak within budget; "
+                "single-device runs are replayed with sequential launches)")
       .add_flag("serve", "publish the final partition into the epoch-versioned query store "
                 "and answer a deterministic sample query batch")
       .add_flag("connected", "report whether every community is connected");
@@ -335,6 +336,11 @@ int cmd_detect(int argc, const char* const* argv) {
     {
       core::GalaConfig probe_cfg = cfg;
       probe_cfg.bsp.on_iteration = nullptr;
+      // Peaks of parallel launches depend on how many pool workers hold
+      // scratch at once, so a trial could exceed the reference peak it was
+      // sized from. Sequential replays make feasibility a deterministic,
+      // monotone function of the budget, which the binary search assumes.
+      probe_cfg.bsp.parallel = false;
       probe_solve = [&g, probe_cfg] { return core::run_louvain(g, probe_cfg).assignment; };
     }
     const bool supervised = args.has("supervise") || args.has("faults") || args.has("strict") ||
