@@ -19,12 +19,11 @@ int main() {
 
   core::BspConfig cfg;
   cfg.pruning = core::PruningStrategy::ModularityGain;
-  core::BspLouvainEngine engine(g, cfg);
 
   TextTable table({"iteration", "inactive%", "unmoved%", "moved", "modularity"});
   const double n = g.num_vertices();
-  engine.set_observer([&](int iter, const core::IterationStats& s,
-                          std::span<const std::uint8_t> active, std::span<const std::uint8_t>) {
+  cfg.on_iteration = [&](int iter, const core::IterationStats& s,
+                         std::span<const std::uint8_t> active, auto, auto) {
     std::size_t inactive = 0;
     for (const auto a : active) inactive += a == 0;
     table.row()
@@ -33,8 +32,8 @@ int main() {
         .cell(100.0 * (n - s.moved) / n, 1)
         .cell(s.moved)
         .cell(s.modularity, 5);
-  });
-  const auto result = engine.run();
+  };
+  const auto result = core::bsp_phase1(g, cfg);
   table.print();
 
   double peak_inactive = 0;

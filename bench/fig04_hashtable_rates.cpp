@@ -30,13 +30,12 @@ int main() {
     cfg.kernel = core::KernelMode::HashOnly;
     cfg.hashtable = policy;
     cfg.device.shared_bytes_per_block = shared_bytes;
-    core::BspLouvainEngine engine(g, cfg);
     Series series;
-    engine.set_observer([&](int, const core::IterationStats& s, auto, auto) {
+    cfg.on_iteration = [&](int, const core::IterationStats& s, auto, auto, auto) {
       series.maintenance.push_back(s.ht_maintenance_rate);
       series.access.push_back(s.ht_access_rate);
-    });
-    engine.run();
+    };
+    core::bsp_phase1(g, cfg);
     return series;
   };
 

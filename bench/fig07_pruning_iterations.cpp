@@ -27,11 +27,10 @@ int main() {
     for (std::size_t s = 0; s < strategies.size(); ++s) {
       core::BspConfig cfg;
       cfg.pruning = strategies[s];
-      core::BspLouvainEngine engine(g, cfg);
-      engine.set_observer([&](int, const core::IterationStats& st, auto, auto) {
+      cfg.on_iteration = [&](int, const core::IterationStats& st, auto, auto, auto) {
         series[s].push_back(100.0 * (n - st.active) / n);
-      });
-      final_q[s] = engine.run().modularity;
+      };
+      final_q[s] = core::bsp_phase1(g, cfg).modularity;
     }
 
     TextTable table({"iteration", "SM%", "RM%", "PM%", "MG%", "MG+RM%"});

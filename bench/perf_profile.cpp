@@ -54,8 +54,7 @@ int main() {
       cfg.hashtable = policy;
       cfg.parallel = false;  // sequential launches: no pool scheduling noise
       memtrace::MemRegistry::global().reset();  // per-row memory accounting
-      core::BspLouvainEngine engine(g, cfg);
-      const auto r = engine.run();
+      const auto r = core::bsp_phase1(g, cfg);
       const auto mem = memtrace::MemRegistry::global().report();
       double modeled_ms = 0;
       for (const auto& it : r.iterations) {
@@ -93,8 +92,7 @@ int main() {
     cfg.kernel = core::KernelMode::ShuffleOnly;
     cfg.parallel = false;
     memtrace::MemRegistry::global().reset();
-    core::BspLouvainEngine engine(graphs[0].g, cfg);
-    const auto r = engine.run();
+    const auto r = core::bsp_phase1(graphs[0].g, cfg);
     const auto mem = memtrace::MemRegistry::global().report();
     std::printf("%-16s %-13s Q=%.5f, %u communities\n", graphs[0].name, "shuffle",
                 r.modularity, r.num_communities);
@@ -236,8 +234,7 @@ int main() {
       core::BspConfig cfg;
       cfg.parallel = false;
       Timer t;
-      core::BspLouvainEngine engine(graphs[1].g, cfg);
-      const auto r = engine.run();
+      const auto r = core::bsp_phase1(graphs[1].g, cfg);
       wall_ms[armed] = t.milliseconds();
       for (const auto& it : r.iterations) {
         modeled[armed] += cfg.device.modeled_ms(it.decide_traffic) +
@@ -284,8 +281,7 @@ int main() {
       core::BspConfig cfg;
       cfg.parallel = false;
       Timer t;
-      core::BspLouvainEngine engine(graphs[1].g, cfg);
-      const auto r = engine.run();
+      const auto r = core::bsp_phase1(graphs[1].g, cfg);
       wall_ms[armed] = t.milliseconds();
       for (const auto& it : r.iterations) {
         modeled[armed] += cfg.device.modeled_ms(it.decide_traffic) +
@@ -329,8 +325,7 @@ int main() {
       core::BspConfig cfg;
       cfg.parallel = false;
       memtrace::MemRegistry::global().reset();
-      core::BspLouvainEngine engine(g, cfg);
-      return engine.run().community;
+      return core::bsp_phase1(g, cfg).community;
     };
     const std::vector<cid_t> reference = solve();
     const std::uint64_t peak = memtrace::MemRegistry::global().report().peak_total_bytes();

@@ -5,7 +5,7 @@
 
 #include "gala/baselines/generic_bsp.hpp"
 #include "gala/common/timer.hpp"
-#include "gala/core/blas_louvain.hpp"
+#include "gala/core/backend.hpp"
 #include "gala/core/modularity.hpp"
 
 namespace gala::baselines {
@@ -197,9 +197,10 @@ BaselineResult with_name(BaselineResult r, std::string name) {
 
 /// Wraps a phase-1 engine run into the baseline result shape.
 BaselineResult from_engine(const graph::Graph& g, const core::BspConfig& cfg, std::string name,
-                           double lane_efficiency = 1.0) {
+                           double lane_efficiency = 1.0,
+                           core::Backend backend = core::Backend::Bsp) {
   Timer timer;
-  const auto r = core::bsp_phase1(g, cfg);
+  const auto r = core::make_backend(backend)->run_level(g, cfg);
   BaselineResult out;
   out.name = std::move(name);
   out.community = r.community;
@@ -210,6 +211,18 @@ BaselineResult from_engine(const graph::Graph& g, const core::BspConfig& cfg, st
   out.modeled_ms = cfg.device.cost_model.milliseconds(
       r.total_traffic, cfg.device.model_parallel_lanes * lane_efficiency, cfg.device.model_clock_ghz);
   return out;
+}
+
+/// GALA's own phase 1 on `backend`, under the shared baseline options.
+BaselineResult run_gala_backend(const graph::Graph& g, const BaselineOptions& opts,
+                                core::Backend backend, std::string name) {
+  core::BspConfig cfg;
+  cfg.theta = opts.theta;
+  cfg.max_iterations = opts.max_iterations;
+  cfg.parallel = opts.parallel;
+  cfg.seed = opts.seed;
+  cfg.device = opts.device;
+  return from_engine(g, cfg, std::move(name), 1.0, backend);
 }
 
 }  // namespace
@@ -297,34 +310,11 @@ BaselineResult run_grappolo_cpu(const graph::Graph& g, const BaselineOptions& op
 }
 
 BaselineResult run_gala(const graph::Graph& g, const BaselineOptions& opts) {
-  core::BspConfig cfg;
-  cfg.theta = opts.theta;
-  cfg.max_iterations = opts.max_iterations;
-  cfg.parallel = opts.parallel;
-  cfg.seed = opts.seed;
-  cfg.device = opts.device;
-  return from_engine(g, cfg, "GALA");
+  return run_gala_backend(g, opts, core::Backend::Bsp, "GALA");
 }
 
 BaselineResult run_gala_blas(const graph::Graph& g, const BaselineOptions& opts) {
-  core::BspConfig cfg;
-  cfg.theta = opts.theta;
-  cfg.max_iterations = opts.max_iterations;
-  cfg.parallel = opts.parallel;
-  cfg.seed = opts.seed;
-  cfg.device = opts.device;
-  Timer timer;
-  const auto r = core::blas_phase1(g, cfg);
-  BaselineResult out;
-  out.name = "GALA (blas)";
-  out.community = r.community;
-  out.modularity = r.modularity;
-  out.iterations = static_cast<int>(r.iterations.size());
-  out.wall_seconds = timer.seconds();
-  out.traffic = r.total_traffic;
-  out.modeled_ms = cfg.device.cost_model.milliseconds(
-      r.total_traffic, cfg.device.model_parallel_lanes, cfg.device.model_clock_ghz);
-  return out;
+  return run_gala_backend(g, opts, core::Backend::Blas, "GALA (blas)");
 }
 
 std::vector<BaselineResult> run_all_systems(const graph::Graph& g, const BaselineOptions& opts) {

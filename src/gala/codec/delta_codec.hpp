@@ -2,8 +2,8 @@
 //
 // Grown in the multi-GPU sync path and hoisted here unchanged so other
 // subsystems (the out-of-core CSR loader ROADMAP names, checkpointing) can
-// reuse the frame format without linking the distributed engine;
-// gala/multigpu/delta_codec.hpp re-exports these names for its call sites.
+// reuse the frame format without linking the distributed engine, which
+// calls these codec:: names directly.
 //
 // The sparse synchronisation ships (vertex, new community) move records.
 // Raw records cost 8 bytes each; this codec exploits the two regularities

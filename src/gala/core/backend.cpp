@@ -5,14 +5,17 @@
 namespace gala::core {
 namespace {
 
-class BspBackend final : public LouvainBackend {
+/// Both backends run the phase-1 driver and contract through the shared
+/// SpGEMM; they differ only in the engine whose primitives the driver runs.
+class EngineBackend final : public LouvainBackend {
  public:
-  explicit BspBackend(const blas::Tuning& tuning) : tuning_(tuning) {}
+  EngineBackend(Backend backend, const blas::Tuning& tuning)
+      : backend_(backend), tuning_(tuning) {}
 
-  const char* name() const override { return "bsp"; }
+  const char* name() const override { return backend_ == Backend::Blas ? "blas" : "bsp"; }
 
   Phase1Result run_level(const graph::Graph& g, const BspConfig& config) override {
-    return bsp_phase1(g, config);
+    return backend_ == Backend::Blas ? blas_phase1(g, config, tuning_) : bsp_phase1(g, config);
   }
 
   AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
@@ -21,25 +24,7 @@ class BspBackend final : public LouvainBackend {
   }
 
  private:
-  blas::Tuning tuning_;
-};
-
-class BlasBackend final : public LouvainBackend {
- public:
-  explicit BlasBackend(const blas::Tuning& tuning) : tuning_(tuning) {}
-
-  const char* name() const override { return "blas"; }
-
-  Phase1Result run_level(const graph::Graph& g, const BspConfig& config) override {
-    return blas_phase1(g, config, tuning_);
-  }
-
-  AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
-                             exec::Workspace* workspace) override {
-    return aggregate(g, community, workspace, tuning_);
-  }
-
- private:
+  Backend backend_;
   blas::Tuning tuning_;
 };
 
@@ -56,13 +41,7 @@ std::string to_string(Backend backend) {
 }
 
 std::unique_ptr<LouvainBackend> make_backend(Backend backend, const blas::Tuning& tuning) {
-  switch (backend) {
-    case Backend::Blas:
-      return std::make_unique<BlasBackend>(tuning);
-    case Backend::Bsp:
-      break;
-  }
-  return std::make_unique<BspBackend>(tuning);
+  return std::make_unique<EngineBackend>(backend, tuning);
 }
 
 }  // namespace gala::core

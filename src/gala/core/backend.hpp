@@ -4,9 +4,10 @@
 //
 // The pipeline (run_louvain) programs against this seam only — it picks an
 // engine once from GalaConfig::backend and drives every level through it.
-// Both backends share the move rule, pruning, convergence test, and the
-// SpGEMM contraction, which is what pins their trajectories together (see
-// blas_louvain.hpp for the parity argument).
+// Both backends share the move rule, the phase-1 driver (pruning, guard,
+// bookkeeping, convergence test; phase1.hpp) and the SpGEMM contraction,
+// which is what pins their trajectories together (see blas_louvain.hpp for
+// the parity argument).
 #pragma once
 
 #include <memory>

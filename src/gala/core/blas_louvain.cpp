@@ -1,104 +1,50 @@
 #include "gala/core/blas_louvain.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "gala/blas/spmv.hpp"
-#include "gala/common/error.hpp"
 #include "gala/common/timer.hpp"
-#include "gala/core/modularity.hpp"
+#include "gala/core/phase1.hpp"
 #include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::core {
 namespace {
 
-/// Engine-internal state; mirrors BspLouvainEngine member-for-member so the
-/// two trajectories stay comparable line by line.
-class BlasLouvainEngine {
+/// The linear-algebra engine: the phase-1 driver with the masked decide
+/// gather and the next-assignment weight gather as its primitives.
+class BlasEngine final : public Phase1Driver {
  public:
-  BlasLouvainEngine(const graph::Graph& g, const BspConfig& config, const blas::Tuning& tuning,
-                    BlasPhase1Stats* blas_stats)
-      : g_(g), config_(config), tuning_(tuning), blas_stats_(blas_stats),
-        owned_context_(config.context != nullptr
-                           ? nullptr
-                           : std::make_unique<exec::ExecutionContext>(config.device, config.seed)),
-        ctx_(config.context != nullptr ? config.context : owned_context_.get()),
-        rng_(config.seed), frontier_(ctx_->workspace(), "blas.frontier") {
-    GALA_CHECK(g.total_weight() > 0, "graph has no edge weight");
-    const vid_t n = g.num_vertices();
-    comm_.resize(n);
-    next_comm_.resize(n);
-    comm_total_.resize(n);
-    comm_size_.resize(n);
-    weight_.assign(n, 0);
-    prev_moved_.assign(n, 0);
-    comm_changed_.assign(n, 0);
-    for (vid_t v = 0; v < n; ++v) {
-      comm_[v] = v;
-      comm_total_[v] = g.degree(v);
-      comm_size_[v] = 1;
-      sum_self_loops_ += g.self_loop(v);
-    }
-  }
-
-  Phase1Result run();
+  BlasEngine(const graph::Graph& g, const BspConfig& config, const blas::Tuning& tuning,
+             BlasPhase1Stats* blas_stats)
+      : Phase1Driver(g, config, CommunityState(g)), tuning_(tuning), blas_stats_(blas_stats),
+        frontier_(ctx_->workspace(), "blas.frontier") {}
 
  private:
-  void decide_phase(std::span<const std::uint8_t> active, std::span<Decision> decisions,
-                    vid_t active_count, IterationStats& iter_stats);
-  void weight_update_phase(std::span<const std::uint8_t> ones, IterationStats& iter_stats);
-  wt_t state_modularity() const;
-  wt_t min_nonempty_total() const;
+  exec::Workspace::Lease<std::uint8_t> take_run_scratch(exec::Workspace& ws, vid_t n) override;
+  void decide_phase(std::span<const std::uint8_t> active, vid_t active_count,
+                    std::span<Decision> decisions, IterationStats& iter_stats) override;
+  void weight_update_phase(std::span<const std::uint8_t> moved,
+                           IterationStats& iter_stats) override;
 
-  const graph::Graph& g_;
-  BspConfig config_;
   blas::Tuning tuning_;
   BlasPhase1Stats* blas_stats_;
-  std::unique_ptr<exec::ExecutionContext> owned_context_;
-  exec::ExecutionContext* ctx_;
-  Xoshiro256 rng_;
-
-  std::vector<cid_t> comm_;
-  std::vector<cid_t> next_comm_;
-  std::vector<wt_t> comm_total_;
-  std::vector<vid_t> comm_size_;
-  std::vector<wt_t> weight_;
-  std::vector<std::uint8_t> prev_moved_;
-  std::vector<std::uint8_t> comm_changed_;
   exec::PooledVec<vid_t> frontier_;
-  wt_t sum_self_loops_ = 0;
+  std::span<const std::uint8_t> ones_;  // the run's all-ones row mask
   blas::Direction last_direction_ = blas::Direction::Pull;
   bool any_iteration_ = false;
 };
 
-wt_t BlasLouvainEngine::state_modularity() const {
-  const wt_t two_m = g_.two_m();
-  wt_t internal = 2 * sum_self_loops_;
-  wt_t sq = 0;
-  for (vid_t v = 0; v < g_.num_vertices(); ++v) {
-    internal += weight_[v];
-    if (comm_size_[v] > 0) {
-      const wt_t frac = comm_total_[v] / two_m;
-      sq += frac * frac;
-    }
-  }
-  return internal / two_m - config_.resolution * sq;
+exec::Workspace::Lease<std::uint8_t> BlasEngine::take_run_scratch(exec::Workspace& ws, vid_t n) {
+  auto ones = ws.take<std::uint8_t>(n, "blas.ones");
+  std::fill(ones.span().begin(), ones.span().end(), 1);
+  ones_ = ones.span();
+  return ones;
 }
 
-wt_t BlasLouvainEngine::min_nonempty_total() const {
-  wt_t best = std::numeric_limits<wt_t>::max();
-  for (vid_t c = 0; c < g_.num_vertices(); ++c) {
-    if (comm_size_[c] > 0 && comm_total_[c] < best) best = comm_total_[c];
-  }
-  return best;
-}
-
-void BlasLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
-                                     std::span<Decision> decisions, vid_t active_count,
-                                     IterationStats& iter_stats) {
+void BlasEngine::decide_phase(std::span<const std::uint8_t> active, vid_t active_count,
+                              std::span<Decision> decisions, IterationStats& iter_stats) {
   const vid_t n = g_.num_vertices();
   const wt_t two_m = g_.two_m();
   const wt_t resolution = config_.resolution;
@@ -106,9 +52,11 @@ void BlasLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
   // The visitor replicates the hash kernel's scoring tail value-for-value:
   // same move_score inputs, same BestTracker tie-break, same empty-row and
   // isolated-vertex handling — the SPA already summed in upsert order.
+  const std::span<const cid_t> comm = state_.comm;
+  const std::span<const wt_t> comm_total = state_.comm_total;
   const auto score_row = [&](vid_t v, std::span<const cid_t> touched, const wt_t* vals,
                              gpusim::MemoryStats& stats) {
-    const cid_t curr = comm_[v];
+    const cid_t curr = comm[v];
     const wt_t dv = g_.degree(v);
     Decision result;
     BestTracker tracker;
@@ -116,13 +64,13 @@ void BlasLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
     for (const cid_t c : touched) {
       stats.register_ops += 1;
       stats.global_reads += 1;  // D_V(c)
-      const wt_t score = move_score(vals[c], comm_total_[c], dv, two_m, c == curr, resolution);
+      const wt_t score = move_score(vals[c], comm_total[c], dv, two_m, c == curr, resolution);
       if (c == curr) e_curr = vals[c];
       tracker.offer(c, score);
     }
     result.weight_to_curr = e_curr;
     stats.global_reads += 1;  // D_V(C[v])
-    result.curr_score = move_score(e_curr, comm_total_[curr], dv, two_m, true, resolution);
+    result.curr_score = move_score(e_curr, comm_total[curr], dv, two_m, true, resolution);
     if (tracker.best == kInvalidCid) {
       result.best = curr;
       result.best_score = result.curr_score;
@@ -143,7 +91,7 @@ void BlasLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
   std::uint64_t push_rows = 0;
   if (dir == blas::Direction::Pull) {
     const blas::GatherStats gs =
-        blas::masked_gather(g_, comm_, active, {}, blas::Direction::Pull, ctx_->device(),
+        blas::masked_gather(g_, comm, active, {}, blas::Direction::Pull, ctx_->device(),
                             config_.parallel, score_row, "blas_gather_pull");
     total += gs.launch;
     pull_rows += gs.rows;
@@ -156,7 +104,7 @@ void BlasLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
     const auto flush = [&] {
       if (frontier_.empty()) return;
       const blas::GatherStats gs =
-          blas::masked_gather(g_, comm_, {}, frontier_, blas::Direction::Push, ctx_->device(),
+          blas::masked_gather(g_, comm, {}, frontier_, blas::Direction::Push, ctx_->device(),
                               config_.parallel, score_row, "blas_gather_push");
       total += gs.launch;
       push_rows += gs.rows;
@@ -191,16 +139,18 @@ void BlasLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
   }
 }
 
-void BlasLouvainEngine::weight_update_phase(std::span<const std::uint8_t> ones,
-                                            IterationStats& iter_stats) {
+void BlasEngine::weight_update_phase(std::span<const std::uint8_t> /*moved*/,
+                                     IterationStats& iter_stats) {
   // w(v) = e_{v, next_C[v]} as a masked extract from a gather against the
   // *next* assignment. The SPA sums in adjacency order — bit-identical to
   // the recompute kernel's per-row sum.
   telemetry::ScopedSpan span(telemetry::Tracer::global(), "weight-update", "blas");
   Timer timer;
+  const std::span<const cid_t> next_comm = state_.next_comm;
+  const std::span<wt_t> weight = state_.weight;
   const auto extract_row = [&](vid_t v, std::span<const cid_t> touched, const wt_t* vals,
                                gpusim::MemoryStats& stats) {
-    const cid_t c = next_comm_[v];
+    const cid_t c = next_comm[v];
     stats.global_reads += 1;  // next assignment of the row vertex
     wt_t sum = 0;
     for (const cid_t t : touched) {
@@ -210,11 +160,11 @@ void BlasLouvainEngine::weight_update_phase(std::span<const std::uint8_t> ones,
         break;
       }
     }
-    weight_[v] = sum;
+    weight[v] = sum;
     stats.global_writes += 1;
   };
   const blas::GatherStats gs =
-      blas::masked_gather(g_, next_comm_, ones, {}, blas::Direction::Pull, ctx_->device(),
+      blas::masked_gather(g_, next_comm, ones_, {}, blas::Direction::Pull, ctx_->device(),
                           config_.parallel, extract_row, "blas_weight_update");
   iter_stats.update_traffic += gs.launch.traffic;
   iter_stats.update_wall += timer.seconds();
@@ -224,172 +174,11 @@ void BlasLouvainEngine::weight_update_phase(std::span<const std::uint8_t> ones,
   }
 }
 
-Phase1Result BlasLouvainEngine::run() {
-  const vid_t n = g_.num_vertices();
-  Phase1Result result;
-  telemetry::ScopedSpan phase_span(telemetry::Tracer::global(), "phase1", "pipeline");
-  Timer total_timer;
-
-  exec::Workspace& ws = ctx_->workspace();
-  const exec::WorkspaceStats ws_start = ws.stats();
-  auto active_lease = ws.take<std::uint8_t>(n, "phase1.active");
-  auto moved_lease = ws.take<std::uint8_t>(n, "phase1.moved", exec::Fill::Zero);
-  auto decisions_lease = ws.take<Decision>(n, "phase1.decisions");
-  auto ones_lease = ws.take<std::uint8_t>(n, "blas.ones");
-  std::span<std::uint8_t> active = active_lease.span();
-  std::span<std::uint8_t> moved = moved_lease.span();
-  std::span<Decision> decisions = decisions_lease.span();
-  std::fill(active.begin(), active.end(), 1);
-  std::fill(ones_lease.span().begin(), ones_lease.span().end(), 1);
-
-  wt_t q = state_modularity();
-  wt_t min_total = min_nonempty_total();
-
-  for (int iter = 0; iter < config_.max_iterations; ++iter) {
-    telemetry::ScopedSpan iter_span(telemetry::Tracer::global(), "iteration", "phase1");
-    telemetry::flight(telemetry::FlightKind::IterationBegin, static_cast<double>(iter),
-                      static_cast<double>(n));
-    IterationStats stats;
-    const std::uint64_t ws_allocs_before = ws.stats().heap_allocs;
-    Timer other_timer;
-
-    // 1. Pruning — the identical strategy/rng sequencing keeps the two
-    //    backends on one trajectory.
-    {
-      telemetry::ScopedSpan prune_span(telemetry::Tracer::global(), "pruning", "phase1");
-      const PruningContext prune_ctx{&g_,       comm_,      weight_,      comm_total_,
-                                     min_total, g_.two_m(), prev_moved_,  comm_changed_,
-                                     iter,      config_.resolution};
-      compute_active(config_.pruning, prune_ctx, config_.pm_alpha, rng_, active, *ctx_,
-                     config_.parallel);
-      for (vid_t v = 0; v < n; ++v) stats.active += active[v];
-      if (prune_span.active()) {
-        prune_span.arg("active", static_cast<double>(stats.active));
-        prune_span.arg("pruned", static_cast<double>(n - stats.active));
-      }
-      telemetry::flight(telemetry::FlightKind::Prune, static_cast<double>(stats.active),
-                        static_cast<double>(n - stats.active));
-    }
-    stats.other_wall += other_timer.seconds();
-
-    // 2. DecideAndMove as a masked gather.
-    decide_phase(active, decisions, stats.active, stats);
-
-    other_timer.reset();
-    // 3. Apply the shared move guard (BSP semantics).
-    vid_t moved_count = 0;
-    for (vid_t v = 0; v < n; ++v) {
-      next_comm_[v] = active[v] ? apply_move_guard(decisions[v], comm_[v], comm_size_) : comm_[v];
-      moved[v] = next_comm_[v] != comm_[v] ? 1 : 0;
-      moved_count += moved[v];
-    }
-    stats.moved = moved_count;
-    telemetry::flight(telemetry::FlightKind::Apply, static_cast<double>(moved_count),
-                      static_cast<double>(iter));
-    stats.other_wall += other_timer.seconds();
-
-    // 4. Community weight update via the next-assignment gather.
-    weight_update_phase(ones_lease.span(), stats);
-
-    other_timer.reset();
-    {
-      // 5. Bookkeeping — identical to the BSP engine.
-      telemetry::ScopedSpan bk_span(telemetry::Tracer::global(), "bookkeeping", "phase1");
-      std::fill(comm_changed_.begin(), comm_changed_.end(), 0);
-      for (vid_t v = 0; v < n; ++v) {
-        if (!moved[v]) continue;
-        const cid_t old_c = comm_[v];
-        const cid_t new_c = next_comm_[v];
-        comm_total_[old_c] -= g_.degree(v);
-        comm_total_[new_c] += g_.degree(v);
-        GALA_ASSERT(comm_size_[old_c] > 0);
-        --comm_size_[old_c];
-        ++comm_size_[new_c];
-        comm_changed_[old_c] = 1;
-        comm_changed_[new_c] = 1;
-        stats.bookkeeping_traffic.global_atomics += 4;
-      }
-      comm_.swap(next_comm_);
-      prev_moved_.assign(moved.begin(), moved.end());
-      min_total = min_nonempty_total();
-      stats.bookkeeping_traffic.global_reads += n;
-
-      const wt_t next_q = state_modularity();
-      stats.bookkeeping_traffic.global_reads += n;
-      stats.modularity = next_q;
-      stats.delta_q = next_q - q;
-      q = next_q;
-      if (bk_span.active()) {
-        bk_span.arg("modeled_ms", config_.device.modeled_ms(stats.bookkeeping_traffic));
-      }
-    }
-    stats.other_wall += other_timer.seconds();
-
-    stats.ws_allocs = ws.stats().heap_allocs - ws_allocs_before;
-
-    if (iter_span.active()) {
-      iter_span.arg("iteration", static_cast<double>(iter));
-      iter_span.arg("active", static_cast<double>(stats.active));
-      iter_span.arg("moved", static_cast<double>(stats.moved));
-      iter_span.arg("modularity", stats.modularity);
-      iter_span.arg("delta_q", stats.delta_q);
-      iter_span.arg("ws_allocs", static_cast<double>(stats.ws_allocs));
-      auto& registry = telemetry::Registry::global();
-      registry.counter("phase1.iterations").add(1);
-      registry.counter("phase1.moved").add(stats.moved);
-      registry.counter("workspace.heap_allocs").add(stats.ws_allocs);
-      registry.histogram("phase1.active_per_iteration").observe(stats.active);
-    }
-
-    telemetry::flight(telemetry::FlightKind::IterationEnd, stats.modularity, stats.delta_q);
-    memtrace::mark_epoch(memtrace::EpochKind::Iteration, iter);
-
-    result.iterations.push_back(stats);
-    if (config_.on_iteration) config_.on_iteration(iter, stats, active, moved, comm_);
-
-    if (moved_count == 0 || stats.delta_q < config_.theta) break;
-  }
-
-  result.community = comm_;
-  result.modularity = q;
-  result.num_communities = count_communities(result.community);
-  result.wall_seconds = total_timer.seconds();
-  for (const auto& it : result.iterations) {
-    result.total_traffic += it.decide_traffic;
-    result.total_traffic += it.update_traffic;
-    result.total_traffic += it.bookkeeping_traffic;
-    result.decide_modeled_ms += config_.device.modeled_ms(it.decide_traffic);
-    result.update_modeled_ms += config_.device.modeled_ms(it.update_traffic);
-    result.other_modeled_ms += config_.device.modeled_ms(it.bookkeeping_traffic);
-  }
-  result.workspace = ws.stats();
-  if (phase_span.active()) {
-    phase_span.arg("iterations", static_cast<double>(result.iterations.size()));
-    phase_span.arg("communities", static_cast<double>(result.num_communities));
-    phase_span.arg("modularity", result.modularity);
-    phase_span.arg("decide_modeled_ms", result.decide_modeled_ms);
-    phase_span.arg("update_modeled_ms", result.update_modeled_ms);
-    phase_span.arg("other_modeled_ms", result.other_modeled_ms);
-    phase_span.arg("ws_heap_allocs",
-                   static_cast<double>(result.workspace.heap_allocs - ws_start.heap_allocs));
-    phase_span.arg("ws_reuse_hits",
-                   static_cast<double>(result.workspace.reuse_hits - ws_start.reuse_hits));
-    auto& registry = telemetry::Registry::global();
-    registry.gauge("workspace.outstanding_bytes")
-        .set(static_cast<double>(result.workspace.outstanding_bytes));
-    registry.gauge("workspace.pooled_bytes")
-        .set(static_cast<double>(result.workspace.pooled_bytes));
-    registry.gauge("workspace.peak_bytes").set(static_cast<double>(result.workspace.peak_bytes));
-  }
-  return result;
-}
-
 }  // namespace
 
 Phase1Result blas_phase1(const graph::Graph& g, const BspConfig& config,
                          const blas::Tuning& tuning, BlasPhase1Stats* stats) {
-  BlasLouvainEngine engine(g, config, tuning, stats);
-  return engine.run();
+  return BlasEngine(g, config, tuning, stats).run();
 }
 
 }  // namespace gala::core

@@ -1,26 +1,25 @@
 // The linear-algebra Louvain engine — phase 1 expressed through gala::blas
 // primitives (the GraphBLAS formulation of Algorithm 1).
 //
-// One iteration runs the same five steps as the BSP engine, but:
+// It runs on the shared phase-1 driver (phase1.hpp), like the BSP engine,
+// and supplies the driver's two primitives:
 //   - DecideAndMove is a masked SpMV (blas::masked_gather): the SPA gathers
 //     each active row's neighbour-community weights and the row visitor
-//     scores them with the shared move rule (move_score + BestTracker +
-//     apply_move_guard). Direction is chosen per launch from frontier
-//     density — pull streams all rows against the active mask, push compacts
-//     a frontier (bounded by the governor's rung-4 window).
+//     scores them with the shared move rule (move_score + BestTracker).
+//     Direction is chosen per launch from frontier density — pull streams
+//     all rows against the active mask, push compacts a frontier (bounded by
+//     the governor's rung-4 window).
 //   - The community-weight update is a second gather against the *next*
 //     assignment: w(v) = (A ⊗ S_next)[v][C_next[v]], the element-wise
 //     masked-extract form. Honest cost: it rescans every row (the recompute
 //     bound), which is the backend's ablation story against §3.5's delta.
 //
 // Trajectory parity: the SPA sums in adjacency encounter order — the BSP
-// hash kernel's upsert order — and scoring, tie-breaks, move guard, pruning,
-// bookkeeping, and convergence are byte-for-byte the same rules, so on
-// exact-weight graphs the two engines produce bit-identical assignments per
-// iteration (and 1e-9-close modularity in general).
-//
-// Oracle confusion tracking (BspConfig::track_confusion) is a BSP-engine
-// diagnostic and is ignored here.
+// hash kernel's upsert order — and scoring and tie-breaks are the same
+// rules, while the guard, pruning, bookkeeping and convergence are the
+// driver's own; so on exact-weight graphs the two engines produce
+// bit-identical assignments per iteration (and 1e-9-close modularity in
+// general), confusion-matrix counts included.
 #pragma once
 
 #include <cstdint>

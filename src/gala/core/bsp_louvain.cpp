@@ -1,14 +1,11 @@
 #include "gala/core/bsp_louvain.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <new>
 
-#include "gala/common/error.hpp"
 #include "gala/common/timer.hpp"
-#include "gala/core/modularity.hpp"
+#include "gala/core/phase1.hpp"
 #include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
@@ -24,58 +21,46 @@ std::string to_string(WeightUpdateMode mode) {
   return "?";
 }
 
-BspLouvainEngine::BspLouvainEngine(const graph::Graph& g, const BspConfig& config)
-    : g_(g), config_(config),
-      owned_context_(config.context != nullptr
-                         ? nullptr
-                         : std::make_unique<exec::ExecutionContext>(config.device, config.seed)),
-      ctx_(config.context != nullptr ? config.context : owned_context_.get()),
-      rng_(config.seed), salt_(splitmix64(config.seed ^ 0xabcdef0123456789ULL)),
-      shuffle_list_(ctx_->workspace(), "phase1.shuffle_list"),
-      hash_list_(ctx_->workspace(), "phase1.hash_list") {
-  GALA_CHECK(g.total_weight() > 0, "graph has no edge weight");
-  const vid_t n = g.num_vertices();
-  comm_.resize(n);
-  next_comm_.resize(n);
-  comm_total_.resize(n);
-  comm_size_.resize(n);
-  weight_.assign(n, 0);
-  prev_moved_.assign(n, 0);
-  comm_changed_.assign(n, 0);
-  for (vid_t v = 0; v < n; ++v) {
-    comm_[v] = v;
-    comm_total_[v] = g.degree(v);
-    comm_size_[v] = 1;
-    sum_self_loops_ += g.self_loop(v);
-  }
+bool prune_and_decide(PruningStrategy strategy, const PruningContext& prune_ctx, double pm_alpha,
+                      std::uint64_t pm_base, const DecideInput& in, vid_t v,
+                      const DecideDispatch& dispatch, gpusim::SharedMemoryArena& arena,
+                      HashScratch& scratch, std::uint64_t salt, gpusim::MemoryStats& stats,
+                      Decision& out) {
+  if (is_inactive(strategy, prune_ctx, v, pm_alpha, pm_base)) return false;
+  out = decide_vertex(in, v, dispatch, arena, scratch, salt, stats);
+  return true;
 }
 
-BspLouvainEngine::BspLouvainEngine(const graph::Graph& g, const BspConfig& config,
-                                   std::span<const cid_t> initial)
-    : BspLouvainEngine(g, config) {
-  const vid_t n = g.num_vertices();
-  GALA_CHECK(initial.size() == n, "initial assignment size mismatch");
-  std::fill(comm_total_.begin(), comm_total_.end(), 0);
-  std::fill(comm_size_.begin(), comm_size_.end(), 0);
-  for (vid_t v = 0; v < n; ++v) {
-    GALA_CHECK(initial[v] < n, "initial community id out of range");
-    comm_[v] = initial[v];
-    comm_total_[initial[v]] += g.degree(v);
-    ++comm_size_[initial[v]];
-  }
-  // e_{v,C[v]} of the warm-started partition (one-off full scan).
-  for (vid_t v = 0; v < n; ++v) {
-    auto nbrs = g.neighbors(v);
-    auto ws = g.weights(v);
-    wt_t sum = 0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] != v && comm_[nbrs[i]] == comm_[v]) sum += ws[i];
-    }
-    weight_[v] = sum;
-  }
-}
+namespace {
 
-void BspLouvainEngine::ensure_delta_buffer(vid_t n) {
+/// The BSP engine: the phase-1 driver with the workload-aware decide kernels
+/// and the recompute/delta weight update as its primitives.
+class BspEngine final : public Phase1Driver {
+ public:
+  BspEngine(const graph::Graph& g, const BspConfig& config, CommunityState state)
+      : Phase1Driver(g, config, std::move(state)), salt_(decide_salt(config.seed)),
+        shuffle_list_(ctx_->workspace(), "phase1.shuffle_list"),
+        hash_list_(ctx_->workspace(), "phase1.hash_list") {}
+
+ private:
+  void decide_phase(std::span<const std::uint8_t> active, vid_t active_count,
+                    std::span<Decision> decisions, IterationStats& iter_stats) override;
+  void weight_update_phase(std::span<const std::uint8_t> moved,
+                           IterationStats& iter_stats) override;
+  void ensure_delta_buffer(vid_t n);
+
+  std::uint64_t salt_;
+  // Delta-update message buffer: a pooled slab of std::atomic<wt_t>,
+  // placement-constructed once per run (atomics are not trivially
+  // copyable, so PooledVec does not apply).
+  exec::Workspace::Lease<std::byte> delta_lease_;
+  std::span<std::atomic<wt_t>> delta_;
+  // Workload-aware dispatch lists, pooled and rebuilt each iteration.
+  exec::PooledVec<vid_t> shuffle_list_;
+  exec::PooledVec<vid_t> hash_list_;
+};
+
+void BspEngine::ensure_delta_buffer(vid_t n) {
   if (delta_.size() >= n) return;
   using AtomicWt = std::atomic<wt_t>;
   static_assert(std::is_trivially_destructible_v<AtomicWt>,
@@ -88,42 +73,8 @@ void BspLouvainEngine::ensure_delta_buffer(vid_t n) {
   delta_ = {base, static_cast<std::size_t>(n)};
 }
 
-wt_t BspLouvainEngine::state_modularity() const {
-  // Q = (sum_v e_{v,C[v]} + 2*sum_v loop_v) / 2|E| - sum_C (D_V(C)/2|E|)^2.
-  const wt_t two_m = g_.two_m();
-  wt_t internal = 2 * sum_self_loops_;
-  wt_t sq = 0;
-  for (vid_t v = 0; v < g_.num_vertices(); ++v) {
-    internal += weight_[v];
-    if (comm_size_[v] > 0) {
-      const wt_t frac = comm_total_[v] / two_m;
-      sq += frac * frac;
-    }
-  }
-  return internal / two_m - config_.resolution * sq;
-}
-
-wt_t BspLouvainEngine::min_nonempty_total() const {
-  wt_t best = std::numeric_limits<wt_t>::max();
-  for (vid_t c = 0; c < g_.num_vertices(); ++c) {
-    if (comm_size_[c] > 0 && comm_total_[c] < best) best = comm_total_[c];
-  }
-  return best;
-}
-
-bool prune_and_decide(PruningStrategy strategy, const PruningContext& prune_ctx, double pm_alpha,
-                      std::uint64_t pm_base, const DecideInput& in, vid_t v,
-                      const DecideDispatch& dispatch, gpusim::SharedMemoryArena& arena,
-                      HashScratch& scratch, std::uint64_t salt, gpusim::MemoryStats& stats,
-                      Decision& out) {
-  if (is_inactive(strategy, prune_ctx, v, pm_alpha, pm_base)) return false;
-  out = decide_vertex(in, v, dispatch, arena, scratch, salt, stats);
-  return true;
-}
-
-void BspLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
-                                    std::span<Decision> decisions,
-                                    IterationStats& iter_stats) {
+void BspEngine::decide_phase(std::span<const std::uint8_t> active, vid_t /*active_count*/,
+                             std::span<Decision> decisions, IterationStats& iter_stats) {
   const vid_t n = g_.num_vertices();
   // Governor rung 2: GlobalOnly is the exact-parity fallback (decisions are
   // policy-independent), so forcing it sheds shared-arena pages without
@@ -133,7 +84,7 @@ void BspLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
                                     : config_.hashtable;
   const DecideDispatch dispatch{config_.kernel, table, config_.shuffle_degree_limit};
 
-  const DecideInput input{&g_, comm_, comm_total_, g_.two_m(), config_.resolution};
+  const DecideInput input{&g_, state_.comm, state_.comm_total, g_.two_m(), config_.resolution};
 
   // Both launches run the same per-vertex body: decide_vertex re-applies the
   // dispatch rule, which maps each list back onto its own kernel. The hash
@@ -216,45 +167,14 @@ void BspLouvainEngine::decide_phase(std::span<const std::uint8_t> active,
   }
 }
 
-void BspLouvainEngine::oracle_pass(std::span<const std::uint8_t> active,
-                                   std::span<Decision> decisions,
-                                   std::span<std::uint8_t> would_move) {
-  // Evaluates the pruned vertices too, off the books (scratch stats), so the
-  // confusion matrix can be measured without perturbing traffic accounting.
-  const DecideInput input{&g_, comm_, comm_total_, g_.two_m(), config_.resolution};
-  const vid_t n = g_.num_vertices();
-  // Oracle decisions always take the hash path (policy-independent result).
-  const DecideDispatch dispatch{KernelMode::HashOnly, config_.hashtable,
-                                config_.shuffle_degree_limit};
-  exec::Workspace& ws = ctx_->workspace();
-  ThreadPool* pool = config_.parallel ? &ThreadPool::global() : nullptr;
-  const auto body = [&](std::size_t lo, std::size_t hi) {
-    auto pages = ws.take<std::byte>(config_.device.shared_bytes_per_block, "gpusim.shared_arena");
-    gpusim::SharedMemoryArena arena(pages.span());
-    gpusim::MemoryStats scratch;
-    HashScratch global_scratch(ws);
-    for (std::size_t v = lo; v < hi; ++v) {
-      if (active[v]) continue;  // active vertices already have real decisions
-      decisions[v] = decide_vertex(input, static_cast<vid_t>(v), dispatch, arena, global_scratch,
-                                   salt_, scratch);
-    }
-  };
-  if (pool) {
-    pool->parallel_for_chunked(0, n, body, 512);
-  } else {
-    body(0, n);
-  }
-  for (vid_t v = 0; v < n; ++v) {
-    would_move[v] =
-        apply_move_guard(decisions[v], comm_[v], comm_size_) != comm_[v] ? 1 : 0;
-  }
-}
-
-void BspLouvainEngine::weight_update_phase(std::span<const std::uint8_t> moved,
-                                           IterationStats& iter_stats) {
-  // Updates weight_[v] = e_{v, next_C[v]} given comm_ (old) and next_comm_
+void BspEngine::weight_update_phase(std::span<const std::uint8_t> moved,
+                                    IterationStats& iter_stats) {
+  // Updates weight[v] = e_{v, next_C[v]} given comm (old) and next_comm
   // (new). Traffic is charged as the corresponding GPU kernel would.
   const vid_t n = g_.num_vertices();
+  const std::span<const cid_t> comm = state_.comm;
+  const std::span<const cid_t> next_comm = state_.next_comm;
+  const std::span<wt_t> weight = state_.weight;
   telemetry::ScopedSpan span(telemetry::Tracer::global(), "weight-update", "phase1");
   Timer timer;
   gpusim::MemoryStats traffic;
@@ -282,15 +202,15 @@ void BspLouvainEngine::weight_update_phase(std::span<const std::uint8_t> moved,
     // DecideAndMove — the bottleneck Fig. 8's P1 column exhibits).
     for_chunks([&](std::size_t lo, std::size_t hi, gpusim::MemoryStats& local) {
       for (std::size_t v = lo; v < hi; ++v) {
-        const cid_t c = next_comm_[v];
+        const cid_t c = next_comm[v];
         auto nbrs = g_.neighbors(static_cast<vid_t>(v));
         auto ws = g_.weights(static_cast<vid_t>(v));
         wt_t sum = 0;
         for (std::size_t i = 0; i < nbrs.size(); ++i) {
           local.global_reads += 2;
-          if (nbrs[i] != v && next_comm_[nbrs[i]] == c) sum += ws[i];
+          if (nbrs[i] != v && next_comm[nbrs[i]] == c) sum += ws[i];
         }
-        weight_[v] = sum;
+        weight[v] = sum;
         local.global_writes += 1;
       }
     });
@@ -306,31 +226,10 @@ void BspLouvainEngine::weight_update_phase(std::span<const std::uint8_t> moved,
     for_chunks([&](std::size_t lo, std::size_t hi, gpusim::MemoryStats& local) {
       for (std::size_t u = lo; u < hi; ++u) {
         if (!moved[u]) continue;
-        const cid_t old_c = comm_[u];
-        const cid_t new_c = next_comm_[u];
-        auto nbrs = g_.neighbors(static_cast<vid_t>(u));
-        auto ws = g_.weights(static_cast<vid_t>(u));
-        wt_t own = 0;
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const vid_t x = nbrs[i];
-          local.global_reads += 2;
-          if (x == u) continue;
-          // Recompute u's own weight against the new assignment.
-          if (next_comm_[x] == new_c) own += ws[i];
-          // Message to unmoved neighbours: u left old_c / joined new_c.
-          if (!moved[x]) {
-            const cid_t cx = comm_[x];  // == next_comm_[x]
-            wt_t d = 0;
-            if (cx == old_c) d -= ws[i];
-            if (cx == new_c) d += ws[i];
-            if (d != 0) {
-              delta[x].fetch_add(d, std::memory_order_relaxed);
-              local.global_atomics += 1;
-            }
-          }
-        }
-        weight_[u] = own;
-        local.global_writes += 1;
+        weight[u] = emit_mover_deltas(g_, comm, next_comm, moved, static_cast<vid_t>(u),
+                                      next_comm[u], local, [&](vid_t x, wt_t d) {
+                                        delta[x].fetch_add(d, std::memory_order_relaxed);
+                                      });
       }
     });
     for_chunks([&](std::size_t lo, std::size_t hi, gpusim::MemoryStats& local) {
@@ -338,7 +237,7 @@ void BspLouvainEngine::weight_update_phase(std::span<const std::uint8_t> moved,
         if (moved[v]) continue;
         const wt_t d = delta[v].load(std::memory_order_relaxed);
         if (d != 0) {
-          weight_[v] += d;
+          weight[v] += d;
           local.global_reads += 1;
           local.global_writes += 1;
         }
@@ -354,193 +253,15 @@ void BspLouvainEngine::weight_update_phase(std::span<const std::uint8_t> moved,
   }
 }
 
-Phase1Result BspLouvainEngine::run() {
-  const vid_t n = g_.num_vertices();
-  Phase1Result result;
-  telemetry::ScopedSpan phase_span(telemetry::Tracer::global(), "phase1", "pipeline");
-  Timer total_timer;
-
-  // Per-run iteration state, checked out of the workspace. The first
-  // iteration establishes the slabs; with pooling on, every later take()
-  // anywhere in the hot loop is served from the pool (ws_allocs == 0).
-  exec::Workspace& ws = ctx_->workspace();
-  const exec::WorkspaceStats ws_start = ws.stats();
-  auto active_lease = ws.take<std::uint8_t>(n, "phase1.active");
-  auto moved_lease = ws.take<std::uint8_t>(n, "phase1.moved", exec::Fill::Zero);
-  auto decisions_lease = ws.take<Decision>(n, "phase1.decisions");
-  std::span<std::uint8_t> active = active_lease.span();
-  std::span<std::uint8_t> moved = moved_lease.span();
-  std::span<Decision> decisions = decisions_lease.span();
-  std::fill(active.begin(), active.end(), 1);
-  exec::Workspace::Lease<std::uint8_t> would_move_lease;  // oracle mode only
-  std::span<std::uint8_t> would_move;
-
-  wt_t q = state_modularity();
-  wt_t min_total = min_nonempty_total();
-
-  for (int iter = 0; iter < config_.max_iterations; ++iter) {
-    telemetry::ScopedSpan iter_span(telemetry::Tracer::global(), "iteration", "phase1");
-    telemetry::flight(telemetry::FlightKind::IterationBegin, static_cast<double>(iter),
-                      static_cast<double>(n));
-    IterationStats stats;
-    const std::uint64_t ws_allocs_before = ws.stats().heap_allocs;
-    Timer other_timer;
-
-    // 1. Pruning (§3).
-    {
-      telemetry::ScopedSpan prune_span(telemetry::Tracer::global(), "pruning", "phase1");
-      const PruningContext prune_ctx{&g_,    comm_,        weight_,       comm_total_,
-                                     min_total, g_.two_m(), prev_moved_,  comm_changed_,
-                                     iter,      config_.resolution};
-      compute_active(config_.pruning, prune_ctx, config_.pm_alpha, rng_, active, *ctx_,
-                     config_.parallel);
-      for (vid_t v = 0; v < n; ++v) stats.active += active[v];
-      if (prune_span.active()) {
-        prune_span.arg("active", static_cast<double>(stats.active));
-        prune_span.arg("pruned", static_cast<double>(n - stats.active));
-      }
-      telemetry::flight(telemetry::FlightKind::Prune, static_cast<double>(stats.active),
-                        static_cast<double>(n - stats.active));
-    }
-    stats.other_wall += other_timer.seconds();
-
-    // 2. DecideAndMove for the active set.
-    decide_phase(active, decisions, stats);
-
-    other_timer.reset();
-    // 3. Apply the move guard; BSP semantics: all decisions saw iteration-
-    //    start state.
-    vid_t moved_count = 0;
-    for (vid_t v = 0; v < n; ++v) {
-      next_comm_[v] = active[v] ? apply_move_guard(decisions[v], comm_[v], comm_size_) : comm_[v];
-      moved[v] = next_comm_[v] != comm_[v] ? 1 : 0;
-      moved_count += moved[v];
-    }
-    stats.moved = moved_count;
-    telemetry::flight(telemetry::FlightKind::Apply, static_cast<double>(moved_count),
-                      static_cast<double>(iter));
-
-    // Confusion matrix (oracle mode): evaluate pruned vertices off-the-books.
-    if (config_.track_confusion) {
-      if (!would_move_lease) {
-        would_move_lease = ws.take<std::uint8_t>(n, "phase1.would_move");
-        would_move = would_move_lease.span();
-      }
-      std::fill(would_move.begin(), would_move.end(), 0);
-      oracle_pass(active, decisions, would_move);
-      for (vid_t v = 0; v < n; ++v) {
-        if (active[v]) {
-          moved[v] ? ++stats.tp : ++stats.fp;
-        } else {
-          would_move[v] ? ++stats.fn : ++stats.tn;
-        }
-      }
-    }
-    stats.other_wall += other_timer.seconds();
-
-    // 4. Community weight update (§3.5) — needs old comm_ and next_comm_.
-    weight_update_phase(moved, stats);
-
-    other_timer.reset();
-    {
-      // 5. Bookkeeping: totals, sizes, changed flags (Alg. 1 lines 5-11).
-      telemetry::ScopedSpan bk_span(telemetry::Tracer::global(), "bookkeeping", "phase1");
-      std::fill(comm_changed_.begin(), comm_changed_.end(), 0);
-      for (vid_t v = 0; v < n; ++v) {
-        if (!moved[v]) continue;
-        const cid_t old_c = comm_[v];
-        const cid_t new_c = next_comm_[v];
-        comm_total_[old_c] -= g_.degree(v);
-        comm_total_[new_c] += g_.degree(v);
-        GALA_ASSERT(comm_size_[old_c] > 0);
-        --comm_size_[old_c];
-        ++comm_size_[new_c];
-        comm_changed_[old_c] = 1;
-        comm_changed_[new_c] = 1;
-        stats.bookkeeping_traffic.global_atomics += 4;
-      }
-      comm_.swap(next_comm_);
-      prev_moved_.assign(moved.begin(), moved.end());
-      min_total = min_nonempty_total();
-      stats.bookkeeping_traffic.global_reads += n;  // totals/size scan
-
-      const wt_t next_q = state_modularity();
-      stats.bookkeeping_traffic.global_reads += n;  // modularity reduction
-      stats.modularity = next_q;
-      stats.delta_q = next_q - q;
-      q = next_q;
-      if (bk_span.active()) {
-        bk_span.arg("modeled_ms", config_.device.modeled_ms(stats.bookkeeping_traffic));
-      }
-    }
-    stats.other_wall += other_timer.seconds();
-
-    stats.ws_allocs = ws.stats().heap_allocs - ws_allocs_before;
-
-    if (iter_span.active()) {
-      iter_span.arg("iteration", static_cast<double>(iter));
-      iter_span.arg("active", static_cast<double>(stats.active));
-      iter_span.arg("moved", static_cast<double>(stats.moved));
-      iter_span.arg("modularity", stats.modularity);
-      iter_span.arg("delta_q", stats.delta_q);
-      iter_span.arg("ws_allocs", static_cast<double>(stats.ws_allocs));
-      auto& registry = telemetry::Registry::global();
-      registry.counter("phase1.iterations").add(1);
-      registry.counter("phase1.moved").add(stats.moved);
-      registry.counter("workspace.heap_allocs").add(stats.ws_allocs);
-      registry.histogram("phase1.active_per_iteration").observe(stats.active);
-    }
-
-    telemetry::flight(telemetry::FlightKind::IterationEnd, stats.modularity, stats.delta_q);
-    memtrace::mark_epoch(memtrace::EpochKind::Iteration, iter);
-
-    result.iterations.push_back(stats);
-    if (observer_) observer_(iter, stats, active, moved);
-    if (config_.on_iteration) config_.on_iteration(iter, stats, active, moved, comm_);
-
-    if (moved_count == 0 || stats.delta_q < config_.theta) break;
-  }
-
-  result.community = comm_;
-  result.modularity = q;
-  result.num_communities = count_communities(result.community);
-  result.wall_seconds = total_timer.seconds();
-  for (const auto& it : result.iterations) {
-    result.total_traffic += it.decide_traffic;
-    result.total_traffic += it.update_traffic;
-    result.total_traffic += it.bookkeeping_traffic;
-    result.decide_modeled_ms += config_.device.modeled_ms(it.decide_traffic);
-    result.update_modeled_ms += config_.device.modeled_ms(it.update_traffic);
-    result.other_modeled_ms += config_.device.modeled_ms(it.bookkeeping_traffic);
-  }
-  result.workspace = ws.stats();
-  if (phase_span.active()) {
-    phase_span.arg("iterations", static_cast<double>(result.iterations.size()));
-    phase_span.arg("communities", static_cast<double>(result.num_communities));
-    phase_span.arg("modularity", result.modularity);
-    phase_span.arg("decide_modeled_ms", result.decide_modeled_ms);
-    phase_span.arg("update_modeled_ms", result.update_modeled_ms);
-    phase_span.arg("other_modeled_ms", result.other_modeled_ms);
-    // Per-run deltas: span args sum across instances (one phase1 span per
-    // level), so only deltas aggregate meaningfully. Snapshot totals live in
-    // Phase1Result::workspace and the gauges below.
-    phase_span.arg("ws_heap_allocs",
-                   static_cast<double>(result.workspace.heap_allocs - ws_start.heap_allocs));
-    phase_span.arg("ws_reuse_hits",
-                   static_cast<double>(result.workspace.reuse_hits - ws_start.reuse_hits));
-    auto& registry = telemetry::Registry::global();
-    registry.gauge("workspace.outstanding_bytes")
-        .set(static_cast<double>(result.workspace.outstanding_bytes));
-    registry.gauge("workspace.pooled_bytes")
-        .set(static_cast<double>(result.workspace.pooled_bytes));
-    registry.gauge("workspace.peak_bytes").set(static_cast<double>(result.workspace.peak_bytes));
-  }
-  return result;
-}
+}  // namespace
 
 Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config) {
-  BspLouvainEngine engine(g, config);
-  return engine.run();
+  return BspEngine(g, config, CommunityState(g)).run();
+}
+
+Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config,
+                        std::span<const cid_t> initial) {
+  return BspEngine(g, config, CommunityState(g, initial)).run();
 }
 
 }  // namespace gala::core

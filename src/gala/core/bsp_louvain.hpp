@@ -1,25 +1,21 @@
 // The BSP parallel Louvain engine — phase 1 of Algorithm 1.
 //
-// One iteration:
-//   1. classify vertices active/inactive under the configured pruning
-//      strategy (§3),
-//   2. DecideAndMove for active vertices through the workload-aware kernels
-//      (§4: shuffle for small degrees, hash for large, per KernelMode),
-//   3. apply moves (BSP: all decisions read the iteration-start state),
-//   4. update each vertex's community weight d_{C[v]}(v) — full recompute or
-//      the efficient delta update of §3.5,
-//   5. refresh community totals/sizes, modularity; stop when the gain drops
-//      below theta (Grappolo's convergence rule) or nothing moved.
+// The iteration loop (pruning, move guard, bookkeeping, convergence) is the
+// shared phase-1 driver (phase1.hpp); this engine supplies its two
+// primitives:
+//   - DecideAndMove for active vertices through the workload-aware kernels
+//     (§4: shuffle for small degrees, hash for large, per KernelMode),
+//   - the community-weight update d_{C[v]}(v) — full recompute or the
+//     efficient delta update of §3.5.
 //
-// The engine doubles as the measurement harness: per-iteration stats carry
-// counts, confusion-matrix entries (oracle mode), per-phase memory traffic
-// and wall time, from which every pruning/memory figure of the paper is
-// regenerated.
+// This header also holds the config, per-iteration stats and result types
+// every phase-1 engine shares. The run doubles as the measurement harness:
+// per-iteration stats carry counts, confusion-matrix entries (oracle mode),
+// per-phase memory traffic and wall time, from which every pruning/memory
+// figure of the paper is regenerated.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -125,68 +121,6 @@ struct Phase1Result {
   double modeled_ms() const { return decide_modeled_ms + update_modeled_ms + other_modeled_ms; }
 };
 
-class BspLouvainEngine {
- public:
-  /// The graph must outlive the engine. total_weight() must be positive.
-  BspLouvainEngine(const graph::Graph& g, const BspConfig& config);
-
-  /// Warm start: begin from `initial` (community ids must lie in [0, V))
-  /// instead of singletons. Used by the incremental-update extension — with
-  /// MG pruning, Equation 6 immediately deactivates every vertex whose
-  /// converged neighbourhood still holds, so only perturbed regions rerun.
-  BspLouvainEngine(const graph::Graph& g, const BspConfig& config,
-                   std::span<const cid_t> initial);
-
-  /// Called at the end of every iteration with the iteration index, its
-  /// stats, and the active/moved flags (valid only during the call).
-  using IterationObserver =
-      std::function<void(int, const IterationStats&, std::span<const std::uint8_t>,
-                         std::span<const std::uint8_t>)>;
-  void set_observer(IterationObserver observer) { observer_ = std::move(observer); }
-
-  /// Runs phase 1 to convergence and returns the result.
-  Phase1Result run();
-
- private:
-  void decide_phase(std::span<const std::uint8_t> active, std::span<Decision> decisions,
-                    IterationStats& iter_stats);
-  void oracle_pass(std::span<const std::uint8_t> active, std::span<Decision> decisions,
-                   std::span<std::uint8_t> would_move);
-  void weight_update_phase(std::span<const std::uint8_t> moved, IterationStats& iter_stats);
-  void ensure_delta_buffer(vid_t n);
-  wt_t state_modularity() const;
-  wt_t min_nonempty_total() const;
-
-  const graph::Graph& g_;
-  BspConfig config_;
-  // Context first: it (and its workspace) must outlive every lease and
-  // pooled vector below, so they are destroyed before it.
-  std::unique_ptr<exec::ExecutionContext> owned_context_;
-  exec::ExecutionContext* ctx_;  // == owned_context_.get() or config.context
-  Xoshiro256 rng_;
-  std::uint64_t salt_;
-
-  // BSP state (comm_* indexed by community id == original vertex id space).
-  std::vector<cid_t> comm_;
-  std::vector<cid_t> next_comm_;
-  std::vector<wt_t> comm_total_;   // D_V(C)
-  std::vector<vid_t> comm_size_;
-  std::vector<wt_t> weight_;       // e_{v,C[v]} = d_{C[v]}(v) minus self-loop
-  std::vector<std::uint8_t> prev_moved_;
-  std::vector<std::uint8_t> comm_changed_;
-  // Delta-update message buffer: a pooled slab of std::atomic<wt_t>,
-  // placement-constructed once per engine (atomics are not trivially
-  // copyable, so PooledVec does not apply).
-  exec::Workspace::Lease<std::byte> delta_lease_;
-  std::span<std::atomic<wt_t>> delta_;
-  // Workload-aware dispatch lists, pooled and rebuilt each iteration.
-  exec::PooledVec<vid_t> shuffle_list_;
-  exec::PooledVec<vid_t> hash_list_;
-  wt_t sum_self_loops_ = 0;
-
-  IterationObserver observer_;
-};
-
 /// One vertex through the prune-then-decide dispatch, exactly as the engines
 /// sequence it: classify `v` under `strategy`, and when active run the
 /// workload-aware decide kernel. Returns whether v was active; `out` is
@@ -199,7 +133,49 @@ bool prune_and_decide(PruningStrategy strategy, const PruningContext& prune_ctx,
                       HashScratch& scratch, std::uint64_t salt, gpusim::MemoryStats& stats,
                       Decision& out);
 
-/// Convenience wrapper: construct + run.
+/// One mover's delta weight-update emission (§3.5): returns u's own
+/// e_{u,new_c} against `next_comm` and hands each unmoved neighbour x's
+/// change to d_{C[x]}(x) to `sink(x, delta)`. Charged as the kernel would:
+/// two reads per adjacency entry, one atomic per message, one write for u's
+/// weight. Shared by the BSP delta update and the distributed engine's
+/// owner-computed update (eager and staged), so all of them sum and charge
+/// alike.
+template <typename Sink>
+wt_t emit_mover_deltas(const graph::Graph& g, std::span<const cid_t> comm,
+                       std::span<const cid_t> next_comm, std::span<const std::uint8_t> moved,
+                       vid_t u, cid_t new_c, gpusim::MemoryStats& stats, Sink&& sink) {
+  const cid_t old_c = comm[u];
+  auto nbrs = g.neighbors(u);
+  auto ws = g.weights(u);
+  wt_t own = 0;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const vid_t x = nbrs[i];
+    stats.global_reads += 2;
+    if (x == u) continue;
+    // Recompute u's own weight against the new assignment.
+    if (next_comm[x] == new_c) own += ws[i];
+    // Message to unmoved neighbours: u left old_c / joined new_c.
+    if (!moved[x]) {
+      const cid_t cx = comm[x];  // == next_comm[x]
+      wt_t d = 0;
+      if (cx == old_c) d -= ws[i];
+      if (cx == new_c) d += ws[i];
+      if (d != 0) {
+        sink(x, d);
+        stats.global_atomics += 1;
+      }
+    }
+  }
+  stats.global_writes += 1;
+  return own;
+}
+
+/// Runs phase 1 with the BSP engine from singletons.
 Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config = {});
+
+/// Warm start: begins from `initial` (community ids in [0, V)) instead of
+/// singletons; see CommunityState (phase1.hpp).
+Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config,
+                        std::span<const cid_t> initial);
 
 }  // namespace gala::core

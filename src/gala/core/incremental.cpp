@@ -132,8 +132,7 @@ IncrementalResult update_communities(const graph::Graph& g, std::span<const cid_
   // on iteration 0.
   std::vector<cid_t> warm(previous.begin(), previous.end());
   renumber_communities(warm);
-  BspLouvainEngine engine(result.graph, config.bsp, warm);
-  const Phase1Result repair = engine.run();
+  const Phase1Result repair = bsp_phase1(result.graph, config.bsp, warm);
   result.repair_iterations = static_cast<int>(repair.iterations.size());
   for (const auto& it : repair.iterations) result.evaluated_vertices += it.active;
 

@@ -7,11 +7,12 @@
 #include <thread>
 
 #include "gala/common/timer.hpp"
+#include "gala/codec/delta_codec.hpp"
 #include "gala/core/aggregation.hpp"
 #include "gala/core/modularity.hpp"
+#include "gala/core/phase1.hpp"
 #include "gala/governor/governor.hpp"
 #include "gala/memtrace/memtrace.hpp"
-#include "gala/multigpu/delta_codec.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
@@ -33,18 +34,12 @@ struct StagedRun {
   std::uint32_t end = 0;
 };
 
-/// State owned by one rank. Community-level arrays are full replicas (kept
-/// identical by the sync); weight_ is valid for owned vertices only.
-struct RankState {
+/// State owned by one rank: a full replica of the phase-1 community state
+/// (kept identical by the sync; weight is valid for owned vertices only),
+/// plus the rank's range, flags and decisions.
+struct RankState : core::CommunityState {
   graph::VertexRange range;
-  std::vector<cid_t> comm;
-  std::vector<cid_t> next_comm;
-  std::vector<wt_t> comm_total;
-  std::vector<vid_t> comm_size;
-  std::vector<wt_t> weight;
-  std::vector<std::uint8_t> prev_moved;
   std::vector<std::uint8_t> moved;
-  std::vector<std::uint8_t> comm_changed;
   std::vector<std::uint8_t> active;
   std::vector<core::Decision> decisions;
   DeviceTimeline timeline;
@@ -77,9 +72,6 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
   result.iteration_log.reserve(64);
   std::mutex log_mutex;
 
-  wt_t sum_self_loops = 0;
-  for (vid_t v = 0; v < n; ++v) sum_self_loops += g.self_loop(v);
-
   memtrace::set_resident("graph.csr", g.memory_bytes());
 
   // Governor rung 3 is snapshotted once, before the rank threads spawn: the
@@ -100,21 +92,11 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
     std::uint64_t flow_seq = 0;
     auto next_flow_id = [&] { return (static_cast<std::uint64_t>(rank) << 32) | ++flow_seq; };
     RankState& st = ranks[rank];
+    static_cast<core::CommunityState&>(st) = core::CommunityState(g);
     st.range = ranges[rank];
-    st.comm.resize(n);
-    st.next_comm.resize(n);
-    st.comm_total.resize(n);
-    st.comm_size.assign(n, 1);
-    st.weight.assign(n, 0);
-    st.prev_moved.assign(n, 0);
     st.moved.assign(n, 0);
-    st.comm_changed.assign(n, 0);
     st.active.assign(n, 0);
     st.decisions.resize(n);
-    for (vid_t v = 0; v < n; ++v) {
-      st.comm[v] = v;
-      st.comm_total[v] = g.degree(v);
-    }
 
     // The community-sync window may only stage vertices whose every
     // interaction is rank-local; that static frontier is fixed by the
@@ -151,14 +133,14 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
     core::HashScratch hash_scratch(ws);
     const core::DecideDispatch dispatch{config.kernel, config.hashtable,
                                         config.shuffle_degree_limit};
-    const std::uint64_t salt = splitmix64(config.seed ^ 0xabcdef0123456789ULL);
+    const std::uint64_t salt = core::decide_salt(config.seed);
 
     // Sync staging, reused across every iteration's collective rounds. The
     // enc_* / staged_* / local_msgs buffers are the double-buffer side: one
     // buffer is in flight through the communicator while these hold the
     // window's staged work.
-    exec::PooledVec<MoveRecord> local_moves(ws, "multigpu.local_moves");
-    exec::PooledVec<MoveRecord> recv_moves(ws, "multigpu.recv_moves");
+    exec::PooledVec<codec::MoveRecord> local_moves(ws, "multigpu.local_moves");
+    exec::PooledVec<codec::MoveRecord> recv_moves(ws, "multigpu.recv_moves");
     exec::PooledVec<cid_t> recv_slices(ws, "multigpu.recv_slices");
     exec::PooledVec<WeightMsg> out_msgs(ws, "multigpu.weight_msgs");
     exec::PooledVec<WeightMsg> recv_msgs(ws, "multigpu.recv_msgs");
@@ -168,47 +150,47 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
     exec::PooledVec<WeightMsg> staged_msgs(ws, "multigpu.staged_weight_msgs");
     exec::PooledVec<StagedRun> staged_runs(ws, "multigpu.staged_runs");
 
-    // Iteration-start modularity of the singleton partition.
-    wt_t q;
-    {
-      wt_t sq = 0;
-      for (vid_t c = 0; c < n; ++c) {
-        const wt_t f = st.comm_total[c] / g.two_m();
-        sq += f * f;
+    // Iteration-start modularity of the singleton partition. `scan` holds
+    // the min total (pruning input) and the sum-of-squares term of the
+    // current replica.
+    core::CommunityState::Scan scan = st.scan(g.two_m());
+    wt_t q = st.modularity(g.two_m(), config.resolution, scan.sum_sq);
+
+    // Prune + decide the owned vertices not `skip`ped, as iteration `it`
+    // against the current replica. The eager decide pass and the
+    // weight-gather window's speculation both run it, so they stay on one
+    // trajectory.
+    auto decide_owned = [&](int it, auto&& skip, gpusim::MemoryStats& stats) {
+      const core::PruningContext prune_ctx{&g,
+                                           st.comm,
+                                           st.weight,
+                                           st.comm_total,
+                                           scan.min_total,
+                                           g.two_m(),
+                                           st.prev_moved,
+                                           st.comm_changed,
+                                           it,
+                                           config.resolution};
+      const std::uint64_t pm_base = splitmix64(config.seed ^ (0x5851f42d4c957f2dULL * it));
+      const core::DecideInput input{&g, st.comm, st.comm_total, g.two_m(), config.resolution};
+      for (vid_t v = st.range.begin; v < st.range.end; ++v) {
+        if (skip(v)) continue;
+        st.active[v] = core::prune_and_decide(config.pruning, prune_ctx, config.pm_alpha, pm_base,
+                                              input, v, dispatch, arena, hash_scratch, salt, stats,
+                                              st.decisions[v])
+                           ? 1
+                           : 0;
       }
-      q = 2 * sum_self_loops / g.two_m() - config.resolution * sq;
-    }
-    wt_t min_total = *std::min_element(st.comm_total.begin(), st.comm_total.end());
+    };
 
     // One mover's weight-update emission (§3.5): accumulate the mover's own
     // e_{v,C} into the return value and hand each (neighbour, delta) message
     // to `sink`. Charged exactly like the eager emission loop, so staged and
     // eager movers cost the same.
-    auto emit_move = [&](const MoveRecord& m, gpusim::MemoryStats& stats, auto&& sink) -> wt_t {
-      const vid_t u = m.vertex;
-      const cid_t old_c = st.comm[u];
-      const cid_t new_c = m.community;
-      auto nbrs = g.neighbors(u);
-      auto wts = g.weights(u);
-      wt_t own = 0;
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const vid_t x = nbrs[i];
-        stats.global_reads += 2;
-        if (x == u) continue;
-        if (st.next_comm[x] == new_c) own += wts[i];
-        if (!st.moved[x]) {
-          const cid_t cx = st.comm[x];
-          wt_t d = 0;
-          if (cx == old_c) d -= wts[i];
-          if (cx == new_c) d += wts[i];
-          if (d != 0) {
-            sink(WeightMsg{x, d});
-            stats.global_atomics += 1;
-          }
-        }
-      }
-      stats.global_writes += 1;
-      return own;
+    auto emit_move = [&](const codec::MoveRecord& m, gpusim::MemoryStats& stats,
+                         auto&& sink) -> wt_t {
+      return core::emit_mover_deltas(g, st.comm, st.next_comm, st.moved, m.vertex, m.community,
+                                     stats, [&](vid_t x, wt_t d) { sink(WeightMsg{x, d}); });
     };
 
     // Step-5 replica bookkeeping, shared by the blocking path and the
@@ -218,34 +200,10 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
     // n-read modularity reduction (the sum-of-squares term depends only
     // on post-bookkeeping totals, so it is folded in here and cached for
     // the modularity step).
-    wt_t sq_cached = 0;
     auto bookkeeping = [&](gpusim::MemoryStats& stats) {
-      std::fill(st.comm_changed.begin(), st.comm_changed.end(), 0);
-      for (vid_t v = 0; v < n; ++v) {
-        if (!st.moved[v]) continue;
-        const cid_t old_c = st.comm[v];
-        const cid_t new_c = st.next_comm[v];
-        st.comm_total[old_c] -= g.degree(v);
-        st.comm_total[new_c] += g.degree(v);
-        --st.comm_size[old_c];
-        ++st.comm_size[new_c];
-        st.comm_changed[old_c] = 1;
-        st.comm_changed[new_c] = 1;
-        stats.global_atomics += 4;
-      }
-      st.comm.swap(st.next_comm);
-      st.prev_moved.assign(st.moved.begin(), st.moved.end());
+      stats.global_atomics += 4 * std::uint64_t{st.commit_moves(g, st.moved)};
       stats.global_reads += st.range.size();
-
-      min_total = std::numeric_limits<wt_t>::max();
-      sq_cached = 0;
-      for (vid_t c = 0; c < n; ++c) {
-        if (st.comm_size[c] > 0) {
-          min_total = std::min(min_total, st.comm_total[c]);
-          const wt_t f = st.comm_total[c] / g.two_m();
-          sq_cached += f * f;
-        }
-      }
+      scan = st.scan(g.two_m());
       stats.global_reads += 2 * static_cast<std::uint64_t>(n);
     };
 
@@ -269,34 +227,16 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
       // directly without deadlocking peers at the next barrier. Instead it
       // is captured and piggybacked on the moved-count reduction below, so
       // every rank learns of it at the same collective and throws together.
-      const core::PruningContext prune_ctx{&g,
-                                           st.comm,
-                                           st.weight,
-                                           st.comm_total,
-                                           min_total,
-                                           g.two_m(),
-                                           st.prev_moved,
-                                           st.comm_changed,
-                                           iter,
-                                           config.resolution};
-      const std::uint64_t pm_base = splitmix64(config.seed ^ (0x5851f42d4c957f2dULL * iter));
       const bool use_spec = spec_valid;
       std::string decide_error = std::move(spec_error);
       spec_valid = false;
       spec_error.clear();
-      const core::DecideInput input{&g, st.comm, st.comm_total, g.two_m(), config.resolution};
       if (decide_error.empty()) {
         try {
           telemetry::ScopedSpan decide_span(telemetry::Tracer::global(), "decide", "multigpu");
           gpusim::MemoryStats stats;
-          for (vid_t v = st.range.begin; v < st.range.end; ++v) {
-            if (use_spec && spec_flag[v]) continue;  // decided in the window
-            st.active[v] = core::prune_and_decide(config.pruning, prune_ctx, config.pm_alpha,
-                                                  pm_base, input, v, dispatch, arena, hash_scratch,
-                                                  salt, stats, st.decisions[v])
-                               ? 1
-                               : 0;
-          }
+          // Vertices decided in the window are skipped.
+          decide_owned(iter, [&](vid_t v) { return use_spec && spec_flag[v]; }, stats);
           st.timeline.traffic += stats;
           if (decide_span.active()) {
             decide_span.arg("rank", static_cast<double>(rank));
@@ -322,7 +262,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
       // Compressed sparse sync ships codec frames; encode up front so the
       // adaptive crossover below can compare the real encoded payload.
       enc_moves.clear();
-      if (compress_on && !local_moves.empty()) encode_moves(local_moves.span(), enc_moves);
+      if (compress_on && !local_moves.empty()) codec::encode_moves(local_moves.span(), enc_moves);
 
       // --- 3. Community sync: dense vs sparse (§4.3). -------------------
       double moved_total_d = static_cast<double>(local_moves.size());
@@ -356,7 +296,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
       }
       const auto moved_total = static_cast<vid_t>(moved_total_d);
       const std::uint64_t raw_sparse_bytes =
-          static_cast<std::uint64_t>(moved_total) * sizeof(MoveRecord);
+          static_cast<std::uint64_t>(moved_total) * sizeof(codec::MoveRecord);
       const std::uint64_t sparse_bytes =
           compress_on ? static_cast<std::uint64_t>(encoded_total_d) : raw_sparse_bytes;
       const std::uint64_t dense_bytes = static_cast<std::uint64_t>(n) * sizeof(cid_t);
@@ -392,12 +332,12 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
             st.timeline.traffic.global_reads += n;
             st.timeline.traffic.global_writes += n;
           }
-          for (const MoveRecord& m : local_moves) st.next_comm[m.vertex] = m.community;
+          for (const codec::MoveRecord& m : local_moves) st.next_comm[m.vertex] = m.community;
           // Bytes this rank ships into the all-gather (sum over ranks = wire
           // total, matching the iteration log's sparse/dense payload figures).
           const std::uint64_t shipped_bytes =
               sparse_now ? (compress_on ? enc_moves.size()
-                                        : local_moves.size() * sizeof(MoveRecord))
+                                        : local_moves.size() * sizeof(codec::MoveRecord))
                          : st.range.size() * sizeof(cid_t);
           telemetry::ScopedSpan sync_span(telemetry::Tracer::global(),
                                           sparse_now ? "sync_sparse" : "sync_dense", "multigpu");
@@ -412,7 +352,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
             // local moved flags are enough; the full flags are rebuilt from
             // the synced assignment right after the sync.
             std::fill(st.moved.begin(), st.moved.end(), 0);
-            for (const MoveRecord& m : local_moves) st.moved[m.vertex] = 1;
+            for (const codec::MoveRecord& m : local_moves) st.moved[m.vertex] = 1;
             Communicator::PendingGather pending;
             std::uint64_t flow_id = 0;
             {
@@ -421,7 +361,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
               if (sparse_now && compress_on) {
                 pending = comm_world.post_gather_v<std::byte>(rank, enc_moves.span());
               } else if (sparse_now) {
-                pending = comm_world.post_gather_v<MoveRecord>(rank, local_moves.span());
+                pending = comm_world.post_gather_v<codec::MoveRecord>(rank, local_moves.span());
               } else {
                 pending = comm_world.post_gather_v<cid_t>(
                     rank,
@@ -449,7 +389,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
                         st.next_comm.begin() + st.range.end);
               wstats.global_reads += n - st.range.size();
               wstats.global_writes += n - st.range.size();
-              for (const MoveRecord& m : local_moves) {
+              for (const codec::MoveRecord& m : local_moves) {
                 if (!frontier_flag[m.vertex]) continue;
                 StagedRun run;
                 run.begin = static_cast<std::uint32_t>(staged_msgs.size());
@@ -470,12 +410,12 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
                 comm_world.complete_gather_v<std::byte>(std::move(pending), st.timeline.comm,
                                                         enc_recv, credit_us);
                 recv_moves.clear();
-                decode_moves(enc_recv.span(), n, recv_moves);
-                for (const MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
+                codec::decode_moves(enc_recv.span(), n, recv_moves);
+                for (const codec::MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
               } else if (sparse_now) {
-                comm_world.complete_gather_v<MoveRecord>(std::move(pending), st.timeline.comm,
-                                                         recv_moves, credit_us);
-                for (const MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
+                comm_world.complete_gather_v<codec::MoveRecord>(
+                    std::move(pending), st.timeline.comm, recv_moves, credit_us);
+                for (const codec::MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
               } else {
                 comm_world.complete_gather_v<cid_t>(std::move(pending), st.timeline.comm,
                                                     recv_slices, credit_us);
@@ -501,12 +441,12 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
             comm_world.all_gather_v_into<std::byte>(rank, enc_moves.span(), st.timeline.comm,
                                                     enc_recv);
             recv_moves.clear();
-            decode_moves(enc_recv.span(), n, recv_moves);
-            for (const MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
+            codec::decode_moves(enc_recv.span(), n, recv_moves);
+            for (const codec::MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
           } else if (sparse_now) {
-            comm_world.all_gather_v_into<MoveRecord>(rank, local_moves.span(), st.timeline.comm,
-                                                     recv_moves);
-            for (const MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
+            comm_world.all_gather_v_into<codec::MoveRecord>(rank, local_moves.span(),
+                                                            st.timeline.comm, recv_moves);
+            for (const codec::MoveRecord& m : recv_moves) st.next_comm[m.vertex] = m.community;
           } else {
             // Dense: every rank ships its whole owned slice of next_comm.
             comm_world.all_gather_v_into<cid_t>(
@@ -531,7 +471,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
             if (sparse_now && compress_on) {
               telemetry::Registry::global()
                   .counter("multigpu.codec_raw_bytes")
-                  .add(local_moves.size() * sizeof(MoveRecord));
+                  .add(local_moves.size() * sizeof(codec::MoveRecord));
               telemetry::Registry::global()
                   .counter("multigpu.codec_encoded_bytes")
                   .add(enc_moves.size());
@@ -609,7 +549,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
         auto route = [&](const WeightMsg& msg) {
           (overlap_on && elig_flag[msg.target] ? local_msgs : out_msgs).push_back(msg);
         };
-        for (const MoveRecord& m : local_moves) {
+        for (const codec::MoveRecord& m : local_moves) {
           if (overlap_on && frontier_flag[m.vertex]) {
             const StagedRun& run = staged_runs[run_idx++];
             st.weight[m.vertex] = run.own;
@@ -650,7 +590,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
               // reads only state that is final before the gather lands
               // (an eligible vertex's weight is fully updated once the
               // elided messages are applied, and bookkeeping finalises
-              // comm/comm_total/comm_changed/prev_moved/min_total).
+              // comm/comm_total/comm_changed/prev_moved/scan).
               gpusim::MemoryStats wstats;
               for (const WeightMsg& msg : local_msgs) {
                 st.weight[msg.target] += msg.delta;
@@ -659,30 +599,8 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
               }
               bookkeeping(wstats);
               if (moved_total > 0) {
-                const core::PruningContext next_ctx{&g,
-                                                    st.comm,
-                                                    st.weight,
-                                                    st.comm_total,
-                                                    min_total,
-                                                    g.two_m(),
-                                                    st.prev_moved,
-                                                    st.comm_changed,
-                                                    iter + 1,
-                                                    config.resolution};
-                const std::uint64_t next_pm_base =
-                    splitmix64(config.seed ^ (0x5851f42d4c957f2dULL * (iter + 1)));
-                const core::DecideInput next_input{&g, st.comm, st.comm_total, g.two_m(),
-                                                   config.resolution};
                 try {
-                  for (vid_t v = st.range.begin; v < st.range.end; ++v) {
-                    if (!elig_flag[v]) continue;
-                    st.active[v] =
-                        core::prune_and_decide(config.pruning, next_ctx, config.pm_alpha,
-                                               next_pm_base, next_input, v, dispatch, arena,
-                                               hash_scratch, salt, wstats, st.decisions[v])
-                            ? 1
-                            : 0;
-                  }
+                  decide_owned(iter + 1, [&](vid_t v) { return !elig_flag[v]; }, wstats);
                   spec_valid = true;
                 } catch (const Error& e) {
                   // Defer: the next iteration's reduce carries the failure
@@ -764,7 +682,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
         comm_world.all_reduce_sum(rank, std::span<double>(buf, 1), st.timeline.comm);
         internal_partial = buf[0];
       }
-      const wt_t next_q = internal_partial / g.two_m() - config.resolution * sq_cached;
+      const wt_t next_q = internal_partial / g.two_m() - config.resolution * scan.sum_sq;
       const wt_t dq = next_q - q;
       q = next_q;
 
@@ -795,7 +713,7 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
       }
       comm_world.barrier();  // iteration_log visible before anyone proceeds
 
-      if (moved_total == 0 || dq < config.theta) break;
+      if (core::phase1_converged(moved_total, dq, config.theta)) break;
     }
 
     st.timeline.compute_modeled_ms =

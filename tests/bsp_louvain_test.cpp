@@ -176,16 +176,15 @@ TEST(BspLouvain, TrafficAccountingIsPopulated) {
 TEST(BspLouvain, ObserverSeesEveryIteration) {
   const auto g = testing::small_planted(41);
   BspConfig cfg;
-  BspLouvainEngine engine(g, cfg);
   int calls = 0;
-  engine.set_observer([&](int iter, const IterationStats&, std::span<const std::uint8_t> active,
-                          std::span<const std::uint8_t> moved) {
+  cfg.on_iteration = [&](int iter, const IterationStats&, std::span<const std::uint8_t> active,
+                         std::span<const std::uint8_t> moved, std::span<const cid_t>) {
     EXPECT_EQ(iter, calls);
     EXPECT_EQ(active.size(), g.num_vertices());
     EXPECT_EQ(moved.size(), g.num_vertices());
     ++calls;
-  });
-  const auto result = engine.run();
+  };
+  const auto result = bsp_phase1(g, cfg);
   EXPECT_EQ(static_cast<std::size_t>(calls), result.iterations.size());
 }
 

@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "gala/codec/delta_codec.hpp"
 #include "gala/core/bsp_louvain.hpp"
 #include "gala/governor/governor.hpp"
 #include "gala/graph/generators.hpp"
 #include "gala/memtrace/memtrace.hpp"
-#include "gala/multigpu/delta_codec.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
 #include "test_util.hpp"
 
@@ -253,16 +253,16 @@ TEST(DistDifferential, CodecRoundTripsRandomMoveSets) {
     const std::uint64_t seed = splitmix64(base ^ (0x94d049bb133111ebULL * (trial + 1)));
     const vid_t n = 16 + static_cast<vid_t>(splitmix64(seed) % 5000);
     // Random sorted subset of [0, n) with random destinations.
-    std::vector<MoveRecord> moves;
+    std::vector<codec::MoveRecord> moves;
     std::uint64_t s = seed;
     for (vid_t v = 0; v < n; ++v) {
       s = splitmix64(s);
       if (s % 100 < 23) moves.push_back({v, static_cast<cid_t>(splitmix64(s ^ v) % n)});
     }
     std::vector<std::byte> wire;
-    encode_moves(moves, wire);
-    std::vector<MoveRecord> back;
-    decode_moves(wire, n, back);
+    codec::encode_moves(moves, wire);
+    std::vector<codec::MoveRecord> back;
+    codec::decode_moves(wire, n, back);
     ASSERT_EQ(back.size(), moves.size()) << "trial_seed=" << seed << " n=" << n;
     ASSERT_TRUE(std::equal(back.begin(), back.end(), moves.begin()))
         << "trial_seed=" << seed << " n=" << n;
@@ -273,17 +273,17 @@ TEST(DistDifferential, CodecRejectsEverySingleBitFlip) {
   // A corrupted payload must raise CollectiveFault, never decode garbage.
   const std::uint64_t seed = splitmix64(base_seed() ^ 0xd6e8feb86659fd93ULL);
   constexpr vid_t n = 64;
-  std::vector<MoveRecord> moves;
+  std::vector<codec::MoveRecord> moves;
   for (vid_t v = 0; v < n; v += 3) moves.push_back({v, static_cast<cid_t>((v * 7) % n)});
   std::vector<std::byte> wire;
-  encode_moves(moves, wire);
+  codec::encode_moves(moves, wire);
   (void)seed;
   for (std::size_t byte = 0; byte < wire.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<std::byte> corrupt = wire;
       corrupt[byte] ^= static_cast<std::byte>(1 << bit);
-      std::vector<MoveRecord> out;
-      EXPECT_THROW(decode_moves(corrupt, n, out), CollectiveFault)
+      std::vector<codec::MoveRecord> out;
+      EXPECT_THROW(codec::decode_moves(corrupt, n, out), CollectiveFault)
           << "flip at byte " << byte << " bit " << bit << " decoded without fault";
     }
   }

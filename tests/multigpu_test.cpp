@@ -4,8 +4,8 @@
 
 #include <thread>
 
+#include "gala/codec/delta_codec.hpp"
 #include "gala/core/bsp_louvain.hpp"
-#include "gala/multigpu/delta_codec.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
 #include "test_util.hpp"
 
@@ -174,9 +174,9 @@ TEST(Collectives, PostCompleteMatchesBlockingAndCreditsOverlap) {
 
 TEST(DeltaCodec, RoundTripsEdgeCaseMoveSets) {
   constexpr vid_t n = 32;
-  std::vector<MoveRecord> all;
+  std::vector<codec::MoveRecord> all;
   for (vid_t v = 0; v < n; ++v) all.push_back({v, static_cast<cid_t>(n - 1 - v)});
-  const std::vector<std::vector<MoveRecord>> cases = {
+  const std::vector<std::vector<codec::MoveRecord>> cases = {
       {},                                 // empty move set
       {{7, 3}},                           // single move
       all,                                // every vertex moves
@@ -185,9 +185,9 @@ TEST(DeltaCodec, RoundTripsEdgeCaseMoveSets) {
   };
   for (const auto& moves : cases) {
     std::vector<std::byte> wire;
-    encode_moves(moves, wire);
-    std::vector<MoveRecord> back;
-    decode_moves(wire, n, back);
+    codec::encode_moves(moves, wire);
+    std::vector<codec::MoveRecord> back;
+    codec::decode_moves(wire, n, back);
     EXPECT_EQ(back.size(), moves.size());
     EXPECT_TRUE(std::equal(back.begin(), back.end(), moves.begin()));
   }
@@ -195,16 +195,16 @@ TEST(DeltaCodec, RoundTripsEdgeCaseMoveSets) {
 
 TEST(DeltaCodec, ConcatenatedFramesDecodeInRankOrder) {
   constexpr vid_t n = 100;
-  const std::vector<MoveRecord> rank0 = {{1, 4}, {2, 4}, {9, 8}};
-  const std::vector<MoveRecord> rank1 = {};  // empty contribution: zero bytes
-  const std::vector<MoveRecord> rank2 = {{50, 4}, {77, 12}};
+  const std::vector<codec::MoveRecord> rank0 = {{1, 4}, {2, 4}, {9, 8}};
+  const std::vector<codec::MoveRecord> rank1 = {};  // empty contribution: zero bytes
+  const std::vector<codec::MoveRecord> rank2 = {{50, 4}, {77, 12}};
   std::vector<std::byte> wire;
-  encode_moves(rank0, wire);
-  encode_moves(rank2, wire);  // rank 1 contributed nothing
+  codec::encode_moves(rank0, wire);
+  codec::encode_moves(rank2, wire);  // rank 1 contributed nothing
   (void)rank1;
-  std::vector<MoveRecord> back;
-  decode_moves(wire, n, back);
-  std::vector<MoveRecord> expect = rank0;
+  std::vector<codec::MoveRecord> back;
+  codec::decode_moves(wire, n, back);
+  std::vector<codec::MoveRecord> expect = rank0;
   expect.insert(expect.end(), rank2.begin(), rank2.end());
   ASSERT_EQ(back.size(), expect.size());
   EXPECT_TRUE(std::equal(back.begin(), back.end(), expect.begin()));
@@ -214,41 +214,42 @@ TEST(DeltaCodec, CompressesDenseMoveRuns) {
   // Sorted dense runs with few destinations: the codec's target shape. The
   // encoded frame must be well under the raw 8-byte records.
   constexpr vid_t n = 4096;
-  std::vector<MoveRecord> moves;
+  std::vector<codec::MoveRecord> moves;
   for (vid_t v = 0; v < n; v += 2) moves.push_back({v, static_cast<cid_t>(v % 16)});
   std::vector<std::byte> wire;
-  encode_moves(moves, wire);
-  EXPECT_LT(wire.size(), moves.size() * sizeof(MoveRecord) / 2);
+  codec::encode_moves(moves, wire);
+  EXPECT_LT(wire.size(), moves.size() * sizeof(codec::MoveRecord) / 2);
 }
 
 TEST(DeltaCodec, EveryTruncationRaisesCollectiveFault) {
   constexpr vid_t n = 48;
-  std::vector<MoveRecord> moves;
+  std::vector<codec::MoveRecord> moves;
   for (vid_t v = 0; v < n; v += 2) moves.push_back({v, static_cast<cid_t>(v % 5)});
   std::vector<std::byte> wire;
-  encode_moves(moves, wire);
+  codec::encode_moves(moves, wire);
   // len = 0 is excluded: an empty concatenation is the legitimate
   // "no rank moved anything" payload and decodes to zero records.
   for (std::size_t len = 1; len < wire.size(); ++len) {
     std::vector<std::byte> cut(wire.begin(), wire.begin() + len);
-    std::vector<MoveRecord> out;
-    EXPECT_THROW(decode_moves(cut, n, out), CollectiveFault) << "prefix of " << len << " bytes";
+    std::vector<codec::MoveRecord> out;
+    EXPECT_THROW(codec::decode_moves(cut, n, out), CollectiveFault)
+        << "prefix of " << len << " bytes";
   }
 }
 
 TEST(DeltaCodec, RejectsOutOfRangeAndNonMonotoneStreams) {
   constexpr vid_t n = 10;
-  std::vector<MoveRecord> out;
+  std::vector<codec::MoveRecord> out;
   // Vertex id beyond num_vertices: valid frame for a bigger graph, rejected
   // when decoded against the smaller one.
   std::vector<std::byte> wire;
-  encode_moves(std::vector<MoveRecord>{{15, 2}}, wire);
-  EXPECT_THROW(decode_moves(wire, n, out), CollectiveFault);
+  codec::encode_moves(std::vector<codec::MoveRecord>{{15, 2}}, wire);
+  EXPECT_THROW(codec::decode_moves(wire, n, out), CollectiveFault);
   // Encoder refuses non-ascending input outright (it cannot build a frame
   // the decoder would reject).
   std::vector<std::byte> bad;
-  EXPECT_THROW(encode_moves(std::vector<MoveRecord>{{5, 1}, {5, 2}}, bad), Error);
-  EXPECT_THROW(encode_moves(std::vector<MoveRecord>{{5, 1}, {3, 2}}, bad), Error);
+  EXPECT_THROW(codec::encode_moves(std::vector<codec::MoveRecord>{{5, 1}, {5, 2}}, bad), Error);
+  EXPECT_THROW(codec::encode_moves(std::vector<codec::MoveRecord>{{5, 1}, {3, 2}}, bad), Error);
 }
 
 class DeviceCounts : public ::testing::TestWithParam<std::size_t> {};
