@@ -21,16 +21,6 @@ std::string to_string(WeightUpdateMode mode) {
   return "?";
 }
 
-bool prune_and_decide(PruningStrategy strategy, const PruningContext& prune_ctx, double pm_alpha,
-                      std::uint64_t pm_base, const DecideInput& in, vid_t v,
-                      const DecideDispatch& dispatch, gpusim::SharedMemoryArena& arena,
-                      HashScratch& scratch, std::uint64_t salt, gpusim::MemoryStats& stats,
-                      Decision& out) {
-  if (is_inactive(strategy, prune_ctx, v, pm_alpha, pm_base)) return false;
-  out = decide_vertex(in, v, dispatch, arena, scratch, salt, stats);
-  return true;
-}
-
 namespace {
 
 /// The BSP engine: the phase-1 driver with the workload-aware decide kernels

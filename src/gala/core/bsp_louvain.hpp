@@ -121,18 +121,6 @@ struct Phase1Result {
   double modeled_ms() const { return decide_modeled_ms + update_modeled_ms + other_modeled_ms; }
 };
 
-/// One vertex through the prune-then-decide dispatch, exactly as the engines
-/// sequence it: classify `v` under `strategy`, and when active run the
-/// workload-aware decide kernel. Returns whether v was active; `out` is
-/// written only for active vertices. Shared by the distributed engine's
-/// eager decide pass and its overlapped (speculative) decide during the
-/// weight-gather window, so both paths stay on one trajectory.
-bool prune_and_decide(PruningStrategy strategy, const PruningContext& prune_ctx, double pm_alpha,
-                      std::uint64_t pm_base, const DecideInput& in, vid_t v,
-                      const DecideDispatch& dispatch, gpusim::SharedMemoryArena& arena,
-                      HashScratch& scratch, std::uint64_t salt, gpusim::MemoryStats& stats,
-                      Decision& out);
-
 /// One mover's delta weight-update emission (§3.5): returns u's own
 /// e_{u,new_c} against `next_comm` and hands each unmoved neighbour x's
 /// change to d_{C[x]}(x) to `sink(x, delta)`. Charged as the kernel would:

@@ -81,7 +81,7 @@ Decision hash_decide(const DecideInput& in, vid_t v, HashTablePolicy policy,
 
 /// Workload-aware kernel selection (paper §4.3). Lives here — not in the
 /// engine — so the single-GPU decide phase, the oracle pass, and the
-/// multi-GPU rank loop all dispatch through the same rule.
+/// multi-GPU ranks' decide all dispatch through the same rule.
 enum class KernelMode { Auto, ShuffleOnly, HashOnly };
 std::string to_string(KernelMode mode);
 

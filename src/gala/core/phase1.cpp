@@ -86,10 +86,15 @@ CommunityState::Scan CommunityState::scan(wt_t two_m) const {
   return s;
 }
 
-wt_t CommunityState::modularity(wt_t two_m, double resolution, wt_t sum_sq) const {
-  wt_t internal = 2 * sum_self_loops;
-  for (const wt_t w : weight) internal += w;
-  return internal / two_m - resolution * sum_sq;
+wt_t CommunityState::internal_weight(const graph::Graph& g, graph::VertexRange owned) const {
+  if (owned.begin == 0 && owned.end == weight.size()) {
+    wt_t internal = 2 * sum_self_loops;
+    for (const wt_t w : weight) internal += w;
+    return internal;
+  }
+  wt_t internal = 0;
+  for (vid_t v = owned.begin; v < owned.end; ++v) internal += weight[v] + 2 * g.self_loop(v);
+  return internal;
 }
 
 bool phase1_converged(vid_t moved, wt_t delta_q, double theta) {
@@ -99,15 +104,58 @@ bool phase1_converged(vid_t moved, wt_t delta_q, double theta) {
 std::uint64_t decide_salt(std::uint64_t seed) { return splitmix64(seed ^ 0xabcdef0123456789ULL); }
 
 Phase1Driver::Phase1Driver(const graph::Graph& g, const BspConfig& config, CommunityState state)
+    : Phase1Driver(g, config, std::move(state), {0, g.num_vertices()}, /*primary=*/true) {}
+
+Phase1Driver::Phase1Driver(const graph::Graph& g, const BspConfig& config, CommunityState state,
+                           graph::VertexRange owned, bool primary)
     : g_(g), config_(config),
       owned_context_(config.context != nullptr
                          ? nullptr
                          : std::make_unique<exec::ExecutionContext>(config.device, config.seed)),
       ctx_(config.context != nullptr ? config.context : owned_context_.get()),
-      state_(std::move(state)) {}
+      state_(std::move(state)), owned_(owned), primary_(primary), rng_(config.seed) {}
 
-exec::Workspace::Lease<std::uint8_t> Phase1Driver::take_run_scratch(exec::Workspace&, vid_t) {
-  return {};
+vid_t Phase1Driver::prune_then_decide(int iter, const CommunityState::Scan& scan,
+                                      std::span<const std::uint8_t> only,
+                                      IterationStats& stats) {
+  const CommunityState& s = state_;
+  const std::span<std::uint8_t> active = run_.active;
+  Timer timer;
+  vid_t active_count = 0;
+  std::span<const std::uint8_t> todo = active;
+  vid_t todo_count = 0;
+  {
+    telemetry::ScopedSpan span(telemetry::Tracer::global(), "pruning", "phase1");
+    if (pm_iter_ != iter) {
+      pm_base_ = config_.pruning == PruningStrategy::Probabilistic ? rng_() : 0;
+      pm_iter_ = iter;
+    }
+    const PruningContext prune_ctx{&g_,          s.comm,        s.weight,   s.comm_total,
+                                   scan.min_total, g_.two_m(),  s.prev_moved, s.comm_changed,
+                                   iter,         config_.resolution};
+    classify_range(config_.pruning, prune_ctx, config_.pm_alpha, pm_base_, owned_.begin,
+                   owned_.end, only, active, config_.parallel ? &ctx_->pool() : nullptr);
+    for (vid_t v = owned_.begin; v < owned_.end; ++v) active_count += active[v];
+    todo_count = active_count;
+    if (!only.empty()) {
+      // Decide only the active vertices among `only`.
+      todo_count = 0;
+      for (vid_t v = owned_.begin; v < owned_.end; ++v) {
+        run_.pending[v] = only[v] && active[v];
+        todo_count += run_.pending[v];
+      }
+      todo = run_.pending;
+    }
+    if (span.active()) {
+      span.arg("active", static_cast<double>(active_count));
+      span.arg("pruned", static_cast<double>(owned_.size() - active_count));
+    }
+    telemetry::flight(telemetry::FlightKind::Prune, static_cast<double>(active_count),
+                      static_cast<double>(owned_.size() - active_count));
+  }
+  stats.other_wall += timer.seconds();
+  decide_phase(todo, todo_count, run_.decisions, stats);
+  return active_count;
 }
 
 void Phase1Driver::oracle_pass(std::span<const std::uint8_t> active,
@@ -151,26 +199,37 @@ Phase1Result Phase1Driver::run() {
   Phase1Result result;
   telemetry::ScopedSpan phase_span(telemetry::Tracer::global(), "phase1", "pipeline");
   Timer total_timer;
-  Xoshiro256 rng(config_.seed);
 
   // Per-run iteration state, checked out of the workspace. The first
   // iteration establishes the slabs; with pooling on, every later take()
   // anywhere in the hot loop is served from the pool (ws_allocs == 0).
   exec::Workspace& ws = ctx_->workspace();
   const exec::WorkspaceStats ws_start = ws.stats();
-  auto active_lease = ws.take<std::uint8_t>(n, "phase1.active");
-  auto moved_lease = ws.take<std::uint8_t>(n, "phase1.moved", exec::Fill::Zero);
-  auto decisions_lease = ws.take<Decision>(n, "phase1.decisions");
+  exec::Workspace::Lease<std::uint8_t> active_lease, moved_lease;
+  exec::Workspace::Lease<Decision> decisions_lease;
+  run_ = lent_;
+  if (run_.active.empty()) {
+    active_lease = ws.take<std::uint8_t>(n, "phase1.active");
+    moved_lease = ws.take<std::uint8_t>(n, "phase1.moved", exec::Fill::Zero);
+    decisions_lease = ws.take<Decision>(n, "phase1.decisions");
+    run_ = {active_lease.span(), moved_lease.span(), decisions_lease.span(), {}};
+  }
   const auto engine_lease = take_run_scratch(ws, n);
-  std::span<std::uint8_t> active = active_lease.span();
-  std::span<std::uint8_t> moved = moved_lease.span();
-  std::span<Decision> decisions = decisions_lease.span();
+  const std::span<std::uint8_t> active = run_.active;
+  const std::span<std::uint8_t> moved = run_.moved;
   std::fill(active.begin(), active.end(), 1);
   exec::Workspace::Lease<std::uint8_t> would_move_lease;  // oracle mode only
   std::span<std::uint8_t> would_move;
+  bool presolved = false;  // by the last iteration's window
 
   CommunityState::Scan scan = s.scan(g_.two_m());
-  wt_t q = s.modularity(g_.two_m(), config_.resolution, scan.sum_sq);
+  wt_t q = s.internal_weight(g_, {0, n}) / g_.two_m() - config_.resolution * scan.sum_sq;
+  // Bookkeeping: 4 atomics per mover and an owned-range pass over the totals.
+  const auto bookkeeping = [&](gpusim::MemoryStats& traffic) {
+    traffic.global_atomics += 4 * std::uint64_t{s.commit_moves(g_, moved)};
+    scan = s.scan(g_.two_m());
+    traffic.global_reads += owned_.size();
+  };
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     telemetry::ScopedSpan iter_span(telemetry::Tracer::global(), "iteration", "phase1");
@@ -178,36 +237,20 @@ Phase1Result Phase1Driver::run() {
                       static_cast<double>(n));
     IterationStats stats;
     const std::uint64_t ws_allocs_before = ws.stats().heap_allocs;
+
+    // 1+2. Pruning (§3) and DecideAndMove for the active set, over the owned
+    //      vertices no window presolved.
+    std::span<const std::uint8_t> only;  // empty: every owned vertex
+    if (presolved) only = run_.pending;
+    stats.active = prune_then_decide(iter, scan, only, stats);
+    presolved = false;
+
     Timer other_timer;
-
-    // 1. Pruning (§3).
-    {
-      telemetry::ScopedSpan prune_span(telemetry::Tracer::global(), "pruning", "phase1");
-      const PruningContext prune_ctx{&g_,           s.comm,         s.weight,
-                                     s.comm_total,  scan.min_total, g_.two_m(),
-                                     s.prev_moved,  s.comm_changed, iter,
-                                     config_.resolution};
-      compute_active(config_.pruning, prune_ctx, config_.pm_alpha, rng, active, *ctx_,
-                     config_.parallel);
-      for (vid_t v = 0; v < n; ++v) stats.active += active[v];
-      if (prune_span.active()) {
-        prune_span.arg("active", static_cast<double>(stats.active));
-        prune_span.arg("pruned", static_cast<double>(n - stats.active));
-      }
-      telemetry::flight(telemetry::FlightKind::Prune, static_cast<double>(stats.active),
-                        static_cast<double>(n - stats.active));
-    }
-    stats.other_wall += other_timer.seconds();
-
-    // 2. DecideAndMove for the active set.
-    decide_phase(active, stats.active, decisions, stats);
-
-    other_timer.reset();
     // 3. Apply the move guard; BSP semantics: all decisions saw iteration-
     //    start state.
-    for (vid_t v = 0; v < n; ++v) {
+    for (vid_t v = owned_.begin; v < owned_.end; ++v) {
       s.next_comm[v] =
-          active[v] ? apply_move_guard(decisions[v], s.comm[v], s.comm_size) : s.comm[v];
+          active[v] ? apply_move_guard(run_.decisions[v], s.comm[v], s.comm_size) : s.comm[v];
       moved[v] = s.next_comm[v] != s.comm[v] ? 1 : 0;
       stats.moved += moved[v];
     }
@@ -221,7 +264,7 @@ Phase1Result Phase1Driver::run() {
         would_move = would_move_lease.span();
       }
       std::fill(would_move.begin(), would_move.end(), 0);
-      oracle_pass(active, decisions, would_move);
+      oracle_pass(active, run_.decisions, would_move);
       for (vid_t v = 0; v < n; ++v) {
         if (active[v]) {
           moved[v] ? ++stats.tp : ++stats.fp;
@@ -232,25 +275,56 @@ Phase1Result Phase1Driver::run() {
     }
     stats.other_wall += other_timer.seconds();
 
-    // 4. Community weight update (§3.5) — needs old comm and next_comm.
+    // 4. Exchange the moves (§4.3).
+    post_exchange(Round::Moves, stats);
+    complete_exchange(Round::Moves, {}, stats);
+
+    // 5. Community weight update (§3.5) — needs old comm and next_comm.
     weight_update_phase(moved, stats);
 
+    // 6. Exchange the weight messages. An open window runs bookkeeping and
+    //    the presolve set's next-iteration prune+decide while they are in
+    //    flight.
     other_timer.reset();
-    {
-      // 5. Bookkeeping: totals, sizes, changed flags, modularity.
-      telemetry::ScopedSpan bk_span(telemetry::Tracer::global(), "bookkeeping", "phase1");
-      stats.bookkeeping_traffic.global_atomics += 4 * std::uint64_t{s.commit_moves(g_, moved)};
-      scan = s.scan(g_.two_m());
-      stats.bookkeeping_traffic.global_reads += n;  // totals/size scan
+    const Window window = post_exchange(Round::Weights, stats);
+    gpusim::MemoryStats window_traffic;
+    if (window.open) {
+      {
+        telemetry::ScopedSpan bk_span(telemetry::Tracer::global(), "bookkeeping", "phase1");
+        gpusim::MemoryStats bk;
+        bookkeeping(bk);
+        stats.bookkeeping_traffic += bk;
+        window_traffic += bk;
+        if (bk_span.active()) bk_span.arg("modeled_ms", config_.device.modeled_ms(bk));
+      }
+      if (!window.presolve.empty()) {
+        GALA_ASSERT(!run_.pending.empty());  // lent by the presolving engine
+        IterationStats ahead;
+        prune_then_decide(iter + 1, scan, window.presolve, ahead);
+        stats.decide_traffic += ahead.decide_traffic;
+        window_traffic += ahead.decide_traffic;
+        for (vid_t v = owned_.begin; v < owned_.end; ++v) run_.pending[v] = !window.presolve[v];
+        presolved = true;
+      }
+    }
+    complete_exchange(Round::Weights, window_traffic, stats);
 
-      const wt_t next_q = s.modularity(g_.two_m(), config_.resolution, scan.sum_sq);
-      stats.bookkeeping_traffic.global_reads += n;  // modularity reduction
+    {
+      // 7. Bookkeeping (unless the window ran it), then modularity.
+      telemetry::ScopedSpan bk_span(telemetry::Tracer::global(), "bookkeeping", "phase1");
+      gpusim::MemoryStats bk;
+      if (!window.open) bookkeeping(bk);
+      // The iteration allocates nothing more: its memory epoch is final.
+      // Marked before the reduce, which parks a rank's peers meanwhile.
+      if (primary_) memtrace::mark_epoch(memtrace::EpochKind::Iteration, iter);
+      const wt_t internal = sum_over_devices(s.internal_weight(g_, owned_));
+      bk.global_reads += owned_.size();  // modularity reduction
+      const wt_t next_q = internal / g_.two_m() - config_.resolution * scan.sum_sq;
+      stats.bookkeeping_traffic += bk;
       stats.modularity = next_q;
       stats.delta_q = next_q - q;
       q = next_q;
-      if (bk_span.active()) {
-        bk_span.arg("modeled_ms", config_.device.modeled_ms(stats.bookkeeping_traffic));
-      }
+      if (bk_span.active()) bk_span.arg("modeled_ms", config_.device.modeled_ms(bk));
     }
     stats.other_wall += other_timer.seconds();
 
@@ -264,14 +338,17 @@ Phase1Result Phase1Driver::run() {
       iter_span.arg("delta_q", stats.delta_q);
       iter_span.arg("ws_allocs", static_cast<double>(stats.ws_allocs));
       auto& registry = telemetry::Registry::global();
-      registry.counter("phase1.iterations").add(1);
-      registry.counter("phase1.moved").add(stats.moved);
       registry.counter("workspace.heap_allocs").add(stats.ws_allocs);
-      registry.histogram("phase1.active_per_iteration").observe(stats.active);
+      if (primary_) {
+        registry.counter("phase1.iterations").add(1);
+        registry.counter("phase1.moved").add(stats.moved);
+        registry.histogram("phase1.active_per_iteration").observe(stats.active);
+      }
     }
 
-    telemetry::flight(telemetry::FlightKind::IterationEnd, stats.modularity, stats.delta_q);
-    memtrace::mark_epoch(memtrace::EpochKind::Iteration, iter);
+    if (primary_) {
+      telemetry::flight(telemetry::FlightKind::IterationEnd, stats.modularity, stats.delta_q);
+    }
 
     result.iterations.push_back(stats);
     if (config_.on_iteration) config_.on_iteration(iter, stats, active, moved, s.comm);
@@ -279,6 +356,7 @@ Phase1Result Phase1Driver::run() {
     if (phase1_converged(stats.moved, stats.delta_q, config_.theta)) break;
   }
 
+  run_ = {};  // the leases end with this call
   result.community = s.comm;
   result.modularity = q;
   result.num_communities = count_communities(result.community);
@@ -306,12 +384,15 @@ Phase1Result Phase1Driver::run() {
                    static_cast<double>(result.workspace.heap_allocs - ws_start.heap_allocs));
     phase_span.arg("ws_reuse_hits",
                    static_cast<double>(result.workspace.reuse_hits - ws_start.reuse_hits));
-    auto& registry = telemetry::Registry::global();
-    registry.gauge("workspace.outstanding_bytes")
-        .set(static_cast<double>(result.workspace.outstanding_bytes));
-    registry.gauge("workspace.pooled_bytes")
-        .set(static_cast<double>(result.workspace.pooled_bytes));
-    registry.gauge("workspace.peak_bytes").set(static_cast<double>(result.workspace.peak_bytes));
+    if (primary_) {
+      auto& registry = telemetry::Registry::global();
+      registry.gauge("workspace.outstanding_bytes")
+          .set(static_cast<double>(result.workspace.outstanding_bytes));
+      registry.gauge("workspace.pooled_bytes")
+          .set(static_cast<double>(result.workspace.pooled_bytes));
+      registry.gauge("workspace.peak_bytes")
+          .set(static_cast<double>(result.workspace.peak_bytes));
+    }
   }
   return result;
 }

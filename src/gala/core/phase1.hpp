@@ -1,25 +1,28 @@
 // The phase-1 driver — Algorithm 1's iteration loop, written once.
 //
 // One iteration:
-//   1. classify vertices active/inactive under the configured pruning
-//      strategy (§3),
+//   1. classify the owned vertices active/inactive under the configured
+//      pruning strategy (§3),
 //   2. DecideAndMove for the active set (engine primitive),
 //   3. apply the shared move guard (BSP: all decisions read the
 //      iteration-start state); in oracle mode, also evaluate the pruned
 //      vertices off the books for the confusion matrix (Table 1),
-//   4. update each vertex's community weight d_{C[v]}(v) (engine primitive),
+//   4. exchange the moves, update each vertex's community weight d_{C[v]}(v)
+//      (engine primitive), exchange the weight messages,
 //   5. refresh community totals/sizes, modularity; stop when nothing moved or
 //      the gain drops below theta (Grappolo's convergence rule).
 //
-// The driver owns the community state and everything around the two
-// primitives: pruning, the guard, the oracle pass, bookkeeping, modularity,
-// the stop test, and the per-iteration accounting (IterationStats, spans,
-// flight events, memtrace epochs, on_iteration, Phase1Result totals and
-// gauges). An engine derives from Phase1Driver, implements the two
-// primitives and keeps its own scratch for them: the BSP engine
-// (bsp_louvain.cpp) and the linear-algebra engine (blas_louvain.cpp). The distributed ranks (gala/multigpu) run their own
-// loop, because their overlap windows run bookkeeping inside collectives,
-// but each rank replicates CommunityState and stops on phase1_converged.
+// The driver owns the community state and everything around the primitives:
+// pruning, the guard, the oracle pass, bookkeeping, modularity, the stop
+// test, and the per-iteration accounting (IterationStats, spans, flight
+// events, memtrace epochs, on_iteration, Phase1Result totals and gauges).
+// Every engine derives from it: the BSP engine (bsp_louvain.cpp) and the
+// linear-algebra engine (blas_louvain.cpp) own every vertex and exchange
+// nothing; a distributed rank (gala/multigpu) owns a slice, keeps a full
+// CommunityState replica, and exchanges through its collectives. When a
+// rank opens a window between an exchange's post and complete halves, the
+// driver runs bookkeeping and the next prune+decide of the vertices whose
+// inputs are already final there, so overlap is a schedule of this loop.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "gala/core/bsp_louvain.hpp"
+#include "gala/graph/partition.hpp"
 
 namespace gala::core {
 
@@ -57,8 +61,11 @@ struct CommunityState {
   /// One pass over the community totals.
   Scan scan(wt_t two_m) const;
 
-  /// Q = (sum_v e_{v,C[v]} + 2*sum_v loop_v) / 2|E| - resolution * sum_sq.
-  wt_t modularity(wt_t two_m, double resolution, wt_t sum_sq) const;
+  /// sum over `owned` of e_{v,C[v]} + 2*loop_v: the owned share of the
+  /// internal weight of Q = internal / 2|E| - resolution * sum_sq. Owning
+  /// every vertex adds the self-loop term summed at construction once; a
+  /// slice adds it per vertex, so each rank's partial sums as before.
+  wt_t internal_weight(const graph::Graph& g, graph::VertexRange owned) const;
 
   std::vector<cid_t> comm;
   std::vector<cid_t> next_comm;
@@ -79,8 +86,8 @@ std::uint64_t decide_salt(std::uint64_t seed);
 
 /// One phase-1 run: the loop, plus the graph, config, execution context and
 /// community state it shares with an engine. An engine derives from the
-/// driver and implements the two engine-specific steps; run() calls each
-/// once per iteration.
+/// driver and implements the engine-specific steps; run() calls each once
+/// per iteration.
 class Phase1Driver {
  public:
   virtual ~Phase1Driver() = default;
@@ -91,22 +98,53 @@ class Phase1Driver {
   Phase1Result run();
 
  protected:
-  /// Starts from `state` (singletons or a warm start over `g`). The graph
-  /// must outlive the driver.
+  /// Starts from `state` (singletons or a warm start over `g`), owning every
+  /// vertex. The graph must outlive the driver.
   Phase1Driver(const graph::Graph& g, const BspConfig& config, CommunityState state);
+  /// Owns only `owned` (a distributed rank's slice): pruning, decide, the
+  /// guard and the modularity partial run over it, and the exchange brings
+  /// in the rest. Only the `primary` device records the cluster-wide
+  /// per-iteration records (flight IterationEnd, memtrace epochs, the
+  /// phase1.* instruments and workspace gauges).
+  Phase1Driver(const graph::Graph& g, const BspConfig& config, CommunityState state,
+               graph::VertexRange owned, bool primary);
 
   /// Per-run scratch the driver holds after its own workspace leases and
   /// releases before them. Empty unless an engine needs one.
-  virtual exec::Workspace::Lease<std::uint8_t> take_run_scratch(exec::Workspace& ws, vid_t n);
+  virtual exec::Workspace::Lease<std::uint8_t> take_run_scratch(exec::Workspace&, vid_t) {
+    return {};
+  }
 
-  /// DecideAndMove: writes decisions[v] for every active v from the
-  /// iteration-start state, charging decide_traffic/decide_wall.
+  /// DecideAndMove: writes decisions[v] for every v flagged in `active` from
+  /// the iteration-start state, charging decide_traffic/decide_wall.
   virtual void decide_phase(std::span<const std::uint8_t> active, vid_t active_count,
                             std::span<Decision> decisions, IterationStats& stats) = 0;
 
   /// Sets weight[v] = e_{v, next_comm[v]} from comm (old) and next_comm
   /// (new), charging update_traffic/update_wall.
   virtual void weight_update_phase(std::span<const std::uint8_t> moved, IterationStats& stats) = 0;
+
+  /// The exchange rounds of one iteration, in schedule order.
+  enum class Round {
+    Moves,    ///< after: next_comm, moved and stats.moved cover every vertex
+    Weights,  ///< after: weight[v] is final for every owned v
+  };
+
+  /// What the driver may run between post_exchange and complete_exchange:
+  /// bookkeeping when `open`, and the next iteration's prune+decide of the
+  /// `presolve` vertices (skipped next iteration).
+  struct Window {
+    bool open = false;
+    std::span<const std::uint8_t> presolve;
+  };
+
+  /// The exchange halves; one device has nothing to exchange. `window` is
+  /// the traffic the driver ran in the window, creditable against the
+  /// collective's cost.
+  virtual Window post_exchange(Round, IterationStats&) { return {}; }
+  virtual void complete_exchange(Round, const gpusim::MemoryStats& /*window*/, IterationStats&) {}
+  /// Sums a per-device partial over every device (the modularity reduce).
+  virtual wt_t sum_over_devices(wt_t partial) { return partial; }
 
   const graph::Graph& g_;
   BspConfig config_;
@@ -115,10 +153,34 @@ class Phase1Driver {
   std::unique_ptr<exec::ExecutionContext> owned_context_;
   exec::ExecutionContext* ctx_;  // == owned_context_.get() or config.context
   CommunityState state_;
+  const graph::VertexRange owned_;
+  const bool primary_;
+
+  /// A run's per-vertex arrays, checked out of the workspace unless an
+  /// engine lends its own (a distributed rank lends host vectors).
+  struct RunArrays {
+    std::span<std::uint8_t> active;
+    std::span<std::uint8_t> moved;  ///< zero on entry
+    std::span<Decision> decisions;
+    std::span<std::uint8_t> pending;  ///< needed by a presolving engine
+  };
+  RunArrays lent_;
 
  private:
+  /// Classifies the owned vertices flagged in `only` (all when empty) as
+  /// iteration `iter` and decides the active ones among them. Returns how
+  /// many owned vertices are active.
+  vid_t prune_then_decide(int iter, const CommunityState::Scan& scan,
+                          std::span<const std::uint8_t> only, IterationStats& stats);
   void oracle_pass(std::span<const std::uint8_t> active, std::span<Decision> decisions,
                    std::span<std::uint8_t> would_move);
+
+  // PM's coin seed: one draw per iteration, made by whichever prune of that
+  // iteration runs first (a presolve draws the next iteration's early).
+  Xoshiro256 rng_;
+  std::uint64_t pm_base_ = 0;
+  int pm_iter_ = -1;
+  RunArrays run_;  // the arrays of the current run()
 };
 
 }  // namespace gala::core

@@ -1,20 +1,9 @@
 #include "gala/core/pruning.hpp"
 
-#include <functional>
-
 #include "gala/common/error.hpp"
 
 namespace gala::core {
 namespace {
-
-/// Runs body(v) for all vertices, on the pool when provided.
-void for_all(vid_t n, ThreadPool* pool, const std::function<void(std::size_t)>& body) {
-  if (pool) {
-    pool->parallel_for(0, n, body, /*grain=*/1024);
-  } else {
-    for (vid_t v = 0; v < n; ++v) body(v);
-  }
-}
 
 bool sm_is_inactive(const PruningContext& ctx, vid_t v) {
   // Every community containing v or a neighbour must be untouched.
@@ -94,20 +83,27 @@ bool is_inactive(PruningStrategy strategy, const PruningContext& ctx, vid_t v, d
 
 void compute_active(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
                     Xoshiro256& rng, std::span<std::uint8_t> active, ThreadPool* pool) {
-  const vid_t n = ctx.g->num_vertices();
-  GALA_CHECK(active.size() == n, "active span size mismatch");
   // One deterministic draw per iteration seeds PM's per-vertex coins, so the
   // parallel loop is schedule-independent.
   const std::uint64_t pm_base = strategy == PruningStrategy::Probabilistic ? rng() : 0;
-  for_all(n, pool, [&](std::size_t v) {
-    active[v] = is_inactive(strategy, ctx, static_cast<vid_t>(v), pm_alpha, pm_base) ? 0 : 1;
-  });
+  classify_range(strategy, ctx, pm_alpha, pm_base, 0, ctx.g->num_vertices(), {}, active, pool);
 }
 
-void compute_active(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
-                    Xoshiro256& rng, std::span<std::uint8_t> active,
-                    exec::ExecutionContext& exec_ctx, bool parallel) {
-  compute_active(strategy, ctx, pm_alpha, rng, active, parallel ? &exec_ctx.pool() : nullptr);
+void classify_range(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
+                    std::uint64_t pm_base, vid_t begin, vid_t end,
+                    std::span<const std::uint8_t> only, std::span<std::uint8_t> active,
+                    ThreadPool* pool) {
+  GALA_CHECK(active.size() == ctx.g->num_vertices(), "active span size mismatch");
+  const auto body = [&](std::size_t v) {
+    if (only.empty() || only[v]) {
+      active[v] = is_inactive(strategy, ctx, static_cast<vid_t>(v), pm_alpha, pm_base) ? 0 : 1;
+    }
+  };
+  if (pool) {
+    pool->parallel_for(begin, end, body, /*grain=*/1024);
+  } else {
+    for (vid_t v = begin; v < end; ++v) body(v);
+  }
 }
 
 }  // namespace gala::core

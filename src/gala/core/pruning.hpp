@@ -32,7 +32,6 @@
 #include "gala/common/prng.hpp"
 #include "gala/common/thread_pool.hpp"
 #include "gala/common/types.hpp"
-#include "gala/exec/context.hpp"
 #include "gala/graph/csr.hpp"
 
 namespace gala::core {
@@ -68,18 +67,20 @@ struct PruningContext {
 void compute_active(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
                     Xoshiro256& rng, std::span<std::uint8_t> active, ThreadPool* pool = nullptr);
 
-/// ExecutionContext-threaded form: runs on the context's pool when
-/// `parallel`, sequentially otherwise. Same classification either way.
-void compute_active(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
-                    Xoshiro256& rng, std::span<std::uint8_t> active,
-                    exec::ExecutionContext& exec_ctx, bool parallel);
+/// Classifies the vertices of [begin, end) flagged in `only` (all of them
+/// when `only` is empty) and leaves every other flag untouched.
+/// `pm_base` seeds PM's per-vertex coins for this iteration (compute_active
+/// draws it from its `rng`). Runs on `pool` if non-null.
+void classify_range(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
+                    std::uint64_t pm_base, vid_t begin, vid_t end,
+                    std::span<const std::uint8_t> only, std::span<std::uint8_t> active,
+                    ThreadPool* pool);
 
 /// The MG predicate (Equation 6) for a single vertex; exposed for tests.
 bool mg_is_inactive(const PruningContext& ctx, vid_t v);
 
-/// Per-vertex predicate used by both compute_active and the distributed
-/// engine (which evaluates only its owned range). `pm_base` seeds PM's
-/// deterministic per-vertex coin for this iteration.
+/// Per-vertex predicate behind compute_active and classify_range. `pm_base`
+/// seeds PM's deterministic per-vertex coin for this iteration.
 bool is_inactive(PruningStrategy strategy, const PruningContext& ctx, vid_t v, double pm_alpha,
                  std::uint64_t pm_base);
 

@@ -1,41 +1,34 @@
 // Distributed (multi-GPU) BSP Louvain — paper §4.3.
 //
 // The graph's vertices are 1-D partitioned across P simulated devices (edge-
-// balanced contiguous ranges); each device runs on its own host thread,
-// decides moves for its owned vertices with the same workload-aware kernels
-// as the single-GPU engine, and synchronises per iteration through the
-// simulated NCCL communicator:
+// balanced contiguous ranges). Each device runs on its own host thread as a
+// phase-1 driver (core/phase1.hpp) that owns its range: the same pruning,
+// decide kernels, move guard, bookkeeping and stop test as the single-GPU
+// engine, over a full community-state replica. Only the driver's exchange
+// is distributed, through the simulated NCCL communicator:
 //
-//   - dense sync   : every rank contributes its whole owned slice of the
-//                    community array (ncclAllGather of n ids) — cheap when
-//                    many vertices move,
-//   - sparse sync  : ranks exchange only (vertex, new community) delta
-//                    records — cheap in late iterations when few move,
-//   - adaptive     : per-iteration choice by comparing the two wire sizes
-//                    (the paper's "threshold according to communication
-//                    size").
+//   - community sync, per iteration dense (every rank ships its owned slice
+//     of the community array), sparse ((vertex, new community) records) or
+//     adaptive (the smaller wire size — the paper's switch rule);
+//   - owner-computed weights: each rank emits the (neighbour, delta)
+//     messages of its own movers, so computation scales with 1/P while
+//     communication stays ~constant (the sub-linear scaling of Fig. 10);
+//   - the modularity partial's all-reduce.
 //
-// Community weights d_{C[v]}(v) are owner-computed: each rank scans only its
-// owned moved vertices and ships (neighbour, delta) messages, so computation
-// scales with 1/P while communication stays ~constant — reproducing the
-// sub-linear scaling of Fig. 10.
+// Two extensions ride on that exchange (both default-off, both bit-identical
+// to the blocking/raw baseline):
 //
-// Two orthogonal extensions ride on that pipeline (both default-off, both
-// bit-identical to the blocking/raw baseline):
-//
-//   - overlap  : each exchange is split into post (stage + arrive at the
-//                first barrier) and complete (wait + verify). Between the
-//                two, the rank works the iteration's *eligible set* — owned
-//                vertices with no remote moved neighbour (superset of the
-//                static local frontier; see docs/multigpu.md for why the
-//                elision is exact) — staging their weight messages during
-//                the community gather and running their next-iteration
-//                prune+decide during the weight gather. Work done inside a
-//                window is credited against the modeled collective cost
-//                (CommStats::hidden_us).
+//   - overlap  : each gather is posted, then completed after a window of
+//                rank-local work over the *eligible set* (owned vertices with
+//                no remote moved neighbour; see docs/multigpu.md for why
+//                that is exact): the community gather stages the frontier
+//                movers' weight messages, the weight gather runs the
+//                driver's bookkeeping and the eligible set's next prune+
+//                decide. The window's modeled time is credited against the
+//                collective's (CommStats::hidden_us).
 //   - compress : sparse syncs ship codec frames (delta_codec.hpp) instead of
-//                raw MoveRecords; the adaptive dense/sparse crossover and the
-//                alpha-beta cost model are charged the real encoded size.
+//                raw MoveRecords; the adaptive crossover and the alpha-beta
+//                cost model are charged the real encoded size.
 #pragma once
 
 #include <vector>
@@ -77,11 +70,11 @@ struct DistributedConfig {
   /// compares the real encoded payload against the dense size.
   bool compress = false;
   /// End-of-iteration hook, invoked on rank 0 after the modularity reduce
-  /// with globally-reduced stats (active/moved are cluster-wide counts; the
-  /// community span is the synced post-iteration replica). Setting it adds
-  /// one slot to the per-iteration moved-count reduction — the global active
-  /// count rides along — so runs without an observer ship exactly the
-  /// baseline byte counts. Used by the algorithm-health layer
+  /// with its stats, whose active/moved counts, modularity and delta_q are
+  /// cluster-wide (the community span is the synced post-iteration replica).
+  /// Setting it adds one slot to the per-iteration moved-count reduction —
+  /// the global active count rides along — so runs without an observer ship
+  /// exactly the baseline byte counts. Used by the algorithm-health layer
   /// (metrics/health.hpp); the active/moved flag spans are empty.
   core::IterationCallback on_iteration;
 };

@@ -95,7 +95,7 @@ TEST(DistDifferential, RandomizedTrialsMatchSingleEngineBitIdentically) {
   const core::PruningStrategy strategies[] = {
       core::PruningStrategy::None,          core::PruningStrategy::Strict,
       core::PruningStrategy::Relaxed,       core::PruningStrategy::ModularityGain,
-      core::PruningStrategy::MgPlusRelaxed,
+      core::PruningStrategy::MgPlusRelaxed, core::PruningStrategy::Probabilistic,
   };
   for (int trial = 0; trial < kTrials; ++trial) {
     const std::uint64_t seed = splitmix64(base ^ (0x9e3779b97f4a7c15ULL * (trial + 1)));
@@ -131,9 +131,10 @@ TEST(DistDifferential, RandomizedTrialsMatchSingleEngineBitIdentically) {
 }
 
 TEST(DistDifferential, ProbabilisticPruningIsConfigInvariantAcrossTheGrid) {
-  // PM pruning draws its per-iteration coins from the engine's own stream,
-  // so it does not line up with the single engine — but every distributed
-  // configuration must still agree with every other one bit-for-bit.
+  // PM pruning seeds its per-iteration coins from the phase-1 driver's
+  // stream, which every engine shares, so it matches the single engine
+  // (checked by the two tests around this one); here every compressed
+  // distributed configuration must also agree with every other bit-for-bit.
   const std::uint64_t base = base_seed();
   for (int trial = 0; trial < 3; ++trial) {
     const std::uint64_t seed = splitmix64(base ^ (0xbf58476d1ce4e5b9ULL * (trial + 1)));
@@ -167,7 +168,7 @@ TEST(DistDifferential, FullPolicyGridOnFixedGraph) {
   const core::PruningStrategy strategies[] = {
       core::PruningStrategy::None,          core::PruningStrategy::Strict,
       core::PruningStrategy::Relaxed,       core::PruningStrategy::ModularityGain,
-      core::PruningStrategy::MgPlusRelaxed,
+      core::PruningStrategy::MgPlusRelaxed, core::PruningStrategy::Probabilistic,
   };
   const core::HashTablePolicy hashtables[] = {
       core::HashTablePolicy::GlobalOnly,

@@ -6,6 +6,7 @@
 
 #include "gala/codec/delta_codec.hpp"
 #include "gala/core/bsp_louvain.hpp"
+#include "gala/governor/governor.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
 #include "test_util.hpp"
 
@@ -425,6 +426,31 @@ TEST(Distributed, CompressionShrinksSparsePayloadBitIdentically) {
   }
   EXPECT_TRUE(saw_sparse_savings);
   EXPECT_LT(bytes_packed, bytes_raw);
+}
+
+TEST(Distributed, ExhaustedDecideRaisesResourceExhaustedOnEveryRank) {
+  // A rank whose decide runs out of budget fails every rank closed at the
+  // next reduce; the caller must still see the exhaustion (what a budget
+  // probe counts as infeasible), not a generic collective failure.
+  const auto g = gala::testing::small_planted();
+  for (const std::size_t P : {2, 4}) {
+    DistributedConfig cfg;
+    cfg.num_gpus = P;
+    cfg.kernel = core::KernelMode::HashOnly;
+    cfg.hashtable = core::HashTablePolicy::GlobalOnly;  // every decide needs hash scratch
+    governor::BudgetConfig budget;
+    budget.subsystem_caps = {{"core", 1}};
+    governor::ScopedBudget scoped(budget);
+    try {
+      (void)distributed_phase1(g, cfg);
+      ADD_FAILURE() << "P=" << P << ": run completed under a 1-byte core budget";
+    } catch (const ResourceExhausted& e) {
+      EXPECT_NE(std::string(e.what()).find("decide phase failed on rank"), std::string::npos)
+          << "P=" << P << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "P=" << P << ": expected ResourceExhausted, got: " << e.what();
+    }
+  }
 }
 
 TEST(Distributed, RejectsZeroDevices) {
