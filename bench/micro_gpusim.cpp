@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark) for the simulator substrate: warp
-// collectives, hashtable policies, and the two DecideAndMove kernels on a
-// single vertex of parameterised degree. These measure host wall time of
-// the simulation itself (useful for keeping the harness fast), not modeled
-// GPU time.
+// collectives, the coalescing and bank-conflict diagnostics, hashtable
+// policies, and the two DecideAndMove kernels on a single vertex of
+// parameterised degree. These measure host wall time of the simulation
+// itself (useful for keeping the harness fast), not modeled GPU time.
 #include <benchmark/benchmark.h>
 
 #include "gala/core/kernels.hpp"
+#include "gala/gpusim/shared_memory.hpp"
 #include "gala/gpusim/warp.hpp"
 #include "gala/graph/generators.hpp"
 
@@ -41,6 +42,39 @@ void BM_WarpSegmentedReduce(benchmark::State& state) {
 }
 BENCHMARK(BM_WarpSegmentedReduce)->Arg(2)->Arg(8)->Arg(32);
 
+/// Arg 0: one ascending CSR-like row (the shuffle kernel's C[u] gather);
+/// arg 1: every lane in a random segment, the scan's worst case.
+void BM_WarpGatherTransactions(benchmark::State& state) {
+  WarpValues<vid_t> addrs{};
+  Xoshiro256 rng(3);
+  vid_t next = 0;
+  for (auto& a : addrs) {
+    a = state.range(0) == 0 ? next : static_cast<vid_t>(rng.next_below(1u << 24));
+    next += static_cast<vid_t>(1 + rng.next_below(40));
+  }
+  MemoryStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(warp::gather_transactions(kFullMask, addrs, stats));
+  }
+}
+BENCHMARK(BM_WarpGatherTransactions)->Arg(0)->Arg(1);
+
+/// 256 strided upserts into a shared bucket array of `range` words, as the
+/// hash kernel feeds the bank model, then the closing flush.
+void BM_BankConflictModel(benchmark::State& state) {
+  std::vector<std::uint64_t> words(256);
+  Xoshiro256 rng(4);
+  for (auto& w : words) w = rng.next_below(static_cast<std::uint64_t>(state.range(0)));
+  MemoryStats stats;
+  for (auto _ : state) {
+    BankConflictModel model(stats);
+    for (const std::uint64_t w : words) model.observe_word(w);
+    model.flush();
+    benchmark::DoNotOptimize(stats.shared_waves);
+  }
+}
+BENCHMARK(BM_BankConflictModel)->Arg(64)->Arg(4096);
+
 struct KernelFixtureState {
   graph::Graph g;
   std::vector<cid_t> comm;
@@ -69,7 +103,7 @@ void BM_ShuffleDecide(benchmark::State& state) {
     benchmark::DoNotOptimize(core::shuffle_decide(input, 0, arena, stats));
   }
 }
-BENCHMARK(BM_ShuffleDecide)->Arg(8)->Arg(31)->Arg(256);
+BENCHMARK(BM_ShuffleDecide)->Arg(4)->Arg(8)->Arg(16)->Arg(31)->Arg(256);
 
 void BM_HashDecide(benchmark::State& state) {
   KernelFixtureState fx(static_cast<vid_t>(state.range(0)));

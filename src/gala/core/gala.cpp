@@ -71,7 +71,7 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
       level_span.arg("level", static_cast<double>(level));
       level_span.arg("vertices", static_cast<double>(current->num_vertices()));
       level_span.arg("communities", static_cast<double>(phase1.num_communities));
-      level_span.arg("modularity", phase1.modularity);
+      level_span.last_arg("modularity", phase1.modularity);
     }
 
     GalaLevel lv;

@@ -1,6 +1,7 @@
 #include "gala/core/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "gala/common/error.hpp"
@@ -44,8 +45,8 @@ Decision shuffle_decide(const DecideInput& in, vid_t v, gpusim::SharedMemoryAren
   for (std::size_t base = 0; base < deg; base += kWarpSize) {
     const int lanes = static_cast<int>(std::min<std::size_t>(kWarpSize, deg - base));
     LaneMask active = gpusim::warp::first_lanes(lanes);
-    WarpValues<cid_t> my_c{};
-    WarpValues<wt_t> my_w{};
+    WarpValues<cid_t> my_c;  // read only on active lanes
+    WarpValues<wt_t> my_w;
     for (int i = 0; i < lanes; ++i) {
       const vid_t u = nbrs[base + i];
       // Loads: neighbour id, edge weight, C[u] (Alg. 2 lines 2-4).
@@ -61,7 +62,7 @@ Decision shuffle_decide(const DecideInput& in, vid_t v, gpusim::SharedMemoryAren
 
     // Coalescing diagnostic: the C[u] lookups gather by neighbour id.
     {
-      WarpValues<vid_t> addrs{};
+      WarpValues<vid_t> addrs;
       for (int i = 0; i < lanes; ++i) addrs[i] = nbrs[base + i];
       gpusim::warp::gather_transactions(active, addrs, stats);
     }
@@ -71,10 +72,10 @@ Decision shuffle_decide(const DecideInput& in, vid_t v, gpusim::SharedMemoryAren
 
     if (!multi_chunk) {
       // Score per group leader; __reduce_max_sync picks the winner (lines 7-9).
-      WarpValues<wt_t> my_dq{};
-      for (int i = 0; i < kWarpSize; ++i) my_dq[i] = std::numeric_limits<wt_t>::lowest();
-      for (int i = 0; i < kWarpSize; ++i) {
-        if (!((active >> i) & 1u)) continue;
+      WarpValues<wt_t> my_dq;
+      for (LaneMask m = active; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        my_dq[i] = std::numeric_limits<wt_t>::lowest();
         if (gpusim::warp::leader_lane(masks[i]) != i) continue;  // one lane per community
         const cid_t c = my_c[i];
         stats.global_reads += 1;  // D_V(C) load
@@ -85,8 +86,9 @@ Decision shuffle_decide(const DecideInput& in, vid_t v, gpusim::SharedMemoryAren
       // Winner election: among lanes achieving the max, the smallest
       // community id wins (a ballot + min-reduce on hardware).
       stats.shuffle_ops += 1;
-      for (int i = 0; i < kWarpSize; ++i) {
-        if (((active >> i) & 1u) && my_dq[i] == max_dq) tracker.offer(my_c[i], my_dq[i]);
+      for (LaneMask m = active; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        if (my_dq[i] == max_dq) tracker.offer(my_c[i], my_dq[i]);
       }
     } else {
       // Chunk leaders spill their (community, partial sum) pair to shared
@@ -96,8 +98,8 @@ Decision shuffle_decide(const DecideInput& in, vid_t v, gpusim::SharedMemoryAren
       constexpr std::uint64_t kSpillWords = sizeof(SpillEntry) / 4;
       LaneMask leaders = 0;
       WarpValues<std::uint64_t> spill_words{};
-      for (int i = 0; i < kWarpSize; ++i) {
-        if (!((active >> i) & 1u)) continue;
+      for (LaneMask m = active; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
         if (gpusim::warp::leader_lane(masks[i]) != i) continue;
         GALA_ASSERT(spill_count < spill.size());
         leaders |= (LaneMask{1} << i);

@@ -334,8 +334,8 @@ Phase1Result Phase1Driver::run() {
       iter_span.arg("iteration", static_cast<double>(iter));
       iter_span.arg("active", static_cast<double>(stats.active));
       iter_span.arg("moved", static_cast<double>(stats.moved));
-      iter_span.arg("modularity", stats.modularity);
-      iter_span.arg("delta_q", stats.delta_q);
+      iter_span.last_arg("modularity", stats.modularity);
+      iter_span.last_arg("delta_q", stats.delta_q);
       iter_span.arg("ws_allocs", static_cast<double>(stats.ws_allocs));
       auto& registry = telemetry::Registry::global();
       registry.counter("workspace.heap_allocs").add(stats.ws_allocs);
@@ -373,7 +373,7 @@ Phase1Result Phase1Driver::run() {
   if (phase_span.active()) {
     phase_span.arg("iterations", static_cast<double>(result.iterations.size()));
     phase_span.arg("communities", static_cast<double>(result.num_communities));
-    phase_span.arg("modularity", result.modularity);
+    phase_span.last_arg("modularity", result.modularity);
     phase_span.arg("decide_modeled_ms", result.decide_modeled_ms);
     phase_span.arg("update_modeled_ms", result.update_modeled_ms);
     phase_span.arg("other_modeled_ms", result.other_modeled_ms);

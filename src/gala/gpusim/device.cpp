@@ -23,22 +23,42 @@ void attach_traffic(telemetry::ScopedSpan& span, const MemoryStats& stats,
   span.arg("shared_atomics", static_cast<double>(stats.shared_atomics));
   span.arg("register_ops", static_cast<double>(stats.register_ops));
   span.arg("shuffle_ops", static_cast<double>(stats.shuffle_ops));
+  // Ratios travel with their raw parts, so a rollup over many launches can
+  // recompute them from sums.
   if (stats.ht_maintain_shared + stats.ht_maintain_global > 0) {
-    span.arg("ht_maintenance_rate", stats.maintenance_rate());
-    span.arg("ht_access_rate", stats.access_rate());
+    span.arg("ht_maintain_shared", static_cast<double>(stats.ht_maintain_shared));
+    span.arg("ht_maintained",
+             static_cast<double>(stats.ht_maintain_shared + stats.ht_maintain_global));
+    span.arg("ht_access_shared", static_cast<double>(stats.ht_access_shared));
+    span.arg("ht_accesses", static_cast<double>(stats.ht_access_shared + stats.ht_access_global));
+    span.ratio_arg("ht_maintenance_rate", stats.maintenance_rate(), "ht_maintain_shared",
+                   "ht_maintained");
+    span.ratio_arg("ht_access_rate", stats.access_rate(), "ht_access_shared", "ht_accesses");
   }
   if (stats.gather_requests > 0) {
-    span.arg("transactions_per_gather", stats.transactions_per_gather());
-    span.arg("coalescing_efficiency", stats.coalescing_efficiency());
+    span.arg("gather_requests", static_cast<double>(stats.gather_requests));
+    span.arg("gather_transactions", static_cast<double>(stats.gather_transactions));
+    span.ratio_arg("transactions_per_gather", stats.transactions_per_gather(),
+                   "gather_transactions", "gather_requests");
+    span.ratio_arg("coalescing_efficiency", stats.coalescing_efficiency(), "gather_requests",
+                   "gather_transactions");
   }
   if (stats.simt_lane_slots > 0) {
-    span.arg("divergence_efficiency", stats.divergence_efficiency());
+    span.arg("simt_lane_slots", static_cast<double>(stats.simt_lane_slots));
+    span.arg("simt_active_lanes", static_cast<double>(stats.simt_active_lanes));
+    span.ratio_arg("divergence_efficiency", stats.divergence_efficiency(), "simt_active_lanes",
+                   "simt_lane_slots");
   }
   if (stats.shared_requests > 0) {
-    span.arg("bank_conflict_factor", stats.bank_conflict_factor());
+    span.arg("shared_requests", static_cast<double>(stats.shared_requests));
+    span.arg("shared_waves", static_cast<double>(stats.shared_waves));
+    span.ratio_arg("bank_conflict_factor", stats.bank_conflict_factor(), "shared_waves",
+                   "shared_requests");
   }
   if (stats.ht_lookups > 0) {
-    span.arg("ht_mean_probe_length", stats.mean_probe_length());
+    span.arg("ht_lookups", static_cast<double>(stats.ht_lookups));
+    span.arg("ht_probes", static_cast<double>(stats.ht_probes));
+    span.ratio_arg("ht_mean_probe_length", stats.mean_probe_length(), "ht_probes", "ht_lookups");
   }
   if (model != nullptr) {
     const CostBreakdown b = model->breakdown(stats);

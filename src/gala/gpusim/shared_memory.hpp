@@ -6,7 +6,6 @@
 // condition that forces hashtable buckets into global memory (§4.2).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -14,6 +13,7 @@
 
 #include "gala/common/error.hpp"
 #include "gala/gpusim/memory.hpp"
+#include "gala/gpusim/warp.hpp"
 #include "gala/resilience/fault_injection.hpp"
 
 namespace gala::gpusim {
@@ -50,25 +50,7 @@ class BankConflictModel {
   /// Closes the currently-open partial warp (end of the strided loop).
   void flush() {
     if (count_ == 0) return;
-    int per_bank[kSharedBanks] = {};
-    int waves = 0;
-    int distinct = 0;
-    for (int i = 0; i < count_; ++i) {
-      bool seen = false;
-      for (int j = 0; j < distinct; ++j) {
-        if (pending_[j] == pending_[i]) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) continue;  // broadcast
-      std::swap(pending_[distinct], pending_[i]);
-      const int bank = static_cast<int>(pending_[distinct] % kSharedBanks);
-      ++distinct;
-      waves = std::max(waves, ++per_bank[bank]);
-    }
-    stats_->shared_requests += 1;
-    stats_->shared_waves += static_cast<std::uint64_t>(std::max(waves, 1));
+    warp::charge_shared_request(pending_, count_, *stats_);
     count_ = 0;
   }
 

@@ -260,7 +260,7 @@ SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaC
     if (level_span.active()) {
       level_span.arg("level", static_cast<double>(level));
       level_span.arg("vertices", static_cast<double>(current->num_vertices()));
-      level_span.arg("modularity", phase1.modularity);
+      level_span.last_arg("modularity", phase1.modularity);
     }
 
     core::GalaLevel lv;

@@ -296,22 +296,39 @@ void Tracer::append_summary(JsonWriter& w) const {
   struct Agg {
     std::uint64_t count = 0;
     double wall_ms = 0;
-    std::map<std::string, double> args;
+    std::map<std::string, double> sums;
+    std::map<std::string, double> last;
+    std::map<std::string, ArgRollup> rules;
   };
   std::map<std::string, Agg> byname;
   for (const auto& s : snapshot()) {
     Agg& a = byname[s.category + "/" + s.name];
     ++a.count;
     a.wall_ms += s.dur_us / 1e3;
-    for (const auto& [k, v] : s.args) a.args[k] += v;
+    for (const auto& [k, v] : s.args) {
+      a.sums[k] += v;
+      a.last[k] = v;
+    }
+    for (const auto& r : s.rollups) a.rules.try_emplace(r.key, r);
   }
   w.key("spans").begin_object();
   for (const auto& [key, a] : byname) {
+    const auto sum_of = [&a](const std::string& k) {
+      const auto it = a.sums.find(k);
+      return it == a.sums.end() ? 0.0 : it->second;
+    };
     w.key(key).begin_object();
     w.key("count").value(a.count);
     w.key("wall_ms").value(a.wall_ms);
     w.key("args").begin_object();
-    for (const auto& [k, v] : a.args) w.key(k).value(v);
+    for (const auto& [k, sum] : a.sums) {
+      double v = sum;
+      if (const auto rule = a.rules.find(k); rule != a.rules.end()) {
+        const double den = sum_of(rule->second.denominator);
+        v = den != 0 ? sum_of(rule->second.numerator) / den : a.last.at(k);
+      }
+      w.key(k).value(v);
+    }
     w.end_object();
     w.end_object();
   }

@@ -43,6 +43,17 @@ namespace gala::telemetry {
 /// Numeric span payload: (key, value) pairs, e.g. {"global_reads", 1234}.
 using Args = std::vector<std::pair<std::string, double>>;
 
+/// How the summary folds one span arg over the spans of a (category, name)
+/// when summing would be wrong. A ratio names two args of the same span and
+/// is recomputed as sum(numerator) / sum(denominator); a state names none
+/// and reports its last value, as does a ratio whose parts sum to zero.
+/// Args without a rule are amounts and are summed.
+struct ArgRollup {
+  std::string key;
+  std::string numerator;
+  std::string denominator;
+};
+
 /// Ambient multi-GPU rank for the current thread. A rank's worker thread
 /// installs one scope at entry; every span and flight event recorded inside
 /// picks the rank up automatically, which is what groups the merged Chrome
@@ -81,6 +92,7 @@ struct SpanRecord {
   std::uint64_t flow_out = 0;
   std::uint64_t flow_in = 0;
   Args args;
+  std::vector<ArgRollup> rollups;  ///< rules of the args that are not summed
 };
 
 /// One counter sample for a Chrome counter ("C") track: named series values
@@ -211,7 +223,7 @@ class Tracer {
   /// Chrome-trace JSON ({"traceEvents":[...]}) of the retained spans.
   std::string chrome_trace_json() const;
   /// Aggregated per-(category,name) summary of the retained spans: counts,
-  /// wall totals, and summed args.
+  /// wall totals, and args folded by their ArgRollup (summed by default).
   std::string summary_json() const;
   /// Writes the summary's "spans" member into an open JSON object.
   void append_summary(JsonWriter& w) const;
@@ -254,6 +266,23 @@ class ScopedSpan {
 
   void arg(std::string_view key, double value) {
     if (tracer_ != nullptr) rec_.args.emplace_back(key, value);
+  }
+
+  /// An arg the summary reports as its last value: a state, not an amount.
+  void last_arg(std::string_view key, double value) {
+    if (tracer_ == nullptr) return;
+    rec_.args.emplace_back(key, value);
+    rec_.rollups.push_back({std::string(key), {}, {}});
+  }
+
+  /// A ratio arg: the summary recomputes it as the sum of `numerator` over
+  /// the sum of `denominator`, two args this span also carries. With a zero
+  /// denominator sum it reports the last value.
+  void ratio_arg(std::string_view key, double value, std::string_view numerator,
+                 std::string_view denominator) {
+    if (tracer_ == nullptr) return;
+    rec_.args.emplace_back(key, value);
+    rec_.rollups.push_back({std::string(key), std::string(numerator), std::string(denominator)});
   }
 
   /// Marks this span as the source (flow_out) or destination (flow_in) of a

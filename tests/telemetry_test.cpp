@@ -484,6 +484,29 @@ TEST(Registry, JsonExportListsInstruments) {
   EXPECT_EQ(hist.at("buckets").array[0].at("lo").number, 8);
 }
 
+TEST(Tracer, SummaryFoldsEachArgByItsRollup) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  const double parts[][2] = {{3, 4}, {1, 16}};  // (requests, transactions)
+  const double modularity[] = {0.4, 0.7};
+  for (int i = 0; i < 2; ++i) {
+    ScopedSpan span(tracer, "launch", "kernel");
+    span.arg("gather_requests", parts[i][0]);
+    span.arg("gather_transactions", parts[i][1]);
+    span.ratio_arg("coalescing_efficiency", parts[i][0] / parts[i][1], "gather_requests",
+                   "gather_transactions");
+    span.ratio_arg("empty_ratio", 0.5, "gather_requests", "never_set");
+    span.last_arg("modularity", modularity[i]);
+  }
+  const JsonValue doc = parse_json(tracer.summary_json());
+  const JsonValue& args = doc.at("spans").at("kernel/launch").at("args");
+  EXPECT_EQ(args.at("gather_requests").number, 4);
+  EXPECT_EQ(args.at("gather_transactions").number, 20);
+  EXPECT_DOUBLE_EQ(args.at("coalescing_efficiency").number, 4.0 / 20.0);  // not 0.75 + 0.0625
+  EXPECT_EQ(args.at("empty_ratio").number, 0.5);  // zero denominator: the last value
+  EXPECT_EQ(args.at("modularity").number, 0.7);
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline instrumentation contract.
 
@@ -538,6 +561,67 @@ TEST(PipelineTelemetry, Phase1SpansMatchPhase1Result) {
   EXPECT_EQ(kernel_reads, static_cast<double>(decide_reads));
 
   tracer.reset();
+}
+
+TEST(PipelineTelemetry, SummaryRatiosComeFromSummedParts) {
+  auto& tracer = Tracer::global();
+  tracer.reset();
+  tracer.set_enabled(true);
+  graph::PlantedPartitionParams params;
+  params.num_vertices = 300;
+  params.num_communities = 6;
+  params.avg_degree = 12;
+  params.mixing = 0.1;
+  params.seed = 5;
+  const graph::Graph g = graph::planted_partition(params, nullptr);
+  core::BspConfig cfg;
+  cfg.parallel = false;
+  cfg.shuffle_degree_limit = 12;  // both kernels launch every iteration
+  const core::Phase1Result result = core::bsp_phase1(g, cfg);
+  tracer.set_enabled(false);
+  const JsonValue doc = parse_json(tracer.summary_json());
+  tracer.reset();
+
+  struct Ratio {
+    const char* key;
+    const char* numerator;
+    const char* denominator;
+    bool efficiency;  // bounded by 1
+  };
+  const Ratio ratios[] = {
+      {"coalescing_efficiency", "gather_requests", "gather_transactions", true},
+      {"transactions_per_gather", "gather_transactions", "gather_requests", false},
+      {"divergence_efficiency", "simt_active_lanes", "simt_lane_slots", true},
+      {"bank_conflict_factor", "shared_waves", "shared_requests", false},
+      {"ht_mean_probe_length", "ht_probes", "ht_lookups", false},
+      {"ht_maintenance_rate", "ht_maintain_shared", "ht_maintained", true},
+      {"ht_access_rate", "ht_access_shared", "ht_accesses", true},
+  };
+  std::set<std::string> checked;
+  for (const auto& [name, span] : doc.at("spans").object) {
+    if (span.at("count").number < 2) continue;  // the rollup is only tested over many launches
+    const JsonValue& args = span.at("args");
+    for (const Ratio& r : ratios) {
+      const JsonValue* v = args.find(r.key);
+      if (v == nullptr) continue;
+      const double want = args.at(r.numerator).number / args.at(r.denominator).number;
+      EXPECT_DOUBLE_EQ(v->number, want) << name << " " << r.key;
+      if (r.efficiency) {
+        EXPECT_LE(v->number, 1.0) << name << " " << r.key;
+      }
+      checked.insert(r.key);
+    }
+  }
+  for (const char* key : {"coalescing_efficiency", "transactions_per_gather",
+                          "divergence_efficiency", "bank_conflict_factor",
+                          "ht_mean_probe_length"}) {
+    EXPECT_EQ(checked.count(key), 1u) << key << " never rolled up over >= 2 launches";
+  }
+  // States roll up as their last value.
+  const JsonValue& iteration = doc.at("spans").at("phase1/iteration");
+  ASSERT_GE(iteration.at("count").number, 2);
+  EXPECT_EQ(iteration.at("args").at("modularity").number, result.iterations.back().modularity);
+  EXPECT_EQ(iteration.at("args").at("delta_q").number, result.iterations.back().delta_q);
 }
 
 TEST(PipelineTelemetry, MetricsJsonCombinesSpansAndRegistry) {

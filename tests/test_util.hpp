@@ -5,10 +5,13 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <system_error>
 
+#include "gala/gpusim/memory.hpp"
 #include "gala/graph/csr.hpp"
 #include "gala/graph/generators.hpp"
 
@@ -60,6 +63,52 @@ inline void expect_same_graph(const graph::Graph& a, const graph::Graph& b) {
       EXPECT_EQ(an[i], bn[i]) << "row " << v << " entry " << i;
       EXPECT_EQ(aw[i], bw[i]) << "row " << v << " entry " << i;
     }
+  }
+}
+
+/// Asserts that two traffic records agree in every MemoryStats field: each
+/// counter and every bucket of both hashtable histograms. `where` names the
+/// input in failure messages.
+inline void expect_same_stats(const gpusim::MemoryStats& a, const gpusim::MemoryStats& b,
+                              const std::string& where = "") {
+  using S = gpusim::MemoryStats;
+  struct Counter {
+    const char* name;
+    std::uint64_t S::*field;
+  };
+  static constexpr Counter kCounters[] = {
+      {"global_reads", &S::global_reads},
+      {"global_writes", &S::global_writes},
+      {"global_atomics", &S::global_atomics},
+      {"shared_reads", &S::shared_reads},
+      {"shared_writes", &S::shared_writes},
+      {"shared_atomics", &S::shared_atomics},
+      {"register_ops", &S::register_ops},
+      {"shuffle_ops", &S::shuffle_ops},
+      {"ht_maintain_shared", &S::ht_maintain_shared},
+      {"ht_maintain_global", &S::ht_maintain_global},
+      {"ht_access_shared", &S::ht_access_shared},
+      {"ht_access_global", &S::ht_access_global},
+      {"gather_requests", &S::gather_requests},
+      {"gather_transactions", &S::gather_transactions},
+      {"simt_lane_slots", &S::simt_lane_slots},
+      {"simt_active_lanes", &S::simt_active_lanes},
+      {"shared_requests", &S::shared_requests},
+      {"shared_waves", &S::shared_waves},
+      {"ht_lookups", &S::ht_lookups},
+      {"ht_probes", &S::ht_probes},
+      {"ht_tables", &S::ht_tables},
+  };
+  // A field added to MemoryStats must be added above too.
+  static_assert(sizeof(S) == sizeof(std::uint64_t) * (std::size(kCounters) + S::kProbeBuckets +
+                                                      S::kOccupancyBuckets));
+  for (const Counter& c : kCounters) EXPECT_EQ(a.*c.field, b.*c.field) << c.name << " " << where;
+  for (std::size_t i = 0; i < S::kProbeBuckets; ++i) {
+    EXPECT_EQ(a.ht_probe_hist[i], b.ht_probe_hist[i]) << "ht_probe_hist[" << i << "] " << where;
+  }
+  for (std::size_t i = 0; i < S::kOccupancyBuckets; ++i) {
+    EXPECT_EQ(a.ht_occupancy_hist[i], b.ht_occupancy_hist[i])
+        << "ht_occupancy_hist[" << i << "] " << where;
   }
 }
 
