@@ -68,9 +68,9 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
     Phase1Result phase1 = engine->run_level(*current, cfg.bsp);
     if (level == 0 && config.keep_first_round) result.first_round = phase1;
     if (level_span.active()) {
-      level_span.arg("level", static_cast<double>(level));
+      level_span.last_arg("level", static_cast<double>(level));
       level_span.arg("vertices", static_cast<double>(current->num_vertices()));
-      level_span.arg("communities", static_cast<double>(phase1.num_communities));
+      level_span.last_arg("communities", static_cast<double>(phase1.num_communities));
       level_span.last_arg("modularity", phase1.modularity);
     }
 

@@ -331,7 +331,7 @@ Phase1Result Phase1Driver::run() {
     stats.ws_allocs = ws.stats().heap_allocs - ws_allocs_before;
 
     if (iter_span.active()) {
-      iter_span.arg("iteration", static_cast<double>(iter));
+      iter_span.last_arg("iteration", static_cast<double>(iter));
       iter_span.arg("active", static_cast<double>(stats.active));
       iter_span.arg("moved", static_cast<double>(stats.moved));
       iter_span.last_arg("modularity", stats.modularity);
@@ -372,7 +372,7 @@ Phase1Result Phase1Driver::run() {
   result.workspace = ws.stats();
   if (phase_span.active()) {
     phase_span.arg("iterations", static_cast<double>(result.iterations.size()));
-    phase_span.arg("communities", static_cast<double>(result.num_communities));
+    phase_span.last_arg("communities", static_cast<double>(result.num_communities));
     phase_span.last_arg("modularity", result.modularity);
     phase_span.arg("decide_modeled_ms", result.decide_modeled_ms);
     phase_span.arg("update_modeled_ms", result.update_modeled_ms);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "gala/common/json.hpp"
 #include "gala/memtrace/memtrace.hpp"
 #include "gala/resilience/fault_injection.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
@@ -132,7 +131,7 @@ void Governor::escalate_to(Rung target, std::uint64_t projected, std::uint64_t b
   {
     // Rung store, transition record, and flight event form ONE critical
     // section: concurrent escalations serialise here, so flight sequence
-    // numbers are assigned in rung order and trace_check --flight's
+    // numbers are assigned in rung order and trace_check's flight-section
     // monotonicity check holds even when ranks race up the ladder.
     std::lock_guard lock(mutex_);
     if (rung_.load(std::memory_order_relaxed) >= t) return;
@@ -198,9 +197,7 @@ void Governor::unregister_reclaimer(const void* key) {
                     reclaimers_.end());
 }
 
-std::string Governor::section_json() const {
-  JsonWriter w;
-  w.begin_object();
+void Governor::append_json(JsonWriter& w) const {
   w.key("budget_total").value(total_.load(std::memory_order_relaxed));
   w.key("budget_initial").value(initial_total_.load(std::memory_order_relaxed));
   const Rung r = rung();
@@ -230,8 +227,6 @@ std::string Governor::section_json() const {
     w.end_object();
   }
   w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 std::uint64_t min_feasible_budget(std::uint64_t hi,

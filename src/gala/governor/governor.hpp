@@ -34,7 +34,7 @@
 // triple walks the same rungs in the same order run after run under
 // sequential launches. Rungs are sticky — the ladder only escalates, never
 // de-escalates mid-run — so rung events in flight dumps are monotonically
-// non-decreasing, which trace_check --flight validates.
+// non-decreasing, which trace_check validates in a report's flight section.
 //
 // Thresholds: rungs 1-4 engage at 80/85/90/95% projected utilisation. They
 // have to engage *below* the wall because each rung only shrinks future
@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "gala/common/error.hpp"
+#include "gala/common/json.hpp"
 
 namespace gala::governor {
 
@@ -158,10 +159,9 @@ class Governor {
   std::uint64_t shrinks() const { return shrinks_.load(std::memory_order_relaxed); }
   std::uint64_t reclaims() const { return reclaims_.load(std::memory_order_relaxed); }
 
-  /// The "governor" JSON object fragment embedded in the --mem-out report
-  /// and written standalone by --governor-out: budget, current rung, counts,
-  /// and the ordered transition list.
-  std::string section_json() const;
+  /// Writes the run report's "governor" members into an open JSON object:
+  /// budget, current rung, counts, and the ordered transition list.
+  void append_json(JsonWriter& w) const;
 
  private:
   Governor() = default;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "gala/common/provenance.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::memtrace {
@@ -329,11 +328,6 @@ std::string MemReport::json(bool include_host) const {
   }
   w.end_array();
   w.key("timeline_dropped").value(timeline_dropped);
-  if (!governor.empty()) {
-    // Pre-rendered by gala::governor::section_json(); absent when no budget
-    // was installed, preserving the historical report shape.
-    w.key("governor").raw(governor);
-  }
   if (include_host) {
     // Host section: actual-slab-capacity facts that depend on pool state
     // (excluded from the byte-identity guarantee).
@@ -341,13 +335,8 @@ std::string MemReport::json(bool include_host) const {
     w.key("pool_slack_bytes").value(pool_slack_bytes);
     w.end_object();
   }
-  provenance::append(w, "mem", kSchema);
   w.end_object();
   return w.str();
-}
-
-void MemReport::save(const std::string& path) const {
-  telemetry::write_file(path, json());
 }
 
 }  // namespace gala::memtrace

@@ -105,7 +105,7 @@ struct EpochSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> subsystems;
 };
 
-/// The "--mem-out" document ("mem_schema" 1). Every field except the host
+/// The run report's "mem" section ("mem_schema" 1). Every field except the host
 /// section is derived from modeled bytes and deterministic for a fixed
 /// configuration; json(/*include_host=*/false) is the byte-identity surface
 /// the determinism tests compare.
@@ -117,10 +117,6 @@ struct MemReport {
   std::vector<EpochSnapshot> timeline;
   std::uint64_t timeline_dropped = 0;
   std::uint64_t level_resets = 0;
-  /// Pre-rendered "governor" JSON object (gala::governor::section_json).
-  /// Empty when no budget was installed — the key is then absent, which
-  /// keeps the historical json(false) byte-identity surface unchanged.
-  std::string governor;
   /// Host section (pool-state dependent, excluded from byte-identity):
   /// actual-slab-capacity slack beyond the modeled size class.
   std::uint64_t pool_slack_bytes = 0;
@@ -139,7 +135,6 @@ struct MemReport {
   bool leak_free() const { return leaks().empty(); }
 
   std::string json(bool include_host = true) const;
-  void save(const std::string& path) const;
 };
 
 /// Process-wide registry of per-subsystem memory gauges.

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 
-#include "gala/common/error.hpp"
 #include "gala/common/json.hpp"
-#include "gala/common/provenance.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
 
 namespace gala::metrics {
@@ -181,16 +178,8 @@ std::string HealthReport::json() const {
   w.key("oscillation_moves").value(oscillation_moves());
   w.key("frontier_half_life").value(frontier_half_life());
   w.end_object();
-  provenance::append(w, "health", 1);
   w.end_object();
   return w.str();
-}
-
-void HealthReport::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  GALA_CHECK(out.is_open(), "cannot write health report: " << path);
-  out << json() << '\n';
-  GALA_CHECK(out.good(), "short write on health report: " << path);
 }
 
 LevelHealth analyze_iterations(std::span<const core::IterationStats> iterations, vid_t vertices,

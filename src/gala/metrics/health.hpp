@@ -99,7 +99,6 @@ struct HealthReport {
 
   /// {"health_schema":1,"config":{...},"levels":[...],"summary":{...}}.
   std::string json() const;
-  void save(const std::string& path) const;
 };
 
 /// Stats-only analysis of one level's recorded iterations. No per-vertex

@@ -2,21 +2,54 @@
 
 #include <fstream>
 
+#include "gala/common/provenance.hpp"
+#include "gala/core/modularity.hpp"
 #include "gala/graph/stats.hpp"
+#include "gala/telemetry/flight_recorder.hpp"
 
 namespace gala::metrics {
 
-std::string run_report_json(const graph::Graph& g, const core::GalaConfig& config,
-                            const core::GalaResult& result) {
-  JsonWriter w;
-  w.begin_object();
+namespace {
 
+/// Opens the run section with its "graph" member.
+void begin_run(JsonWriter& w, const graph::Graph& g) {
+  w.begin_object();
   w.key("graph").begin_object();
   w.key("vertices").value(static_cast<std::uint64_t>(g.num_vertices()));
   w.key("edges").value(static_cast<std::uint64_t>(g.num_edges()));
   w.key("total_weight").value(g.total_weight());
   w.key("max_out_degree").value(static_cast<std::uint64_t>(g.max_out_degree()));
   w.end_object();
+}
+
+}  // namespace
+
+std::string RunReport::json() const {
+  JsonWriter w;
+  w.begin_object();
+  w.key("report_schema").value(kSchema);
+  const std::pair<const char*, const std::string*> sections[] = {
+      {"run", &run},       {"metrics", &metrics}, {"profile", &profile}, {"flight", &flight},
+      {"health", &health}, {"mem", &mem},         {"governor", &governor}};
+  for (const auto& [name, body] : sections) {
+    if (!body->empty()) w.key(name).raw(*body);
+  }
+  provenance::append(w, "report", kSchema);
+  w.end_object();
+  return w.str();
+}
+
+void RunReport::save(const std::string& path) const {
+  std::ofstream out(path, std::ios::trunc);
+  GALA_CHECK(out.is_open(), "cannot write run report: " << path);
+  out << json() << '\n';
+  GALA_CHECK(out.good(), "short write on run report: " << path);
+}
+
+std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
+                        const core::GalaResult& result) {
+  JsonWriter w;
+  begin_run(w, g);
 
   w.key("config").begin_object();
   w.key("pruning").value(core::to_string(config.bsp.pruning));
@@ -53,12 +86,49 @@ std::string run_report_json(const graph::Graph& g, const core::GalaConfig& confi
   return w.str();
 }
 
-void save_run_report(const graph::Graph& g, const core::GalaConfig& config,
-                     const core::GalaResult& result, const std::string& path) {
-  std::ofstream out(path);
-  GALA_CHECK(out.is_open(), "cannot open report file: " << path);
-  out << run_report_json(g, config, result) << '\n';
-  GALA_CHECK(out.good(), "write failure: " << path);
+std::string run_section(const graph::Graph& g, const multigpu::DistributedConfig& config,
+                        const multigpu::DistributedResult& result) {
+  JsonWriter w;
+  begin_run(w, g);
+  w.key("config").begin_object();
+  w.key("devices").value(static_cast<std::uint64_t>(config.num_gpus));
+  w.key("overlap").value(config.overlap);
+  w.key("compress").value(config.compress);
+  w.end_object();
+  w.key("result").begin_object();
+  w.key("modularity").value(result.modularity);
+  w.key("communities").value(static_cast<std::uint64_t>(core::count_communities(result.community)));
+  w.key("iterations").value(result.iterations);
+  w.key("wall_seconds").value(result.wall_seconds);
+  w.key("modeled_ms").value(result.modeled_ms());
+  w.end_object();
+  w.end_object();
+  return w.str();
+}
+
+std::string run_section(const graph::Graph& g, const baselines::LpaResult& result,
+                        double modularity) {
+  JsonWriter w;
+  begin_run(w, g);
+  w.key("result").begin_object();
+  w.key("modularity").value(modularity);
+  w.key("communities").value(static_cast<std::uint64_t>(result.num_communities));
+  w.key("iterations").value(result.iterations);
+  w.end_object();
+  w.end_object();
+  return w.str();
+}
+
+bool write_postmortem(const std::string& path, std::string_view reason,
+                      std::size_t last_n) noexcept {
+  try {
+    RunReport report;
+    report.flight = telemetry::FlightRecorder::global().json(reason, last_n);
+    report.save(path);
+    return true;
+  } catch (...) {
+    return false;
+  }
 }
 
 }  // namespace gala::metrics

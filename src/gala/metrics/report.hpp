@@ -1,27 +1,61 @@
-// Machine-readable run reports.
+// One run report: every fact a detection run records, in one JSON document.
 //
-// Builders that serialise detection runs (via the shared gala::JsonWriter,
-// see common/json.hpp) so downstream tooling (dashboards, regression
-// trackers) can consume bench and CLI output.
+//   {"report_schema":1,"run":{...},"metrics":{...},"profile":{...},
+//    "flight":{...},"health":{...},"mem":{...},"governor":{...},
+//    "provenance":{...}}
+//
+// Each section is the object its subsystem renders (telemetry::metrics_json,
+// Profiler::report_json, FlightRecorder::json, HealthReport::json,
+// MemReport::json, Governor::append_json) and carries no stamp of its own;
+// the report's one provenance member covers them all. A section left empty
+// is absent. `gala detect --report-out` writes the full report, the
+// supervisor's incident post-mortems write a flight-only one to the same
+// path, and tools/trace_check validates either.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 
+#include "gala/baselines/label_propagation.hpp"
 #include "gala/common/json.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/graph/csr.hpp"
+#include "gala/multigpu/dist_louvain.hpp"
 
 namespace gala::metrics {
 
 using ::gala::JsonWriter;  // writer lived here historically; keep the alias
 
-/// Serialises a detection run (graph summary, config highlights, per-level
-/// stats, final quality) as a JSON document.
-std::string run_report_json(const graph::Graph& g, const core::GalaConfig& config,
-                            const core::GalaResult& result);
+struct RunReport {
+  static constexpr int kSchema = 1;
 
-/// Writes run_report_json to a file.
-void save_run_report(const graph::Graph& g, const core::GalaConfig& config,
-                     const core::GalaResult& result, const std::string& path);
+  /// Pre-rendered JSON objects, in document order.
+  std::string run, metrics, profile, flight, health, mem, governor;
+
+  std::string json() const;
+  /// Writes json() to `path`; throws gala::Error naming the path on failure.
+  void save(const std::string& path) const;
+};
+
+/// The "run" section of a single-device detection: graph summary, config
+/// highlights, per-level stats and final quality.
+std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
+                        const core::GalaResult& result);
+
+/// The "run" section of a distributed phase-1 run.
+std::string run_section(const graph::Graph& g, const multigpu::DistributedConfig& config,
+                        const multigpu::DistributedResult& result);
+
+/// The "run" section of a label-propagation run scored at `modularity`.
+std::string run_section(const graph::Graph& g, const baselines::LpaResult& result,
+                        double modularity);
+
+/// Writes a report holding only the flight recorder's event window, tagged
+/// with `reason` (`last_n` > 0 keeps the newest n events). Returns false and
+/// never throws: post-mortems run inside exception handlers, and a dump that
+/// cannot be written must not mask the incident it records.
+bool write_postmortem(const std::string& path, std::string_view reason,
+                      std::size_t last_n = 0) noexcept;
 
 }  // namespace gala::metrics

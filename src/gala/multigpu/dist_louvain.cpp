@@ -111,10 +111,10 @@ class RankEngine final : public core::Phase1Driver {
         }
         stats.decide_traffic += traffic;
         if (span.active()) {
-          span.arg("rank", static_cast<double>(rank_));
+          span.last_arg("rank", static_cast<double>(rank_));
           // The iteration this decide serves: the log holds one entry per
           // completed community sync, so a window's presolve counts ahead.
-          span.arg("iteration", static_cast<double>(log_.size()));
+          span.last_arg("iteration", static_cast<double>(log_.size()));
           gpusim::attach_traffic(span, traffic, &config_.device.cost_model);
         }
         return;
@@ -293,8 +293,8 @@ class RankEngine final : public core::Phase1Driver {
       }
     }
     if (sync_span_->active()) {
-      sync_span_->arg("rank", static_cast<double>(rank_));
-      sync_span_->arg("iteration", static_cast<double>(iter_));
+      sync_span_->last_arg("rank", static_cast<double>(rank_));
+      sync_span_->last_arg("iteration", static_cast<double>(iter_));
       sync_span_->arg("bytes", static_cast<double>(out_msgs_.size() * sizeof(WeightMsg)));
       telemetry::Registry::global()
           .counter("multigpu.weight_sync_bytes")
@@ -382,8 +382,8 @@ class RankEngine final : public core::Phase1Driver {
       for (const codec::MoveRecord& m : recv_moves_) next_comm[m.vertex] = m.community;
     }
     if (sync_span_->active()) {
-      sync_span_->arg("rank", static_cast<double>(rank_));
-      sync_span_->arg("iteration", static_cast<double>(iter_));
+      sync_span_->last_arg("rank", static_cast<double>(rank_));
+      sync_span_->last_arg("iteration", static_cast<double>(iter_));
       sync_span_->arg("bytes", static_cast<double>(shipped_bytes_));
       sync_span_->arg("moved_total", static_cast<double>(moved_total_));
       sync_span_->arg("overlap", dist_.overlap ? 1.0 : 0.0);
@@ -446,8 +446,8 @@ class RankEngine final : public core::Phase1Driver {
     flow_id_ = 0;
     if (span.active()) {
       flow_id_ = (static_cast<std::uint64_t>(rank_) << 32) | ++flow_seq_;
-      span.arg("rank", static_cast<double>(rank_));
-      span.arg("iteration", static_cast<double>(iter_));
+      span.last_arg("rank", static_cast<double>(rank_));
+      span.last_arg("iteration", static_cast<double>(iter_));
       span.arg("bytes", static_cast<double>(payload.size()));
       span.flow_out(flow_id_);
     }
@@ -461,8 +461,8 @@ class RankEngine final : public core::Phase1Driver {
       telemetry::ScopedSpan span(telemetry::Tracer::global(), "complete_gather", "multigpu");
       world_.complete_gather_v<T>(std::move(posted_), comm_, out, credit_us);
       if (span.active()) {
-        span.arg("rank", static_cast<double>(rank_));
-        span.arg("iteration", static_cast<double>(iter_));
+        span.last_arg("rank", static_cast<double>(rank_));
+        span.last_arg("iteration", static_cast<double>(iter_));
         // Comm-wait attribution for this window: full modeled cost, the slice
         // hidden behind the window's work, and the exposed remainder on the
         // critical path.

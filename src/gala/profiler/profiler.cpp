@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gala/common/provenance.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::profiler {
@@ -83,7 +82,7 @@ void Profiler::record_launch(std::string_view name, std::size_t num_blocks,
     }
   }
 
-  // Surface the launch through the telemetry registry so --metrics-out and
+  // Surface the launch through the telemetry registry so the metrics report and
   // registry consumers see the same counters without a profile export.
   auto& registry = telemetry::Registry::global();
   registry.counter("profiler.gather_requests").add(traffic.gather_requests);
@@ -228,7 +227,6 @@ std::string Profiler::report_json() const {
   JsonWriter w;
   w.begin_object();
   append_report(w);
-  provenance::append(w, "profile", 1);
   w.end_object();
   return w.str();
 }

@@ -6,7 +6,8 @@
 // emulated *exactly*. The raw events live in `MemoryStats`; this layer scopes
 // them per kernel launch: `Device::launch` calls `record_launch` when the
 // profiler is enabled, and the accumulated per-kernel profiles export as a
-// roofline-style JSON report (`gala detect --profile-out`, bench sidecars).
+// roofline-style JSON report (the run report's "profile" section, bench
+// sidecars).
 //
 // Cost discipline matches the tracer: disabled (the default), the only cost
 // is one relaxed atomic load per launch. Enabled, the device additionally
@@ -96,7 +97,7 @@ class Profiler {
   std::vector<KernelProfile> snapshot() const;
 
   /// Writes the "kernels" array and "ceilings"/"schema" members into an open
-  /// JSON object (shared by --profile-out and the bench sidecars).
+  /// JSON object (shared by the run report and the bench sidecars).
   void append_report(JsonWriter& w) const;
 
   /// Complete report document: {"profile_schema":1,"ceilings":{...},

@@ -96,10 +96,10 @@ std::uint64_t CommunityStore::publish(const graph::Graph& g, std::span<const cid
   memtrace::charge("query.publish_scratch",
                    static_cast<std::uint64_t>(k) * sizeof(wt_t) +
                        (static_cast<std::uint64_t>(k) + 1) * sizeof(eid_t));
-  span.arg("communities", k);
+  span.last_arg("communities", k);
   span.arg("bytes", static_cast<double>(snap->bytes()));
   const std::uint64_t e = link_and_evict(std::move(snap));
-  span.arg("epoch", static_cast<double>(e));
+  span.last_arg("epoch", static_cast<double>(e));
   telemetry::Registry::global().counter("query.epochs_published").add(1);
   return e;
 }

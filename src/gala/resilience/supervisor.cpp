@@ -13,6 +13,7 @@
 #include "gala/core/sequential_louvain.hpp"
 #include "gala/core/vertex_following.hpp"
 #include "gala/metrics/health.hpp"
+#include "gala/metrics/report.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
@@ -123,12 +124,11 @@ SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaC
   auto& rollback_counter = telemetry::Registry::global().counter("resilience.rollbacks");
 
   // Post-mortem hook: each recovery decision dumps the flight recorder's
-  // merged event window. write_postmortem is noexcept — a dump that cannot
-  // be written never masks the incident being recorded.
+  // merged event window as a flight-only run report. write_postmortem is
+  // noexcept — a dump that cannot be written never masks the incident.
   auto dump_flight = [&sup](const std::string& reason) {
     if (sup.flight_dump_path.empty()) return;
-    telemetry::FlightRecorder::global().write_postmortem(sup.flight_dump_path, reason,
-                                                         sup.flight_dump_depth);
+    metrics::write_postmortem(sup.flight_dump_path, reason, sup.flight_dump_depth);
   };
 
   // Health advisory: a fresh monitor per phase-1 attempt (each attempt is
@@ -258,7 +258,7 @@ SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaC
 
     if (level == 0 && config.keep_first_round) result.first_round = phase1;
     if (level_span.active()) {
-      level_span.arg("level", static_cast<double>(level));
+      level_span.last_arg("level", static_cast<double>(level));
       level_span.arg("vertices", static_cast<double>(current->num_vertices()));
       level_span.last_arg("modularity", phase1.modularity);
     }

@@ -66,9 +66,10 @@ struct SupervisorConfig {
   double q_slack = 1e-9;
   /// When non-empty, every recovery decision (retry, validator failure,
   /// sequential fallback, rollback) dumps the flight recorder's merged
-  /// event window to this path as a post-mortem JSON document
-  /// (telemetry/flight_recorder.hpp). Later dumps overwrite earlier ones,
-  /// so the file always holds the window around the *latest* incident.
+  /// event window to this path as a flight-only run report
+  /// (metrics/report.hpp). Later dumps overwrite earlier ones, so the file
+  /// always holds the window around the *latest* incident; the CLI passes
+  /// its --report-out path, which the end-of-run report then overwrites.
   std::string flight_dump_path;
   /// Keep only the newest N events per dump (0 = the full window).
   std::size_t flight_dump_depth = 0;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <fstream>
 
 #include "gala/common/json.hpp"
-#include "gala/common/provenance.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::telemetry {
@@ -229,21 +227,8 @@ std::string FlightRecorder::json(std::string_view reason, std::size_t last_n) co
     w.end_object();
   }
   w.end_array();
-  provenance::append(w, "flight", static_cast<int>(kSchema));
   w.end_object();
   return w.str();
-}
-
-bool FlightRecorder::write_postmortem(const std::string& path, std::string_view reason,
-                                      std::size_t last_n) const noexcept {
-  try {
-    std::ofstream out(path);
-    if (!out.is_open()) return false;
-    out << json(reason, last_n) << '\n';
-    return out.good();
-  } catch (...) {
-    return false;
-  }
 }
 
 }  // namespace gala::telemetry

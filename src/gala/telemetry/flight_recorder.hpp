@@ -8,9 +8,9 @@
 // allocation, ...) to its thread's ring; the ring overwrites its oldest
 // events, so memory is bounded and the last `depth` events per thread are
 // always available. The resilience supervisor drains the merged window into
-// a post-mortem JSON file on any validator failure, retry exhaustion, or
-// degradation event (docs/resilience.md), and the CLI exposes the same dump
-// via --flight-out / --flight-depth.
+// a post-mortem run report on any validator failure, retry exhaustion, or
+// degradation event (docs/resilience.md), and the CLI's --report-out carries
+// the same window as its "flight" section.
 //
 // Cost discipline: the recorder is armed by default, and an armed append is
 // a handful of relaxed atomic word stores into a pre-allocated ring — no
@@ -24,7 +24,7 @@
 // every ring through atomic word loads while writers keep appending, then
 // discards any slot the writer could have lapped during the copy. The global
 // monotonic event clock (`seq`) gives a total order across threads and
-// ranks, which trace_check --flight validates.
+// ranks, which trace_check validates in a report's flight section.
 #pragma once
 
 #include <atomic>
@@ -134,11 +134,6 @@ class FlightRecorder {
   /// "recorded":...,"dropped":...,"events":[...]} with events sorted by seq.
   /// `last_n` > 0 keeps only the newest n events.
   std::string json(std::string_view reason, std::size_t last_n = 0) const;
-
-  /// Writes json() to `path`. Returns false (never throws) on I/O failure —
-  /// post-mortem dumps run inside exception handlers.
-  bool write_postmortem(const std::string& path, std::string_view reason,
-                        std::size_t last_n = 0) const noexcept;
 
  private:
   struct Ring;

@@ -455,7 +455,6 @@ std::string metrics_json(const Tracer& tracer, const Registry& registry) {
   w.begin_object();
   tracer.append_summary(w);
   registry.append_json(w);
-  provenance::append(w, "metrics", 1);
   w.end_object();
   return w.str();
 }

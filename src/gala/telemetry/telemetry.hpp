@@ -430,7 +430,7 @@ class Registry {
 };
 
 /// Combined metrics document: the tracer's aggregated span summary plus the
-/// registry's instruments (the CLI's --metrics-out payload).
+/// registry's instruments (the run report's "metrics" section).
 std::string metrics_json(const Tracer& tracer, const Registry& registry);
 
 void write_file(const std::string& path, const std::string& contents);

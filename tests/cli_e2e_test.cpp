@@ -34,6 +34,16 @@ class CliE2e : public ::testing::Test {
     return WEXITSTATUS(status);
   }
 
+  std::string slurp(const std::string& name) const {
+    std::ifstream in(path(name));
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }
+
+  /// The parsed run report written to `name` by --report-out.
+  gala::JsonValue report(const std::string& name) const { return gala::parse_json(slurp(name)); }
+
   gala::testing::ScopedTempDir tmp_;
 };
 
@@ -64,11 +74,13 @@ TEST_F(CliE2e, GenerateDetectPipeline) {
 
 TEST_F(CliE2e, DetectWithStandinAndJsonReport) {
   std::string out;
-  ASSERT_EQ(run("detect standin:HW:0.05 --refine --json " + path("run.json"), &out), 0) << out;
-  std::ifstream json(path("run.json"));
-  std::ostringstream ss;
-  ss << json.rdbuf();
-  EXPECT_NE(ss.str().find("\"refine\":true"), std::string::npos);
+  ASSERT_EQ(run("detect standin:HW:0.05 --refine --report-out " + path("run.json"), &out), 0)
+      << out;
+  EXPECT_NE(out.find("wrote run report to"), std::string::npos) << out;
+  const gala::JsonValue doc = report("run.json");
+  EXPECT_EQ(doc.at("report_schema").number, 1);
+  EXPECT_TRUE(doc.at("run").at("config").at("refine").boolean);
+  EXPECT_EQ(doc.at("provenance").at("schema").string, "report");
 }
 
 TEST_F(CliE2e, DistributedDetect) {
@@ -77,10 +89,55 @@ TEST_F(CliE2e, DistributedDetect) {
   EXPECT_NE(out.find("distributed phase 1 on 4 devices"), std::string::npos);
 }
 
+TEST_F(CliE2e, DistributedRunReportCarriesTheResult) {
+  std::string out;
+  ASSERT_EQ(run("detect standin:HW:0.05 --gpus 4 --report-out " + path("d.json"), &out), 0)
+      << out;
+  const gala::JsonValue run_section = report("d.json").at("run");
+  EXPECT_EQ(run_section.at("config").at("devices").number, 4);
+  const gala::JsonValue& result = run_section.at("result");
+  ASSERT_TRUE(result.at("modularity").is_number());
+  EXPECT_GT(result.at("modularity").number, 0);
+  EXPECT_GT(result.at("iterations").number, 0);
+  EXPECT_GT(result.at("communities").number, 0);
+  EXPECT_GT(result.at("modeled_ms").number, 0);
+}
+
 TEST_F(CliE2e, LpaAlgorithm) {
   std::string out;
   ASSERT_EQ(run("detect standin:LJ:0.05 --algorithm lpa", &out), 0) << out;
   EXPECT_NE(out.find("label propagation"), std::string::npos);
+}
+
+TEST_F(CliE2e, LpaRunReportCarriesTheResult) {
+  std::string out;
+  ASSERT_EQ(run("detect standin:LJ:0.05 --algorithm lpa --report-out " + path("l.json"), &out),
+            0)
+      << out;
+  const gala::JsonValue result = report("l.json").at("run").at("result");
+  ASSERT_TRUE(result.at("modularity").is_number());
+  EXPECT_GT(result.at("modularity").number, 0);
+  EXPECT_GT(result.at("iterations").number, 0);
+  EXPECT_GT(result.at("communities").number, 0);
+}
+
+TEST_F(CliE2e, ReportArmSwitchLeavesPartitionsByteIdentical) {
+  // Arming every observer must not move a single decision: the partition
+  // written with --report-out equals the one written without it.
+  for (const std::string engine : {"--backend bsp", "--backend blas", "--gpus 4 --overlap"}) {
+    std::string out;
+    ASSERT_EQ(run("detect standin:HW:0.05 " + engine + " --output " + path("plain.txt"), &out),
+              0)
+        << engine << "\n" << out;
+    ASSERT_EQ(run("detect standin:HW:0.05 " + engine + " --output " + path("armed.txt") +
+                      " --report-out " + path("armed.json"),
+                  &out),
+              0)
+        << engine << "\n" << out;
+    const std::string plain = slurp("plain.txt");
+    EXPECT_FALSE(plain.empty()) << engine;
+    EXPECT_EQ(plain, slurp("armed.txt")) << engine;
+  }
 }
 
 TEST_F(CliE2e, StatsCommand) {
@@ -117,18 +174,11 @@ TEST_F(CliE2e, CompareCommand) {
 TEST_F(CliE2e, DetectEmitsTraceAndMetrics) {
   std::string out;
   ASSERT_EQ(run("detect standin:HW:0.05 --trace-out " + path("run.trace.json") +
-                    " --metrics-out " + path("run.metrics.json"),
+                    " --report-out " + path("run.json"),
                 &out),
             0)
       << out;
   EXPECT_NE(out.find("wrote trace to"), std::string::npos);
-
-  const auto slurp = [this](const std::string& name) {
-    std::ifstream in(path(name));
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
 
   // The trace is valid Chrome-trace JSON containing the pipeline phases.
   const gala::JsonValue trace = gala::parse_json(slurp("run.trace.json"));
@@ -153,8 +203,8 @@ TEST_F(CliE2e, DetectEmitsTraceAndMetrics) {
   }
   EXPECT_GT(counter_events, 0u) << "trace missing the memory counter track";
 
-  // The metrics document carries the aggregated spans and the registry.
-  const gala::JsonValue metrics = gala::parse_json(slurp("run.metrics.json"));
+  // The metrics section carries the aggregated spans and the registry.
+  const gala::JsonValue metrics = report("run.json").at("metrics");
   EXPECT_NE(metrics.at("spans").find("phase1/decide"), nullptr);
   EXPECT_NE(metrics.at("spans").find("pipeline/phase1"), nullptr);
   EXPECT_GT(metrics.at("counters").at("gpusim.launches").number, 0);
@@ -164,14 +214,10 @@ TEST_F(CliE2e, DetectEmitsTraceAndMetrics) {
 
 TEST_F(CliE2e, DetectEmitsKernelProfile) {
   std::string out;
-  ASSERT_EQ(run("detect standin:HW:0.05 --profile-out " + path("run.profile.json"), &out), 0)
-      << out;
-  EXPECT_NE(out.find("wrote kernel profile to"), std::string::npos);
+  ASSERT_EQ(run("detect standin:HW:0.05 --report-out " + path("run.json"), &out), 0) << out;
+  EXPECT_NE(out.find("wrote run report to"), std::string::npos);
 
-  std::ifstream in(path("run.profile.json"));
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const gala::JsonValue profile = gala::parse_json(ss.str());
+  const gala::JsonValue profile = report("run.json").at("profile");
   EXPECT_EQ(profile.at("profile_schema").number, 1);
   EXPECT_GT(profile.at("ceilings").at("dram_gbps").number, 0);
 
@@ -190,20 +236,13 @@ TEST_F(CliE2e, DetectEmitsKernelProfile) {
 
 TEST_F(CliE2e, DetectEmitsFlightRecorderDump) {
   std::string out;
-  ASSERT_EQ(run("detect standin:HW:0.05 --flight-out " + path("run.flight.json") +
-                    " --flight-depth 256",
-                &out),
-            0)
-      << out;
-  EXPECT_NE(out.find("wrote flight recorder dump to"), std::string::npos);
+  ASSERT_EQ(run("detect standin:HW:0.05 --report-out " + path("run.json"), &out), 0) << out;
+  EXPECT_NE(out.find("wrote run report to"), std::string::npos);
 
-  std::ifstream in(path("run.flight.json"));
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const gala::JsonValue doc = gala::parse_json(ss.str());
+  const gala::JsonValue doc = report("run.json").at("flight");
   EXPECT_EQ(doc.at("flight_schema").number, 1);
   EXPECT_EQ(doc.at("reason").string, "end-of-run");
-  EXPECT_EQ(doc.at("depth").number, 256);
+  EXPECT_EQ(doc.at("depth").number, 4096);  // the ring's default depth
   const auto& events = doc.at("events").array;
   ASSERT_FALSE(events.empty());
   double prev_seq = -1;
@@ -220,14 +259,10 @@ TEST_F(CliE2e, DetectEmitsFlightRecorderDump) {
 
 TEST_F(CliE2e, DetectEmitsHealthReport) {
   std::string out;
-  ASSERT_EQ(run("detect standin:HW:0.05 --health-out " + path("run.health.json"), &out), 0)
-      << out;
-  EXPECT_NE(out.find("wrote health report to"), std::string::npos);
+  ASSERT_EQ(run("detect standin:HW:0.05 --report-out " + path("run.json"), &out), 0) << out;
+  EXPECT_NE(out.find("wrote run report to"), std::string::npos);
 
-  std::ifstream in(path("run.health.json"));
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const gala::JsonValue doc = gala::parse_json(ss.str());
+  const gala::JsonValue doc = report("run.json").at("health");
   EXPECT_EQ(doc.at("health_schema").number, 1);
   ASSERT_FALSE(doc.at("levels").array.empty());
   EXPECT_GT(doc.at("summary").at("total_iterations").number, 0);
@@ -239,13 +274,12 @@ TEST_F(CliE2e, DetectEmitsHealthReport) {
 
 TEST_F(CliE2e, DetectEmitsMemReport) {
   std::string out;
-  ASSERT_EQ(run("detect standin:HW:0.05 --mem-out " + path("run.mem.json"), &out), 0) << out;
-  EXPECT_NE(out.find("wrote memory report to"), std::string::npos);
+  ASSERT_EQ(run("detect standin:HW:0.05 --report-out " + path("run.json"), &out), 0) << out;
+  EXPECT_NE(out.find("wrote run report to"), std::string::npos);
 
-  std::ifstream in(path("run.mem.json"));
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const gala::JsonValue doc = gala::parse_json(ss.str());
+  const gala::JsonValue report_doc = report("run.json");
+  EXPECT_EQ(report_doc.find("governor"), nullptr) << "no budget, no governor section";
+  const gala::JsonValue& doc = report_doc.at("mem");
   EXPECT_EQ(doc.at("mem_schema").number, 1);
   ASSERT_FALSE(doc.at("subsystems").array.empty());
   std::set<std::string> names;
@@ -264,8 +298,7 @@ TEST_F(CliE2e, UnwritableOutputPathsFailFastWithFileAndReason) {
   // Every output flag probes its path up front (one shared
   // probe_output_path table in the CLI): the run must fail before any work
   // happens, naming the file and the OS reason.
-  for (const char* flag : {"--output", "--json", "--trace-out", "--metrics-out", "--profile-out",
-                           "--flight-out", "--health-out", "--mem-out", "--governor-out"}) {
+  for (const char* flag : {"--output", "--trace-out", "--report-out"}) {
     std::string out;
     EXPECT_NE(run(std::string("detect standin:HW:0.05 ") + flag +
                       " /nonexistent-dir/out.json",
@@ -280,47 +313,35 @@ TEST_F(CliE2e, UnwritableOutputPathsFailFastWithFileAndReason) {
 
 TEST_F(CliE2e, GovernedDetectEmitsGovernorSectionAndReport) {
   std::string out;
-  ASSERT_EQ(run("detect standin:HW:0.05 --mem-budget 1G --mem-out " + path("gov.mem.json") +
-                    " --governor-out " + path("gov.json"),
-                &out),
+  ASSERT_EQ(run("detect standin:HW:0.05 --mem-budget 1G --report-out " + path("gov.json"), &out),
             0)
       << out;
   EXPECT_NE(out.find("governor: enforcing budget 1073741824 B"), std::string::npos) << out;
   EXPECT_NE(out.find("governor: budget"), std::string::npos) << out;
-  EXPECT_NE(out.find("wrote governor report to"), std::string::npos) << out;
+  EXPECT_NE(out.find("wrote run report to"), std::string::npos) << out;
 
-  const auto slurp = [this](const std::string& name) {
-    std::ifstream in(path(name));
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
   // A generous budget engages no rungs, but the governor section must still
-  // land in both documents with the budget and zeroed ladder state.
-  const gala::JsonValue mem = gala::parse_json(slurp("gov.mem.json"));
-  ASSERT_NE(mem.find("governor"), nullptr) << "mem report missing governor section";
-  EXPECT_EQ(mem.at("governor").at("budget_total").number, 1073741824.0);
-  EXPECT_EQ(mem.at("governor").at("rung").string, "none");
-  EXPECT_EQ(mem.at("governor").at("denials").number, 0);
-  EXPECT_GT(mem.at("governor").at("admits").number, 0);
-
-  const gala::JsonValue gov = gala::parse_json(slurp("gov.json"));
-  EXPECT_EQ(gov.at("governor").at("budget_total").number, 1073741824.0);
-  EXPECT_EQ(gov.at("provenance").at("schema").string, "governor");
+  // land, once, with the budget and zeroed ladder state.
+  const gala::JsonValue doc = report("gov.json");
+  EXPECT_EQ(doc.at("mem").find("governor"), nullptr) << "the governor section appears once";
+  const gala::JsonValue& gov = doc.at("governor");
+  EXPECT_EQ(gov.at("budget_total").number, 1073741824.0);
+  EXPECT_EQ(gov.at("rung").string, "none");
+  EXPECT_EQ(gov.at("denials").number, 0);
+  EXPECT_GT(gov.at("admits").number, 0);
+  EXPECT_EQ(gov.find("min_feasible_budget_bytes"), nullptr) << "no probe was run";
+  EXPECT_EQ(doc.at("provenance").at("schema").string, "report");
 }
 
 TEST_F(CliE2e, ProbeMinBudgetReportsAFeasibleFloor) {
   std::string out;
-  ASSERT_EQ(run("detect standin:HW:0.05 --probe-min-budget --governor-out " + path("probe.json"),
+  ASSERT_EQ(run("detect standin:HW:0.05 --probe-min-budget --report-out " + path("probe.json"),
                 &out),
             0)
       << out;
   EXPECT_NE(out.find("min feasible budget:"), std::string::npos) << out;
 
-  std::ifstream in(path("probe.json"));
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const gala::JsonValue doc = gala::parse_json(ss.str());
+  const gala::JsonValue doc = report("probe.json").at("governor");
   const double min_feasible = doc.at("min_feasible_budget_bytes").number;
   const double peak = doc.at("unlimited_peak_bytes").number;
   EXPECT_GT(min_feasible, 0) << "probe found no feasible budget";
@@ -347,13 +368,17 @@ TEST_F(CliE2e, InvalidBudgetsAreRejectedWithFlagAndReason) {
   EXPECT_NE(out.find("must be positive"), std::string::npos) << out;
 }
 
-TEST_F(CliE2e, InvalidFlightDepthIsRejected) {
-  std::string out;
-  EXPECT_NE(run("detect standin:HW:0.05 --flight-depth 0 --flight-out " +
-                    path("fl.json"),
-                &out),
-            0);
-  EXPECT_NE(out.find("flight-depth"), std::string::npos) << out;
+TEST_F(CliE2e, RetiredReportFlagsAreRejected) {
+  // --output, --trace-out and --report-out are the only files detect
+  // writes: any per-subsystem report flag is an unknown option that fails
+  // the parse before any work.
+  for (const char* flag : {"--json", "--metrics-out", "--profile-out", "--flight-out",
+                           "--flight-depth", "--health-out", "--mem-out", "--governor-out"}) {
+    std::string out;
+    EXPECT_EQ(run(std::string("detect standin:HW:0.05 ") + flag + " " + path("x.json"), &out), 2)
+        << flag << "\n" << out;
+    EXPECT_EQ(out.find("graph:"), std::string::npos) << flag << "\n" << out;
+  }
 }
 
 TEST_F(CliE2e, ErrorPathsReturnNonZero) {

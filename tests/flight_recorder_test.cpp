@@ -219,21 +219,6 @@ TEST_F(FlightRecorderTest, JsonLastNKeepsOnlyNewestEvents) {
   EXPECT_DOUBLE_EQ(events[3].at("a").number, 9);
 }
 
-TEST_F(FlightRecorderTest, WritePostmortemReportsIoFailureWithoutThrowing) {
-  auto& rec = FlightRecorder::global();
-  rec.record(FlightKind::Apply);
-  EXPECT_FALSE(rec.write_postmortem("/nonexistent-dir/flight.json", "reason"));
-
-  const gala::testing::ScopedTempDir tmp;
-  const std::string path = tmp.file("flight_ok.json");
-  EXPECT_TRUE(rec.write_postmortem(path, "reason"));
-  std::ifstream in(path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const JsonValue doc = parse_json(ss.str());
-  EXPECT_EQ(doc.at("events").array.size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Chaos contract: every injected fault leaves a non-empty post-mortem window.
 
@@ -269,13 +254,16 @@ TEST_F(FlightRecorderTest, EveryInjectedFaultProducesNonEmptyPostMortem) {
   const auto result = resilience::run_louvain_supervised(g, {}, sup);
   EXPECT_EQ(result.retries, 1);
 
-  // The supervisor dumped the window at the retry decision; the dump must
-  // exist, parse, and contain the fault and the retry that answered it.
+  // The supervisor dumped the window at the retry decision as a flight-only
+  // run report; it must exist, parse, and contain the fault and the retry
+  // that answered it.
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
   std::ostringstream ss;
   ss << in.rdbuf();
-  const JsonValue doc = parse_json(ss.str());
+  const JsonValue report = parse_json(ss.str());
+  EXPECT_NE(report.find("report_schema"), nullptr);
+  const JsonValue& doc = report.at("flight");
   EXPECT_EQ(doc.at("flight_schema").number, FlightRecorder::kSchema);
   const auto& events = doc.at("events").array;
   ASSERT_FALSE(events.empty());

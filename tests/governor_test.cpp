@@ -34,6 +34,15 @@ struct GovernorFixture : ::testing::Test {
   }
 };
 
+/// The governor's run-report members, parsed as one object.
+JsonValue section(const Governor& gov) {
+  JsonWriter w;
+  w.begin_object();
+  gov.append_json(w);
+  w.end_object();
+  return parse_json(w.str());
+}
+
 using GovernorLadder = GovernorFixture;
 using GovernorShrink = GovernorFixture;
 using GovernorEnforce = GovernorFixture;
@@ -84,7 +93,7 @@ TEST_F(GovernorLadder, RungsAreStickyAndTransitionsMonotone) {
   gov.admit("test.x", 10, false);  // pressure released: the ladder stays put
   EXPECT_EQ(gov.rung(), Rung::ChunkedFrontier);
 
-  const JsonValue doc = parse_json(gov.section_json());
+  const JsonValue doc = section(gov);
   const auto& transitions = doc.at("transitions").array;
   ASSERT_EQ(transitions.size(), 4u);
   double prev = 0;
@@ -161,7 +170,7 @@ TEST_F(GovernorShrink, BudgetShrinkFaultSiteCutsTheBudgetDeterministically) {
   EXPECT_EQ(gov.budget_total(), 500u);
   EXPECT_EQ(gov.shrinks(), 1u);
 
-  const JsonValue doc = parse_json(gov.section_json());
+  const JsonValue doc = section(gov);
   EXPECT_EQ(doc.at("budget_initial").number, 1000.0);
   EXPECT_EQ(doc.at("budget_total").number, 500.0);
 }
@@ -229,7 +238,7 @@ TEST_F(GovernorEnforce, ConcurrentEscalationsStayMonotoneAndTeardownIsSafe) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(gov.rung(), Rung::ChunkedFrontier);
 
-  const JsonValue doc = parse_json(gov.section_json());
+  const JsonValue doc = section(gov);
   const auto& transitions = doc.at("transitions").array;
   ASSERT_EQ(transitions.size(), 4u);
   double prev = 0;
@@ -259,7 +268,7 @@ TEST_F(GovernorEnforce, SectionJsonShape) {
   ScopedBudget scoped(cfg);
   Governor::global().admit("test.x", 100, false);
 
-  const JsonValue doc = parse_json(Governor::global().section_json());
+  const JsonValue doc = section(Governor::global());
   EXPECT_EQ(doc.at("budget_total").number, 2048.0);
   EXPECT_EQ(doc.at("rung").string, "none");
   EXPECT_EQ(doc.at("rung_ordinal").number, 0.0);

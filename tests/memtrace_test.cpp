@@ -3,7 +3,7 @@
 // report are a function of the request sequence, so they are byte-identical
 // across pooling and sync configurations, mirroring the health report), the
 // leak detector, the epoch-aligned residency timeline and its Chrome counter
-// track, and the provenance stamp shared by every JSON report writer.
+// track, and the report document shape.
 #include "gala/memtrace/memtrace.hpp"
 
 #include <gtest/gtest.h>
@@ -18,10 +18,7 @@
 #include "gala/exec/context.hpp"
 #include "gala/exec/workspace.hpp"
 #include "gala/governor/governor.hpp"
-#include "gala/metrics/health.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
-#include "gala/profiler/profiler.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
 #include "gala/telemetry/telemetry.hpp"
 #include "test_util.hpp"
 
@@ -319,17 +316,7 @@ TEST(MemBudgetSweep, PartitionsAreBitIdenticalDownToMinFeasible) {
 }
 
 // ---------------------------------------------------------------------------
-// Report document shape and cross-writer provenance.
-
-void expect_provenance(const std::string& json, const std::string& schema) {
-  const JsonValue doc = parse_json(json);
-  const JsonValue* prov = doc.find("provenance");
-  ASSERT_NE(prov, nullptr) << schema << " report has no provenance";
-  EXPECT_FALSE(prov->at("git_sha").string.empty());
-  EXPECT_FALSE(prov->at("build_type").string.empty());
-  EXPECT_EQ(prov->at("schema").string, schema);
-  EXPECT_GE(prov->at("schema_version").number, 1);
-}
+// Report document shape.
 
 TEST(MemReportTest, JsonShapeAndSanity) {
   const auto g = gala::testing::small_planted();
@@ -358,35 +345,6 @@ TEST(MemReportTest, JsonShapeAndSanity) {
   // The deterministic surface must not carry the pool-state dependent host
   // section.
   EXPECT_EQ(parse_json(rep.json(false)).find("host"), nullptr);
-}
-
-TEST(MemReportTest, GovernorSectionSplicesInAndIsAbsentWhenEmpty) {
-  MemRegistry reg;
-  reg.on_alloc("a.b", 64, 64, /*workspace=*/false);
-  MemReport rep = reg.report();
-  EXPECT_EQ(parse_json(rep.json(false)).find("governor"), nullptr)
-      << "an ungoverned report must not grow a governor key (byte-identity pin)";
-  rep.governor = "{\"budget_total\":123,\"rung\":\"none\"}";
-  const JsonValue doc = parse_json(rep.json(false));
-  ASSERT_NE(doc.find("governor"), nullptr);
-  EXPECT_EQ(doc.at("governor").at("budget_total").number, 123.0);
-  EXPECT_EQ(doc.at("governor").at("rung").string, "none");
-}
-
-TEST(ProvenanceTest, EveryReportWriterIsStamped) {
-  MemRegistry::global().reset();
-  expect_provenance(MemRegistry::global().report().json(), "mem");
-
-  metrics::HealthMonitor monitor;
-  expect_provenance(monitor.report().json(), "health");
-
-  expect_provenance(telemetry::FlightRecorder::global().json("test"), "flight");
-
-  auto& tracer = telemetry::Tracer::global();
-  expect_provenance(tracer.chrome_trace_json(), "trace");
-  expect_provenance(telemetry::metrics_json(tracer, telemetry::Registry::global()), "metrics");
-
-  expect_provenance(profiler::Profiler::global().report_json(), "profile");
 }
 
 }  // namespace

@@ -4,8 +4,13 @@
 #include <fstream>
 
 #include "gala/core/gala.hpp"
+#include "gala/memtrace/memtrace.hpp"
+#include "gala/metrics/health.hpp"
 #include "gala/metrics/report.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
+#include "gala/profiler/profiler.hpp"
+#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/telemetry/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -35,12 +40,17 @@ TEST(JsonWriter, MismatchedEndThrows) {
   EXPECT_THROW(w.end_array(), Error);
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(RunReport, ContainsTheKeyFacts) {
   const auto g = testing::small_planted(3, 300, 6, 0.2);
   core::GalaConfig cfg;
   cfg.refine = true;
   const auto result = core::run_louvain(g, cfg);
-  const std::string json = metrics::run_report_json(g, cfg, result);
+  const std::string json = metrics::run_section(g, cfg, result);
   EXPECT_NE(json.find("\"pruning\":\"MG\""), std::string::npos);
   EXPECT_NE(json.find("\"refine\":true"), std::string::npos);
   EXPECT_NE(json.find("\"modularity\":"), std::string::npos);
@@ -54,10 +64,79 @@ TEST(RunReport, SavesToDisk) {
   const auto result = core::run_louvain(g);
   const testing::ScopedTempDir tmp;
   const auto path = tmp.file("run.json");
-  metrics::save_run_report(g, {}, result, path);
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("\"vertices\":6"), std::string::npos);
+  metrics::RunReport report;
+  report.run = metrics::run_section(g, {}, result);
+  report.save(path);
+  const JsonValue doc = parse_json(slurp(path));
+  EXPECT_EQ(doc.at("report_schema").number, metrics::RunReport::kSchema);
+  EXPECT_EQ(doc.at("run").at("graph").at("vertices").number, 6);
+  EXPECT_EQ(doc.find("metrics"), nullptr) << "an empty section must be absent";
+  EXPECT_THROW(report.save("/nonexistent-dir/run.json"), Error);
+}
+
+TEST(RunReport, PostmortemReportsIoFailureWithoutThrowing) {
+  auto& rec = telemetry::FlightRecorder::global();
+  rec.reset();
+  rec.record(telemetry::FlightKind::Apply);
+  EXPECT_FALSE(metrics::write_postmortem("/nonexistent-dir/flight.json", "reason"));
+
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.file("flight_ok.json");
+  EXPECT_TRUE(metrics::write_postmortem(path, "reason"));
+  const JsonValue doc = parse_json(slurp(path));
+  EXPECT_EQ(doc.at("flight").at("reason").string, "reason");
+  EXPECT_EQ(doc.at("flight").at("events").array.size(), 1u);
+  for (const char* absent : {"run", "metrics", "profile", "health", "mem", "governor"}) {
+    EXPECT_EQ(doc.find(absent), nullptr) << absent;
+  }
+  rec.reset();
+}
+
+TEST(RunReport, GovernorSectionIsAbsentWhenEmpty) {
+  memtrace::MemRegistry reg;
+  reg.on_alloc("a.b", 64, 64, /*workspace=*/false);
+  metrics::RunReport report;
+  report.mem = reg.report().json(false);
+  JsonValue doc = parse_json(report.json());
+  EXPECT_EQ(doc.find("governor"), nullptr)
+      << "an ungoverned report must not grow a governor section";
+  EXPECT_EQ(doc.at("mem").find("governor"), nullptr) << "the governor section appears once";
+  report.governor = "{\"budget_total\":123,\"rung\":\"none\"}";
+  doc = parse_json(report.json());
+  EXPECT_EQ(doc.at("governor").at("budget_total").number, 123.0);
+  EXPECT_EQ(doc.at("governor").at("rung").string, "none");
+}
+
+TEST(ProvenanceTest, EveryReportWriterIsStamped) {
+  // The run report and the Chrome trace are the two documents written; each
+  // carries one stamp, and the sections the report embeds carry none.
+  const auto expect_stamp = [](const JsonValue& doc, const std::string& schema) {
+    const JsonValue* prov = doc.find("provenance");
+    ASSERT_NE(prov, nullptr) << schema << " document has no provenance";
+    EXPECT_FALSE(prov->at("git_sha").string.empty());
+    EXPECT_FALSE(prov->at("build_type").string.empty());
+    EXPECT_EQ(prov->at("schema").string, schema);
+    EXPECT_GE(prov->at("schema_version").number, 1);
+  };
+  auto& tracer = telemetry::Tracer::global();
+  expect_stamp(parse_json(tracer.chrome_trace_json()), "trace");
+
+  metrics::RunReport report;
+  report.metrics = telemetry::metrics_json(tracer, telemetry::Registry::global());
+  report.profile = profiler::Profiler::global().report_json();
+  report.flight = telemetry::FlightRecorder::global().json("test");
+  report.health = metrics::HealthMonitor().report().json();
+  report.mem = memtrace::MemRegistry::global().report().json();
+  const JsonValue doc = parse_json(report.json());
+  expect_stamp(doc, "report");
+  for (const char* section : {"metrics", "profile", "flight", "health", "mem"}) {
+    EXPECT_EQ(doc.at(section).find("provenance"), nullptr) << section;
+  }
+
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.file("postmortem.json");
+  ASSERT_TRUE(metrics::write_postmortem(path, "incident"));
+  expect_stamp(parse_json(slurp(path)), "report");
 }
 
 TEST(DistributedFull, MatchesSingleDevicePipelineQuality) {

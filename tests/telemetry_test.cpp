@@ -14,6 +14,7 @@
 
 #include "gala/common/json.hpp"
 #include "gala/core/bsp_louvain.hpp"
+#include "gala/core/gala.hpp"
 #include "gala/graph/generators.hpp"
 #include "gala/telemetry/telemetry.hpp"
 #include "test_util.hpp"
@@ -617,11 +618,45 @@ TEST(PipelineTelemetry, SummaryRatiosComeFromSummedParts) {
                           "ht_mean_probe_length"}) {
     EXPECT_EQ(checked.count(key), 1u) << key << " never rolled up over >= 2 launches";
   }
-  // States roll up as their last value.
+  // States and identifiers roll up as their last value.
   const JsonValue& iteration = doc.at("spans").at("phase1/iteration");
-  ASSERT_GE(iteration.at("count").number, 2);
+  ASSERT_GE(iteration.at("count").number, 3);  // a sum of indices 0..n-1 would exceed n-1
   EXPECT_EQ(iteration.at("args").at("modularity").number, result.iterations.back().modularity);
   EXPECT_EQ(iteration.at("args").at("delta_q").number, result.iterations.back().delta_q);
+  EXPECT_EQ(iteration.at("args").at("iteration").number,
+            static_cast<double>(result.iterations.size() - 1));
+}
+
+TEST(PipelineTelemetry, LevelIdentifiersRollUpAsLastValues) {
+  auto& tracer = Tracer::global();
+  tracer.reset();
+  tracer.set_enabled(true);
+  graph::PlantedPartitionParams params;
+  params.num_vertices = 600;
+  params.num_communities = 12;
+  params.avg_degree = 12;
+  params.mixing = 0.2;
+  params.seed = 5;
+  const graph::Graph g = graph::planted_partition(params, nullptr);
+  const core::GalaResult result = core::run_louvain(g);
+  tracer.set_enabled(false);
+  const JsonValue doc = parse_json(tracer.summary_json());
+  tracer.reset();
+
+  // Level indices and community counts are states: summed over levels they
+  // would read as a level that never ran and communities that never existed.
+  ASSERT_GE(result.levels.size(), 2u);
+  const JsonValue& level = doc.at("spans").at("pipeline/level");
+  EXPECT_EQ(level.at("count").number, static_cast<double>(result.levels.size()));
+  EXPECT_EQ(level.at("args").at("level").number, static_cast<double>(result.levels.size() - 1));
+  EXPECT_EQ(level.at("args").at("communities").number,
+            static_cast<double>(result.levels.back().communities));
+  EXPECT_EQ(doc.at("spans").at("pipeline/phase1").at("args").at("communities").number,
+            static_cast<double>(result.levels.back().communities));
+  // Vertices are work done: they stay a sum over the levels.
+  double vertices = 0;
+  for (const auto& lv : result.levels) vertices += lv.vertices;
+  EXPECT_EQ(level.at("args").at("vertices").number, vertices);
 }
 
 TEST(PipelineTelemetry, MetricsJsonCombinesSpansAndRegistry) {

@@ -18,7 +18,6 @@
 #include "gala/baselines/label_propagation.hpp"
 #include "gala/common/cli.hpp"
 #include "gala/common/json.hpp"
-#include "gala/common/provenance.hpp"
 #include "gala/common/table.hpp"
 #include "gala/common/timer.hpp"
 #include "gala/governor/governor.hpp"
@@ -161,24 +160,13 @@ int cmd_detect(int argc, const char* const* argv) {
                   "1")
       .add_option("output", "write 'vertex community' lines here", "")
       .add_option("algorithm", "louvain|lpa", "louvain")
-      .add_option("json", "write a machine-readable run report here", "")
       .add_option("trace-out", "write a Chrome-trace/Perfetto JSON of the run here", "")
-      .add_option("metrics-out", "write aggregated telemetry (spans + counters) JSON here", "")
-      .add_option("profile-out", "write the per-kernel hardware-counter profile JSON here", "")
-      .add_option("flight-out", "write the flight-recorder event window (post-mortem JSON) here",
-                  "")
-      .add_option("flight-depth", "per-thread flight ring depth in events (power of two)",
-                  "4096")
-      .add_option("health-out", "write the algorithm-health report (stall/oscillation/frontier "
-                  "diagnostics) here", "")
-      .add_option("mem-out", "write the memory-observability report (per-subsystem bytes, "
-                  "residency timeline, leak check) here", "")
+      .add_option("report-out", "arm every observer and write the run report here (run, "
+                  "metrics, kernel profile, flight window, health, memory, governor)", "")
       .add_option("mem-budget", "hard modeled-bytes budget for the memory governor (positive "
                   "integer, optional K/M/G suffix)", "")
       .add_option("mem-budget-sub", "per-subsystem governor caps, comma-separated tag=bytes "
                   "pairs (e.g. phase1=8M,gpusim=2M)", "")
-      .add_option("governor-out", "write the governor report (budget, rung ladder, transitions) "
-                  "here", "")
       .add_option("faults", "arm a fault-injection plan (JSON, see docs/resilience.md)", "")
       .add_option("max-retries", "supervised: transient-fault retries per level", "2")
       .add_option("query-epochs", "epochs retained by the --serve snapshot store (positive "
@@ -197,8 +185,7 @@ int cmd_detect(int argc, const char* const* argv) {
       .add_flag("connected", "report whether every community is connected");
   if (!args.parse(argc, argv)) return args.error().empty() ? 0 : 2;
 
-  check_writable_outputs(args, {"output", "json", "trace-out", "metrics-out", "profile-out",
-                                "flight-out", "health-out", "mem-out", "governor-out"});
+  check_writable_outputs(args, {"output", "trace-out", "report-out"});
 
   // Fail-fast probes: reject bad engine selections before the graph loads.
   const core::Backend backend = parse_backend(args.get("backend"));
@@ -212,42 +199,34 @@ int cmd_detect(int argc, const char* const* argv) {
     GALA_CHECK(query_epochs > 0, "--query-epochs: must be positive, got " << query_epochs);
   }
 
-  // Telemetry: tracing is off (null sink) unless an export was requested.
+  // --report-out is the one arm switch: it resets and enables the tracer,
+  // registry, profiler and health monitor (--trace-out alone arms only the
+  // tracer) and resets the always-armed memory registry, so the report
+  // covers exactly this run.
   auto& tracer = telemetry::Tracer::global();
   auto& registry = telemetry::Registry::global();
+  auto& prof = profiler::Profiler::global();
   const std::string trace_out = args.get("trace-out");
-  const std::string metrics_out = args.get("metrics-out");
-  const std::string flight_out = args.get("flight-out");
-  const std::string health_out = args.get("health-out");
-  const std::string mem_out = args.get("mem-out");
-  // Memory accounting is always armed; a requested report starts from a
-  // clean registry so the document covers exactly this run.
-  if (!mem_out.empty()) memtrace::MemRegistry::global().reset();
-  {
-    const long depth = args.get_int("flight-depth");
-    GALA_CHECK(depth > 0, "--flight-depth must be positive");
-    if (static_cast<std::size_t>(depth) != telemetry::FlightRecorder::kDefaultDepth) {
-      telemetry::FlightRecorder::global().set_depth(static_cast<std::size_t>(depth));
-    }
-  }
+  const std::string report_out = args.get("report-out");
+  const bool reporting = !report_out.empty();
+  metrics::RunReport report;
   // The health monitor rides the engines' end-of-iteration hook; it observes
-  // globally-reduced, modeled state only, so its report is byte-identical
+  // globally-reduced, modeled state only, so its section is byte-identical
   // across pooling / parallelism / sync configurations.
   std::optional<metrics::HealthMonitor> health;
-  if (!health_out.empty()) health.emplace();
-  if (!trace_out.empty() || !metrics_out.empty()) {
+  if (reporting) {
+    memtrace::MemRegistry::global().reset();
+    health.emplace();
+    prof.reset();
+    prof.set_enabled(true);
+  }
+  if (reporting || !trace_out.empty()) {
     tracer.reset();
     registry.reset();
     tracer.set_enabled(true);
     if (!trace_out.empty()) {
       tracer.add_sink(std::make_shared<telemetry::ChromeTraceSink>(trace_out));
     }
-  }
-  const std::string profile_out = args.get("profile-out");
-  auto& prof = profiler::Profiler::global();
-  if (!profile_out.empty()) {
-    prof.reset();
-    prof.set_enabled(true);
   }
 
   // Fault injection: arm the plan before any pipeline work so every
@@ -260,7 +239,6 @@ int cmd_detect(int argc, const char* const* argv) {
 
   // Memory governor: install the budget before the graph loads so the very
   // first modeled allocation is already admitted.
-  const std::string governor_out = args.get("governor-out");
   governor::BudgetConfig gov_cfg;
   if (const std::string b = args.get("mem-budget"); !b.empty()) {
     gov_cfg.total_bytes = parse_budget_bytes("mem-budget", b);
@@ -295,9 +273,10 @@ int cmd_detect(int argc, const char* const* argv) {
     baselines::LpaOptions opts;
     const auto r = baselines::label_propagation(g, opts);
     assignment = r.labels;
+    const double q = core::modularity(g, assignment, args.get_double("resolution"));
+    if (reporting) report.run = metrics::run_section(g, r, q);
     std::printf("label propagation: %u communities in %d iterations, modularity %.5f\n",
-                r.num_communities, r.iterations,
-                core::modularity(g, assignment, args.get_double("resolution")));
+                r.num_communities, r.iterations, q);
   } else if (args.get_int("gpus") > 1) {
     multigpu::DistributedConfig cfg;
     cfg.num_gpus = static_cast<std::size_t>(args.get_int("gpus"));
@@ -320,6 +299,7 @@ int cmd_detect(int argc, const char* const* argv) {
     const auto r = multigpu::distributed_phase1(g, cfg);
     assignment = r.community;
     core::renumber_communities(assignment);
+    if (reporting) report.run = metrics::run_section(g, cfg, r);
     std::printf("distributed phase 1 on %zu devices: modularity %.5f, %d iterations, "
                 "%.3f modeled ms, %.3f s wall\n",
                 cfg.num_gpus, r.modularity, r.iterations, r.modeled_ms(), r.wall_seconds);
@@ -351,10 +331,10 @@ int cmd_detect(int argc, const char* const* argv) {
       sup.max_retries = args.get_int("max-retries");
       sup.strict = args.has("strict");
       // Incidents (retries, validator failures, fallbacks, rollbacks) dump
-      // the flight window to the same file the end-of-run dump uses; the
-      // final write preserves the incident events (they are still in the
+      // a flight-only report to the report path; the end-of-run report
+      // overwrites it and keeps the incident events (they are still in the
       // ring) under the freshest reason.
-      sup.flight_dump_path = flight_out;
+      sup.flight_dump_path = report_out;
       const resilience::SupervisedResult sr = resilience::run_louvain_supervised(g, cfg, sup);
       r = sr.result;
       std::printf("supervisor: %d retries%s%s%s\n", sr.retries,
@@ -369,10 +349,7 @@ int cmd_detect(int argc, const char* const* argv) {
       r = core::run_louvain(g, cfg);
     }
     assignment = r.assignment;
-    if (const std::string json = args.get("json"); !json.empty()) {
-      metrics::save_run_report(g, cfg, r, json);
-      std::printf("wrote run report to %s\n", json.c_str());
-    }
+    if (reporting) report.run = metrics::run_section(g, cfg, r);
     std::printf("GALA: %u communities, modularity %.5f, %zu levels, %.3f s wall, "
                 "%.3f modeled ms\n",
                 r.num_communities, r.modularity, r.levels.size(), r.wall_seconds, r.modeled_ms);
@@ -430,49 +407,22 @@ int cmd_detect(int argc, const char* const* argv) {
     std::printf("wrote trace to %s (%zu spans; open in chrome://tracing or ui.perfetto.dev)\n",
                 trace_out.c_str(), tracer.span_count());
   }
-  if (!metrics_out.empty()) {
-    telemetry::write_file(metrics_out, telemetry::metrics_json(tracer, registry));
-    std::printf("wrote metrics to %s\n", metrics_out.c_str());
-  }
-  if (!profile_out.empty()) {
-    telemetry::write_file(profile_out, prof.report_json());
-    std::printf("wrote kernel profile to %s (%zu kernels)\n", profile_out.c_str(),
-                prof.snapshot().size());
-  }
-  if (!flight_out.empty()) {
-    auto& recorder = telemetry::FlightRecorder::global();
-    GALA_CHECK(recorder.write_postmortem(flight_out, "end-of-run"),
-               flight_out << ": cannot write flight dump");
-    std::printf("wrote flight recorder dump to %s (%llu events recorded, depth %zu)\n",
-                flight_out.c_str(), static_cast<unsigned long long>(recorder.recorded()),
-                recorder.depth());
-  }
-  if (health.has_value()) {
-    const metrics::HealthReport report = health->report();
-    report.save(health_out);
-    std::printf("wrote health report to %s (%zu levels, %d stalled, %u oscillating vertices)\n",
-                health_out.c_str(), report.levels.size(), report.stalled_levels(),
-                report.oscillating_vertices());
-  }
-  if (!mem_out.empty()) {
-    memtrace::MemReport report = memtrace::MemRegistry::global().report();
-    if (governed) report.governor = governor::Governor::global().section_json();
-    report.save(mem_out);
-    std::printf("wrote memory report to %s (%zu subsystems, peak %llu B workspace / %llu B "
-                "total, %.2f%% fragmentation, leak check %s)\n",
-                mem_out.c_str(), report.subsystems.size(),
-                static_cast<unsigned long long>(report.peak_ws_bytes()),
-                static_cast<unsigned long long>(report.peak_total_bytes()), report.frag_pct(),
-                report.leak_free() ? "clean" : "RETAINED BYTES");
+  if (reporting) {
+    report.metrics = telemetry::metrics_json(tracer, registry);
+    report.profile = prof.report_json();
+    report.flight = telemetry::FlightRecorder::global().json("end-of-run");
+    report.health = health->report().json();
+    report.mem = memtrace::MemRegistry::global().report().json();
   }
 
   // Governor epilogue: summary line, then the optional min-feasible-budget
-  // probe (which resets the memory registry per trial, so it must run after
-  // every report above has been written), then the standalone report.
-  std::string governor_section;
+  // probe (which resets the memory registry per trial, so every section
+  // above is captured first), then the report with its governor section.
+  JsonWriter governor_section;
+  governor_section.begin_object();
   if (governed) {
     auto& gov = governor::Governor::global();
-    governor_section = gov.section_json();
+    gov.append_json(governor_section);
     std::printf("governor: budget %llu B, rung %s, %llu admits, %llu denials, %llu shrinks, "
                 "%llu reclaims\n",
                 static_cast<unsigned long long>(gov.budget_total()),
@@ -484,8 +434,6 @@ int cmd_detect(int argc, const char* const* argv) {
     gov.uninstall();
   }
 
-  std::uint64_t min_feasible = 0;
-  std::uint64_t unlimited_peak = 0;
   if (args.has("probe-min-budget")) {
     GALA_CHECK(probe_solve != nullptr, "--probe-min-budget requires algorithm=louvain");
     // A still-armed fault plan would fire inside the trial runs and break the
@@ -494,7 +442,7 @@ int cmd_detect(int argc, const char* const* argv) {
     auto& mem = memtrace::MemRegistry::global();
     mem.reset();
     const std::vector<cid_t> reference = probe_solve();
-    unlimited_peak = mem.report().peak_total_bytes();
+    const std::uint64_t unlimited_peak = mem.report().peak_total_bytes();
     const auto feasible = [&](std::uint64_t budget) {
       mem.reset();
       governor::BudgetConfig trial;
@@ -509,24 +457,19 @@ int cmd_detect(int argc, const char* const* argv) {
       return memtrace::MemRegistry::global().report().peak_total_bytes() <= budget &&
              partition == reference;
     };
-    min_feasible = governor::min_feasible_budget(unlimited_peak, feasible);
+    const std::uint64_t min_feasible = governor::min_feasible_budget(unlimited_peak, feasible);
     std::printf("min feasible budget: %llu B (unlimited peak %llu B)\n",
                 static_cast<unsigned long long>(min_feasible),
                 static_cast<unsigned long long>(unlimited_peak));
+    governor_section.key("min_feasible_budget_bytes").value(min_feasible);
+    governor_section.key("unlimited_peak_bytes").value(unlimited_peak);
   }
+  governor_section.end_object();
 
-  if (!governor_out.empty()) {
-    JsonWriter w;
-    w.begin_object();
-    if (!governor_section.empty()) w.key("governor").raw(governor_section);
-    if (args.has("probe-min-budget")) {
-      w.key("min_feasible_budget_bytes").value(min_feasible);
-      w.key("unlimited_peak_bytes").value(unlimited_peak);
-    }
-    provenance::append(w, "governor", 1);
-    w.end_object();
-    telemetry::write_file(governor_out, w.str());
-    std::printf("wrote governor report to %s\n", governor_out.c_str());
+  if (reporting) {
+    if (governed || args.has("probe-min-budget")) report.governor = governor_section.str();
+    report.save(report_out);
+    std::printf("wrote run report to %s\n", report_out.c_str());
   }
   return 0;
 }

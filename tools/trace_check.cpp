@@ -1,50 +1,45 @@
-// Validates telemetry JSON emitted by the gala CLI (and the bench JSON
-// sidecars): the file must parse, have the expected top-level shape, and —
-// optionally — contain required span names. Exits 0 on success, 1 on any
-// failure, so CI can gate on trace validity.
+// Validates the JSON the gala CLI writes. Exits 0 when every check holds and
+// 1 on any failure, so CI can gate on it. The file's shape picks the checks:
+//
+//   Chrome trace ({"traceEvents":[...]}, detect --trace-out): every event has
+//     a name, ph and ts, and flow events ("s"/"f") pair up by id.
+//   Run report ({"report_schema":1,...}, detect --report-out or a supervisor
+//     post-mortem): only known sections, each an object, and every section
+//     present is checked:
+//     metrics  a spans object; counters non-negative; histogram buckets with
+//              strictly increasing lower bounds and positive counts that sum
+//              to the histogram count; p50 <= p95 <= p99.
+//     profile  profile_schema, ceilings, and a kernels array with
+//              non-negative counters, efficiencies in [0, 1],
+//              bank_conflict_factor >= 1 and strictly increasing
+//              probe-histogram lengths.
+//     flight   flight_schema and events carrying seq/kind/tid/rank/a/b with a
+//              strictly increasing seq clock (the cross-thread total order);
+//              governor-rung events carry the rung ordinal in 'a', and the
+//              ladder is escalate-only, so the ordinals never decrease.
+//     health   health_schema, per-level diagnostics whose series arrays match
+//              the iteration count, churn in [0, 1], and a summary consistent
+//              with the per-level entries.
+//     mem      mem_schema, per-subsystem byte accounting with live <= peak,
+//              totals with frag_pct in [0, 100], a consistent leak_check, and
+//              a residency timeline whose entry totals equal their subsystem
+//              sums.
 //
 // Usage:
-//   trace_check <file.json> [--chrome|--metrics|--profile|--flight|--health|--mem]
-//               [--require NAME]... [--ranks N] [--budget BYTES]
+//   trace_check <file.json> [--require NAME]... [--ranks N] [--budget BYTES]
 //
-//   --chrome        expect Chrome-trace shape ({"traceEvents":[...]});
-//                   default accepts either that or a metrics/summary
-//                   document ({"spans":{...}} or {"spans":[...]}).
-//                   Flow events ("s"/"f") must pair up by id.
-//   --metrics       additionally validate the --metrics-out payload:
-//                   counters non-negative, histogram buckets with strictly
-//                   increasing lower bounds and positive counts, and
-//                   p50 <= p95 <= p99.
-//   --profile       validate a --profile-out payload: profile_schema,
-//                   ceilings, a kernels array with non-negative counters,
-//                   efficiencies in [0, 1], bank_conflict_factor >= 1, and
-//                   monotone probe-histogram lengths.
-//   --flight        validate a flight-recorder post-mortem (--flight-out or
-//                   a supervisor dump): flight_schema, an events array whose
-//                   entries carry seq/kind/tid/rank/a/b, and a strictly
-//                   increasing seq clock (the cross-thread total order).
-//   --health        validate a --health-out payload: health_schema, per-level
-//                   diagnostics whose series arrays match the iteration
-//                   count, churn in [0, 1], and a summary consistent with
-//                   the per-level entries.
-//   --mem           validate a --mem-out payload: mem_schema, per-subsystem
-//                   byte accounting with live <= peak, totals with frag_pct
-//                   in [0, 100], a consistent leak_check, and a residency
-//                   timeline whose entry totals equal their subsystem sums.
-//   --require NAME  fail unless a span name (or, with --profile, a kernel
-//                   name; with --flight, an event kind; with --mem, a
-//                   subsystem or tag name) containing NAME (substring) is
-//                   present. Repeatable.
-//   --ranks N       with --chrome, require spans on at least N distinct
-//                   rank tracks (pid > 0); with --flight, events from at
-//                   least N distinct ranks >= 0.
-//   --budget BYTES  with --mem, require the modeled footprint to respect a
-//                   governor budget: every residency-timeline epoch total and
-//                   the peak_total_bytes gauge must be <= BYTES.
-//
-// --flight additionally checks the governor contract: governor-rung events
-// carry the rung ordinal in 'a', and the ladder is sticky (escalate-only),
-// so the ordinals must be monotonically non-decreasing across the dump.
+//   --require NAME  fail unless a name containing NAME (substring) is
+//                   present. Repeatable. A Chrome trace takes a bare span
+//                   name; a run report takes SECTION:NAME, where SECTION is
+//                   metrics (span "category/name" keys), profile (kernel
+//                   names), flight (event kinds) or mem (subsystem and tag
+//                   names).
+//   --ranks N       require spans on at least N distinct rank tracks
+//                   (pid > 0) of a Chrome trace, or events from at least N
+//                   distinct ranks >= 0 in a report's flight section.
+//   --budget BYTES  require a report's mem section to respect a governor
+//                   budget: every residency-timeline epoch total and the
+//                   peak_total_bytes gauge must be <= BYTES.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -57,31 +52,6 @@
 #include "gala/common/json.hpp"
 
 namespace {
-
-/// Collects the span names present in a telemetry document of any shape.
-std::set<std::string> collect_names(const gala::JsonValue& doc) {
-  std::set<std::string> names;
-  if (const gala::JsonValue* events = doc.find("traceEvents")) {
-    for (const auto& e : events->array) {
-      if (const gala::JsonValue* n = e.find("name")) names.insert(n->string);
-    }
-  }
-  if (const gala::JsonValue* spans = doc.find("spans")) {
-    if (spans->is_array()) {  // flat JsonSink dump
-      for (const auto& s : spans->array) {
-        if (const gala::JsonValue* n = s.find("name")) names.insert(n->string);
-      }
-    } else if (spans->is_object()) {  // aggregated summary: "category/name" keys
-      for (const auto& [key, value] : spans->object) names.insert(key);
-    }
-  }
-  if (const gala::JsonValue* kernels = doc.find("kernels")) {
-    for (const auto& k : kernels->array) {
-      if (const gala::JsonValue* n = k.find("name")) names.insert(n->string);
-    }
-  }
-  return names;
-}
 
 bool fail(const std::string& file, const std::string& message) {
   std::fprintf(stderr, "trace_check: %s: %s\n", file.c_str(), message.c_str());
@@ -99,13 +69,25 @@ bool check_nonneg(const gala::JsonValue& obj, const char* key, const std::string
   return true;
 }
 
-/// --metrics: registry shape — counters/gauges numeric, histogram buckets
-/// monotone in lo with positive counts, percentiles ordered.
-bool check_metrics(const gala::JsonValue& doc, const std::string& file) {
-  const gala::JsonValue* counters = doc.find("counters");
-  if (counters == nullptr || !counters->is_object()) {
-    return fail(file, "no counters object (not a --metrics-out payload?)");
+/// Fails unless some name contains each `required` string.
+bool check_required(const std::set<std::string>& names, const std::vector<std::string>& required,
+                    const std::string& file, const std::string& noun) {
+  for (const auto& want : required) {
+    bool found = false;
+    for (const auto& name : names) found = found || name.find(want) != std::string::npos;
+    if (!found) return fail(file, "required " + noun + " '" + want + "' not found");
   }
+  return true;
+}
+
+/// metrics: span summary and registry shape — a spans object, counters
+/// non-negative, histogram buckets monotone in lo with positive counts,
+/// percentiles ordered.
+bool check_metrics(const gala::JsonValue& doc, const std::string& file) {
+  const gala::JsonValue* spans = doc.find("spans");
+  if (spans == nullptr || !spans->is_object()) return fail(file, "no spans object");
+  const gala::JsonValue* counters = doc.find("counters");
+  if (counters == nullptr || !counters->is_object()) return fail(file, "no counters object");
   for (const auto& [name, v] : counters->object) {
     if (!v.is_number() || v.number < 0) {
       return fail(file, "counter '" + name + "' is not a non-negative number");
@@ -155,11 +137,11 @@ bool check_metrics(const gala::JsonValue& doc, const std::string& file) {
   return true;
 }
 
-/// --profile: per-kernel profile shape and counter sanity.
+/// profile: per-kernel profile shape and counter sanity.
 bool check_profile(const gala::JsonValue& doc, const std::string& file) {
   const gala::JsonValue* schema = doc.find("profile_schema");
   if (schema == nullptr || !schema->is_number()) {
-    return fail(file, "no profile_schema (not a --profile-out payload?)");
+    return fail(file, "no profile_schema");
   }
   const gala::JsonValue* ceilings = doc.find("ceilings");
   if (ceilings == nullptr || !ceilings->is_object()) return fail(file, "no ceilings object");
@@ -233,12 +215,12 @@ bool check_profile(const gala::JsonValue& doc, const std::string& file) {
   return true;
 }
 
-/// --flight: post-mortem dump shape — schema, event fields, and the global
-/// monotonic event clock.
+/// flight: post-mortem window shape — schema, event fields, the global
+/// monotonic event clock, and the escalate-only governor ladder.
 bool check_flight(const gala::JsonValue& doc, const std::string& file, int want_ranks) {
   const gala::JsonValue* schema = doc.find("flight_schema");
   if (schema == nullptr || !schema->is_number()) {
-    return fail(file, "no flight_schema (not a flight-recorder dump?)");
+    return fail(file, "no flight_schema");
   }
   const gala::JsonValue* reason = doc.find("reason");
   if (reason == nullptr || !reason->is_string()) return fail(file, "no reason string");
@@ -290,24 +272,13 @@ bool check_flight(const gala::JsonValue& doc, const std::string& file, int want_
   return true;
 }
 
-/// Flight dumps --require against event kinds rather than span names.
-std::set<std::string> collect_flight_kinds(const gala::JsonValue& doc) {
-  std::set<std::string> kinds;
-  if (const gala::JsonValue* events = doc.find("events")) {
-    for (const auto& e : events->array) {
-      if (const gala::JsonValue* k = e.find("kind")) kinds.insert(k->string);
-    }
-  }
-  return kinds;
-}
-
-/// --health: health_schema-1 report shape — config, per-level diagnostics
+/// health: health_schema-1 shape — config, per-level diagnostics
 /// with series arrays matching the iteration count, and a summary whose
 /// totals agree with the levels.
 bool check_health(const gala::JsonValue& doc, const std::string& file) {
   const gala::JsonValue* schema = doc.find("health_schema");
   if (schema == nullptr || !schema->is_number()) {
-    return fail(file, "no health_schema (not a --health-out payload?)");
+    return fail(file, "no health_schema");
   }
   const gala::JsonValue* config = doc.find("config");
   if (config == nullptr || !config->is_object()) return fail(file, "no config object");
@@ -374,13 +345,13 @@ bool check_health(const gala::JsonValue& doc, const std::string& file) {
   return true;
 }
 
-/// --mem: mem_schema-1 report shape — per-subsystem gauges with live <= peak,
+/// mem: mem_schema-1 shape — per-subsystem gauges with live <= peak,
 /// consistent totals, a leak_check section, and a well-formed timeline. With
 /// `budget` > 0 the modeled footprint must respect it at every epoch.
 bool check_mem(const gala::JsonValue& doc, const std::string& file, std::uint64_t budget) {
   const gala::JsonValue* schema = doc.find("mem_schema");
   if (schema == nullptr || !schema->is_number()) {
-    return fail(file, "no mem_schema (not a --mem-out payload?)");
+    return fail(file, "no mem_schema");
   }
   const gala::JsonValue* subsystems = doc.find("subsystems");
   if (subsystems == nullptr || !subsystems->is_array()) return fail(file, "no subsystems array");
@@ -485,50 +456,135 @@ bool check_mem(const gala::JsonValue& doc, const std::string& file, std::uint64_
   return true;
 }
 
-/// Mem reports --require against subsystem and tag names.
-std::set<std::string> collect_mem_names(const gala::JsonValue& doc) {
+/// Chrome-trace shape: well-formed events, paired flow arrows, rank tracks.
+bool check_chrome(const gala::JsonValue& doc, const std::string& file, int want_ranks,
+                  const std::vector<std::string>& required) {
+  const gala::JsonValue& events = doc.at("traceEvents");
+  if (!events.is_array()) return fail(file, "traceEvents is not an array");
+  // Flow arrows must pair up: each posted edge ("s") needs a consumer ("f")
+  // with the same id, and vice versa — a dangling side means the merge lost
+  // the other rank's half of the hand-off.
+  std::set<std::string> flow_starts;
+  std::set<std::string> flow_finishes;
+  std::set<double> rank_pids;
   std::set<std::string> names;
-  if (const gala::JsonValue* subsystems = doc.find("subsystems")) {
-    for (const auto& s : subsystems->array) {
-      if (const gala::JsonValue* n = s.find("name")) names.insert(n->string);
-      if (const gala::JsonValue* tags = s.find("tags")) {
-        for (const auto& t : tags->array) {
-          if (const gala::JsonValue* n = t.find("name")) names.insert(n->string);
-        }
-      }
+  for (const auto& e : events.array) {
+    if (e.find("name") == nullptr || e.find("ph") == nullptr || e.find("ts") == nullptr) {
+      return fail(file, "malformed trace event");
+    }
+    names.insert(e.at("name").string);
+    const std::string ph = e.at("ph").string;
+    if (ph == "s" || ph == "f") {
+      const gala::JsonValue* id = e.find("id");
+      if (id == nullptr) return fail(file, "flow event without an id");
+      const std::string key = id->is_string() ? id->string : std::to_string(id->number);
+      (ph == "s" ? flow_starts : flow_finishes).insert(key);
+    }
+    if (const gala::JsonValue* pid = e.find("pid")) {
+      if (pid->is_number() && pid->number > 0 && ph != "M") rank_pids.insert(pid->number);
     }
   }
+  for (const auto& id : flow_starts) {
+    if (flow_finishes.count(id) == 0) {
+      return fail(file, "flow id '" + id + "' posted but never completed");
+    }
+  }
+  for (const auto& id : flow_finishes) {
+    if (flow_starts.count(id) == 0) {
+      return fail(file, "flow id '" + id + "' completed but never posted");
+    }
+  }
+  if (want_ranks > 0 && static_cast<int>(rank_pids.size()) < want_ranks) {
+    return fail(file, "expected spans on >= " + std::to_string(want_ranks) +
+                          " rank tracks, saw " + std::to_string(rank_pids.size()));
+  }
+  if (!check_required(names, required, file, "span")) return false;
+  std::printf("trace_check: %s ok (Chrome trace: %zu span names, %zu events)\n", file.c_str(),
+              names.size(), events.array.size());
+  return true;
+}
+
+/// The names a qualified --require matches in one report section.
+std::set<std::string> section_names(const std::string& section, const gala::JsonValue& s) {
+  std::set<std::string> names;
+  const auto add = [&names](const gala::JsonValue* items, const char* member) {
+    if (items == nullptr) return;
+    for (const auto& item : items->array) {
+      if (const gala::JsonValue* n = item.find(member)) names.insert(n->string);
+    }
+  };
+  if (section == "metrics") {
+    for (const auto& [key, value] : s.at("spans").object) names.insert(key);
+  } else if (section == "profile") {
+    add(s.find("kernels"), "name");
+  } else if (section == "flight") {
+    add(s.find("events"), "kind");
+  } else if (section == "mem") {
+    add(s.find("subsystems"), "name");
+    for (const auto& sub : s.at("subsystems").array) add(sub.find("tags"), "name");
+  }
   return names;
+}
+
+/// Run-report shape: report_schema, known sections only, and every section
+/// present checked by its validator.
+bool check_report(const gala::JsonValue& doc, const std::string& file, int want_ranks,
+                  std::uint64_t budget, const std::vector<std::string>& required) {
+  if (!doc.at("report_schema").is_number()) return fail(file, "report_schema is not a number");
+  const std::set<std::string> known = {"run",    "metrics", "profile",  "flight",
+                                       "health", "mem",     "governor"};
+  std::string present;
+  for (const auto& [key, value] : doc.object) {
+    if (key == "report_schema" || key == "provenance") continue;
+    if (known.count(key) == 0) return fail(file, "unknown report member '" + key + "'");
+    if (!value.is_object()) return fail(file, "section '" + key + "' is not an object");
+    present += (present.empty() ? "" : ", ") + key;
+  }
+  const gala::JsonValue* flight = doc.find("flight");
+  const gala::JsonValue* mem = doc.find("mem");
+  if (want_ranks > 0 && flight == nullptr) return fail(file, "--ranks needs a flight section");
+  if (budget > 0 && mem == nullptr) return fail(file, "--budget needs a mem section");
+  const std::string at = file + ": ";
+  if (const gala::JsonValue* s = doc.find("metrics"); s && !check_metrics(*s, at + "metrics")) {
+    return false;
+  }
+  if (const gala::JsonValue* s = doc.find("profile"); s && !check_profile(*s, at + "profile")) {
+    return false;
+  }
+  if (flight != nullptr && !check_flight(*flight, at + "flight", want_ranks)) return false;
+  if (const gala::JsonValue* s = doc.find("health"); s && !check_health(*s, at + "health")) {
+    return false;
+  }
+  if (mem != nullptr && !check_mem(*mem, at + "mem", budget)) return false;
+
+  for (const auto& want : required) {
+    const std::size_t colon = want.find(':');
+    const std::string section = want.substr(0, colon == std::string::npos ? 0 : colon);
+    if (section != "metrics" && section != "profile" && section != "flight" && section != "mem") {
+      return fail(file, "--require '" + want +
+                            "' needs a section: metrics:, profile:, flight: or mem:");
+    }
+    const gala::JsonValue* s = doc.find(section);
+    if (s == nullptr) return fail(file, "--require '" + want + "': no " + section + " section");
+    if (!check_required(section_names(section, *s), {want.substr(colon + 1)}, file,
+                        section + " name")) {
+      return false;
+    }
+  }
+  std::printf("trace_check: %s ok (run report: %s)\n", file.c_str(), present.c_str());
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string file;
-  bool chrome = false;
-  bool metrics = false;
-  bool profile = false;
-  bool flight = false;
-  bool health = false;
-  bool mem = false;
   int ranks = 0;
   std::uint64_t budget = 0;
   std::vector<std::string> required;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--chrome") {
-      chrome = true;
-    } else if (arg == "--metrics") {
-      metrics = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--flight") {
-      flight = true;
-    } else if (arg == "--health") {
-      health = true;
-    } else if (arg == "--mem") {
-      mem = true;
-    } else if (arg == "--ranks") {
+    if (arg == "--ranks") {
       if (++i >= argc) {
         std::fprintf(stderr, "trace_check: --ranks needs a value\n");
         return 1;
@@ -563,11 +619,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (file.empty() || (chrome + metrics + profile + flight + health + mem) > 1) {
+  if (file.empty()) {
     std::fprintf(stderr,
-                 "usage: trace_check <file.json> "
-                 "[--chrome|--metrics|--profile|--flight|--health|--mem] "
-                 "[--require NAME]... [--ranks N] [--budget BYTES]\n");
+                 "usage: trace_check <file.json> [--require NAME]... [--ranks N] "
+                 "[--budget BYTES]\n");
     return 1;
   }
 
@@ -590,100 +645,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace_check: %s: top level is not an object\n", file.c_str());
     return 1;
   }
-
-  const gala::JsonValue* events = doc.find("traceEvents");
-  if (chrome) {
-    if (events == nullptr || !events->is_array()) {
-      std::fprintf(stderr, "trace_check: %s: no traceEvents array\n", file.c_str());
-      return 1;
-    }
-    // Flow arrows must pair up: each posted edge ("s") needs a consumer ("f")
-    // with the same id, and vice versa — a dangling side means the merge lost
-    // the other rank's half of the hand-off.
-    std::set<std::string> flow_starts;
-    std::set<std::string> flow_finishes;
-    std::set<double> rank_pids;
-    for (const auto& e : events->array) {
-      if (e.find("name") == nullptr || e.find("ph") == nullptr || e.find("ts") == nullptr) {
-        std::fprintf(stderr, "trace_check: %s: malformed trace event\n", file.c_str());
-        return 1;
-      }
-      const std::string ph = e.at("ph").string;
-      if (ph == "s" || ph == "f") {
-        const gala::JsonValue* id = e.find("id");
-        if (id == nullptr) {
-          std::fprintf(stderr, "trace_check: %s: flow event without an id\n", file.c_str());
-          return 1;
-        }
-        const std::string key = id->is_string() ? id->string : std::to_string(id->number);
-        (ph == "s" ? flow_starts : flow_finishes).insert(key);
-      }
-      if (const gala::JsonValue* pid = e.find("pid")) {
-        if (pid->is_number() && pid->number > 0 && e.at("ph").string != "M") {
-          rank_pids.insert(pid->number);
-        }
-      }
-    }
-    for (const auto& id : flow_starts) {
-      if (flow_finishes.count(id) == 0) {
-        std::fprintf(stderr, "trace_check: %s: flow id '%s' posted but never completed\n",
-                     file.c_str(), id.c_str());
-        return 1;
-      }
-    }
-    for (const auto& id : flow_finishes) {
-      if (flow_starts.count(id) == 0) {
-        std::fprintf(stderr, "trace_check: %s: flow id '%s' completed but never posted\n",
-                     file.c_str(), id.c_str());
-        return 1;
-      }
-    }
-    if (ranks > 0 && static_cast<int>(rank_pids.size()) < ranks) {
-      std::fprintf(stderr, "trace_check: %s: expected spans on >= %d rank tracks, saw %zu\n",
-                   file.c_str(), ranks, rank_pids.size());
-      return 1;
-    }
-  } else if (flight) {
-    if (!check_flight(doc, file, ranks)) return 1;
-  } else if (health) {
-    if (!check_health(doc, file)) return 1;
-  } else if (mem) {
-    if (!check_mem(doc, file, budget)) return 1;
-  } else if (metrics) {
-    if (!check_metrics(doc, file)) return 1;
-  } else if (profile) {
-    if (!check_profile(doc, file)) return 1;
-  } else if (events == nullptr && doc.find("spans") == nullptr) {
-    std::fprintf(stderr, "trace_check: %s: neither traceEvents nor spans present\n",
-                 file.c_str());
-    return 1;
+  bool ok = false;
+  if (doc.find("traceEvents") != nullptr) {
+    ok = budget == 0 ? check_chrome(doc, file, ranks, required)
+                     : fail(file, "--budget needs a run report's mem section, not a Chrome trace");
+  } else if (doc.find("report_schema") != nullptr) {
+    ok = check_report(doc, file, ranks, budget, required);
+  } else {
+    ok = fail(file, "neither a Chrome trace (traceEvents) nor a run report (report_schema)");
   }
-
-  const std::set<std::string> names = flight ? collect_flight_kinds(doc)
-                                     : mem   ? collect_mem_names(doc)
-                                             : collect_names(doc);
-  const char* noun = flight ? "event kind" : mem ? "subsystem" : "span";
-  for (const auto& want : required) {
-    bool found = false;
-    for (const auto& name : names) {
-      if (name.find(want) != std::string::npos) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "trace_check: %s: required %s '%s' not found\n", file.c_str(), noun,
-                   want.c_str());
-      return 1;
-    }
-  }
-
-  std::printf("trace_check: %s ok (%zu %s name%s", file.c_str(), names.size(), noun,
-              names.size() == 1 ? "" : "s");
-  if (events != nullptr) std::printf(", %zu events", events->array.size());
-  if (flight) {
-    if (const gala::JsonValue* fe = doc.find("events")) std::printf(", %zu events", fe->array.size());
-  }
-  std::printf(")\n");
-  return 0;
+  return ok ? 0 : 1;
 }
