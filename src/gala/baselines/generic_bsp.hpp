@@ -15,6 +15,7 @@
 #include "gala/common/timer.hpp"
 #include "gala/core/kernels.hpp"
 #include "gala/core/modularity.hpp"
+#include "gala/exec/context.hpp"
 
 namespace gala::baselines::detail {
 
@@ -53,24 +54,25 @@ inline BaselineResult generic_bsp(const graph::Graph& g, const BaselineOptions& 
 
   wt_t q = core::modularity(g, comm);
   gpusim::MemoryStats traffic;
+  // Like every engine without a shared context, the loop owns one: its pool
+  // runs the decide pass, or a size-1 pool when opts.parallel is false.
+  exec::ExecutionContext ctx(opts.device, opts.seed);
+  ThreadPool serial_pool(1);
+  ThreadPool& pool = opts.parallel ? ctx.pool() : serial_pool;
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     const core::DecideInput input{&g, comm, comm_total, g.two_m()};
-    if (opts.parallel) {
-      std::mutex merge;
-      ThreadPool::global().parallel_for_chunked(
-          0, n,
-          [&](std::size_t lo, std::size_t hi) {
-            gpusim::MemoryStats local;
-            spec.decide_range(input, static_cast<vid_t>(lo), static_cast<vid_t>(hi), decisions,
-                              local);
-            std::lock_guard lock(merge);
-            traffic += local;
-          },
-          256);
-    } else {
-      spec.decide_range(input, 0, n, decisions, traffic);
-    }
+    std::mutex merge;
+    pool.parallel_for_chunked(
+        0, n,
+        [&](std::size_t lo, std::size_t hi) {
+          gpusim::MemoryStats local;
+          spec.decide_range(input, static_cast<vid_t>(lo), static_cast<vid_t>(hi), decisions,
+                            local);
+          std::lock_guard lock(merge);
+          traffic += local;
+        },
+        256);
 
     vid_t moved = 0;
     for (vid_t v = 0; v < n; ++v) {

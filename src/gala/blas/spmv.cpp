@@ -42,7 +42,7 @@ struct Spa {
 
 GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
                           std::span<const std::uint8_t> mask, std::span<const vid_t> frontier,
-                          Direction dir, const gpusim::Device& device, bool parallel,
+                          Direction dir, const gpusim::Device& device, ThreadPool& pool,
                           const RowVisitor& visit, std::string_view kernel_name) {
   const vid_t n = g.num_vertices();
   GALA_CHECK(comm.size() == n, "masked_gather: community map size mismatch");
@@ -87,8 +87,7 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
   const auto launch = [&](std::size_t count, const auto& body) {
     const std::size_t blocks = (count + kRowsPerBlock - 1) / kRowsPerBlock;
     if (blocks == 0) return gpusim::LaunchStats{};
-    return parallel ? device.launch(blocks, body, kernel_name)
-                    : device.launch_sequential(blocks, body, kernel_name);
+    return device.launch(pool, blocks, body, kernel_name);
   };
 
   if (dir == Direction::Pull) {

@@ -49,11 +49,11 @@ struct GatherStats {
 /// One gather launch over `g` with columns relabelled by `comm` (size V;
 /// values bound the SPA, so they must be < V). Pull mode reads `mask`
 /// (size V, nonzero = evaluate); Push mode reads `frontier` (active row
-/// ids, any order) and ignores `mask`. `parallel` selects pooled vs
-/// sequential block execution on `device`, which must be workspace-bound.
+/// ids, any order) and ignores `mask`. The blocks run on `device`, which
+/// must be workspace-bound, over `pool`.
 GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
                           std::span<const std::uint8_t> mask, std::span<const vid_t> frontier,
-                          Direction dir, const gpusim::Device& device, bool parallel,
+                          Direction dir, const gpusim::Device& device, ThreadPool& pool,
                           const RowVisitor& visit, std::string_view kernel_name);
 
 }  // namespace gala::blas

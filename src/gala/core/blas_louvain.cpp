@@ -92,7 +92,7 @@ void BlasEngine::decide_phase(std::span<const std::uint8_t> active, vid_t active
   if (dir == blas::Direction::Pull) {
     const blas::GatherStats gs =
         blas::masked_gather(g_, comm, active, {}, blas::Direction::Pull, ctx_->device(),
-                            config_.parallel, score_row, "blas_gather_pull");
+                            pool_, score_row, "blas_gather_pull");
     total += gs.launch;
     pull_rows += gs.rows;
   } else {
@@ -105,7 +105,7 @@ void BlasEngine::decide_phase(std::span<const std::uint8_t> active, vid_t active
       if (frontier_.empty()) return;
       const blas::GatherStats gs =
           blas::masked_gather(g_, comm, {}, frontier_, blas::Direction::Push, ctx_->device(),
-                              config_.parallel, score_row, "blas_gather_push");
+                              pool_, score_row, "blas_gather_push");
       total += gs.launch;
       push_rows += gs.rows;
       frontier_.clear();
@@ -165,7 +165,7 @@ void BlasEngine::weight_update_phase(std::span<const std::uint8_t> /*moved*/,
   };
   const blas::GatherStats gs =
       blas::masked_gather(g_, next_comm, ones_, {}, blas::Direction::Pull, ctx_->device(),
-                          config_.parallel, extract_row, "blas_weight_update");
+                          pool_, extract_row, "blas_weight_update");
   iter_stats.update_traffic += gs.launch.traffic;
   iter_stats.update_wall += timer.seconds();
   if (span.active()) {

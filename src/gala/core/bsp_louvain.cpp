@@ -103,9 +103,7 @@ void BspEngine::decide_phase(std::span<const std::uint8_t> active, vid_t /*activ
   };
 
   const auto launch = [&](std::size_t blocks, const auto& body, std::string_view name) {
-    const gpusim::Device& device = ctx_->device();
-    return config_.parallel ? device.launch(blocks, body, name)
-                            : device.launch_sequential(blocks, body, name);
+    return ctx_->device().launch(pool_, blocks, body, name);
   };
 
   telemetry::ScopedSpan span(telemetry::Tracer::global(), "decide", "phase1");
@@ -168,23 +166,18 @@ void BspEngine::weight_update_phase(std::span<const std::uint8_t> moved,
   telemetry::ScopedSpan span(telemetry::Tracer::global(), "weight-update", "phase1");
   Timer timer;
   gpusim::MemoryStats traffic;
-  ThreadPool* pool = config_.parallel ? &ThreadPool::global() : nullptr;
   const auto for_chunks = [&](const std::function<void(std::size_t, std::size_t,
                                                        gpusim::MemoryStats&)>& body) {
-    if (pool) {
-      std::mutex merge;
-      pool->parallel_for_chunked(
-          0, n,
-          [&](std::size_t lo, std::size_t hi) {
-            gpusim::MemoryStats local;
-            body(lo, hi, local);
-            std::lock_guard lock(merge);
-            traffic += local;
-          },
-          512);
-    } else {
-      body(0, n, traffic);
-    }
+    std::mutex merge;
+    pool_.parallel_for_chunked(
+        0, n,
+        [&](std::size_t lo, std::size_t hi) {
+          gpusim::MemoryStats local;
+          body(lo, hi, local);
+          std::lock_guard lock(merge);
+          traffic += local;
+        },
+        512);
   };
 
   if (config_.weight_update == WeightUpdateMode::Recompute) {

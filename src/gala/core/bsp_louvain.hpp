@@ -62,7 +62,8 @@ struct BspConfig {
   /// Record the per-iteration confusion matrix by additionally evaluating
   /// pruned vertices with an uncharged oracle pass (Table 1).
   bool track_confusion = false;
-  /// Run blocks on the host pool (false = deterministic sequential launch).
+  /// Run on the context's pool (false = a size-1 pool: every loop and
+  /// launch runs in order on the calling thread).
   bool parallel = true;
   gpusim::DeviceConfig device{};
   /// Execution context to run in (device binding + pooled workspace). When

@@ -113,7 +113,8 @@ Phase1Driver::Phase1Driver(const graph::Graph& g, const BspConfig& config, Commu
                          ? nullptr
                          : std::make_unique<exec::ExecutionContext>(config.device, config.seed)),
       ctx_(config.context != nullptr ? config.context : owned_context_.get()),
-      state_(std::move(state)), owned_(owned), primary_(primary), rng_(config.seed) {}
+      pool_(config.parallel ? ctx_->pool() : serial_pool_), state_(std::move(state)),
+      owned_(owned), primary_(primary), rng_(config.seed) {}
 
 vid_t Phase1Driver::prune_then_decide(int iter, const CommunityState::Scan& scan,
                                       std::span<const std::uint8_t> only,
@@ -134,7 +135,7 @@ vid_t Phase1Driver::prune_then_decide(int iter, const CommunityState::Scan& scan
                                    scan.min_total, g_.two_m(),  s.prev_moved, s.comm_changed,
                                    iter,         config_.resolution};
     classify_range(config_.pruning, prune_ctx, config_.pm_alpha, pm_base_, owned_.begin,
-                   owned_.end, only, active, config_.parallel ? &ctx_->pool() : nullptr);
+                   owned_.end, only, active, pool_);
     for (vid_t v = owned_.begin; v < owned_.end; ++v) active_count += active[v];
     todo_count = active_count;
     if (!only.empty()) {
@@ -170,7 +171,6 @@ void Phase1Driver::oracle_pass(std::span<const std::uint8_t> active,
                                 config_.shuffle_degree_limit};
   const std::uint64_t salt = decide_salt(config_.seed);
   exec::Workspace& ws = ctx_->workspace();
-  ThreadPool* pool = config_.parallel ? &ThreadPool::global() : nullptr;
   const auto body = [&](std::size_t lo, std::size_t hi) {
     auto pages = ws.take<std::byte>(config_.device.shared_bytes_per_block, "gpusim.shared_arena");
     gpusim::SharedMemoryArena arena(pages.span());
@@ -182,11 +182,7 @@ void Phase1Driver::oracle_pass(std::span<const std::uint8_t> active,
                                    salt, scratch);
     }
   };
-  if (pool) {
-    pool->parallel_for_chunked(0, n, body, 512);
-  } else {
-    body(0, n);
-  }
+  pool_.parallel_for_chunked(0, n, body, 512);
   for (vid_t v = 0; v < n; ++v) {
     would_move[v] =
         apply_move_guard(decisions[v], state_.comm[v], state_.comm_size) != state_.comm[v] ? 1 : 0;

@@ -152,6 +152,10 @@ class Phase1Driver {
   // in the engine's scratch.
   std::unique_ptr<exec::ExecutionContext> owned_context_;
   exec::ExecutionContext* ctx_;  // == owned_context_.get() or config.context
+  ThreadPool serial_pool_{1};
+  /// The one pool every parallel loop and launch of the run uses: the
+  /// context's pool, or the size-1 pool when config.parallel is false.
+  ThreadPool& pool_;
   CommunityState state_;
   const graph::VertexRange owned_;
   const bool primary_;

@@ -82,7 +82,7 @@ bool is_inactive(PruningStrategy strategy, const PruningContext& ctx, vid_t v, d
 }
 
 void compute_active(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
-                    Xoshiro256& rng, std::span<std::uint8_t> active, ThreadPool* pool) {
+                    Xoshiro256& rng, std::span<std::uint8_t> active, ThreadPool& pool) {
   // One deterministic draw per iteration seeds PM's per-vertex coins, so the
   // parallel loop is schedule-independent.
   const std::uint64_t pm_base = strategy == PruningStrategy::Probabilistic ? rng() : 0;
@@ -92,18 +92,16 @@ void compute_active(PruningStrategy strategy, const PruningContext& ctx, double 
 void classify_range(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
                     std::uint64_t pm_base, vid_t begin, vid_t end,
                     std::span<const std::uint8_t> only, std::span<std::uint8_t> active,
-                    ThreadPool* pool) {
+                    ThreadPool& pool) {
   GALA_CHECK(active.size() == ctx.g->num_vertices(), "active span size mismatch");
-  const auto body = [&](std::size_t v) {
-    if (only.empty() || only[v]) {
-      active[v] = is_inactive(strategy, ctx, static_cast<vid_t>(v), pm_alpha, pm_base) ? 0 : 1;
+  const auto body = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      if (only.empty() || only[v]) {
+        active[v] = is_inactive(strategy, ctx, static_cast<vid_t>(v), pm_alpha, pm_base) ? 0 : 1;
+      }
     }
   };
-  if (pool) {
-    pool->parallel_for(begin, end, body, /*grain=*/1024);
-  } else {
-    for (vid_t v = begin; v < end; ++v) body(v);
-  }
+  pool.parallel_for_chunked(begin, end, body, /*grain=*/1024);
 }
 
 }  // namespace gala::core

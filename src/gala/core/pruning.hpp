@@ -63,18 +63,18 @@ struct PruningContext {
 
 /// Fills `active[v]` (1 = process in this iteration). Movement-history
 /// strategies activate everything on iteration 0. `rng` is consumed only by
-/// PM. Runs on `pool` if non-null.
+/// PM. Runs on `pool`.
 void compute_active(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
-                    Xoshiro256& rng, std::span<std::uint8_t> active, ThreadPool* pool = nullptr);
+                    Xoshiro256& rng, std::span<std::uint8_t> active, ThreadPool& pool);
 
 /// Classifies the vertices of [begin, end) flagged in `only` (all of them
 /// when `only` is empty) and leaves every other flag untouched.
 /// `pm_base` seeds PM's per-vertex coins for this iteration (compute_active
-/// draws it from its `rng`). Runs on `pool` if non-null.
+/// draws it from its `rng`). Runs on `pool`.
 void classify_range(PruningStrategy strategy, const PruningContext& ctx, double pm_alpha,
                     std::uint64_t pm_base, vid_t begin, vid_t end,
                     std::span<const std::uint8_t> only, std::span<std::uint8_t> active,
-                    ThreadPool* pool);
+                    ThreadPool& pool);
 
 /// The MG predicate (Equation 6) for a single vertex; exposed for tests.
 bool mg_is_inactive(const PruningContext& ctx, vid_t v);

@@ -3,9 +3,12 @@
 // Bundles the resources every layer used to construct privately: the
 // simulated device (bound to the context's Workspace so kernel launches draw
 // arena pages and profiling buffers from the pool), the pooled Workspace
-// itself, the host thread pool, and the run's PRNG seed. Telemetry, the
-// profiler, and the fault injector remain process-global singletons — the
-// context exposes them for discoverability rather than re-owning them.
+// itself, the host thread pool, and the run's PRNG seed. The context's pool
+// is the pool every launch and parallel loop of an engine with
+// `parallel = true` uses (the engine picks a size-1 pool otherwise); it
+// defaults to ThreadPool::global(). Telemetry, the profiler, and the fault
+// injector remain process-global singletons — the context exposes them for
+// discoverability rather than re-owning them.
 //
 // Ownership rules:
 //  - run_louvain creates one context per pipeline and calls
@@ -15,8 +18,8 @@
 //    multi-level pipeline, warm-started incremental runs). When it is null
 //    the engine creates a private one, preserving the old behaviour.
 //  - The distributed engine gives each rank its own context: workspaces are
-//    thread-safe, but rank-private pools avoid cross-thread contention and
-//    keep per-device accounting separable.
+//    thread-safe, but rank-private workspaces avoid cross-thread contention
+//    and keep per-device accounting separable. Ranks run on a size-1 pool.
 //
 // Every buffer checked out of the workspace is returned before the context
 // dies; the context must outlive every engine constructed against it.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "gala/common/error.hpp"
 #include "gala/memtrace/memtrace.hpp"
 #include "gala/resilience/fault_injection.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
@@ -234,7 +235,11 @@ std::uint64_t min_feasible_budget(std::uint64_t hi,
                                   std::uint64_t granularity) {
   if (granularity == 0) granularity = 1;
   std::uint64_t hi_k = std::max<std::uint64_t>(1, (hi + granularity - 1) / granularity);
-  if (!feasible(hi_k * granularity)) return 0;
+  if (!feasible(hi_k * granularity)) {
+    GALA_THROW(Error, "no feasible memory budget: even the ceiling of "
+                          << hi_k * granularity << " B (hi " << hi
+                          << " B rounded up to a granule) is infeasible");
+  }
   if (feasible(granularity)) return granularity;
   std::uint64_t lo_k = 1;  // known infeasible; hi_k known feasible
   while (hi_k - lo_k > 1) {

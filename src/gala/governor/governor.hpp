@@ -188,10 +188,11 @@ class Governor {
 };
 
 /// Binary-searches the smallest budget in [granularity, hi] for which
-/// `feasible` holds, assuming feasibility is monotone in the budget. Returns
-/// 0 when even `hi` is infeasible. `feasible` typically runs the full solve
-/// under an installed budget and checks completion + partition parity +
-/// peak <= budget (see bench/perf_profile.cpp and the CLI's
+/// `feasible` holds, assuming feasibility is monotone in the budget. Throws
+/// gala::Error naming `hi` when even `hi` (rounded up to a granule) is
+/// infeasible: there is no floor to report. `feasible` typically runs the
+/// full solve under an installed budget and checks completion + partition
+/// parity + peak <= budget (see bench/perf_profile.cpp and the CLI's
 /// --probe-min-budget).
 std::uint64_t min_feasible_budget(std::uint64_t hi,
                                   const std::function<bool(std::uint64_t)>& feasible,

@@ -10,7 +10,7 @@
 namespace gala::gpusim {
 
 Device::Device(const DeviceConfig& config, exec::Workspace* workspace)
-    : config_(config), pool_(&ThreadPool::global()), workspace_(workspace) {}
+    : config_(config), workspace_(workspace) {}
 
 void attach_traffic(telemetry::ScopedSpan& span, const MemoryStats& stats,
                     const CostModel* model) {
@@ -135,7 +135,7 @@ struct CycleBuffer {
 
 }  // namespace
 
-LaunchStats Device::launch(std::size_t num_blocks,
+LaunchStats Device::launch(ThreadPool& pool, std::size_t num_blocks,
                            const std::function<void(BlockContext&)>& body,
                            std::string_view name) const {
   resilience::maybe_inject(resilience::FaultSite::KernelLaunch, name);
@@ -147,7 +147,7 @@ LaunchStats Device::launch(std::size_t num_blocks,
   const bool profiling = profiler::Profiler::global().enabled();
   CycleBuffer block_cycles(profiling, num_blocks, workspace_);
   std::mutex merge_mutex;
-  pool_->parallel_for_chunked(
+  pool.parallel_for_chunked(
       0, num_blocks,
       [&](std::size_t lo, std::size_t hi) {
         ChunkArena chunk(config_, workspace_);
@@ -168,35 +168,6 @@ LaunchStats Device::launch(std::size_t num_blocks,
         result.traffic += stats;
       },
       /*grain=*/16);
-  result.wall_seconds = timer.seconds();
-  finish_launch(result, config_, num_blocks, span, name, block_cycles.cycles);
-  return result;
-}
-
-LaunchStats Device::launch_sequential(std::size_t num_blocks,
-                                      const std::function<void(BlockContext&)>& body,
-                                      std::string_view name) const {
-  resilience::maybe_inject(resilience::FaultSite::KernelLaunch, name);
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), name, "kernel");
-  LaunchStats result;
-  Timer timer;
-  const bool profiling = profiler::Profiler::global().enabled();
-  CycleBuffer block_cycles(profiling, num_blocks, workspace_);
-  ChunkArena chunk(config_, workspace_);
-  MemoryStats stats;
-  BlockContext ctx{0, &chunk.arena, &stats, workspace_};
-  double cycles_before = 0;
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    ctx.block_id = b;
-    chunk.arena.reset();
-    body(ctx);
-    if (profiling) {
-      const double cycles_after = config_.cost_model.cycles(stats);
-      block_cycles.cycles[b] = cycles_after - cycles_before;
-      cycles_before = cycles_after;
-    }
-  }
-  result.traffic = stats;
   result.wall_seconds = timer.seconds();
   finish_launch(result, config_, num_blocks, span, name, block_cycles.cycles);
   return result;

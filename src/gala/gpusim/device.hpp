@@ -1,6 +1,8 @@
 // The simulated device: a block scheduler over host threads.
 //
-// A "kernel launch" maps a range of block ids onto the host thread pool.
+// A "kernel launch" maps a range of block ids onto a host thread pool: the
+// one its engine hands it (a size-1 pool runs the blocks in order on the
+// calling thread).
 // Each block receives a BlockContext carrying its shared-memory arena and a
 // MemoryStats sink; blocks run concurrently (real host parallelism), lanes
 // within a block run warp-synchronously inside the kernel body. Launch
@@ -22,8 +24,6 @@
 namespace gala::gpusim {
 
 struct DeviceConfig {
-  /// Host worker threads standing in for SMs. 0 = hardware concurrency.
-  std::size_t num_workers = 0;
   /// Shared memory per block, bytes (A100 default opt-in max is 164 KiB;
   /// 48 KiB is the portable default).
   std::size_t shared_bytes_per_block = 48 * 1024;
@@ -75,23 +75,18 @@ class Device {
   const DeviceConfig& config() const { return config_; }
   exec::Workspace* workspace() const { return workspace_; }
 
-  /// Launches `num_blocks` blocks of `body`. Blocks are distributed over the
-  /// pool; each worker reuses one arena (reset between blocks). Returns the
-  /// aggregated traffic/cost of the launch. When the global tracer is
-  /// enabled, emits one "kernel" span named `name` carrying the launch's
-  /// MemoryStats snapshot and modeled-cycle breakdown.
-  LaunchStats launch(std::size_t num_blocks, const std::function<void(BlockContext&)>& body,
+  /// Launches `num_blocks` blocks of `body` on `pool`. Each pool chunk of
+  /// blocks reuses one arena (reset between blocks); a size-1 pool runs
+  /// every block in order on the calling thread. Returns the aggregated
+  /// traffic/cost of the launch. When the global tracer is enabled, emits
+  /// one "kernel" span named `name` carrying the launch's MemoryStats
+  /// snapshot and modeled-cycle breakdown.
+  LaunchStats launch(ThreadPool& pool, std::size_t num_blocks,
+                     const std::function<void(BlockContext&)>& body,
                      std::string_view name = "kernel") const;
-
-  /// Sequential launch on the calling thread (deterministic debugging and
-  /// per-iteration accounting without pool scheduling noise).
-  LaunchStats launch_sequential(std::size_t num_blocks,
-                                const std::function<void(BlockContext&)>& body,
-                                std::string_view name = "kernel") const;
 
  private:
   DeviceConfig config_;
-  ThreadPool* pool_;               // not owned; the process-global pool
   exec::Workspace* workspace_;     // not owned; null = heap-backed transients
 };
 

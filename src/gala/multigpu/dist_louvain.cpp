@@ -542,7 +542,7 @@ class RankEngine final : public core::Phase1Driver {
 };
 
 /// The phase-1 config a rank drives with: the distributed policy knobs,
-/// sequential launches in a private context (each simulated device owns its
+/// a size-1 pool in a private context (each simulated device owns its
 /// pooled workspace, so its arena pages, hash scratch and sync staging are
 /// recycled without cross-rank allocator contention), and on rank 0 the
 /// observer, without the rank-local flag spans.

@@ -9,22 +9,6 @@
 
 namespace gala::query {
 
-namespace {
-
-/// Shards [0, n) across the pool in deterministic contiguous chunks; bodies
-/// write only their own output indices, so results are order-stable.
-void for_batch(ThreadPool& pool, std::size_t n, std::size_t grain,
-               const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (n <= grain) {
-    body(0, n);
-    return;
-  }
-  pool.parallel_for_chunked(0, n, body, grain);
-}
-
-}  // namespace
-
 QueryExecutor::QueryExecutor(const CommunityStore& store, ThreadPool* pool, std::size_t grain)
     : store_(&store), pool_(pool != nullptr ? pool : &ThreadPool::global()),
       grain_(std::max<std::size_t>(grain, 1)) {}
@@ -45,13 +29,16 @@ std::vector<cid_t> QueryExecutor::community_of(const Snapshot& snap,
   span.arg("ops", static_cast<double>(vertices.size()));
   const vid_t n = snap.num_vertices();
   std::vector<cid_t> out(vertices.size());
-  for_batch(*pool_, vertices.size(), grain_, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      GALA_CHECK(vertices[i] < n, "vertex " << vertices[i] << " out of range for epoch "
-                                            << snap.epoch() << " (" << n << " vertices)");
-      out[i] = snap.community_of(vertices[i]);
-    }
-  });
+  pool_->parallel_for_chunked(
+      0, vertices.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          GALA_CHECK(vertices[i] < n, "vertex " << vertices[i] << " out of range for epoch "
+                                                << snap.epoch() << " (" << n << " vertices)");
+          out[i] = snap.community_of(vertices[i]);
+        }
+      },
+      grain_);
   telemetry::Registry::global().counter("query.batch_lookups").add(vertices.size());
   return out;
 }
@@ -60,13 +47,16 @@ std::vector<vid_t> QueryExecutor::community_size_of(const Snapshot& snap,
                                                     std::span<const vid_t> vertices) const {
   const vid_t n = snap.num_vertices();
   std::vector<vid_t> out(vertices.size());
-  for_batch(*pool_, vertices.size(), grain_, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      GALA_CHECK(vertices[i] < n, "vertex " << vertices[i] << " out of range for epoch "
-                                            << snap.epoch() << " (" << n << " vertices)");
-      out[i] = snap.size(snap.community_of(vertices[i]));
-    }
-  });
+  pool_->parallel_for_chunked(
+      0, vertices.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          GALA_CHECK(vertices[i] < n, "vertex " << vertices[i] << " out of range for epoch "
+                                                << snap.epoch() << " (" << n << " vertices)");
+          out[i] = snap.size(snap.community_of(vertices[i]));
+        }
+      },
+      grain_);
   telemetry::Registry::global().counter("query.batch_lookups").add(vertices.size());
   return out;
 }
@@ -116,16 +106,19 @@ EpochDiff QueryExecutor::diff(const Snapshot& from, const Snapshot& to) const {
 
   const std::size_t chunks = (n + grain_ - 1) / std::max<std::size_t>(grain_, 1);
   std::vector<std::vector<vid_t>> moved_per_chunk(std::max<std::size_t>(chunks, 1));
-  for_batch(*pool_, n, grain_, [&](std::size_t lo, std::size_t hi) {
-    std::vector<vid_t>& local = moved_per_chunk[lo / grain_];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const vid_t v = static_cast<vid_t>(i);
-      const vid_t pair = pair_count.find(key(v))->second;
-      if (pair != from.size(from.community_of(v)) || pair != to.size(to.community_of(v))) {
-        local.push_back(v);
-      }
-    }
-  });
+  pool_->parallel_for_chunked(
+      0, n,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<vid_t>& local = moved_per_chunk[lo / grain_];
+        for (std::size_t i = lo; i < hi; ++i) {
+          const vid_t v = static_cast<vid_t>(i);
+          const vid_t pair = pair_count.find(key(v))->second;
+          if (pair != from.size(from.community_of(v)) || pair != to.size(to.community_of(v))) {
+            local.push_back(v);
+          }
+        }
+      },
+      grain_);
   for (const auto& chunk : moved_per_chunk) {
     result.moved.insert(result.moved.end(), chunk.begin(), chunk.end());
   }

@@ -41,7 +41,7 @@ class TransientFault : public Error {
 };
 
 enum class FaultSite {
-  KernelLaunch,       ///< gpusim::Device::launch / launch_sequential entry
+  KernelLaunch,       ///< gpusim::Device::launch entry
   SharedAlloc,        ///< SharedMemoryArena::allocate (simulated exhaustion)
   ScratchGrow,        ///< NeighborCommunityTable global-scratch growth
   CollectiveDrop,     ///< a rank's collective contribution is lost

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
+#include <future>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "gala/common/error.hpp"
 #include "gala/common/prng.hpp"
@@ -74,13 +82,19 @@ TEST(Prng, SplitmixIsConstexprAndStable) {
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_chunked(
+      0, hits.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      },
+      /*grain=*/1);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   ThreadPool pool(2);
-  pool.parallel_for(5, 5, [](std::size_t) { FAIL() << "body must not run"; });
+  pool.parallel_for_chunked(5, 5,
+                            [](std::size_t, std::size_t) { FAIL() << "body must not run"; });
 }
 
 TEST(ThreadPool, ChunkedCoversRangeContiguously) {
@@ -96,22 +110,131 @@ TEST(ThreadPool, ChunkedCoversRangeContiguously) {
 TEST(ThreadPool, WorkerExceptionPropagatesToCaller) {
   ThreadPool pool(2);
   EXPECT_THROW(
-      pool.parallel_for(0, 100, [](std::size_t i) {
-        if (i == 37) throw Error("boom");
-      }),
+      pool.parallel_for_chunked(
+          0, 100,
+          [](std::size_t lo, std::size_t hi) {
+            if (lo <= 37 && 37 < hi) throw Error("boom");
+          },
+          1),
       Error);
   // The pool must remain usable afterwards.
   std::atomic<int> count{0};
-  pool.parallel_for(0, 10, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for_chunked(0, 10, [&](std::size_t lo, std::size_t hi) {
+    count.fetch_add(static_cast<int>(hi - lo));
+  });
   EXPECT_EQ(count.load(), 10);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 20; ++i) pool.submit([&] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 20);
+// Two threads share one pool; only one of them throws. Each caller must see
+// exactly its own outcome, every trial.
+TEST(ThreadPool, ConcurrentCallersSeeOnlyTheirOwnException) {
+  ThreadPool pool(4);
+  int stolen = 0;  // the clean caller threw
+  int lost = 0;    // the throwing caller returned normally
+  for (int trial = 0; trial < 200; ++trial) {
+    std::atomic<int> ready{0};
+    const auto start_together = [&ready] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+    };
+    bool clean_threw = false;
+    bool failing_threw = false;
+    std::thread failing([&] {
+      start_together();
+      try {
+        pool.parallel_for_chunked(
+            0, 4096, [](std::size_t, std::size_t) { throw Error("boom"); }, 64);
+      } catch (const Error&) {
+        failing_threw = true;
+      }
+    });
+    start_together();
+    std::atomic<std::size_t> sum{0};
+    try {
+      pool.parallel_for_chunked(
+          0, 4096,
+          [&sum](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(i);
+          },
+          64);
+    } catch (const Error&) {
+      clean_threw = true;
+    }
+    failing.join();
+    stolen += clean_threw ? 1 : 0;
+    lost += failing_threw ? 0 : 1;
+    if (!clean_threw) {
+      EXPECT_EQ(sum.load(), 4095u * 4096u / 2);
+    }
+  }
+  EXPECT_EQ(stolen, 0) << "a caller caught another caller's exception";
+  EXPECT_EQ(lost, 0) << "a throwing caller returned normally";
+}
+
+// A body may call parallel_for on its own pool. The wait is bounded so that
+// a deadlock fails the test instead of hanging it.
+TEST(ThreadPool, NestedParallelForFromABodyCompletes) {
+  auto pool = std::make_unique<ThreadPool>(4);
+  std::atomic<std::size_t> sum{0};
+  std::packaged_task<void()> task([&pool, &sum] {
+    pool->parallel_for_chunked(
+        0, 64,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            pool->parallel_for_chunked(
+                0, 1000,
+                [&](std::size_t jlo, std::size_t jhi) {
+                  for (std::size_t j = jlo; j < jhi; ++j) sum.fetch_add(j);
+                },
+                16);
+          }
+        },
+        1);
+  });
+  std::future<void> done = task.get_future();
+  std::thread caller(std::move(task));
+  if (done.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+    // A deadlocked pool can be neither joined nor destroyed: leave the
+    // caller and the pool behind so the failure is reported, not hung on.
+    caller.detach();
+    (void)pool.release();
+    FAIL() << "nested parallel_for did not complete";
+  }
+  caller.join();
+  done.get();
+  EXPECT_EQ(sum.load(), 64u * (999u * 1000u / 2));
+}
+
+/// Threads of this process, from /proc/self/status; 0 where unavailable.
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+// A size-1 pool starts no worker thread: each call runs on the caller, as
+// the single chunk [begin, end), whatever the grain.
+TEST(ThreadPool, SizeOnePoolRunsInlineAsOneChunk) {
+  const std::size_t threads_before = process_threads();
+  if (threads_before == 0) GTEST_SKIP() << "no /proc/self/status";
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(process_threads(), threads_before) << "a size-1 pool started a worker";
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  std::vector<std::thread::id> ids;
+  pool.parallel_for_chunked(
+      3, 100000,
+      [&](std::size_t lo, std::size_t hi) {
+        chunks.emplace_back(lo, hi);
+        ids.push_back(std::this_thread::get_id());
+      },
+      /*grain=*/1);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0], std::make_pair(std::size_t{3}, std::size_t{100000}));
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
 }
 
 TEST(ErrorMacros, CheckThrowsWithMessage) {

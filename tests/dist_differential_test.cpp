@@ -235,9 +235,10 @@ TEST(DistDifferential, BudgetSweepKeepsEveryEngineBitIdentical) {
       return rep.peak_total_bytes() <= budget && rep.leak_free() &&
              partition == reference.community;
     };
-    const std::uint64_t min_budget = governor::min_feasible_budget(peak, feasible);
-    ASSERT_GT(min_budget, 0u) << "P=" << P << " overlap=" << overlap
-                              << ": even the unbudgeted peak was infeasible";
+    // Throws, naming the ceiling, when even the unbudgeted peak is infeasible.
+    std::uint64_t min_budget = 0;
+    ASSERT_NO_THROW(min_budget = governor::min_feasible_budget(peak, feasible))
+        << "P=" << P << " overlap=" << overlap;
     for (const std::uint64_t budget :
          {std::max(peak, min_budget), std::max(peak * 3 / 4, min_budget),
           std::max(peak / 2, min_budget), min_budget}) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -294,8 +295,15 @@ TEST(MinFeasibleBudget, FindsTheSmallestFeasibleGranule) {
   EXPECT_LE(probes, 8);  // log2(25 granules) + the two endpoint probes
 }
 
-TEST(MinFeasibleBudget, InfeasibleCeilingReturnsZero) {
-  EXPECT_EQ(min_feasible_budget(100000, [](std::uint64_t) { return false; }, 4096), 0u);
+TEST(MinFeasibleBudget, InfeasibleCeilingThrowsNamingIt) {
+  // No floor exists, so the probe fails naming its ceiling instead of
+  // reporting a 0-byte budget.
+  try {
+    min_feasible_budget(100000, [](std::uint64_t) { return false; }, 4096);
+    FAIL() << "an infeasible ceiling must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("hi 100000 B"), std::string::npos) << e.what();
+  }
 }
 
 TEST(MinFeasibleBudget, TriviallyFeasibleReturnsOneGranule) {

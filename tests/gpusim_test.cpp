@@ -175,12 +175,14 @@ TEST(SharedMemoryArena, RespectsAlignment) {
 
 TEST(Device, ParallelAndSequentialLaunchesChargeIdenticalTraffic) {
   Device device;
+  ThreadPool pool(4);
+  ThreadPool serial(1);
   auto body = [](BlockContext& ctx) {
     ctx.stats->global_reads += ctx.block_id + 1;
     ctx.shared->allocate<int>(4);
   };
-  const auto par = device.launch(100, body);
-  const auto seq = device.launch_sequential(100, body);
+  const auto par = device.launch(pool, 100, body);
+  const auto seq = device.launch(serial, 100, body);
   EXPECT_EQ(par.traffic.global_reads, seq.traffic.global_reads);
   EXPECT_EQ(par.traffic.global_reads, 100u * 101u / 2);
   EXPECT_DOUBLE_EQ(par.modeled_cycles, seq.modeled_cycles);
@@ -188,7 +190,8 @@ TEST(Device, ParallelAndSequentialLaunchesChargeIdenticalTraffic) {
 
 TEST(Device, SharedArenaResetBetweenBlocks) {
   Device device;
-  device.launch_sequential(10, [](BlockContext& ctx) {
+  ThreadPool serial(1);
+  device.launch(serial, 10, [](BlockContext& ctx) {
     // Each block can claim the full budget: the arena was reset.
     ctx.shared->allocate<std::byte>(ctx.shared->capacity_bytes());
   });

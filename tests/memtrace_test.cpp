@@ -300,9 +300,10 @@ TEST(MemBudgetSweep, PartitionsAreBitIdenticalDownToMinFeasible) {
       const MemReport rep = MemRegistry::global().report();
       return rep.peak_total_bytes() <= budget && rep.leak_free() && partition == reference;
     };
-    const std::uint64_t min_budget = governor::min_feasible_budget(peak, feasible);
-    ASSERT_GT(min_budget, 0u) << "pooling=" << pooling
-                              << ": even the unbudgeted peak was infeasible";
+    // Throws, naming the ceiling, when even the unbudgeted peak is infeasible.
+    std::uint64_t min_budget = 0;
+    ASSERT_NO_THROW(min_budget = governor::min_feasible_budget(peak, feasible))
+        << "pooling=" << pooling;
 
     // 100% / 75% / 50% of the unbudgeted peak, clamped to the feasibility
     // floor the probe just established, plus the floor itself.

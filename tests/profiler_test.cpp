@@ -244,13 +244,15 @@ class ProfilerFixture : public ::testing::Test {
     p.set_enabled(false);
     p.reset();
   }
+
+  ThreadPool serial{1};  // launches run in block order on the test thread
 };
 
 TEST_F(ProfilerFixture, DeviceLaunchRecordsLoadImbalance) {
   gpusim::Device device;
   // Block 0 does all the work: per-block cycles [10 * 400, 0, 0, 0].
-  device.launch_sequential(
-      4,
+  device.launch(
+      serial, 4,
       [](gpusim::BlockContext& ctx) {
         if (ctx.block_id == 0) ctx.stats->global_reads += 10;
       },
@@ -271,8 +273,8 @@ TEST_F(ProfilerFixture, DeviceLaunchRecordsLoadImbalance) {
 TEST_F(ProfilerFixture, LaunchesUnderOneNameAggregate) {
   gpusim::Device device;
   const auto body = [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; };
-  device.launch_sequential(2, body, "k");
-  device.launch_sequential(3, body, "k");
+  device.launch(serial, 2, body, "k");
+  device.launch(serial, 3, body, "k");
   const auto kernels = profiler::Profiler::global().snapshot();
   ASSERT_EQ(kernels.size(), 1u);
   EXPECT_EQ(kernels[0].launches, 2u);
@@ -283,15 +285,15 @@ TEST_F(ProfilerFixture, LaunchesUnderOneNameAggregate) {
 TEST_F(ProfilerFixture, DisabledProfilerRecordsNothing) {
   profiler::Profiler::global().set_enabled(false);
   gpusim::Device device;
-  device.launch_sequential(
-      1, [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; }, "k");
+  device.launch(
+      serial, 1, [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; }, "k");
   EXPECT_TRUE(profiler::Profiler::global().snapshot().empty());
 }
 
 TEST_F(ProfilerFixture, ReportJsonHasTheDocumentedShape) {
   gpusim::Device device;
-  device.launch_sequential(
-      2,
+  device.launch(
+      serial, 2,
       [](gpusim::BlockContext& ctx) {
         ctx.stats->global_reads += 4;
         ctx.stats->register_ops += 8;
@@ -326,8 +328,8 @@ TEST_F(ProfilerFixture, ResetForgetsKernelsButKeepsCeilings) {
   auto& p = profiler::Profiler::global();
   p.set_ceilings(custom);
   gpusim::Device device;
-  device.launch_sequential(
-      1, [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; }, "k");
+  device.launch(
+      serial, 1, [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; }, "k");
   p.reset();
   EXPECT_TRUE(p.snapshot().empty());
   EXPECT_DOUBLE_EQ(p.ceilings().dram_gbps, 900.0);

@@ -108,9 +108,10 @@ TEST(Pruning, HistoryStrategiesActivateEverythingOnIterationZero) {
   PruningContext ctx{&g, comm, weight, total, 2.0, g.two_m(), moved, changed, 0};
   Xoshiro256 rng(1);
   std::vector<std::uint8_t> active(6, 0);
+  ThreadPool serial_pool(1);
   for (const auto strategy :
        {PruningStrategy::Strict, PruningStrategy::Relaxed, PruningStrategy::Probabilistic}) {
-    compute_active(strategy, ctx, 0.25, rng, active);
+    compute_active(strategy, ctx, 0.25, rng, active, serial_pool);
     for (const auto a : active) EXPECT_EQ(a, 1) << to_string(strategy);
   }
 }
@@ -134,13 +135,14 @@ TEST(Pruning, ComputeActiveParallelMatchesSerial) {
   }
   const PruningContext ctx{&g, comm, weight, total, min_total, g.two_m(), moved, changed, 2};
 
+  ThreadPool serial_pool(1);
   for (const auto strategy :
        {PruningStrategy::Strict, PruningStrategy::Relaxed, PruningStrategy::Probabilistic,
         PruningStrategy::ModularityGain, PruningStrategy::MgPlusRelaxed}) {
     std::vector<std::uint8_t> serial(g.num_vertices()), parallel(g.num_vertices());
     Xoshiro256 r1(42), r2(42);
-    compute_active(strategy, ctx, 0.25, r1, serial, nullptr);
-    compute_active(strategy, ctx, 0.25, r2, parallel, &ThreadPool::global());
+    compute_active(strategy, ctx, 0.25, r1, serial, serial_pool);
+    compute_active(strategy, ctx, 0.25, r2, parallel, ThreadPool::global());
     EXPECT_EQ(serial, parallel) << to_string(strategy);
   }
 }

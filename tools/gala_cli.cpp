@@ -179,7 +179,8 @@ int cmd_detect(int argc, const char* const* argv) {
       .add_flag("strict", "supervised: fail closed on the first fault (no recovery)")
       .add_flag("probe-min-budget", "after the run, binary-search the smallest feasible budget "
                 "(completes unsupervised, bit-identical partition, peak within budget; "
-                "single-device runs are replayed with sequential launches)")
+                "single-device runs are replayed with sequential launches; fails when even "
+                "the unlimited peak is infeasible)")
       .add_flag("serve", "publish the final partition into the epoch-versioned query store "
                 "and answer a deterministic sample query batch")
       .add_flag("connected", "report whether every community is connected");
