@@ -108,6 +108,9 @@ struct IterationStats {
 struct Phase1Result {
   std::vector<cid_t> community;  ///< final assignment, raw ids in [0, V)
   wt_t modularity = 0;
+  /// Modularity of the partition the run started from (singletons, or the
+  /// warm start). Synchronous moves can end below it.
+  wt_t start_modularity = 0;
   vid_t num_communities = 0;
   std::vector<IterationStats> iterations;
   double wall_seconds = 0;

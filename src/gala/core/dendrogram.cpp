@@ -26,26 +26,12 @@ std::vector<cid_t> Dendrogram::cut_at_most(vid_t max_communities) const {
   return cut(levels_.size());
 }
 
-Dendrogram build_dendrogram(const graph::Graph& g, const BspConfig& config, double level_theta,
-                            int max_levels) {
+Dendrogram build_dendrogram(const graph::Graph& g, const GalaConfig& config) {
+  GalaResult run = run_louvain(g, config);
   Dendrogram dendrogram(g.num_vertices());
-  const graph::Graph* current = &g;
-  graph::Graph owned;
-  wt_t prev_q = -1;
-  for (int level = 0; level < max_levels; ++level) {
-    const Phase1Result phase1 = bsp_phase1(*current, config);
-    if (level > 0 && phase1.modularity - prev_q < level_theta) break;
-    prev_q = phase1.modularity;
-
-    AggregationResult agg = aggregate(*current, phase1.community);
-    Dendrogram::Level lv;
-    lv.contraction = agg.fine_to_coarse;
-    lv.modularity = phase1.modularity;
-    lv.num_communities = agg.num_communities;
-    dendrogram.push_level(std::move(lv));
-    if (agg.num_communities == current->num_vertices()) break;
-    owned = std::move(agg.coarse);
-    current = &owned;
+  for (GalaLevel& lv : run.levels) {
+    const vid_t communities = count_communities(lv.fold);
+    dendrogram.push_level({std::move(lv.fold), lv.modularity, communities});
   }
   return dendrogram;
 }

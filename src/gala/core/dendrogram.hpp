@@ -2,17 +2,18 @@
 //
 // run_louvain flattens the hierarchy to its final partition; analysts often
 // want intermediate granularities ("give me ~500 communities"). Dendrogram
-// retains every level's contraction map and exposes cuts:
+// keeps every folded level's contraction map, read off the run's
+// GalaLevel::fold, and exposes cuts:
 //
 //   Dendrogram d = build_dendrogram(g);
-//   auto coarse = d.cut(d.num_levels() - 1);   // final communities
+//   auto final  = d.cut(d.num_levels());       // the run's partition
 //   auto finer  = d.cut(1);                    // first-level communities
 //   auto k500   = d.cut_at_most(500);          // finest cut with <= 500
 #pragma once
 
 #include <vector>
 
-#include "gala/core/bsp_louvain.hpp"
+#include "gala/core/gala.hpp"
 
 namespace gala::core {
 
@@ -21,6 +22,8 @@ class Dendrogram {
   struct Level {
     /// Maps a level-(i) vertex to its level-(i+1) community (dense ids).
     std::vector<cid_t> contraction;
+    /// The level's phase-1 modularity (under refinement an intermediate
+    /// level folds the refined partition, whose Q differs).
     wt_t modularity = 0;
     vid_t num_communities = 0;
   };
@@ -49,8 +52,8 @@ class Dendrogram {
   std::vector<Level> levels_;
 };
 
-/// Runs the multi-level pipeline and retains every level's contraction.
-Dendrogram build_dendrogram(const graph::Graph& g, const BspConfig& config = {},
-                            double level_theta = 1e-6, int max_levels = 30);
+/// Runs run_louvain(g, config) and keeps every folded level, so the final
+/// cut is the run's partition (up to community ids).
+Dendrogram build_dendrogram(const graph::Graph& g, const GalaConfig& config = {});
 
 }  // namespace gala::core

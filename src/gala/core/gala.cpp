@@ -14,6 +14,11 @@
 namespace gala::core {
 
 GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
+  const std::unique_ptr<LouvainBackend> engine = make_backend(config.backend, config.blas);
+  return run_louvain(g, config, *engine);
+}
+
+GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainBackend& engine) {
   if (config.vertex_following) {
     // Preprocess: merge pendant vertices, solve the reduced instance, and
     // expand. Contraction preserves modularity exactly (see
@@ -29,7 +34,7 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
     }
     GalaConfig inner = config;
     inner.vertex_following = false;
-    GalaResult result = run_louvain(vf.reduced, inner);
+    GalaResult result = run_louvain(vf.reduced, inner, engine);
     result.assignment = expand_assignment(vf, result.assignment);
     result.num_communities = renumber_communities(result.assignment);
     return result;
@@ -49,7 +54,6 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
     cfg.bsp.context = owned_ctx.get();
   }
   exec::Workspace& ws = cfg.bsp.context->workspace();
-  const std::unique_ptr<LouvainBackend> engine = make_backend(cfg.backend, cfg.blas);
 
   const vid_t n = g.num_vertices();
   result.assignment.resize(n);
@@ -58,6 +62,7 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
   const graph::Graph* current = &g;
   graph::Graph owned;
   wt_t prev_q = -1;  // any first level is an improvement
+  bool held_refined = false;  // the held partition is a refined fold, not phase 1's
   memtrace::set_resident("graph.csr", g.memory_bytes());
 
   for (int level = 0; level < cfg.max_levels; ++level) {
@@ -65,7 +70,7 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
     telemetry::flight(telemetry::FlightKind::LevelBegin, static_cast<double>(level),
                       static_cast<double>(current->num_vertices()));
     Timer level_timer;
-    Phase1Result phase1 = engine->run_level(*current, cfg.bsp);
+    Phase1Result phase1 = engine.run_level(*current, cfg.bsp);
     if (level == 0 && config.keep_first_round) result.first_round = phase1;
     if (level_span.active()) {
       level_span.last_arg("level", static_cast<double>(level));
@@ -81,22 +86,26 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
     lv.iterations = static_cast<int>(phase1.iterations.size());
     result.modeled_ms += phase1.modeled_ms();
 
-    if (level > 0 && phase1.modularity - prev_q < cfg.level_theta) {
-      // Fold the final phase-1 partition so the reported assignment matches
-      // the reported modularity exactly (matters when refinement made the
-      // previously-folded partition finer than phase 1's).
-      const AggregationResult last = engine->contract(*current, phase1.community, &ws);
-      result.assignment = compose_assignment(result.assignment, last.fine_to_coarse);
-      prev_q = phase1.modularity;
+    if (phase1.modularity < phase1.start_modularity) {
+      // Synchronous moves can lose modularity. Folding this partition would
+      // hand back a worse one than the run already holds, so keep that one.
+      telemetry::flight(telemetry::FlightKind::Rollback, static_cast<double>(level),
+                        phase1.modularity);
       lv.wall_seconds = level_timer.seconds();
-      result.levels.push_back(lv);
+      result.rejected = std::move(lv);
       memtrace::mark_epoch(memtrace::EpochKind::Level, level);
       break;
     }
+    const bool converged = level > 0 && phase1.modularity - prev_q < cfg.level_theta;
     prev_q = phase1.modularity;
 
     AggregationResult agg;
-    if (cfg.refine) {
+    if (converged) {
+      // Fold the final phase-1 partition so the reported assignment matches
+      // the reported modularity exactly (matters when refinement made the
+      // previously-folded partition finer than phase 1's).
+      agg = engine.contract(*current, phase1.community, &ws);
+    } else if (cfg.refine) {
       RefinementResult refined;
       {
         telemetry::ScopedSpan refine_span(telemetry::Tracer::global(), "refine", "phase2");
@@ -104,17 +113,20 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
                                    cfg.bsp.seed ^ (level + 1));
       }
       telemetry::ScopedSpan agg_span(telemetry::Tracer::global(), "aggregate", "phase2");
-      agg = engine->contract(*current, refined.refined, &ws);
+      agg = engine.contract(*current, refined.refined, &ws);
     } else {
       telemetry::ScopedSpan agg_span(telemetry::Tracer::global(), "aggregate", "phase2");
-      agg = engine->contract(*current, phase1.community, &ws);
+      agg = engine.contract(*current, phase1.community, &ws);
     }
     result.assignment = compose_assignment(result.assignment, agg.fine_to_coarse);
+    held_refined = cfg.refine && !converged;
     lv.wall_seconds = level_timer.seconds();
-    result.levels.push_back(lv);
+    lv.fold = std::move(agg.fine_to_coarse);
+    result.levels.push_back(std::move(lv));
     memtrace::mark_epoch(memtrace::EpochKind::Level, level);
 
-    if (agg.num_communities == current->num_vertices()) break;  // no compression
+    const bool compressed = agg.num_communities < current->num_vertices();
+    if (converged || !compressed) break;
     owned = std::move(agg.coarse);
     current = &owned;
     // Level boundary: no lease is outstanding here (the engine and the
@@ -124,7 +136,12 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
   }
 
   result.num_communities = renumber_communities(result.assignment);
-  result.modularity = prev_q;
+  // prev_q measured the last phase-1 partition. The run may hold another:
+  // the one before a rejected level, or a refined fold when max_levels or a
+  // non-compressing level ended the run. Audit the held one then.
+  result.modularity = result.rejected || held_refined
+                          ? modularity(g, result.assignment, cfg.bsp.resolution)
+                          : prev_q;
   result.wall_seconds = total_timer.seconds();
   result.workspace = ws.stats();
   return result;

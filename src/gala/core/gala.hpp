@@ -1,9 +1,13 @@
 // GALA public API: the full multi-level Louvain pipeline.
 //
-// Repeats { BSP phase 1 (bsp_louvain.hpp) ; phase 2 contraction
+// Repeats { phase 1 (bsp_louvain.hpp) ; phase 2 contraction
 // (aggregation.hpp) } until the modularity gain between levels drops below
 // `level_theta` or the graph stops compressing — the complete algorithm the
-// paper's §5.1 end-to-end comparison runs.
+// paper's §5.1 end-to-end comparison runs. A level whose phase 1 ends below
+// the modularity it started from is not folded: the run keeps the partition
+// it already held. This is the only multi-level loop; the supervisor
+// (resilience/supervisor.hpp) and the dendrogram (dendrogram.hpp) run it
+// through the LouvainBackend seam.
 //
 // Quickstart:
 //   gala::graph::Graph g = gala::graph::load_edge_list("graph.txt");
@@ -11,6 +15,7 @@
 //   // r.assignment[v] = community of v, r.modularity = Q
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "gala/core/backend.hpp"
@@ -51,6 +56,9 @@ struct GalaLevel {
   wt_t modularity = 0;
   int iterations = 0;
   double wall_seconds = 0;
+  /// The fold: level vertex -> next-level vertex (dense ids). Empty for a
+  /// rejected level, which is not folded.
+  std::vector<cid_t> fold;
 };
 
 struct GalaResult {
@@ -58,9 +66,15 @@ struct GalaResult {
   std::vector<cid_t> assignment;
   wt_t modularity = 0;
   vid_t num_communities = 0;
+  /// The folded levels, in order.
   std::vector<GalaLevel> levels;
+  /// The level whose phase 1 ended below the modularity it started from, if
+  /// any. It was not folded, so `assignment` is the partition held before it
+  /// and `modularity` is that partition's audited Q.
+  std::optional<GalaLevel> rejected;
   double wall_seconds = 0;
-  /// Modeled GPU time across all levels (cost model), milliseconds.
+  /// Modeled GPU time across all levels, a rejected one included (cost
+  /// model), milliseconds.
   double modeled_ms = 0;
   /// First-round phase 1 detail (when keep_first_round).
   Phase1Result first_round;
@@ -69,7 +83,12 @@ struct GalaResult {
   exec::WorkspaceStats workspace;
 };
 
-/// Runs the full pipeline on `g`.
+/// Runs the full pipeline on `g` with make_backend(config.backend,
+/// config.blas).
 GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config = {});
+
+/// Runs the full pipeline on `g`, every level through `engine`
+/// (config.backend and config.blas are not consulted).
+GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainBackend& engine);
 
 }  // namespace gala::core

@@ -220,6 +220,7 @@ Phase1Result Phase1Driver::run() {
 
   CommunityState::Scan scan = s.scan(g_.two_m());
   wt_t q = s.internal_weight(g_, {0, n}) / g_.two_m() - config_.resolution * scan.sum_sq;
+  result.start_modularity = q;
   // Bookkeeping: 4 atomics per mover and an owned-range pass over the totals.
   const auto bookkeeping = [&](gpusim::MemoryStats& traffic) {
     traffic.global_atomics += 4 * std::uint64_t{s.commit_moves(g_, moved)};

@@ -260,6 +260,14 @@ core::IterationCallback HealthMonitor::callback() {
   };
 }
 
+void HealthMonitor::begin_level(int level) {
+  if (open_ && cur_.level == level) {
+    cur_ = LevelHealth{};
+    open_ = false;
+  }
+  level_index_ = level - 1;
+}
+
 void HealthMonitor::finalize_level() {
   if (!open_) return;
   derive(cur_, config_);

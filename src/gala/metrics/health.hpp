@@ -23,12 +23,13 @@
 // Two entry points share the analysis:
 //
 //   - analyze_iterations() works on recorded IterationStats alone (no
-//     per-vertex history, so no oscillation detection) — used by benches and
-//     the supervisor's advisory signal on Phase1Result::iterations.
+//     per-vertex history, so no oscillation detection) — used by benches.
 //   - HealthMonitor hooks BspConfig::on_iteration / the distributed
 //     engine's observer, tracks per-vertex two-deep community history for
 //     flip-flop detection, and emits HealthStall / HealthOscillation flight
-//     events (telemetry/flight_recorder.hpp) as levels close.
+//     events (telemetry/flight_recorder.hpp) as levels close. A run has one
+//     monitor: the CLI's, or under supervision the supervisor's, whose
+//     verdicts also become advisory RecoveryEvents.
 //
 // The report is deterministic: every field derives from modeled, seeded
 // state, so a fixed (graph, config, seed) yields a byte-identical document
@@ -122,6 +123,12 @@ class HealthMonitor {
   /// Adapter: a copyable callback bound to this monitor (the monitor must
   /// outlive the engine run).
   core::IterationCallback callback();
+
+  /// Tags the next level observed as pipeline level `level`. An in-flight
+  /// trajectory already tagged `level` belongs to an aborted attempt at that
+  /// level and is dropped without a verdict, so a retried level is recorded
+  /// once.
+  void begin_level(int level);
 
   /// Finalizes the in-flight level and returns the accumulated report.
   /// Callable repeatedly; observation may continue afterwards.

@@ -52,6 +52,7 @@ std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
   begin_run(w, g);
 
   w.key("config").begin_object();
+  w.key("backend").value(core::to_string(config.backend));
   w.key("pruning").value(core::to_string(config.bsp.pruning));
   w.key("kernel").value(core::to_string(config.bsp.kernel));
   w.key("hashtable").value(core::to_string(config.bsp.hashtable));
@@ -70,16 +71,21 @@ std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
   const auto cs = graph::community_stats(g, result.assignment);
   w.key("largest_community").value(static_cast<std::uint64_t>(cs.largest));
   w.key("coverage").value(cs.coverage);
-  w.key("levels").begin_array();
-  for (const auto& lv : result.levels) {
+  const auto write_level = [&w](const core::GalaLevel& lv) {
     w.begin_object();
     w.key("vertices").value(static_cast<std::uint64_t>(lv.vertices));
     w.key("communities").value(static_cast<std::uint64_t>(lv.communities));
     w.key("modularity").value(lv.modularity);
     w.key("iterations").value(lv.iterations);
     w.end_object();
-  }
+  };
+  w.key("levels").begin_array();
+  for (const auto& lv : result.levels) write_level(lv);
   w.end_array();
+  if (result.rejected) {
+    w.key("rejected_level");
+    write_level(*result.rejected);
+  }
   w.end_object();
 
   w.end_object();

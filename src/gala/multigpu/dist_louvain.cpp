@@ -8,7 +8,6 @@
 
 #include "gala/common/timer.hpp"
 #include "gala/codec/delta_codec.hpp"
-#include "gala/core/aggregation.hpp"
 #include "gala/core/modularity.hpp"
 #include "gala/core/phase1.hpp"
 #include "gala/governor/governor.hpp"
@@ -664,41 +663,6 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
   result.modularity = core::modularity(g, result.community);
   result.iterations = static_cast<int>(result.iteration_log.size());
   result.wall_seconds = wall_timer.seconds();
-  return result;
-}
-
-DistributedFullResult distributed_louvain(const graph::Graph& g,
-                                          const DistributedConfig& config, double level_theta,
-                                          int max_levels) {
-  DistributedFullResult result;
-  Timer timer;
-  result.assignment.resize(g.num_vertices());
-  for (vid_t v = 0; v < g.num_vertices(); ++v) result.assignment[v] = v;
-
-  const graph::Graph* current = &g;
-  graph::Graph owned;
-  wt_t prev_q = -1;
-  // Level-transition scratch shared across the replicated aggregations.
-  exec::Workspace level_ws;
-  for (int level = 0; level < max_levels; ++level) {
-    const DistributedResult phase1 = distributed_phase1(*current, config);
-    result.modeled_ms += phase1.modeled_ms();
-    ++result.levels;
-    const core::AggregationResult agg = core::aggregate(*current, phase1.community, &level_ws);
-    if (level > 0 && phase1.modularity - prev_q < level_theta) {
-      result.assignment = core::compose_assignment(result.assignment, agg.fine_to_coarse);
-      prev_q = phase1.modularity;
-      break;
-    }
-    prev_q = phase1.modularity;
-    result.assignment = core::compose_assignment(result.assignment, agg.fine_to_coarse);
-    if (agg.num_communities == current->num_vertices()) break;
-    owned = std::move(agg.coarse);
-    current = &owned;
-  }
-  result.num_communities = core::renumber_communities(result.assignment);
-  result.modularity = prev_q;
-  result.wall_seconds = timer.seconds();
   return result;
 }
 

@@ -140,20 +140,4 @@ struct DistributedResult {
 /// Runs phase 1 of round 1 across `config.num_gpus` simulated devices.
 DistributedResult distributed_phase1(const graph::Graph& g, const DistributedConfig& config);
 
-/// Full multi-level pipeline with every phase-1 round distributed
-/// (aggregation is replicated — it is O(E) once per level and not the
-/// bottleneck the paper optimises).
-struct DistributedFullResult {
-  std::vector<cid_t> assignment;  ///< dense ids per original vertex
-  wt_t modularity = 0;
-  vid_t num_communities = 0;
-  int levels = 0;
-  double modeled_ms = 0;  ///< sum over levels of the slowest device's time
-  double wall_seconds = 0;
-};
-
-DistributedFullResult distributed_louvain(const graph::Graph& g,
-                                          const DistributedConfig& config,
-                                          double level_theta = 1e-6, int max_levels = 30);
-
 }  // namespace gala::multigpu

@@ -1,18 +1,12 @@
 #include "gala/resilience/supervisor.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <optional>
-#include <thread>
+#include <memory>
+#include <numeric>
 #include <utility>
 
-#include "gala/common/timer.hpp"
-#include "gala/core/aggregation.hpp"
 #include "gala/core/modularity.hpp"
-#include "gala/core/refinement.hpp"
 #include "gala/core/sequential_louvain.hpp"
-#include "gala/core/vertex_following.hpp"
-#include "gala/metrics/health.hpp"
 #include "gala/metrics/report.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
 #include "gala/telemetry/telemetry.hpp"
@@ -38,6 +32,9 @@ core::Phase1Result sequential_host_phase1(const graph::Graph& g, const core::Bsp
   phase1.community = std::move(seq.assignment);
   phase1.modularity = seq.modularity;
   phase1.num_communities = seq.num_communities;
+  std::vector<cid_t> singletons(g.num_vertices());
+  std::iota(singletons.begin(), singletons.end(), cid_t{0});
+  phase1.start_modularity = core::modularity(g, singletons, bsp.resolution);
   return phase1;
 }
 
@@ -46,6 +43,103 @@ bool is_transient(const std::exception& e) {
          dynamic_cast<const ResourceExhausted*>(&e) != nullptr ||
          dynamic_cast<const ValidationError*>(&e) != nullptr;
 }
+
+/// The supervision envelope around one level of core::run_louvain's loop:
+/// retry, sequential fallback, validation and the run's health monitor
+/// around `inner`'s phase 1. Contraction is `inner`'s.
+class SupervisedEngine final : public core::LouvainBackend {
+ public:
+  SupervisedEngine(core::LouvainBackend& inner, const SupervisorConfig& sup, SupervisedResult& sr)
+      : inner_(inner), sup_(sup), sr_(sr) {}
+
+  const char* name() const override { return inner_.name(); }
+
+  core::Phase1Result run_level(const graph::Graph& g, const core::BspConfig& config) override {
+    const int level = level_++;
+    // The monitor observes through the engine's iteration hook without
+    // displacing the caller's own.
+    core::BspConfig bsp = config;
+    bsp.on_iteration = [this, user = config.on_iteration](
+                           int iter, const core::IterationStats& stats,
+                           std::span<const std::uint8_t> active,
+                           std::span<const std::uint8_t> moved, std::span<const cid_t> comm) {
+      monitor_.observe(iter, stats, active, moved, comm);
+      if (user) user(iter, stats, active, moved, comm);
+    };
+    for (int attempt = 0;; ++attempt) {
+      monitor_.begin_level(level);
+      try {
+        core::Phase1Result phase1 = inner_.run_level(g, bsp);
+        validate_level(g, phase1);
+        return phase1;
+      } catch (const Error& e) {
+        if (dynamic_cast<const ValidationError*>(&e) != nullptr) {
+          telemetry::flight(telemetry::FlightKind::ValidatorFail, static_cast<double>(level),
+                            static_cast<double>(attempt));
+        }
+        if (sup_.strict || !is_transient(e)) {
+          dump_flight(std::string("fatal: ") + e.what());
+          throw;
+        }
+        if (attempt < sup_.max_retries) {
+          telemetry::flight(telemetry::FlightKind::Retry, static_cast<double>(level),
+                            static_cast<double>(attempt));
+          sr_.events.push_back({level, attempt, "phase1", "retry", e.what()});
+          ++sr_.retries;
+          telemetry::Registry::global().counter("resilience.retries").add(1);
+          dump_flight(std::string("retry: ") + e.what());
+          continue;
+        }
+        if (!sup_.sequential_fallback) {
+          dump_flight(std::string("retries-exhausted: ") + e.what());
+          throw;
+        }
+        // Last resort: re-run this level on the sequential host path. If the
+        // armed plan reaches this path too, the fault propagates — the run
+        // fails closed with the injection point named.
+        telemetry::ScopedSpan fb_span(telemetry::Tracer::global(), "sequential-fallback",
+                                      "resilience");
+        telemetry::flight(telemetry::FlightKind::SequentialFallback, static_cast<double>(level),
+                          static_cast<double>(attempt));
+        sr_.events.push_back({level, attempt, "phase1", "sequential-fallback", e.what()});
+        telemetry::Registry::global().counter("resilience.sequential_fallbacks").add(1);
+        sr_.degraded = true;
+        dump_flight(std::string("sequential-fallback: ") + e.what());
+        monitor_.begin_level(level);  // drop the failed attempt's trajectory
+        core::Phase1Result phase1 = sequential_host_phase1(g, config);
+        validate_level(g, phase1);
+        return phase1;
+      }
+    }
+  }
+
+  core::AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
+                                   exec::Workspace* workspace) override {
+    return inner_.contract(g, community, workspace);
+  }
+
+  metrics::HealthReport health() { return monitor_.report(); }
+
+  /// Post-mortem hook: each recovery decision dumps the flight recorder's
+  /// merged event window as a flight-only run report. write_postmortem is
+  /// noexcept — a dump that cannot be written never masks the incident.
+  void dump_flight(const std::string& reason) const {
+    if (!sup_.flight_dump_path.empty()) metrics::write_postmortem(sup_.flight_dump_path, reason);
+  }
+
+ private:
+  static void validate_level(const graph::Graph& g, const core::Phase1Result& phase1) {
+    validate_csr(g);
+    validate_community_weights(g, phase1.community);
+    validate_modularity(phase1.modularity);
+  }
+
+  core::LouvainBackend& inner_;
+  const SupervisorConfig& sup_;
+  SupervisedResult& sr_;
+  int level_ = 0;
+  metrics::HealthMonitor monitor_;
+};
 
 }  // namespace
 
@@ -63,8 +157,7 @@ void validate_partition(const graph::Graph& g, std::span<const cid_t> community)
   }
 }
 
-std::vector<wt_t> validate_community_weights(const graph::Graph& g,
-                                             std::span<const cid_t> community) {
+void validate_community_weights(const graph::Graph& g, std::span<const cid_t> community) {
   validate_partition(g, community);
   std::vector<wt_t> totals(g.num_vertices(), 0);
   for (vid_t v = 0; v < g.num_vertices(); ++v) totals[community[v]] += g.degree(v);
@@ -81,7 +174,6 @@ std::vector<wt_t> validate_community_weights(const graph::Graph& g,
     GALA_THROW(ValidationError,
                "community degrees sum to " << sum << ", expected 2|E| = " << two_m);
   }
-  return totals;
 }
 
 void validate_modularity(wt_t q) {
@@ -100,237 +192,42 @@ void validate_csr(const graph::Graph& g) {
 
 SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaConfig& config,
                                         const SupervisorConfig& sup) {
-  using core::AggregationResult;
-  using core::Phase1Result;
+  const std::unique_ptr<core::LouvainBackend> engine =
+      core::make_backend(config.backend, config.blas);
+  return run_louvain_supervised(g, config, sup, *engine);
+}
 
-  if (config.vertex_following) {
-    // Same preprocessing recursion as core::run_louvain: contraction is
-    // modularity-exact, so supervision of the reduced run covers the whole.
-    core::VertexFollowingResult vf = core::follow_vertices(g);
-    core::GalaConfig inner = config;
-    inner.vertex_following = false;
-    SupervisedResult sr = run_louvain_supervised(vf.reduced, inner, sup);
-    sr.result.assignment = core::expand_assignment(vf, sr.result.assignment);
-    sr.result.num_communities = core::renumber_communities(sr.result.assignment);
-    return sr;
-  }
-
+SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaConfig& config,
+                                        const SupervisorConfig& sup,
+                                        core::LouvainBackend& engine) {
   SupervisedResult sr;
-  core::GalaResult& result = sr.result;
-  Timer total_timer;
+  SupervisedEngine envelope(engine, sup, sr);
+  sr.result = core::run_louvain(g, config, envelope);
 
-  auto& retries_counter = telemetry::Registry::global().counter("resilience.retries");
-  auto& fallback_counter = telemetry::Registry::global().counter("resilience.sequential_fallbacks");
-  auto& rollback_counter = telemetry::Registry::global().counter("resilience.rollbacks");
-
-  // Post-mortem hook: each recovery decision dumps the flight recorder's
-  // merged event window as a flight-only run report. write_postmortem is
-  // noexcept — a dump that cannot be written never masks the incident.
-  auto dump_flight = [&sup](const std::string& reason) {
-    if (sup.flight_dump_path.empty()) return;
-    metrics::write_postmortem(sup.flight_dump_path, reason, sup.flight_dump_depth);
-  };
-
-  // Health advisory: a fresh monitor per phase-1 attempt (each attempt is
-  // one engine run == one level trajectory), observed through the engine's
-  // iteration callback without displacing the caller's own hook.
-  core::BspConfig bsp = config.bsp;
-  metrics::HealthMonitor* live_monitor = nullptr;
-  if (sup.health_advisory) {
-    core::IterationCallback user = config.bsp.on_iteration;
-    bsp.on_iteration = [&live_monitor, user](int iter, const core::IterationStats& stats,
-                                             std::span<const std::uint8_t> active,
-                                             std::span<const std::uint8_t> moved,
-                                             std::span<const cid_t> comm) {
-      if (live_monitor != nullptr) live_monitor->observe(iter, stats, active, moved, comm);
-      if (user) user(iter, stats, active, moved, comm);
-    };
+  sr.health = envelope.health();
+  for (const metrics::LevelHealth& lv : sr.health.levels) {
+    if (lv.stalled) {
+      sr.events.push_back({lv.level, 0, "health", "advisory",
+                           "stall: gain below epsilon from iteration " +
+                               std::to_string(lv.first_stall) + " while vertices still move"});
+    }
+    if (lv.oscillating_vertices > 0) {
+      sr.events.push_back({lv.level, 0, "health", "advisory",
+                           std::to_string(lv.oscillating_vertices) + " oscillating vertices (" +
+                               std::to_string(lv.oscillation_moves) + " flip-flops)"});
+    }
   }
 
-  const vid_t n = g.num_vertices();
-  result.assignment.resize(n);
-  for (vid_t v = 0; v < n; ++v) result.assignment[v] = v;
-
-  const graph::Graph* current = &g;
-  graph::Graph owned;
-  wt_t prev_q = -1;  // any first level is an improvement
-
-  // The rollback target: the best accepted hierarchy so far. Level -1 is the
-  // singleton partition (every vertex its own community).
-  Checkpoint best;
-  best.assignment = result.assignment;
-  best.modularity = prev_q;
-
-  for (int level = 0; level < config.max_levels; ++level) {
-    telemetry::ScopedSpan level_span(telemetry::Tracer::global(), "supervised-level", "pipeline");
-    Timer level_timer;
-
-    // ---- phase 1 under retry/degradation ----------------------------------
-    Phase1Result phase1;
-    bool level_ok = false;
-    std::optional<metrics::HealthMonitor> attempt_monitor;
-    for (int attempt = 0; !level_ok; ++attempt) {
-      try {
-        if (sup.health_advisory) {
-          attempt_monitor.emplace();
-          live_monitor = &*attempt_monitor;
-        }
-        phase1 = core::bsp_phase1(*current, bsp);
-        if (sup.validate) {
-          validate_partition(*current, phase1.community);
-          validate_modularity(phase1.modularity);
-        }
-        level_ok = true;
-      } catch (const Error& e) {
-        if (dynamic_cast<const ValidationError*>(&e) != nullptr) {
-          telemetry::flight(telemetry::FlightKind::ValidatorFail, static_cast<double>(level),
-                            static_cast<double>(attempt));
-        }
-        if (sup.strict || !is_transient(e)) {
-          dump_flight(std::string("fatal: ") + e.what());
-          throw;
-        }
-        if (attempt < sup.max_retries) {
-          telemetry::flight(telemetry::FlightKind::Retry, static_cast<double>(level),
-                            static_cast<double>(attempt));
-          sr.events.push_back({level, attempt, "phase1", "retry", e.what()});
-          ++sr.retries;
-          retries_counter.add(1);
-          dump_flight(std::string("retry: ") + e.what());
-          if (sup.backoff_base_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(static_cast<long>(sup.backoff_base_ms) << attempt));
-          }
-          continue;
-        }
-        if (!sup.sequential_fallback) {
-          dump_flight(std::string("retries-exhausted: ") + e.what());
-          throw;
-        }
-        // Last resort: re-run this level on the sequential host path. If the
-        // armed plan reaches this path too, the fault propagates — the run
-        // fails closed with the injection point named.
-        telemetry::ScopedSpan fb_span(telemetry::Tracer::global(), "sequential-fallback",
-                                      "resilience");
-        telemetry::flight(telemetry::FlightKind::SequentialFallback, static_cast<double>(level),
-                          static_cast<double>(attempt));
-        sr.events.push_back({level, attempt, "phase1", "sequential-fallback", e.what()});
-        fallback_counter.add(1);
-        sr.degraded = true;
-        dump_flight(std::string("sequential-fallback: ") + e.what());
-        if (sup.health_advisory) {
-          // The failed BSP attempt may have fed the monitor a partial
-          // trajectory; the sequential path reports no iterations, so start
-          // clean rather than misattribute the aborted attempt.
-          attempt_monitor.emplace();
-          live_monitor = &*attempt_monitor;
-        }
-        phase1 = sequential_host_phase1(*current, config.bsp);
-        if (sup.validate) {
-          validate_partition(*current, phase1.community);
-          validate_modularity(phase1.modularity);
-        }
-        level_ok = true;
-      }
-    }
-
-    // ---- health advisory on the attempt that stuck ------------------------
-    if (sup.health_advisory && attempt_monitor.has_value()) {
-      live_monitor = nullptr;
-      metrics::HealthReport attempt_health = attempt_monitor->report();
-      sr.health.config = attempt_health.config;
-      for (metrics::LevelHealth lv : attempt_health.levels) {
-        lv.level = level;  // the monitor numbers attempts; renumber to the pipeline level
-        if (lv.stalled) {
-          sr.events.push_back({level, 0, "health", "advisory",
-                               "stall: gain below epsilon from iteration " +
-                                   std::to_string(lv.first_stall) + " while vertices still move"});
-        }
-        if (lv.oscillating_vertices > 0) {
-          sr.events.push_back({level, 0, "health", "advisory",
-                               std::to_string(lv.oscillating_vertices) +
-                                   " oscillating vertices (" +
-                                   std::to_string(lv.oscillation_moves) + " flip-flops)"});
-        }
-        sr.health.levels.push_back(std::move(lv));
-      }
-    }
-
-    if (level == 0 && config.keep_first_round) result.first_round = phase1;
-    if (level_span.active()) {
-      level_span.last_arg("level", static_cast<double>(level));
-      level_span.arg("vertices", static_cast<double>(current->num_vertices()));
-      level_span.last_arg("modularity", phase1.modularity);
-    }
-
-    core::GalaLevel lv;
-    lv.vertices = current->num_vertices();
-    lv.communities = phase1.num_communities;
-    lv.modularity = phase1.modularity;
-    lv.iterations = static_cast<int>(phase1.iterations.size());
-    result.modeled_ms += phase1.modeled_ms();
-
-    // ---- monotonicity guard ----------------------------------------------
-    if (level > 0 && phase1.modularity < prev_q - sup.q_slack) {
-      if (sup.strict) {
-        GALA_THROW(ValidationError, "modularity regressed at level "
-                                        << level << ": " << phase1.modularity << " < " << prev_q);
-      }
-      telemetry::flight(telemetry::FlightKind::Rollback, static_cast<double>(level),
-                        phase1.modularity);
-      sr.events.push_back({level, 0, "monotonicity", "rollback",
-                           "level modularity " + std::to_string(phase1.modularity) +
-                               " below best " + std::to_string(best.modularity)});
-      rollback_counter.add(1);
-      dump_flight("rollback: modularity regressed at level " + std::to_string(level));
-      sr.rolled_back = true;
-      result.assignment = best.assignment;
-      prev_q = best.modularity;
-      break;
-    }
-
-    // ---- convergence / fold (mirrors core::run_louvain) -------------------
-    if (level > 0 && phase1.modularity - prev_q < config.level_theta) {
-      const AggregationResult last = core::aggregate(*current, phase1.community);
-      result.assignment = core::compose_assignment(result.assignment, last.fine_to_coarse);
-      prev_q = phase1.modularity;
-      lv.wall_seconds = level_timer.seconds();
-      result.levels.push_back(lv);
-      break;
-    }
-    prev_q = phase1.modularity;
-
-    AggregationResult agg;
-    if (config.refine) {
-      core::RefinementResult refined = core::refine_partition(
-          *current, phase1.community, config.bsp.resolution, config.bsp.seed ^ (level + 1));
-      agg = core::aggregate(*current, refined.refined);
-    } else {
-      agg = core::aggregate(*current, phase1.community);
-    }
-    result.assignment = core::compose_assignment(result.assignment, agg.fine_to_coarse);
-    lv.wall_seconds = level_timer.seconds();
-    result.levels.push_back(lv);
-
-    // ---- checkpoint the accepted fold -------------------------------------
-    if (prev_q > best.modularity) {
-      best.level = level;
-      best.assignment = result.assignment;
-      best.modularity = prev_q;
-      if (sup.validate) {
-        best.community_weights = validate_community_weights(g, result.assignment);
-        validate_csr(agg.coarse);
-      }
-    }
-
-    if (agg.num_communities == current->num_vertices()) break;  // no compression
-    owned = std::move(agg.coarse);
-    current = &owned;
+  if (sr.result.rejected) {
+    const int level = static_cast<int>(sr.result.levels.size());
+    sr.events.push_back({level, 0, "monotonicity", "rollback",
+                         "level modularity " + std::to_string(sr.result.rejected->modularity) +
+                             " below the held partition's " +
+                             std::to_string(sr.result.modularity)});
+    telemetry::Registry::global().counter("resilience.rollbacks").add(1);
+    sr.rolled_back = true;
+    envelope.dump_flight("rollback: modularity regressed at level " + std::to_string(level));
   }
-
-  result.num_communities = core::renumber_communities(result.assignment);
-  result.modularity = prev_q;
-  result.wall_seconds = total_timer.seconds();
   return sr;
 }
 

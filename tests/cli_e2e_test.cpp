@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -15,6 +17,57 @@
 namespace {
 
 namespace fs = std::filesystem;
+
+/// `v` re-serialised without its wall-clock members (keys containing
+/// "wall"), which differ from run to run.
+std::string without_wall(const gala::JsonValue& v) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  switch (v.type) {
+    case gala::JsonValue::Type::Null:
+      out << "null";
+      break;
+    case gala::JsonValue::Type::Bool:
+      out << (v.boolean ? "true" : "false");
+      break;
+    case gala::JsonValue::Type::Number:
+      out << v.number;
+      break;
+    case gala::JsonValue::Type::String:
+      out << '"' << v.string << '"';
+      break;
+    case gala::JsonValue::Type::Array:
+      out << '[';
+      for (const auto& e : v.array) out << without_wall(e) << ',';
+      out << ']';
+      break;
+    case gala::JsonValue::Type::Object:
+      out << '{';
+      for (const auto& [k, e] : v.object) {
+        if (k.find("wall") == std::string::npos) out << '"' << k << "\":" << without_wall(e) << ',';
+      }
+      out << '}';
+      break;
+  }
+  return out.str();
+}
+
+/// How many events of each kind the report's flight window holds, without
+/// `ws-alloc`: how many workspace slabs the pool workers allocate depends on
+/// thread timing.
+std::map<std::string, int> flight_kind_counts(const gala::JsonValue& report) {
+  std::map<std::string, int> counts;
+  for (const auto& e : report.at("flight").at("events").array) {
+    if (e.at("kind").string != "ws-alloc") ++counts[e.at("kind").string];
+  }
+  return counts;
+}
+
+std::set<std::string> span_names(const gala::JsonValue& report) {
+  std::set<std::string> names;
+  for (const auto& [name, span] : report.at("metrics").at("spans").object) names.insert(name);
+  return names;
+}
 
 class CliE2e : public ::testing::Test {
  protected:
@@ -438,6 +491,81 @@ TEST_F(CliE2e, ServeQueryFlags) {
     EXPECT_EQ(out.find("graph:"), std::string::npos)
         << "solve started despite bad flags:\n" << out;
   }
+}
+
+TEST_F(CliE2e, FaultFreeSupervisedReportMatchesUnsupervised) {
+  // The supervisor runs the pipeline's own loop, context and engine, so with
+  // no fault its report records the same run.
+  std::string out;
+  ASSERT_EQ(run("generate planted --vertices 2000 --communities 20 --mixing 0.3 "
+                "--avg-degree 12 --seed 5 --out " + path("g.txt"), &out),
+            0)
+      << out;
+  for (const std::string backend : {"bsp", "blas"}) {
+    const std::string detect = "detect " + path("g.txt") + " --backend " + backend;
+    ASSERT_EQ(run(detect + " --report-out " + path("plain.json"), &out), 0) << out;
+    ASSERT_EQ(run(detect + " --supervise --report-out " + path("sup.json"), &out), 0) << out;
+    const gala::JsonValue plain = report("plain.json");
+    const gala::JsonValue sup = report("sup.json");
+    EXPECT_EQ(plain.at("run").at("config").at("backend").string, backend);
+    for (const char* section : {"run", "health"}) {
+      EXPECT_EQ(without_wall(sup.at(section)), without_wall(plain.at(section)))
+          << backend << " " << section;
+    }
+    // Memory: the CSR residency and the epoch timeline. The totals' peaks
+    // and the scratch subsystems' alloc counts depend on how many pool
+    // workers hold hash scratch and arena pages at once, so they differ
+    // between two runs of one command.
+    const gala::JsonValue& sup_mem = sup.at("mem");
+    const gala::JsonValue& plain_mem = plain.at("mem");
+    EXPECT_EQ(sup_mem.at("totals").at("live_bytes").number,
+              plain_mem.at("totals").at("live_bytes").number)
+        << backend;
+    EXPECT_EQ(sup_mem.at("timeline").array.size(), plain_mem.at("timeline").array.size())
+        << backend;
+    const auto graph_subsystem = [](const gala::JsonValue& mem) {
+      for (const auto& s : mem.at("subsystems").array) {
+        if (s.at("name").string == "graph") return without_wall(s);
+      }
+      return std::string("absent");
+    };
+    EXPECT_EQ(graph_subsystem(sup_mem), graph_subsystem(plain_mem)) << backend;
+    EXPECT_EQ(flight_kind_counts(sup), flight_kind_counts(plain)) << backend;
+    EXPECT_EQ(span_names(sup), span_names(plain)) << backend;
+  }
+}
+
+TEST_F(CliE2e, SupervisedRetryRecordsEachLevelOnce) {
+  // A kernel fault in the middle of level 1 aborts that attempt after it fed
+  // the health monitor part of a trajectory. The report keeps one entry per
+  // level, the retry's, and one verdict event per level.
+  std::string out;
+  ASSERT_EQ(run("generate planted --vertices 2000 --communities 20 --mixing 0.3 "
+                "--avg-degree 12 --seed 5 --out " + path("g.txt"), &out),
+            0)
+      << out;
+  {
+    std::ofstream plan(path("plan.json"));
+    plan << R"({"rules": [{"site": "kernel-launch", "skip_first": 25, "max_fires": 1}]})";
+  }
+  ASSERT_EQ(run("detect " + path("g.txt") + " --report-out " + path("plain.json"), &out), 0)
+      << out;
+  ASSERT_EQ(run("detect " + path("g.txt") + " --faults " + path("plan.json") +
+                    " --report-out " + path("retry.json"),
+                &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("recovery: level 1 attempt 0 [phase1] retry"), std::string::npos) << out;
+  const gala::JsonValue plain = report("plain.json");
+  const gala::JsonValue retry = report("retry.json");
+  EXPECT_EQ(without_wall(retry.at("health")), without_wall(plain.at("health")));
+  const auto& levels = retry.at("health").at("levels").array;
+  ASSERT_EQ(levels.size(), retry.at("run").at("result").at("levels").array.size());
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(levels[i].at("level").number, static_cast<double>(i));
+  }
+  EXPECT_EQ(flight_kind_counts(retry)["health-oscillation"],
+            flight_kind_counts(plain)["health-oscillation"]);
 }
 
 TEST_F(CliE2e, HelpExitsCleanly) {

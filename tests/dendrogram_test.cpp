@@ -58,6 +58,25 @@ TEST(Dendrogram, PerLevelModularityMatchesAudit) {
   }
 }
 
+TEST(Dendrogram, FinalCutIsTheRunsPartition) {
+  // The dendrogram reads its levels off run_louvain, so its deepest cut is
+  // the run's partition under either engine, the final below-theta fold
+  // included.
+  const auto g = testing::small_planted(17, 3000, 30, 0.3);
+  for (const Backend backend : {Backend::Bsp, Backend::Blas}) {
+    GalaConfig cfg;
+    cfg.backend = backend;
+    const auto run = run_louvain(g, cfg);
+    const auto d = build_dendrogram(g, cfg);
+    ASSERT_EQ(d.num_levels(), run.levels.size()) << to_string(backend);
+    auto cut = d.cut(d.num_levels());
+    renumber_communities(cut);
+    EXPECT_EQ(cut, run.assignment) << to_string(backend);
+    EXPECT_EQ(d.level(d.num_levels() - 1).num_communities, run.num_communities)
+        << to_string(backend);
+  }
+}
+
 TEST(Dendrogram, CutAtMostRespectsBound) {
   const auto g = testing::small_planted(11, 2000, 25, 0.2);
   const auto d = build_dendrogram(g);

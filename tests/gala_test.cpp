@@ -7,6 +7,7 @@
 #include "gala/core/sequential_louvain.hpp"
 #include "gala/graph/generators.hpp"
 #include "gala/metrics/nmi.hpp"
+#include "losing_engine.hpp"
 #include "test_util.hpp"
 
 namespace gala::core {
@@ -76,6 +77,32 @@ TEST(Gala, KeepFirstRoundCapturesIterationDetail) {
   const auto r = run_louvain(g, cfg);
   EXPECT_FALSE(r.first_round.iterations.empty());
   EXPECT_EQ(static_cast<int>(r.first_round.iterations.size()), r.levels[0].iterations);
+}
+
+TEST(Gala, NeverFoldsALevelThatLostModularity) {
+  // Level 1's phase 1 ends below its start: the run returns the partition it
+  // held after level 0 (the refined one under refinement) with that
+  // partition's audited modularity.
+  const auto g = testing::small_planted(5, 2000, 20, 0.2);
+  for (const bool refine : {false, true}) {
+    GalaConfig cfg;
+    cfg.refine = refine;
+    testing::LosingEngine engine(/*losing_level=*/1);
+    const auto r = run_louvain(g, cfg, engine);
+    GalaConfig one_level = cfg;
+    one_level.max_levels = 1;
+    const auto held = run_louvain(g, one_level);
+    ASSERT_TRUE(r.rejected.has_value()) << "refine " << refine;
+    EXPECT_EQ(r.rejected->communities, 1u);
+    EXPECT_EQ(r.levels.size(), 1u);
+    EXPECT_EQ(r.assignment, held.assignment) << "refine " << refine;
+    EXPECT_EQ(r.num_communities, held.num_communities);
+    EXPECT_NEAR(r.modularity, modularity(g, r.assignment), 1e-12) << "refine " << refine;
+    EXPECT_GT(r.modularity, r.rejected->modularity);
+    // The capped run ends holding a (possibly refined) fold: its Q is the
+    // held partition's too.
+    EXPECT_NEAR(held.modularity, modularity(g, held.assignment), 1e-12) << "refine " << refine;
+  }
 }
 
 TEST(Gala, DeterministicAcrossRuns) {

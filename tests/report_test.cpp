@@ -1,4 +1,4 @@
-// JSON writer and run reports, plus the distributed full pipeline.
+// JSON writer and run reports.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -7,10 +7,10 @@
 #include "gala/memtrace/memtrace.hpp"
 #include "gala/metrics/health.hpp"
 #include "gala/metrics/report.hpp"
-#include "gala/multigpu/dist_louvain.hpp"
 #include "gala/profiler/profiler.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
 #include "gala/telemetry/telemetry.hpp"
+#include "losing_engine.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -51,12 +51,28 @@ TEST(RunReport, ContainsTheKeyFacts) {
   cfg.refine = true;
   const auto result = core::run_louvain(g, cfg);
   const std::string json = metrics::run_section(g, cfg, result);
+  EXPECT_NE(json.find("\"backend\":\"bsp\""), std::string::npos);
   EXPECT_NE(json.find("\"pruning\":\"MG\""), std::string::npos);
   EXPECT_NE(json.find("\"refine\":true"), std::string::npos);
   EXPECT_NE(json.find("\"modularity\":"), std::string::npos);
   EXPECT_NE(json.find("\"levels\":["), std::string::npos);
   // Every brace balances.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'), std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(RunReport, NamesTheRejectedLevel) {
+  // The level the loop did not fold ran phase 1 (the health section has
+  // it), so the run section names it beside the folded levels.
+  const auto g = testing::small_planted();
+  testing::LosingEngine engine(/*losing_level=*/1);
+  const auto result = core::run_louvain(g, {}, engine);
+  const JsonValue run = parse_json(metrics::run_section(g, {}, result)).at("result");
+  EXPECT_EQ(run.at("levels").array.size(), 1u);
+  EXPECT_EQ(run.at("rejected_level").at("communities").number, 1);
+  EXPECT_EQ(parse_json(metrics::run_section(g, {}, core::run_louvain(g)))
+                .at("result")
+                .find("rejected_level"),
+            nullptr);
 }
 
 TEST(RunReport, SavesToDisk) {
@@ -137,29 +153,6 @@ TEST(ProvenanceTest, EveryReportWriterIsStamped) {
   const std::string path = tmp.file("postmortem.json");
   ASSERT_TRUE(metrics::write_postmortem(path, "incident"));
   expect_stamp(parse_json(slurp(path)), "report");
-}
-
-TEST(DistributedFull, MatchesSingleDevicePipelineQuality) {
-  const auto g = testing::small_planted(7, 1200, 12, 0.2);
-  const auto single = core::run_louvain(g);
-  multigpu::DistributedConfig cfg;
-  cfg.num_gpus = 4;
-  const auto dist = multigpu::distributed_louvain(g, cfg);
-  EXPECT_NEAR(dist.modularity, single.modularity, 0.02);
-  EXPECT_NEAR(dist.modularity, core::modularity(g, dist.assignment), 1e-9);
-  EXPECT_GT(dist.levels, 1);
-  EXPECT_GT(dist.modeled_ms, 0.0);
-}
-
-TEST(DistributedFull, DeterministicAcrossDeviceCounts) {
-  const auto g = testing::small_planted(9, 600, 8, 0.25);
-  multigpu::DistributedConfig two, eight;
-  two.num_gpus = 2;
-  eight.num_gpus = 8;
-  const auto a = multigpu::distributed_louvain(g, two);
-  const auto b = multigpu::distributed_louvain(g, eight);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_DOUBLE_EQ(a.modularity, b.modularity);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "gala/core/modularity.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
 #include "gala/telemetry/telemetry.hpp"
+#include "losing_engine.hpp"
 #include "test_util.hpp"
 
 namespace gala::resilience {
@@ -168,17 +169,53 @@ std::vector<RecoveryEvent> recovery_events(const SupervisedResult& sr) {
   return out;
 }
 
-TEST(SupervisedRunTest, NoFaultsMatchesUnsupervisedExactly) {
+struct EngineCase {
+  core::Backend backend;
+  bool refine;
+  bool vertex_following;
+};
+
+std::string case_name(const EngineCase& c) {
+  return core::to_string(c.backend) +
+         (c.refine ? "_refine" : c.vertex_following ? "_vertex_following" : "_plain");
+}
+
+void PrintTo(const EngineCase& c, std::ostream* os) { *os << case_name(c); }
+
+class SupervisedNoFaults : public ::testing::TestWithParam<EngineCase> {};
+
+TEST_P(SupervisedNoFaults, MatchesUnsupervisedExactly) {
+  // The supervisor runs run_louvain's loop over the selected engine, so a
+  // fault-free supervised run is the unsupervised run, modeled time included.
   const auto g = gala::testing::small_planted();
   core::GalaConfig cfg;
+  cfg.backend = GetParam().backend;
+  cfg.refine = GetParam().refine;
+  cfg.vertex_following = GetParam().vertex_following;
   const auto plain = core::run_louvain(g, cfg);
   const auto sup = run_louvain_supervised(g, cfg);
   EXPECT_EQ(sup.result.assignment, plain.assignment);
-  EXPECT_NEAR(sup.result.modularity, plain.modularity, 1e-12);
+  EXPECT_EQ(sup.result.modularity, plain.modularity);
+  ASSERT_EQ(sup.result.levels.size(), plain.levels.size());
+  for (std::size_t i = 0; i < plain.levels.size(); ++i) {
+    EXPECT_EQ(sup.result.levels[i].communities, plain.levels[i].communities) << "level " << i;
+    EXPECT_EQ(sup.result.levels[i].modularity, plain.levels[i].modularity) << "level " << i;
+    EXPECT_EQ(sup.result.levels[i].iterations, plain.levels[i].iterations) << "level " << i;
+  }
+  EXPECT_EQ(sup.result.modeled_ms, plain.modeled_ms);
   EXPECT_EQ(sup.retries, 0);
   EXPECT_FALSE(sup.degraded);
   EXPECT_TRUE(recovery_events(sup).empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, SupervisedNoFaults,
+                         ::testing::Values(EngineCase{core::Backend::Bsp, false, false},
+                                           EngineCase{core::Backend::Bsp, true, false},
+                                           EngineCase{core::Backend::Bsp, false, true},
+                                           EngineCase{core::Backend::Blas, false, false},
+                                           EngineCase{core::Backend::Blas, true, false},
+                                           EngineCase{core::Backend::Blas, false, true}),
+                         [](const auto& info) { return case_name(info.param); });
 
 TEST(SupervisedRunTest, TransientKernelFaultRetriesToExactParity) {
   const auto g = gala::testing::small_planted();
@@ -254,18 +291,56 @@ TEST(SupervisedRunTest, SequentialFallbackDisabledFailsClosed) {
 }
 
 TEST(SupervisedRunTest, MonotonicityGuardRollsBackToBestLevel) {
+  // Level 1 of the fake engine loses modularity, so the loop must not fold
+  // it and the run keeps the level-0 partition.
   const auto g = gala::testing::small_planted();
-  // A negative slack makes every level-1+ result look like a regression, so
-  // the guard must fire and the run must keep the best (level-0) checkpoint.
-  SupervisorConfig sup;
-  sup.q_slack = -10.0;
-  const auto r = run_louvain_supervised(g, {}, sup);
+  const std::uint64_t rollbacks_before = counter_value("resilience.rollbacks");
+  gala::testing::LosingEngine engine(/*losing_level=*/1);
+  const auto r = run_louvain_supervised(g, {}, {}, engine);
   EXPECT_TRUE(r.rolled_back);
   bool saw_rollback = false;
   for (const auto& ev : r.events) saw_rollback |= ev.action == "rollback";
   EXPECT_TRUE(saw_rollback);
+  EXPECT_EQ(counter_value("resilience.rollbacks"), rollbacks_before + 1);
   validate_partition(g, r.result.assignment);
   EXPECT_NEAR(core::modularity(g, r.result.assignment), r.result.modularity, 1e-9);
+}
+
+TEST(SupervisedRunTest, StrictModeKeepsTheHeldPartitionWhenALevelLosesModularity) {
+  // A rejected level is the loop's stop rule, not a fault: strict mode
+  // still completes, with the same partition as a lenient run.
+  const auto g = gala::testing::small_planted();
+  gala::testing::LosingEngine lenient_engine(1);
+  const auto lenient = run_louvain_supervised(g, {}, {}, lenient_engine);
+  SupervisorConfig sup;
+  sup.strict = true;
+  gala::testing::LosingEngine strict_engine(1);
+  const auto strict = run_louvain_supervised(g, {}, sup, strict_engine);
+  EXPECT_TRUE(strict.rolled_back);
+  EXPECT_EQ(strict.result.assignment, lenient.result.assignment);
+  EXPECT_EQ(strict.result.modularity, lenient.result.modularity);
+}
+
+TEST(SupervisedRunTest, RetriedLevelIsRecordedOnceInHealth) {
+  // A fault in the middle of a later level aborts that attempt after it fed
+  // the monitor part of a trajectory. The retry must replace it, so the
+  // health report equals the fault-free run's: one entry per level, tagged
+  // with its pipeline level.
+  const auto g = gala::testing::small_planted(5, 2000, 20, 0.3);
+  const auto fault_free = run_louvain_supervised(g);
+
+  FaultPlan plan;
+  plan.rules.push_back(rule(FaultSite::KernelLaunch, "", -1, /*skip_first=*/25, /*max_fires=*/1));
+  ScopedFaultPlan armed(plan);
+  const auto sup = run_louvain_supervised(g);
+  ASSERT_EQ(sup.retries, 1);
+  EXPECT_GT(recovery_events(sup)[0].level, 0) << "the fault should hit a later level";
+  EXPECT_EQ(sup.result.assignment, fault_free.result.assignment);
+  ASSERT_EQ(sup.health.levels.size(), sup.result.levels.size() + (sup.result.rejected ? 1 : 0));
+  for (std::size_t i = 0; i < sup.health.levels.size(); ++i) {
+    EXPECT_EQ(sup.health.levels[i].level, static_cast<int>(i));
+  }
+  EXPECT_EQ(sup.health.json(), fault_free.health.json());
 }
 
 TEST(SupervisedRunTest, SharedArenaFaultDegradesInKernelWithExactParity) {

@@ -175,7 +175,7 @@ int cmd_detect(int argc, const char* const* argv) {
       .add_flag("compress", "multi-GPU: ship sparse syncs as compressed delta frames")
       .add_flag("refine", "Leiden-style refinement before each aggregation")
       .add_flag("follow", "vertex-following preprocessing (merge pendants)")
-      .add_flag("supervise", "run under the resilience supervisor (retry/rollback/degrade)")
+      .add_flag("supervise", "run under the resilience supervisor (validate/retry/degrade)")
       .add_flag("strict", "supervised: fail closed on the first fault (no recovery)")
       .add_flag("probe-min-budget", "after the run, binary-search the smallest feasible budget "
                 "(completes unsupervised, bit-identical partition, peak within budget; "
@@ -267,8 +267,8 @@ int cmd_detect(int argc, const char* const* argv) {
 
   std::vector<cid_t> assignment;
   // --probe-min-budget replays the solve under trial budgets; each Louvain
-  // branch stashes a replayable unsupervised configuration here (health
-  // callback cleared so the probe never pollutes the health report).
+  // branch stashes a replayable unsupervised configuration here (without the
+  // health callback, so the probe never pollutes the health report).
   std::function<std::vector<cid_t>()> probe_solve;
   if (args.get("algorithm") == "lpa") {
     baselines::LpaOptions opts;
@@ -313,10 +313,8 @@ int cmd_detect(int argc, const char* const* argv) {
     cfg.bsp.theta = args.get_double("theta");
     cfg.refine = args.has("refine");
     cfg.vertex_following = args.has("follow");
-    if (health.has_value()) cfg.bsp.on_iteration = health->callback();
     {
       core::GalaConfig probe_cfg = cfg;
-      probe_cfg.bsp.on_iteration = nullptr;
       // Peaks of parallel launches depend on how many pool workers hold
       // scratch at once, so a trial could exceed the reference peak it was
       // sized from. Sequential replays make feasibility a deterministic,
@@ -338,15 +336,21 @@ int cmd_detect(int argc, const char* const* argv) {
       sup.flight_dump_path = report_out;
       const resilience::SupervisedResult sr = resilience::run_louvain_supervised(g, cfg, sup);
       r = sr.result;
+      // The supervisor's health monitor is the run's one monitor.
+      if (health.has_value()) {
+        health.reset();
+        report.health = sr.health.json();
+      }
       std::printf("supervisor: %d retries%s%s%s\n", sr.retries,
                   sr.degraded ? ", degraded path taken" : "",
-                  sr.rolled_back ? ", rolled back to best level" : "",
+                  sr.rolled_back ? ", rolled back to the held partition" : "",
                   sr.events.empty() ? ", no recovery events" : "");
       for (const auto& ev : sr.events) {
         std::printf("  recovery: level %d attempt %d [%s] %s — %s\n", ev.level, ev.attempt,
                     ev.stage.c_str(), ev.action.c_str(), ev.detail.c_str());
       }
     } else {
+      if (health.has_value()) cfg.bsp.on_iteration = health->callback();
       r = core::run_louvain(g, cfg);
     }
     assignment = r.assignment;
@@ -357,6 +361,11 @@ int cmd_detect(int argc, const char* const* argv) {
     for (const auto& lv : r.levels) {
       std::printf("  level: %u -> %u (Q=%.5f, %d iters)\n", lv.vertices, lv.communities,
                   lv.modularity, lv.iterations);
+    }
+    if (r.rejected) {
+      std::printf("  rejected level: %u -> %u (Q=%.5f, %d iters), below its start; not folded\n",
+                  r.rejected->vertices, r.rejected->communities, r.rejected->modularity,
+                  r.rejected->iterations);
     }
   }
 
@@ -412,7 +421,7 @@ int cmd_detect(int argc, const char* const* argv) {
     report.metrics = telemetry::metrics_json(tracer, registry);
     report.profile = prof.report_json();
     report.flight = telemetry::FlightRecorder::global().json("end-of-run");
-    report.health = health->report().json();
+    if (health.has_value()) report.health = health->report().json();
     report.mem = memtrace::MemRegistry::global().report().json();
   }
 
