@@ -147,6 +147,7 @@ int main() {
           .field("push_iterations", static_cast<std::uint64_t>(phase_stats.push_iterations))
           .field("direction_switches", static_cast<std::uint64_t>(phase_stats.direction_switches))
           .field("gathered_rows", phase_stats.gathered_rows)
+          .field("updated_rows", phase_stats.updated_rows)
           .field("spgemm_flops", spgemm.flops)
           .field("spgemm_nnz", spgemm.nnz)
           .field("spgemm_max_row_nnz", spgemm.max_row_nnz)

@@ -129,4 +129,45 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
   return out;
 }
 
+GatherStats masked_dot(const graph::Graph& g, std::span<const cid_t> comm,
+                       std::span<const std::uint8_t> mask, std::span<wt_t> out,
+                       const gpusim::Device& device, ThreadPool& pool,
+                       std::string_view kernel_name) {
+  const vid_t n = g.num_vertices();
+  GALA_CHECK(comm.size() == n && mask.size() == n && out.size() == n,
+             "masked_dot: size mismatch");
+  GatherStats result;
+  const std::size_t blocks = (n + kRowsPerBlock - 1) / kRowsPerBlock;
+  if (blocks == 0) return result;
+  std::atomic<std::uint64_t> rows{0};
+  result.launch = device.launch(
+      pool, blocks,
+      [&](gpusim::BlockContext& ctx) {
+        const std::size_t lo = ctx.block_id * kRowsPerBlock;
+        const std::size_t hi = std::min<std::size_t>(n, lo + kRowsPerBlock);
+        gpusim::MemoryStats& stats = *ctx.stats;
+        std::uint64_t evaluated = 0;
+        for (std::size_t v = lo; v < hi; ++v) {
+          stats.global_reads += 1;  // mask load
+          if (!mask[v]) continue;
+          const cid_t c = comm[v];
+          const auto nbrs = g.neighbors(static_cast<vid_t>(v));
+          const auto ws = g.weights(static_cast<vid_t>(v));
+          wt_t sum = 0;
+          for (std::size_t i = 0; i < nbrs.size(); ++i) {
+            if (nbrs[i] != v && comm[nbrs[i]] == c) sum += ws[i];
+          }
+          out[v] = sum;
+          stats.global_reads += 1 + 3 * nbrs.size();  // comm[v]; id, weight, comm[u]
+          stats.register_ops += nbrs.size();           // column test
+          stats.global_writes += 1;
+          ++evaluated;
+        }
+        rows.fetch_add(evaluated, std::memory_order_relaxed);
+      },
+      kernel_name);
+  result.rows = rows.load(std::memory_order_relaxed);
+  return result;
+}
+
 }  // namespace gala::blas

@@ -19,6 +19,9 @@
 // invariant: each row clears exactly the entries it touched, so a same-tag
 // recycled slab skips re-initialisation (Lease::recycled_same_tag) and the
 // steady state allocates nothing.
+//
+// masked_dot is the one-column case: each masked row needs only the weight
+// to its own column, so it sums that column directly and needs no SPA.
 #pragma once
 
 #include <cstdint>
@@ -55,5 +58,16 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
                           std::span<const std::uint8_t> mask, std::span<const vid_t> frontier,
                           Direction dir, const gpusim::Device& device, ThreadPool& pool,
                           const RowVisitor& visit, std::string_view kernel_name);
+
+/// One masked single-community dot launch: for every row v flagged in `mask`
+/// (size V), out[v] = sum of A[v][u] over u != v with comm[u] == comm[v],
+/// summed from 0 in adjacency order. On positive weights that is bit for bit
+/// the value masked_gather's SPA holds for column comm[v] (first touch, then
+/// adds in the same order). Unflagged rows of `out` are left as they are.
+/// Streams every row (pull); `rows` counts the flagged ones.
+GatherStats masked_dot(const graph::Graph& g, std::span<const cid_t> comm,
+                       std::span<const std::uint8_t> mask, std::span<wt_t> out,
+                       const gpusim::Device& device, ThreadPool& pool,
+                       std::string_view kernel_name);
 
 }  // namespace gala::blas

@@ -1,6 +1,7 @@
 #include "gala/core/blas_louvain.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "gala/blas/spmv.hpp"
 #include "gala/common/timer.hpp"
@@ -12,8 +13,11 @@
 namespace gala::core {
 namespace {
 
+/// Rows per block of the recipient-mask push.
+constexpr std::size_t kMarkRowsPerBlock = 128;
+
 /// The linear-algebra engine: the phase-1 driver with the masked decide
-/// gather and the next-assignment weight gather as its primitives.
+/// gather and the masked weight dot as its primitives.
 class BlasEngine final : public Phase1Driver {
  public:
   BlasEngine(const graph::Graph& g, const BspConfig& config, const blas::Tuning& tuning,
@@ -31,16 +35,15 @@ class BlasEngine final : public Phase1Driver {
   blas::Tuning tuning_;
   BlasPhase1Stats* blas_stats_;
   exec::PooledVec<vid_t> frontier_;
-  std::span<const std::uint8_t> ones_;  // the run's all-ones row mask
+  std::span<std::uint8_t> recipients_;  // the weight update's row mask
   blas::Direction last_direction_ = blas::Direction::Pull;
   bool any_iteration_ = false;
 };
 
 exec::Workspace::Lease<std::uint8_t> BlasEngine::take_run_scratch(exec::Workspace& ws, vid_t n) {
-  auto ones = ws.take<std::uint8_t>(n, "blas.ones");
-  std::fill(ones.span().begin(), ones.span().end(), 1);
-  ones_ = ones.span();
-  return ones;
+  auto recipients = ws.take<std::uint8_t>(n, "blas.recipients");
+  recipients_ = recipients.span();
+  return recipients;
 }
 
 void BlasEngine::decide_phase(std::span<const std::uint8_t> active, vid_t active_count,
@@ -139,38 +142,69 @@ void BlasEngine::decide_phase(std::span<const std::uint8_t> active, vid_t active
   }
 }
 
-void BlasEngine::weight_update_phase(std::span<const std::uint8_t> /*moved*/,
+void BlasEngine::weight_update_phase(std::span<const std::uint8_t> moved,
                                      IterationStats& iter_stats) {
-  // w(v) = e_{v, next_C[v]} as a masked extract from a gather against the
-  // *next* assignment. The SPA sums in adjacency order — bit-identical to
-  // the recompute kernel's per-row sum.
+  // w(v) = e_{v, next_C[v]} in two steps. The recipient mask marks every row
+  // whose value can change: each mover, and each neighbour of a mover whose
+  // next community is the mover's old or new one (the rows §3.5's deltas
+  // reach). The masked dot then recomputes only those rows. An unmarked row
+  // has the same terms, in the same order, as when it was last summed, and a
+  // sum from 0 equals the SPA's first-touch sum on positive weights, so every
+  // w is bit-identical to a full recompute. Recompute marks every row.
   telemetry::ScopedSpan span(telemetry::Tracer::global(), "weight-update", "blas");
   Timer timer;
+  const vid_t n = g_.num_vertices();
+  const std::span<const cid_t> comm = state_.comm;
   const std::span<const cid_t> next_comm = state_.next_comm;
-  const std::span<wt_t> weight = state_.weight;
-  const auto extract_row = [&](vid_t v, std::span<const cid_t> touched, const wt_t* vals,
-                               gpusim::MemoryStats& stats) {
-    const cid_t c = next_comm[v];
-    stats.global_reads += 1;  // next assignment of the row vertex
-    wt_t sum = 0;
-    for (const cid_t t : touched) {
-      stats.register_ops += 1;
-      if (t == c) {
-        sum = vals[t];
-        break;
+  const std::span<std::uint8_t> recipients = recipients_;
+  const bool recompute = config_.weight_update == WeightUpdateMode::Recompute;
+  std::fill(recipients.begin(), recipients.end(), recompute ? 1 : 0);
+  gpusim::MemoryStats traffic;
+  traffic.global_writes += n;  // mask initialisation
+
+  if (!recompute) {
+    // A push over the movers. Concurrent blocks may mark one row; the mask
+    // is a set, so it does not depend on their order.
+    const auto mark = [&](vid_t v) {
+      std::atomic_ref<std::uint8_t>(recipients[v]).store(1, std::memory_order_relaxed);
+    };
+    const auto push = [&](gpusim::BlockContext& ctx) {
+      gpusim::MemoryStats& stats = *ctx.stats;
+      const std::size_t lo = ctx.block_id * kMarkRowsPerBlock;
+      const std::size_t hi = std::min<std::size_t>(n, lo + kMarkRowsPerBlock);
+      for (std::size_t u = lo; u < hi; ++u) {
+        stats.global_reads += 1;  // moved flag
+        if (!moved[u]) continue;
+        const cid_t old_c = comm[u];
+        const cid_t new_c = next_comm[u];
+        mark(static_cast<vid_t>(u));
+        const auto nbrs = g_.neighbors(static_cast<vid_t>(u));
+        std::uint64_t marks = 1;
+        for (const vid_t x : nbrs) {
+          const cid_t cx = next_comm[x];
+          if (cx != old_c && cx != new_c) continue;
+          mark(x);
+          ++marks;
+        }
+        stats.global_reads += 2 + 2 * nbrs.size();  // old/new; id and next_comm[x]
+        stats.register_ops += nbrs.size();           // community test
+        stats.global_writes += marks;
       }
-    }
-    weight[v] = sum;
-    stats.global_writes += 1;
-  };
-  const blas::GatherStats gs =
-      blas::masked_gather(g_, next_comm, ones_, {}, blas::Direction::Pull, ctx_->device(),
-                          pool_, extract_row, "blas_weight_update");
-  iter_stats.update_traffic += gs.launch.traffic;
+    };
+    const std::size_t blocks = (n + kMarkRowsPerBlock - 1) / kMarkRowsPerBlock;
+    traffic += ctx_->device().launch(pool_, blocks, push, "blas_weight_update").traffic;
+  }
+
+  const blas::GatherStats dot = blas::masked_dot(g_, next_comm, recipients, state_.weight,
+                                                 ctx_->device(), pool_, "blas_weight_update");
+  traffic += dot.launch.traffic;
+  if (blas_stats_ != nullptr) blas_stats_->updated_rows += dot.rows;
+  iter_stats.update_traffic += traffic;
   iter_stats.update_wall += timer.seconds();
   if (span.active()) {
-    span.arg("modeled_ms", config_.device.modeled_ms(gs.launch.traffic));
-    gpusim::attach_traffic(span, gs.launch.traffic);
+    span.arg("rows", static_cast<double>(dot.rows));
+    span.arg("modeled_ms", config_.device.modeled_ms(traffic));
+    gpusim::attach_traffic(span, traffic);
   }
 }
 

@@ -9,10 +9,15 @@
 //     Direction is chosen per launch from frontier density — pull streams
 //     all rows against the active mask, push compacts a frontier (bounded by
 //     the governor's rung-4 window).
-//   - The community-weight update is a second gather against the *next*
-//     assignment: w(v) = (A ⊗ S_next)[v][C_next[v]], the element-wise
-//     masked-extract form. Honest cost: it rescans every row (the recompute
-//     bound), which is the backend's ablation story against §3.5's delta.
+//   - The community-weight update w(v) = (A ⊗ S_next)[v][C_next[v]] needs
+//     one column per row, so it is a masked single-community dot
+//     (blas::masked_dot) with no SPA. Its mask is the recipient set of
+//     §3.5's deltas: the movers and every neighbour of a mover whose next
+//     community is the mover's old or new one, pushed from the movers. Only
+//     those rows can change, so the cost follows the moved vertices' degrees
+//     as §3.5's delta update does, while each recomputed w is a full sum.
+//     BspConfig::weight_update = Recompute marks every row, which is the
+//     Fig. 6/8 ablation on this engine too.
 //
 // Trajectory parity: the SPA sums in adjacency encounter order — the BSP
 // hash kernel's upsert order — and scoring and tie-breaks are the same
@@ -37,6 +42,9 @@ struct BlasPhase1Stats {
   int direction_switches = 0;
   /// Rows evaluated by decide gathers over the whole run (== Σ active).
   std::uint64_t gathered_rows = 0;
+  /// Rows the weight update recomputed over the whole run (V per iteration
+  /// under Recompute, the recipient rows under Delta).
+  std::uint64_t updated_rows = 0;
 };
 
 /// Runs phase 1 through the blas primitives. Accepts the same config as the

@@ -29,9 +29,18 @@ std::vector<cid_t> Dendrogram::cut_at_most(vid_t max_communities) const {
 Dendrogram build_dendrogram(const graph::Graph& g, const GalaConfig& config) {
   GalaResult run = run_louvain(g, config);
   Dendrogram dendrogram(g.num_vertices());
+  std::vector<cid_t> cut(g.num_vertices());
+  std::iota(cut.begin(), cut.end(), 0);
   for (GalaLevel& lv : run.levels) {
     const vid_t communities = count_communities(lv.fold);
-    dendrogram.push_level({std::move(lv.fold), lv.modularity, communities});
+    // Under refinement a level may fold the refined partition instead of
+    // phase 1's, so audit the folded cut.
+    wt_t q = lv.modularity;
+    if (config.refine) {
+      cut = compose_assignment(cut, lv.fold);
+      q = modularity(g, cut, config.bsp.resolution);
+    }
+    dendrogram.push_level({std::move(lv.fold), q, communities});
   }
   return dendrogram;
 }

@@ -22,8 +22,8 @@ class Dendrogram {
   struct Level {
     /// Maps a level-(i) vertex to its level-(i+1) community (dense ids).
     std::vector<cid_t> contraction;
-    /// The level's phase-1 modularity (under refinement an intermediate
-    /// level folds the refined partition, whose Q differs).
+    /// Modularity of the cut this level folds: phase 1's Q, or under
+    /// refinement the audited Q of the folded (refined) cut.
     wt_t modularity = 0;
     vid_t num_communities = 0;
   };

@@ -1,13 +1,16 @@
 // gala::blas primitives and the linear-algebra engine: SpGEMM contraction
 // parity against the historical edge-list builder, hash/sorted accumulator
 // bit-identity, governor-forced degradation, pull/push direction
-// equivalence, determinism, and the steady-state zero-allocation gate.
+// equivalence, determinism, the steady-state zero-allocation gate, and the
+// masked weight update's bit parity with a full recompute.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "gala/blas/blas.hpp"
 #include "gala/blas/spgemm.hpp"
+#include "gala/blas/spmv.hpp"
+#include "gala/common/prng.hpp"
 #include "gala/core/aggregation.hpp"
 #include "gala/core/blas_louvain.hpp"
 #include "gala/core/bsp_louvain.hpp"
@@ -204,6 +207,109 @@ TEST(BlasEngine, FullPipelineRunsAndIsDeterministic) {
   const auto c = core::run_louvain(g, bsp_cfg);
   EXPECT_EQ(a.assignment, c.assignment);
   EXPECT_NEAR(a.modularity, c.modularity, 1e-12);
+}
+
+/// small_planted's topology with real weights in [0.5, 2.5): every sum then
+/// depends on its order, so bit parity pins the summation order too.
+graph::Graph real_weighted_planted(std::uint64_t seed) {
+  const auto g = testing::small_planted(seed, 600, 10, 0.25);
+  Xoshiro256 rng(seed);
+  graph::GraphBuilder builder(g.num_vertices());
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    for (const vid_t u : g.neighbors(v)) {
+      if (u > v) builder.add_edge(v, u, 0.5 + 2 * rng.next_double());
+    }
+  }
+  return builder.build();
+}
+
+/// Every iteration's modularity and post-iteration assignment.
+struct Trajectory {
+  std::vector<wt_t> modularity;
+  std::vector<std::vector<cid_t>> community;
+};
+
+core::Phase1Result run_blas(const graph::Graph& g, core::WeightUpdateMode mode, bool parallel,
+                            Trajectory* trajectory, core::BlasPhase1Stats* stats = nullptr) {
+  core::BspConfig cfg;
+  cfg.weight_update = mode;
+  cfg.parallel = parallel;
+  cfg.on_iteration = [trajectory](int, const core::IterationStats& it,
+                                  std::span<const std::uint8_t>, std::span<const std::uint8_t>,
+                                  std::span<const cid_t> comm) {
+    trajectory->modularity.push_back(it.modularity);
+    trajectory->community.emplace_back(comm.begin(), comm.end());
+  };
+  return core::blas_phase1(g, cfg, {}, stats);
+}
+
+TEST(BlasWeightUpdate, MaskedDotEqualsTheGatheredColumn) {
+  // The dot sums one column from 0; the SPA starts it at its first term.
+  // On positive weights both are the same value bit for bit, and rows the
+  // mask leaves out keep what they held.
+  const auto g = real_weighted_planted(3);
+  const vid_t n = g.num_vertices();
+  std::vector<cid_t> comm(n);
+  for (vid_t v = 0; v < n; ++v) comm[v] = (v * 13) % 17;
+  std::vector<std::uint8_t> all(n, 1);
+  std::vector<std::uint8_t> odd(n);
+  for (vid_t v = 0; v < n; ++v) odd[v] = v % 2;
+
+  ExecutionContext ctx;
+  ThreadPool serial(1);
+  std::vector<wt_t> gathered(n, -1);
+  blas::masked_gather(
+      g, comm, all, {}, blas::Direction::Pull, ctx.device(), serial,
+      [&](vid_t v, std::span<const cid_t> touched, const wt_t* vals, gpusim::MemoryStats&) {
+        gathered[v] = 0;
+        for (const cid_t c : touched) {
+          if (c == comm[v]) gathered[v] = vals[c];
+        }
+      },
+      "test_gather");
+  std::vector<wt_t> dot(n, -1);
+  const auto stats = blas::masked_dot(g, comm, odd, dot, ctx.device(), ThreadPool::global(),
+                                      "test_dot");
+  EXPECT_EQ(stats.rows, n / 2);
+  for (vid_t v = 0; v < n; ++v) {
+    EXPECT_EQ(dot[v], odd[v] ? gathered[v] : -1) << "row " << v;
+  }
+}
+
+TEST(BlasWeightUpdate, DeltaMatchesRecomputeBitForBit) {
+  for (const bool real_weights : {false, true}) {
+    const auto g = real_weights ? real_weighted_planted(7) : testing::small_planted(7, 600, 10, 0.2);
+    for (const bool parallel : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "real_weights " << real_weights << " parallel "
+                                        << parallel);
+      Trajectory delta;
+      Trajectory recompute;
+      const auto a = run_blas(g, core::WeightUpdateMode::Delta, parallel, &delta);
+      const auto b = run_blas(g, core::WeightUpdateMode::Recompute, parallel, &recompute);
+      ASSERT_GE(delta.modularity.size(), 3u);
+      EXPECT_EQ(delta.modularity, recompute.modularity);
+      EXPECT_EQ(delta.community, recompute.community);
+      EXPECT_EQ(a.community, b.community);
+      EXPECT_EQ(a.modularity, b.modularity);
+    }
+  }
+}
+
+TEST(BlasWeightUpdate, DeltaRecomputesOnlyTheRecipientRows) {
+  const auto g = testing::small_planted(5, 2000, 20, 0.2);
+  const std::uint64_t n = g.num_vertices();
+  Trajectory delta;
+  Trajectory recompute;
+  core::BlasPhase1Stats delta_stats;
+  core::BlasPhase1Stats recompute_stats;
+  const auto a = run_blas(g, core::WeightUpdateMode::Delta, true, &delta, &delta_stats);
+  const auto b = run_blas(g, core::WeightUpdateMode::Recompute, true, &recompute, &recompute_stats);
+  ASSERT_EQ(a.iterations.size(), b.iterations.size());
+  const std::uint64_t full = n * a.iterations.size();
+  EXPECT_EQ(recompute_stats.updated_rows, full);
+  EXPECT_GT(delta_stats.updated_rows, 0u);
+  EXPECT_LT(delta_stats.updated_rows, full);
+  EXPECT_EQ(delta.modularity, recompute.modularity);
 }
 
 }  // namespace
