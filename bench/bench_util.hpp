@@ -15,7 +15,7 @@
 #include "gala/common/table.hpp"
 #include "gala/common/timer.hpp"
 #include "gala/graph/standin.hpp"
-#include "gala/profiler/profiler.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::bench {
@@ -69,14 +69,13 @@ class JsonRecord {
     enabled_ = true;
     path_ = std::string(dir) + "/BENCH_" + name_ + ".json";
     // GALA_BENCH_PROFILE=1 additionally captures the per-kernel
-    // hardware-counter profile over the bench's lifetime and attaches it to
-    // the sidecar as a "profile" member (the perf-diff gate's input).
+    // hardware-counter profile over the bench's lifetime (its own scope's
+    // launches plus every RowScope's) and attaches it to the sidecar as a
+    // "profile" member (the perf-diff gate's input).
     if (const char* p = std::getenv("GALA_BENCH_PROFILE");
         p != nullptr && *p != '\0' && std::strcmp(p, "0") != 0) {
-      profiling_ = true;
-      auto& prof = profiler::Profiler::global();
-      prof.reset();
-      prof.set_enabled(true);
+      profile_ = &RunScope::current().profiler();
+      profile_->set_enabled(true);
     }
     w_.begin_object();
     w_.key("bench").value(name_);
@@ -85,6 +84,11 @@ class JsonRecord {
   }
 
   bool enabled() const { return enabled_; }
+  bool profiling() const { return profile_ != nullptr; }
+  /// Adds a row scope's kernel profiles to the sidecar's profile.
+  void fold(const profiler::Profiler& row) {
+    if (profile_ != nullptr) profile_->merge(row);
+  }
 
   /// Begins a new row (closing any open one).
   JsonRecord& row() {
@@ -117,9 +121,9 @@ class JsonRecord {
     if (!enabled_ || saved_) return;
     close_row();
     w_.end_array();
-    if (profiling_) {
+    if (profile_ != nullptr) {
       w_.key("profile").begin_object();
-      profiler::Profiler::global().append_report(w_);
+      profile_->append_report(w_);
       w_.end_object();
     }
     w_.end_object();
@@ -141,10 +145,23 @@ class JsonRecord {
   std::string name_;
   std::string path_;
   JsonWriter w_;
+  profiler::Profiler* profile_ = nullptr;  // the sidecar's profile, when profiling
   bool enabled_ = false;
-  bool profiling_ = false;
   bool row_open_ = false;
   bool saved_ = false;
+};
+
+/// A fresh run scope for one bench row (or one probe trial), so its memory
+/// accounting, flight ring and budget cover that run alone. It is profiled
+/// while the sidecar is, and its kernel profiles fold into the sidecar's
+/// when it ends.
+class RowScope : public RunScope {
+ public:
+  explicit RowScope(JsonRecord& rec) : rec_(rec) { profiler().set_enabled(rec.profiling()); }
+  ~RowScope() { rec_.fold(profiler()); }
+
+ private:
+  JsonRecord& rec_;
 };
 
 }  // namespace gala::bench

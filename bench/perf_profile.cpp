@@ -16,14 +16,12 @@
 #include "gala/core/bsp_louvain.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/core/incremental.hpp"
-#include "gala/governor/governor.hpp"
 #include "gala/graph/generators.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/metrics/health.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
 #include "gala/query/executor.hpp"
 #include "gala/query/store.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 
 int main() {
   using namespace gala;
@@ -53,9 +51,9 @@ int main() {
       cfg.kernel = core::KernelMode::HashOnly;  // exercise the hashtable counters
       cfg.hashtable = policy;
       cfg.parallel = false;  // sequential launches: no pool scheduling noise
-      memtrace::MemRegistry::global().reset();  // per-row memory accounting
+      bench::RowScope row(rec);
       const auto r = core::bsp_phase1(g, cfg);
-      const auto mem = memtrace::MemRegistry::global().report();
+      const auto mem = row.memory().report();
       double modeled_ms = 0;
       for (const auto& it : r.iterations) {
         modeled_ms += cfg.device.modeled_ms(it.decide_traffic) +
@@ -75,7 +73,6 @@ int main() {
           .field("modeled_ms", modeled_ms)
           .field("ws_heap_allocs", r.workspace.heap_allocs)
           .field("ws_peak_bytes", r.workspace.peak_bytes)
-          .field("ws_reuse_efficiency", r.workspace.reuse_rate())
           .field("peak_ws_bytes", mem.peak_ws_bytes())
           .field("peak_total_bytes", mem.peak_total_bytes())
           .field("frag_pct", mem.frag_pct())
@@ -91,9 +88,9 @@ int main() {
     core::BspConfig cfg;
     cfg.kernel = core::KernelMode::ShuffleOnly;
     cfg.parallel = false;
-    memtrace::MemRegistry::global().reset();
+    bench::RowScope row(rec);
     const auto r = core::bsp_phase1(graphs[0].g, cfg);
-    const auto mem = memtrace::MemRegistry::global().report();
+    const auto mem = row.memory().report();
     std::printf("%-16s %-13s Q=%.5f, %u communities\n", graphs[0].name, "shuffle",
                 r.modularity, r.num_communities);
     rec.row()
@@ -104,7 +101,6 @@ int main() {
         .field("iterations", static_cast<std::uint64_t>(r.iterations.size()))
         .field("ws_heap_allocs", r.workspace.heap_allocs)
         .field("ws_peak_bytes", r.workspace.peak_bytes)
-        .field("ws_reuse_efficiency", r.workspace.reuse_rate())
         .field("peak_ws_bytes", mem.peak_ws_bytes())
         .field("peak_total_bytes", mem.peak_total_bytes())
         .field("frag_pct", mem.frag_pct());
@@ -120,12 +116,12 @@ int main() {
       cfg.parallel = false;
       blas::Tuning tuning;
       tuning.accumulator = acc;
-      memtrace::MemRegistry::global().reset();
+      bench::RowScope row(rec);
       core::BlasPhase1Stats phase_stats;
       const auto r = core::blas_phase1(g, cfg, tuning, &phase_stats);
       blas::SpgemmStats spgemm;
       const auto agg = core::aggregate(g, r.community, nullptr, tuning, &spgemm);
-      const auto mem = memtrace::MemRegistry::global().report();
+      const auto mem = row.memory().report();
       double modeled_ms = 0;
       for (const auto& it : r.iterations) {
         modeled_ms += cfg.device.modeled_ms(it.decide_traffic) +
@@ -156,7 +152,6 @@ int main() {
           .field("coarse_vertices", static_cast<std::uint64_t>(agg.coarse.num_vertices()))
           .field("ws_heap_allocs", r.workspace.heap_allocs)
           .field("ws_peak_bytes", r.workspace.peak_bytes)
-          .field("ws_reuse_efficiency", r.workspace.reuse_rate())
           .field("peak_ws_bytes", mem.peak_ws_bytes())
           .field("peak_total_bytes", mem.peak_total_bytes())
           .field("frag_pct", mem.frag_pct());
@@ -175,9 +170,9 @@ int main() {
       cfg.comm_cost.ring_convention = true;
       cfg.overlap = overlap;
       cfg.compress = overlap;
-      memtrace::MemRegistry::global().reset();
+      bench::RowScope row(rec);
       const auto r = multigpu::distributed_phase1(g, cfg);
-      const auto mem = memtrace::MemRegistry::global().report();
+      const auto mem = row.memory().report();
       std::uint64_t comm_bytes = 0;
       double hidden_us = 0, overlap_ratio = 0;
       for (const auto& d : r.devices) {
@@ -221,17 +216,12 @@ int main() {
   // "_overhead_pct" rule), and the wall-clock cost of the armed ring stays
   // informational (wall_* keys are skipped by the diff, printed for humans).
   {
-    auto& recorder = telemetry::FlightRecorder::global();
     double modeled[2] = {0, 0};  // [disarmed, armed]
     double wall_ms[2] = {0, 0};
     std::uint64_t events = 0;
     for (const int armed : {0, 1}) {
-      if (armed) {
-        telemetry::FlightRecorder::arm();
-      } else {
-        telemetry::FlightRecorder::disarm();
-      }
-      recorder.reset();
+      bench::RowScope row(rec);
+      if (!armed) row.flight().disarm();
       core::BspConfig cfg;
       cfg.parallel = false;
       Timer t;
@@ -241,9 +231,8 @@ int main() {
         modeled[armed] += cfg.device.modeled_ms(it.decide_traffic) +
                           cfg.device.modeled_ms(it.update_traffic);
       }
-      if (armed) events = recorder.recorded();
+      if (armed) events = row.flight().recorded();
     }
-    telemetry::FlightRecorder::arm();  // leave the process-wide default
     const double modeled_overhead =
         modeled[0] > 0 ? 100.0 * (modeled[1] - modeled[0]) / modeled[0] : 0.0;
     const double wall_overhead =
@@ -273,12 +262,8 @@ int main() {
     double wall_ms[2] = {0, 0};
     std::uint64_t tracked_allocs = 0;
     for (const int armed : {0, 1}) {
-      if (armed) {
-        memtrace::MemRegistry::arm();
-      } else {
-        memtrace::MemRegistry::disarm();
-      }
-      memtrace::MemRegistry::global().reset();
+      bench::RowScope row(rec);
+      if (!armed) row.memory().disarm();
       core::BspConfig cfg;
       cfg.parallel = false;
       Timer t;
@@ -289,12 +274,9 @@ int main() {
                           cfg.device.modeled_ms(it.update_traffic);
       }
       if (armed) {
-        for (const auto& s : memtrace::MemRegistry::global().report().subsystems) {
-          tracked_allocs += s.allocs;
-        }
+        for (const auto& s : row.memory().report().subsystems) tracked_allocs += s.allocs;
       }
     }
-    memtrace::MemRegistry::arm();  // leave the process-wide default
     const double modeled_overhead =
         modeled[0] > 0 ? 100.0 * (modeled[1] - modeled[0]) / modeled[0] : 0.0;
     const double wall_overhead =
@@ -322,26 +304,26 @@ int main() {
   // zero-growth rule: a higher floor means the degradation ladder lost
   // headroom — a robustness regression, not a tuning knob.
   for (const auto& [name, g] : graphs) {
-    const auto solve = [&g] {
+    // Each solve runs in its own scope: the trial's budget (0 = none) and a
+    // memory registry that sees that solve alone.
+    const auto solve = [&g, &rec](std::uint64_t budget, std::uint64_t& peak) {
+      bench::RowScope trial(rec);
+      if (budget != 0) trial.governor().install({.total_bytes = budget});
       core::BspConfig cfg;
       cfg.parallel = false;
-      memtrace::MemRegistry::global().reset();
-      return core::bsp_phase1(g, cfg).community;
+      std::vector<cid_t> partition = core::bsp_phase1(g, cfg).community;
+      peak = trial.memory().report().peak_total_bytes();
+      return partition;
     };
-    const std::vector<cid_t> reference = solve();
-    const std::uint64_t peak = memtrace::MemRegistry::global().report().peak_total_bytes();
+    std::uint64_t peak = 0;
+    const std::vector<cid_t> reference = solve(0, peak);
     const auto feasible = [&](std::uint64_t budget) {
-      governor::BudgetConfig cfg;
-      cfg.total_bytes = budget;
-      governor::ScopedBudget scoped(cfg);
-      std::vector<cid_t> partition;
+      std::uint64_t trial_peak = 0;
       try {
-        partition = solve();
+        return solve(budget, trial_peak) == reference && trial_peak <= budget;
       } catch (const ResourceExhausted&) {
         return false;
       }
-      return memtrace::MemRegistry::global().report().peak_total_bytes() <= budget &&
-             partition == reference;
     };
     const std::uint64_t floor = governor::min_feasible_budget(peak, feasible);
     std::printf("%-16s %-13s min feasible budget %llu B (unlimited peak %llu B)\n", name,
@@ -360,10 +342,9 @@ int main() {
   // so the rows baseline bit-identically; throughput lives in the separate
   // query_bench sidecar as wall_* fields.
   {
-    memtrace::MemRegistry::global().reset();
+    bench::RowScope row(rec);
     query::StoreOptions qopts;
     qopts.max_retained = 4;
-    qopts.governor_client = false;
     query::CommunityStore store(qopts);
     const graph::Graph& g = graphs[1].g;  // planted
     const auto initial = core::run_louvain(g);

@@ -63,7 +63,6 @@ int main() {
 
   query::StoreOptions opts;
   opts.max_retained = 8;
-  opts.governor_client = false;
   query::CommunityStore store(opts);
 
   const auto initial = core::run_louvain(base);

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "gala/common/error.hpp"
-#include "gala/governor/governor.hpp"
 #include "gala/gpusim/device.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::blas {
@@ -53,14 +53,14 @@ graph::Graph contract_csr(const graph::Graph& fine, std::span<const cid_t> fine_
   SpgemmStats& st = stats != nullptr ? *stats : local;
   st = SpgemmStats{};
   st.accumulator = tuning.accumulator;
-  if (governor::Governor::global().force_sorted_accumulator() &&
+  if (RunScope::current().governor().force_sorted_accumulator() &&
       st.accumulator == Accumulator::Hash) {
     st.accumulator = Accumulator::Sorted;
     st.governor_forced = true;
   }
   st.rows = num_coarse;
 
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "spgemm", "blas");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "spgemm", "blas");
 
   if (num_coarse == 0) {
     return graph::GraphBuilder::from_sorted_csr(0, std::vector<eid_t>{0}, {}, {});

@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "gala/common/error.hpp"
-#include "gala/memtrace/memtrace.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::codec {
 namespace {

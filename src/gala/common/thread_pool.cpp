@@ -4,6 +4,8 @@
 #include <atomic>
 #include <exception>
 
+#include "gala/common/scope_handle.hpp"
+
 namespace gala {
 namespace {
 
@@ -18,12 +20,13 @@ thread_local const ThreadPool* worker_of = nullptr;
 struct ThreadPool::Call {
   Call(const std::function<void(std::size_t, std::size_t)>& body, std::size_t begin,
        std::size_t end, std::size_t chunk)
-      : body(&body), begin(begin), end(end), chunk(chunk),
+      : body(&body), scope(EnterScope::installed()), begin(begin), end(end), chunk(chunk),
         num_chunks((end - begin + chunk - 1) / chunk), pending(num_chunks) {}
 
   // Read only after claiming a chunk: the caller keeps it alive until every
   // claimed chunk is done.
   const std::function<void(std::size_t, std::size_t)>* body;
+  RunScope* const scope;  // the caller's run scope; every chunk runs under it
   const std::size_t begin;
   const std::size_t end;
   const std::size_t chunk;
@@ -70,6 +73,7 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::run_chunks(Call& call) {
+  const EnterScope enter(call.scope);
   for (;;) {
     const std::size_t i = call.next.fetch_add(1);
     if (i >= call.num_chunks) break;

@@ -16,6 +16,8 @@
 //    work.
 //  - A size-1 pool has no worker threads and runs every call inline, on the
 //    calling thread, as the single chunk [begin, end).
+//  - Chunks run under their caller's run scope (common/scope_handle.hpp),
+//    on whichever thread claims them, so observers see one run per caller.
 //  - Nesting is allowed: a body may call the pool again. A worker that does
 //    claims the nested chunks alongside the other workers, so the nested
 //    call completes even when every other worker is busy.

@@ -4,7 +4,7 @@
 
 #include "gala/common/error.hpp"
 #include "gala/core/modularity.hpp"
-#include "gala/memtrace/memtrace.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::core {
 namespace {

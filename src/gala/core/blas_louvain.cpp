@@ -6,8 +6,7 @@
 #include "gala/blas/spmv.hpp"
 #include "gala/common/timer.hpp"
 #include "gala/core/phase1.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::core {
@@ -88,7 +87,7 @@ void BlasEngine::decide_phase(std::span<const std::uint8_t> active, vid_t active
   const blas::Direction dir =
       blas::choose_direction(active_count, n, tuning_.pull_threshold);
 
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "gather", "blas");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "gather", "blas");
   gpusim::LaunchStats total;
   std::uint64_t pull_rows = 0;
   std::uint64_t push_rows = 0;
@@ -102,7 +101,7 @@ void BlasEngine::decide_phase(std::span<const std::uint8_t> active, vid_t active
     // Push: compact the frontier; governor rung 4 bounds the materialised
     // window exactly like the BSP dispatch lists (decisions read
     // iteration-start state, so chunked launches are equivalent to one).
-    const std::size_t window = governor::Governor::global().frontier_chunk();
+    const std::size_t window = RunScope::current().governor().frontier_chunk();
     frontier_.clear();
     const auto flush = [&] {
       if (frontier_.empty()) return;
@@ -151,7 +150,7 @@ void BlasEngine::weight_update_phase(std::span<const std::uint8_t> moved,
   // has the same terms, in the same order, as when it was last summed, and a
   // sum from 0 equals the SPA's first-touch sum on positive weights, so every
   // w is bit-identical to a full recompute. Recompute marks every row.
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "weight-update", "blas");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "weight-update", "blas");
   Timer timer;
   const vid_t n = g_.num_vertices();
   const std::span<const cid_t> comm = state_.comm;

@@ -5,8 +5,7 @@
 
 #include "gala/common/timer.hpp"
 #include "gala/core/phase1.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::core {
@@ -69,7 +68,7 @@ void BspEngine::decide_phase(std::span<const std::uint8_t> active, vid_t /*activ
   // Governor rung 2: GlobalOnly is the exact-parity fallback (decisions are
   // policy-independent), so forcing it sheds shared-arena pages without
   // moving a single vertex differently.
-  const HashTablePolicy table = governor::Governor::global().force_global_only()
+  const HashTablePolicy table = RunScope::current().governor().force_global_only()
                                     ? HashTablePolicy::GlobalOnly
                                     : config_.hashtable;
   const DecideDispatch dispatch{config_.kernel, table, config_.shuffle_degree_limit};
@@ -106,7 +105,7 @@ void BspEngine::decide_phase(std::span<const std::uint8_t> active, vid_t /*activ
     return ctx_->device().launch(pool_, blocks, body, name);
   };
 
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "decide", "phase1");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "decide", "phase1");
   gpusim::LaunchStats total;
   std::size_t shuffle_total = 0;
   std::size_t hash_total = 0;
@@ -130,7 +129,7 @@ void BspEngine::decide_phase(std::span<const std::uint8_t> active, vid_t /*activ
   // materialised window: each decision is a per-vertex function of the same
   // pre-iteration community state (applied later, in apply_phase), so
   // chunked launches compute exactly what one launch would.
-  const std::size_t window = governor::Governor::global().frontier_chunk();
+  const std::size_t window = RunScope::current().governor().frontier_chunk();
   shuffle_list_.clear();
   hash_list_.clear();
   for (vid_t v = 0; v < n; ++v) {
@@ -163,7 +162,7 @@ void BspEngine::weight_update_phase(std::span<const std::uint8_t> moved,
   const std::span<const cid_t> comm = state_.comm;
   const std::span<const cid_t> next_comm = state_.next_comm;
   const std::span<wt_t> weight = state_.weight;
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "weight-update", "phase1");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "weight-update", "phase1");
   Timer timer;
   gpusim::MemoryStats traffic;
   const auto for_chunks = [&](const std::function<void(std::size_t, std::size_t,

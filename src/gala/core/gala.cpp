@@ -7,8 +7,7 @@
 #include "gala/core/modularity.hpp"
 #include "gala/core/refinement.hpp"
 #include "gala/core/vertex_following.hpp"
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::core {
@@ -25,7 +24,7 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
     // vertex_following.hpp), so the reported Q transfers unchanged.
     VertexFollowingResult vf;
     {
-      telemetry::ScopedSpan vf_span(telemetry::Tracer::global(), "vertex-following", "pipeline");
+      telemetry::ScopedSpan vf_span(RunScope::current().tracer(), "vertex-following", "pipeline");
       vf = follow_vertices(g);
       if (vf_span.active()) {
         vf_span.arg("vertices", static_cast<double>(g.num_vertices()));
@@ -66,7 +65,7 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
   memtrace::set_resident("graph.csr", g.memory_bytes());
 
   for (int level = 0; level < cfg.max_levels; ++level) {
-    telemetry::ScopedSpan level_span(telemetry::Tracer::global(), "level", "pipeline");
+    telemetry::ScopedSpan level_span(RunScope::current().tracer(), "level", "pipeline");
     telemetry::flight(telemetry::FlightKind::LevelBegin, static_cast<double>(level),
                       static_cast<double>(current->num_vertices()));
     Timer level_timer;
@@ -108,14 +107,14 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
     } else if (cfg.refine) {
       RefinementResult refined;
       {
-        telemetry::ScopedSpan refine_span(telemetry::Tracer::global(), "refine", "phase2");
+        telemetry::ScopedSpan refine_span(RunScope::current().tracer(), "refine", "phase2");
         refined = refine_partition(*current, phase1.community, cfg.bsp.resolution,
                                    cfg.bsp.seed ^ (level + 1));
       }
-      telemetry::ScopedSpan agg_span(telemetry::Tracer::global(), "aggregate", "phase2");
+      telemetry::ScopedSpan agg_span(RunScope::current().tracer(), "aggregate", "phase2");
       agg = engine.contract(*current, refined.refined, &ws);
     } else {
-      telemetry::ScopedSpan agg_span(telemetry::Tracer::global(), "aggregate", "phase2");
+      telemetry::ScopedSpan agg_span(RunScope::current().tracer(), "aggregate", "phase2");
       agg = engine.contract(*current, phase1.community, &ws);
     }
     result.assignment = compose_assignment(result.assignment, agg.fine_to_coarse);

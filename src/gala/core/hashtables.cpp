@@ -2,8 +2,7 @@
 
 #include <bit>
 
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/resilience/fault_injection.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::core {
 

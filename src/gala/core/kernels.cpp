@@ -6,7 +6,7 @@
 
 #include "gala/common/error.hpp"
 #include "gala/gpusim/block.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::core {
 namespace {
@@ -234,7 +234,7 @@ Decision hash_decide(const DecideInput& in, vid_t v, HashTablePolicy policy,
     // constructor, before any traffic is charged, so the retry accounts
     // cleanly. Decisions are policy-independent: same result, more global
     // traffic.
-    telemetry::Registry::global().counter("resilience.hashtable_fallbacks").add(1);
+    RunScope::current().registry().counter("resilience.hashtable_fallbacks").add(1);
     return hash_decide_impl(in, v, HashTablePolicy::GlobalOnly, arena, global_scratch, salt,
                             stats);
   }

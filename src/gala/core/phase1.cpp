@@ -6,8 +6,7 @@
 #include "gala/common/error.hpp"
 #include "gala/common/timer.hpp"
 #include "gala/core/modularity.hpp"
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::core {
@@ -126,7 +125,7 @@ vid_t Phase1Driver::prune_then_decide(int iter, const CommunityState::Scan& scan
   std::span<const std::uint8_t> todo = active;
   vid_t todo_count = 0;
   {
-    telemetry::ScopedSpan span(telemetry::Tracer::global(), "pruning", "phase1");
+    telemetry::ScopedSpan span(RunScope::current().tracer(), "pruning", "phase1");
     if (pm_iter_ != iter) {
       pm_base_ = config_.pruning == PruningStrategy::Probabilistic ? rng_() : 0;
       pm_iter_ = iter;
@@ -193,7 +192,7 @@ Phase1Result Phase1Driver::run() {
   const vid_t n = g_.num_vertices();
   CommunityState& s = state_;
   Phase1Result result;
-  telemetry::ScopedSpan phase_span(telemetry::Tracer::global(), "phase1", "pipeline");
+  telemetry::ScopedSpan phase_span(RunScope::current().tracer(), "phase1", "pipeline");
   Timer total_timer;
 
   // Per-run iteration state, checked out of the workspace. The first
@@ -229,7 +228,7 @@ Phase1Result Phase1Driver::run() {
   };
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
-    telemetry::ScopedSpan iter_span(telemetry::Tracer::global(), "iteration", "phase1");
+    telemetry::ScopedSpan iter_span(RunScope::current().tracer(), "iteration", "phase1");
     telemetry::flight(telemetry::FlightKind::IterationBegin, static_cast<double>(iter),
                       static_cast<double>(n));
     IterationStats stats;
@@ -287,7 +286,7 @@ Phase1Result Phase1Driver::run() {
     gpusim::MemoryStats window_traffic;
     if (window.open) {
       {
-        telemetry::ScopedSpan bk_span(telemetry::Tracer::global(), "bookkeeping", "phase1");
+        telemetry::ScopedSpan bk_span(RunScope::current().tracer(), "bookkeeping", "phase1");
         gpusim::MemoryStats bk;
         bookkeeping(bk);
         stats.bookkeeping_traffic += bk;
@@ -308,7 +307,7 @@ Phase1Result Phase1Driver::run() {
 
     {
       // 7. Bookkeeping (unless the window ran it), then modularity.
-      telemetry::ScopedSpan bk_span(telemetry::Tracer::global(), "bookkeeping", "phase1");
+      telemetry::ScopedSpan bk_span(RunScope::current().tracer(), "bookkeeping", "phase1");
       gpusim::MemoryStats bk;
       if (!window.open) bookkeeping(bk);
       // The iteration allocates nothing more: its memory epoch is final.
@@ -334,7 +333,7 @@ Phase1Result Phase1Driver::run() {
       iter_span.last_arg("modularity", stats.modularity);
       iter_span.last_arg("delta_q", stats.delta_q);
       iter_span.arg("ws_allocs", static_cast<double>(stats.ws_allocs));
-      auto& registry = telemetry::Registry::global();
+      auto& registry = RunScope::current().registry();
       registry.counter("workspace.heap_allocs").add(stats.ws_allocs);
       if (primary_) {
         registry.counter("phase1.iterations").add(1);
@@ -382,7 +381,7 @@ Phase1Result Phase1Driver::run() {
     phase_span.arg("ws_reuse_hits",
                    static_cast<double>(result.workspace.reuse_hits - ws_start.reuse_hits));
     if (primary_) {
-      auto& registry = telemetry::Registry::global();
+      auto& registry = RunScope::current().registry();
       registry.gauge("workspace.outstanding_bytes")
           .set(static_cast<double>(result.workspace.outstanding_bytes));
       registry.gauge("workspace.pooled_bytes")

@@ -6,9 +6,11 @@
 // itself, the host thread pool, and the run's PRNG seed. The context's pool
 // is the pool every launch and parallel loop of an engine with
 // `parallel = true` uses (the engine picks a size-1 pool otherwise); it
-// defaults to ThreadPool::global(). Telemetry, the profiler, and the fault
-// injector remain process-global singletons — the context exposes them for
-// discoverability rather than re-owning them.
+// defaults to ThreadPool::global(). The observers (telemetry, memory,
+// governor, profiler, fault injector) belong to the RunScope current on the
+// thread that runs the engine (gala/scope/run_scope.hpp), not to the
+// context; the context only registers its workspace with the governor of
+// the scope it was built under, which must outlive it.
 //
 // Ownership rules:
 //  - run_louvain creates one context per pipeline and calls
@@ -29,8 +31,8 @@
 
 #include "gala/common/thread_pool.hpp"
 #include "gala/exec/workspace.hpp"
-#include "gala/governor/governor.hpp"
 #include "gala/gpusim/device.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::exec {
 
@@ -40,15 +42,16 @@ class ExecutionContext {
                             std::uint64_t seed = 7, bool pooling = true,
                             ThreadPool* pool = nullptr)
       : workspace_(pooling), device_(device_config, &workspace_), seed_(seed),
-        pool_(pool != nullptr ? pool : &ThreadPool::global()) {
+        pool_(pool != nullptr ? pool : &ThreadPool::global()),
+        governor_(&RunScope::current().governor()) {
     // Rung 1 of the governor's degradation ladder trims idle pooled slabs;
     // each context volunteers its workspace (trim() is thread-safe and only
     // touches free lists, never outstanding leases).
-    governor::Governor::global().register_reclaimer(
+    governor_->register_reclaimer(
         this, [this] { return static_cast<std::uint64_t>(workspace_.trim()); });
   }
 
-  ~ExecutionContext() { governor::Governor::global().unregister_reclaimer(this); }
+  ~ExecutionContext() { governor_->unregister_reclaimer(this); }
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -69,6 +72,7 @@ class ExecutionContext {
   gpusim::Device device_;  // bound to workspace_: arena pages come from the pool
   std::uint64_t seed_;
   ThreadPool* pool_;  // not owned
+  governor::Governor* governor_;  // holds this context's reclaimer; not owned
 };
 
 }  // namespace gala::exec

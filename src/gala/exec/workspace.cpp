@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::exec {
 
@@ -80,7 +80,8 @@ void Workspace::reset_level() {
   }
   // Leak detector hook (outside the workspace lock — the registry takes its
   // own): any tag with live modeled bytes here is a lease straddling levels.
-  if (memtrace::MemRegistry::armed()) memtrace::MemRegistry::global().note_level_reset();
+  memtrace::MemRegistry& memory = RunScope::current().memory();
+  if (memory.armed()) memory.note_level_reset();
 }
 
 std::size_t Workspace::trim() {

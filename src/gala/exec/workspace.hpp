@@ -53,7 +53,7 @@
 #include <vector>
 
 #include "gala/common/error.hpp"
-#include "gala/memtrace/memtrace.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::exec {
 
@@ -185,24 +185,26 @@ class Workspace {
   template <typename T>
   Lease<T> take(std::size_t count, std::string_view tag, Fill fill = Fill::Dirty) {
     const std::size_t bytes = count * sizeof(T);
+    // Modeled charge: the request's size class, never the (pool-state
+    // dependent) capacity of the serving slab — that difference is slack,
+    // tracked in the host section.
+    const std::size_t modeled = class_bytes(bytes);
     // Budget admission runs before any slab moves: a governor refusal
     // (gala::ResourceExhausted) unwinds with the lease still empty, so the
     // destructor has nothing to credit back.
-    memtrace::admit(tag, class_bytes(bytes), /*may_throw=*/true);
+    RunScope& scope = RunScope::current();
+    const std::uint64_t admitted = scope.admit(tag, modeled, /*may_throw=*/true);
     Lease<T> lease;
     lease.ws_ = this;
     lease.count_ = count;
     lease.tag_ = tag;
     lease.epoch_ = checkout(bytes, tag_hash(tag), lease.slab_, lease.same_tag_);
-    if (memtrace::MemRegistry::armed()) {
-      // Modeled charge: the request's size class, never the (pool-state
-      // dependent) capacity of the serving slab — that difference is slack,
-      // tracked in the host section.
-      const std::size_t modeled = class_bytes(bytes);
-      memtrace::MemRegistry::global().on_alloc(tag, modeled, bytes, /*workspace=*/true);
-      if (lease.slab_.capacity > modeled) {
-        memtrace::MemRegistry::global().note_slack(lease.slab_.capacity - modeled);
-      }
+    memtrace::MemRegistry& memory = scope.memory();
+    if (memory.armed()) {
+      memory.on_alloc(tag, modeled, bytes, /*workspace=*/true, admitted);
+      if (lease.slab_.capacity > modeled) memory.note_slack(lease.slab_.capacity - modeled);
+    } else {
+      memory.release(admitted);
     }
     if (fill == Fill::Zero && bytes > 0) std::memset(lease.slab_.data.get(), 0, bytes);
     return lease;

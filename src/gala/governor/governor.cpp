@@ -2,12 +2,6 @@
 
 #include <algorithm>
 
-#include "gala/common/error.hpp"
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/resilience/fault_injection.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
-#include "gala/telemetry/telemetry.hpp"
-
 namespace gala::governor {
 
 namespace {
@@ -19,10 +13,6 @@ constexpr double kReclaimAt = 0.80;
 constexpr double kGlobalOnlyAt = 0.85;
 constexpr double kSparseAt = 0.90;
 constexpr double kChunkAt = 0.95;
-
-void admit_trampoline(std::string_view tag, std::uint64_t modeled, bool may_throw) {
-  Governor::global().admit(tag, modeled, may_throw);
-}
 
 std::string_view subsystem_of(std::string_view tag) {
   const auto dot = tag.find('.');
@@ -49,47 +39,29 @@ const char* to_string(Rung rung) {
   return "?";
 }
 
-Governor& Governor::global() {
-  static Governor governor;
-  return governor;
-}
-
 void Governor::install(BudgetConfig config) {
   {
     std::lock_guard lock(mutex_);
     subsystem_caps_ = std::move(config.subsystem_caps);
-    transitions_.clear();
   }
   total_.store(config.total_bytes, std::memory_order_relaxed);
   initial_total_.store(config.total_bytes, std::memory_order_relaxed);
   chunk_.store(config.frontier_chunk > 0 ? config.frontier_chunk : 4096,
                std::memory_order_relaxed);
-  rung_.store(0, std::memory_order_relaxed);
-  admits_.store(0, std::memory_order_relaxed);
-  denials_.store(0, std::memory_order_relaxed);
-  shrinks_.store(0, std::memory_order_relaxed);
-  reclaims_.store(0, std::memory_order_relaxed);
   // Modeled live bytes are the enforcement input, so the registry must be
   // accounting while a budget is in force.
-  memtrace::MemRegistry::arm();
-  memtrace::MemRegistry::set_admit_hook(&admit_trampoline);
-  enabled_flag_.store(true, std::memory_order_relaxed);
+  memory_.arm();
+  enabled_.store(true, std::memory_order_relaxed);
 }
 
-void Governor::uninstall() {
-  enabled_flag_.store(false, std::memory_order_relaxed);
-  memtrace::MemRegistry::set_admit_hook(nullptr);
-  // Rung, budget, and stats stay readable: reports are rendered after the
-  // run, when the budget is no longer being enforced.
-}
-
-void Governor::admit(std::string_view tag, std::uint64_t bytes, bool may_throw) {
-  if (!enabled()) return;
+std::uint64_t Governor::admit(std::string_view tag, std::uint64_t bytes, bool may_throw) {
+  if (!enabled()) return 0;
   admits_.fetch_add(1, std::memory_order_relaxed);
   maybe_shrink(tag);
   const std::uint64_t budget = total_.load(std::memory_order_relaxed);
-  auto& registry = memtrace::MemRegistry::global();
-  const std::uint64_t projected = registry.live_total() + bytes;
+  // Charge first, decide second: a concurrent admission projects these
+  // bytes too, so two ranks can never both fit into the same headroom.
+  const std::uint64_t projected = memory_.reserve(bytes);
   // total 0 = unlimited: observe only — but subsystem caps still enforce.
   double util = budget == 0 ? 0.0
                             : static_cast<double>(projected) / static_cast<double>(budget);
@@ -100,7 +72,7 @@ void Governor::admit(std::string_view tag, std::uint64_t bytes, bool may_throw) 
       const std::string_view subsys = subsystem_of(tag);
       for (const auto& [name, cap] : subsystem_caps_) {
         if (name != subsys || cap == 0) continue;
-        const std::uint64_t sub_projected = registry.live_subsystem(subsys) + bytes;
+        const std::uint64_t sub_projected = memory_.live_subsystem(subsys) + bytes;
         util = std::max(util, static_cast<double>(sub_projected) / static_cast<double>(cap));
         over = over || sub_projected > cap;
       }
@@ -112,13 +84,14 @@ void Governor::admit(std::string_view tag, std::uint64_t bytes, bool may_throw) 
   if (util >= kSparseAt) escalate_to(Rung::SparseSync, projected, budget);
   if (util >= kChunkAt) escalate_to(Rung::ChunkedFrontier, projected, budget);
 
-  if (!over) return;
+  if (!over) return bytes;
   // Last-ditch host-side reclaim; the modeled charge is unchanged, but a
   // trimmed pool means the refusal below never strands idle host memory.
   run_reclaimers();
   denials_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::Registry::global().counter("governor.denials").add(1);
-  if (!may_throw) return;  // charges/gauges escalate but never throw mid-flight
+  registry_.counter("governor.denials").add(1);
+  if (!may_throw) return bytes;  // charges/gauges escalate but never throw mid-flight
+  memory_.release(bytes);  // refused: the bytes never go live
   escalate_to(Rung::HostFallback, projected, budget);
   GALA_THROW(ResourceExhausted, "memory budget exceeded: '"
                                     << std::string(tag) << "' needs " << bytes
@@ -138,10 +111,10 @@ void Governor::escalate_to(Rung target, std::uint64_t projected, std::uint64_t b
     if (rung_.load(std::memory_order_relaxed) >= t) return;
     rung_.store(t, std::memory_order_relaxed);
     transitions_.push_back({target, projected, budget});
-    telemetry::flight(telemetry::FlightKind::GovernorRung, static_cast<double>(t),
-                      static_cast<double>(projected));
+    flight_.record(telemetry::FlightKind::GovernorRung, static_cast<double>(t),
+                   static_cast<double>(projected));
   }
-  telemetry::Registry::global().counter("governor.rung_transitions").add(1);
+  registry_.counter("governor.rung_transitions").add(1);
   if (target == Rung::ReclaimSlabs) run_reclaimers();
 }
 
@@ -158,20 +131,19 @@ std::uint64_t Governor::run_reclaimers() {
   }
   reclaims_.fetch_add(1, std::memory_order_relaxed);
   if (freed > 0) {
-    telemetry::Registry::global().counter("governor.reclaimed_bytes").add(freed);
+    registry_.counter("governor.reclaimed_bytes").add(freed);
   }
   return freed;
 }
 
 void Governor::maybe_shrink(std::string_view tag) {
-  using resilience::FaultInjector;
-  if (!FaultInjector::armed()) return;
-  if (!FaultInjector::global().should_fire(resilience::FaultSite::BudgetShrink, tag)) return;
+  if (!faults_.armed()) return;
+  if (!faults_.should_fire(resilience::FaultSite::BudgetShrink, tag)) return;
   const std::uint64_t cur = total_.load(std::memory_order_relaxed);
   if (cur == 0) return;
   // Cut to half, but never below what is already live: the shrink models an
   // external reservation landing, not a demand to evict held memory.
-  shrink_budget(std::max(memtrace::MemRegistry::global().live_total(), cur / 2));
+  shrink_budget(std::max(memory_.live_total(), cur / 2));
 }
 
 void Governor::shrink_budget(std::uint64_t new_total) {
@@ -181,9 +153,9 @@ void Governor::shrink_budget(std::uint64_t new_total) {
     if (cur == 0 || new_total >= cur) return;
   } while (!total_.compare_exchange_weak(cur, new_total, std::memory_order_relaxed));
   shrinks_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::Registry::global().counter("governor.budget_shrinks").add(1);
-  telemetry::flight(telemetry::FlightKind::GovernorShrink, static_cast<double>(new_total),
-                    static_cast<double>(cur));
+  registry_.counter("governor.budget_shrinks").add(1);
+  flight_.record(telemetry::FlightKind::GovernorShrink, static_cast<double>(new_total),
+                 static_cast<double>(cur));
 }
 
 void Governor::register_reclaimer(const void* key, std::function<std::uint64_t()> fn) {

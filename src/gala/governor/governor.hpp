@@ -1,10 +1,13 @@
 // gala::governor — enforceable memory budgets with a deterministic
 // graceful-degradation ladder.
 //
-// The memtrace registry (PR 7) answers "where do the bytes live"; the
-// governor turns that accounting into an enforceable contract. Installing a
-// budget arms an admission hook that memtrace invokes before any modeled
-// bytes go live (Workspace checkouts, one-shot charges, resident gauges).
+// The memtrace registry answers "where do the bytes live"; the governor
+// turns that accounting into an enforceable contract. Each RunScope owns one
+// governor beside its registry; installing a budget makes the scope's
+// memtrace:: wrappers admit through it before any modeled bytes go live
+// (Workspace checkouts, one-shot charges, resident gauges). An admission
+// charges the registry's live total in one atomic step, so concurrent
+// admissions (distributed ranks) see each other's bytes.
 // Instead of failing at the wall, the governor walks a degradation ladder,
 // each rung trading performance for footprint while preserving bit-identical
 // partitions:
@@ -47,10 +50,10 @@
 // max(live, budget/2) on a seeded FaultPlan schedule, exercising the
 // supervisor's retry/rollback machinery under genuine memory pressure.
 //
-// Cost discipline: uninstalled, the memtrace hook pointer is null and every
-// allocation site pays one relaxed load. Installed, an admission is a couple
-// of relaxed loads plus a compare; the mutex is only taken on escalation,
-// shrink, and reclaim — all rare.
+// Cost discipline: with no budget, every allocation site pays one relaxed load.
+// Installed, an admission is an atomic add, a couple of relaxed loads and a
+// compare; the mutex is only taken on escalation, shrink, and reclaim — all
+// rare.
 #pragma once
 
 #include <atomic>
@@ -64,6 +67,10 @@
 
 #include "gala/common/error.hpp"
 #include "gala/common/json.hpp"
+#include "gala/memtrace/memtrace.hpp"
+#include "gala/resilience/fault_injection.hpp"
+#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::governor {
 
@@ -86,7 +93,7 @@ struct BudgetConfig {
   std::uint64_t total_bytes = 0;
   /// Optional per-subsystem caps, keyed by tag prefix ("phase1", "gpusim",
   /// ...). A cap overrun escalates the ladder exactly like the total.
-  std::vector<std::pair<std::string, std::uint64_t>> subsystem_caps;
+  std::vector<std::pair<std::string, std::uint64_t>> subsystem_caps{};
   /// Decide-frontier window applied at rung 4 (vertices per kernel launch).
   std::size_t frontier_chunk = 4096;
 };
@@ -98,30 +105,34 @@ struct RungTransition {
   std::uint64_t budget = 0;     ///< budget in force at that moment
 };
 
-/// Process-wide budget enforcer. Install once (CLI --mem-budget, tests,
-/// bench probes); every memtrace-instrumented allocation site then funnels
-/// through admit() via the registry's admission hook.
+/// A run scope's budget enforcer. Install once per scope (CLI --mem-budget,
+/// tests, bench probes); every memtrace-instrumented allocation site of the
+/// scope then funnels through admit(). It charges `memory`, counts in
+/// `registry`, records rung events in `flight` and evaluates the
+/// budget-shrink site of `faults`, all of the same scope.
 class Governor {
  public:
-  static Governor& global();
+  Governor(memtrace::MemRegistry& memory, telemetry::Registry& registry,
+           telemetry::FlightRecorder& flight, resilience::FaultInjector& faults)
+      : memory_(memory), registry_(registry), flight_(flight), faults_(faults) {}
 
   /// True when a budget is installed (one relaxed load).
-  static bool enabled() { return enabled_flag_.load(std::memory_order_relaxed); }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Installs `config`, resets ladder state, and arms the memtrace admission
-  /// hook. Budgets must be enforceable, so memtrace is armed as a side
-  /// effect (modeled live bytes are the enforcement input).
+  /// Installs `config`, once per scope; the budget holds until the scope
+  /// ends. Budgets must be enforceable, so the scope's memory registry is
+  /// armed as a side effect (modeled live bytes are the enforcement input).
   void install(BudgetConfig config);
-  /// Removes the hook and clears the budget; ladder state and stats stay
-  /// readable until the next install().
-  void uninstall();
 
-  /// Admission check for `bytes` modeled bytes under `tag`. Escalates the
-  /// ladder when projected utilisation crosses a threshold; on a may-throw
-  /// site whose projected total still exceeds the budget after reclaim, the
-  /// floor throws gala::ResourceExhausted. Non-throwing sites record the
-  /// overrun and escalate only. Evaluates the `budget-shrink` fault site.
-  void admit(std::string_view tag, std::uint64_t bytes, bool may_throw);
+  /// Admission of `bytes` modeled bytes under `tag`: charges them to the
+  /// registry's live total and returns the bytes left charged (0 when no
+  /// budget is installed), which the allocation's accounting must not
+  /// charge again. Escalates the ladder when projected utilisation crosses a
+  /// threshold; on a may-throw site whose projected total still exceeds the
+  /// budget after reclaim, the floor gives the bytes back and throws
+  /// gala::ResourceExhausted. Non-throwing sites record the overrun and
+  /// escalate only. Evaluates the `budget-shrink` fault site.
+  std::uint64_t admit(std::string_view tag, std::uint64_t bytes, bool may_throw);
 
   Rung rung() const { return static_cast<Rung>(rung_.load(std::memory_order_relaxed)); }
   /// Rung 2+: decide kernels must run the GlobalOnly hashtable policy.
@@ -164,14 +175,15 @@ class Governor {
   void append_json(JsonWriter& w) const;
 
  private:
-  Governor() = default;
-
   void escalate_to(Rung target, std::uint64_t projected, std::uint64_t budget);
   std::uint64_t run_reclaimers();
   void maybe_shrink(std::string_view tag);
 
-  static inline std::atomic<bool> enabled_flag_{false};
-
+  memtrace::MemRegistry& memory_;
+  telemetry::Registry& registry_;
+  telemetry::FlightRecorder& flight_;
+  resilience::FaultInjector& faults_;
+  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> total_{0};
   std::atomic<std::uint64_t> initial_total_{0};
   std::atomic<std::uint8_t> rung_{0};
@@ -197,14 +209,5 @@ class Governor {
 std::uint64_t min_feasible_budget(std::uint64_t hi,
                                   const std::function<bool(std::uint64_t)>& feasible,
                                   std::uint64_t granularity = 4096);
-
-/// RAII install/uninstall for tests and probes (exception-safe).
-class ScopedBudget {
- public:
-  explicit ScopedBudget(BudgetConfig config) { Governor::global().install(std::move(config)); }
-  ~ScopedBudget() { Governor::global().uninstall(); }
-  ScopedBudget(const ScopedBudget&) = delete;
-  ScopedBudget& operator=(const ScopedBudget&) = delete;
-};
 
 }  // namespace gala::governor

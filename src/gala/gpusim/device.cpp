@@ -3,9 +3,7 @@
 #include <span>
 #include <vector>
 
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/profiler/profiler.hpp"
-#include "gala/resilience/fault_injection.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::gpusim {
 
@@ -79,13 +77,14 @@ void finish_launch(LaunchStats& result, const DeviceConfig& config, std::size_t 
                    telemetry::ScopedSpan& span, std::string_view name,
                    std::span<const double> block_cycles) {
   result.modeled_cycles = config.cost_model.cycles(result.traffic);
+  RunScope& scope = RunScope::current();
   if (span.active()) {
     span.arg("num_blocks", static_cast<double>(num_blocks));
     attach_traffic(span, result.traffic, &config.cost_model);
-    telemetry::Registry::global().counter("gpusim.launches").add(1);
-    telemetry::Registry::global().histogram("gpusim.blocks_per_launch").observe(num_blocks);
+    scope.registry().counter("gpusim.launches").add(1);
+    scope.registry().histogram("gpusim.blocks_per_launch").observe(num_blocks);
   }
-  auto& profiler = profiler::Profiler::global();
+  auto& profiler = scope.profiler();
   if (profiler.enabled()) {
     profiler.record_launch(name, num_blocks, result.traffic, result.modeled_cycles,
                            config.modeled_ms(result.traffic), result.wall_seconds, block_cycles);
@@ -139,12 +138,12 @@ LaunchStats Device::launch(ThreadPool& pool, std::size_t num_blocks,
                            const std::function<void(BlockContext&)>& body,
                            std::string_view name) const {
   resilience::maybe_inject(resilience::FaultSite::KernelLaunch, name);
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), name, "kernel");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), name, "kernel");
   LaunchStats result;
   Timer timer;
   // Per-block modeled cycles feed the profiler's load-imbalance statistics.
   // Indexed writes by block id: no synchronisation needed between workers.
-  const bool profiling = profiler::Profiler::global().enabled();
+  const bool profiling = RunScope::current().profiler().enabled();
   CycleBuffer block_cycles(profiling, num_blocks, workspace_);
   std::mutex merge_mutex;
   pool.parallel_for_chunked(

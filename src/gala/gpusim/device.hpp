@@ -78,7 +78,7 @@ class Device {
   /// Launches `num_blocks` blocks of `body` on `pool`. Each pool chunk of
   /// blocks reuses one arena (reset between blocks); a size-1 pool runs
   /// every block in order on the calling thread. Returns the aggregated
-  /// traffic/cost of the launch. When the global tracer is enabled, emits
+  /// traffic/cost of the launch. When the current scope's tracer is enabled, emits
   /// one "kernel" span named `name` carrying the launch's MemoryStats
   /// snapshot and modeled-cycle breakdown.
   LaunchStats launch(ThreadPool& pool, std::size_t num_blocks,

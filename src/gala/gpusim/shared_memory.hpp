@@ -14,7 +14,7 @@
 #include "gala/common/error.hpp"
 #include "gala/gpusim/memory.hpp"
 #include "gala/gpusim/warp.hpp"
-#include "gala/resilience/fault_injection.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::gpusim {
 

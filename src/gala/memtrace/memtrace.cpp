@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "gala/telemetry/telemetry.hpp"
-
 namespace gala::memtrace {
 
 namespace {
@@ -26,11 +24,6 @@ const char* to_string(EpochKind kind) {
   return "unknown";
 }
 
-MemRegistry& MemRegistry::global() {
-  static MemRegistry registry;
-  return registry;
-}
-
 MemRegistry::Cell& MemRegistry::cell(std::string_view tag) {
   const int rank = telemetry::RankScope::current();
   const std::pair<std::string_view, int> key{tag, rank};
@@ -42,7 +35,7 @@ MemRegistry::Cell& MemRegistry::cell(std::string_view tag) {
 }
 
 void MemRegistry::on_alloc(std::string_view tag, std::uint64_t modeled,
-                           std::uint64_t requested, bool workspace) {
+                           std::uint64_t requested, bool workspace, std::uint64_t reserved) {
   std::lock_guard lock(mutex_);
   Cell& c = cell(tag);
   ++c.allocs;
@@ -51,7 +44,7 @@ void MemRegistry::on_alloc(std::string_view tag, std::uint64_t modeled,
   c.peak = std::max(c.peak, c.live);
   if (modeled > requested) c.waste += modeled - requested;
   c.workspace = c.workspace || workspace;
-  live_total_.fetch_add(modeled, std::memory_order_relaxed);
+  live_total_.fetch_add(modeled - reserved, std::memory_order_relaxed);
 }
 
 void MemRegistry::on_free(std::string_view tag, std::uint64_t modeled) noexcept {
@@ -77,14 +70,13 @@ void MemRegistry::charge(std::string_view tag, std::uint64_t modeled) {
   c.peak = std::max(c.peak, modeled);
 }
 
-void MemRegistry::set_resident(std::string_view tag, std::uint64_t bytes) {
+void MemRegistry::set_resident(std::string_view tag, std::uint64_t bytes,
+                               std::uint64_t reserved) {
   std::lock_guard lock(mutex_);
   Cell& c = cell(tag);
-  if (bytes >= c.resident) {
-    live_total_.fetch_add(bytes - c.resident, std::memory_order_relaxed);
-  } else {
-    live_total_.fetch_sub(c.resident - bytes, std::memory_order_relaxed);
-  }
+  // Unsigned wrap-around makes this the signed change (bytes - resident -
+  // reserved), whichever way the gauge moved.
+  live_total_.fetch_add(bytes - c.resident - reserved, std::memory_order_relaxed);
   c.resident = bytes;
   c.resident_peak = std::max(c.resident_peak, bytes);
 }
@@ -136,16 +128,15 @@ void MemRegistry::mark_epoch(EpochKind kind, std::int64_t index) {
     }
   }
   // Counter emission outside the registry lock: the tracer takes its own.
-  auto& tracer = telemetry::Tracer::global();
-  if (tracer.enabled()) {
+  if (tracer_ != nullptr && tracer_->enabled()) {
     telemetry::CounterRecord rec;
     rec.name = "memory";
-    rec.ts_us = tracer.now_us();
+    rec.ts_us = tracer_->now_us();
     rec.rank = telemetry::RankScope::current();
     for (const auto& [name, bytes] : snap.subsystems) {
       rec.values.emplace_back(name, static_cast<double>(bytes));
     }
-    tracer.record_counter(std::move(rec));
+    tracer_->record_counter(std::move(rec));
   }
 }
 
@@ -204,16 +195,6 @@ MemReport MemRegistry::report() const {
   r.level_resets = level_resets_;
   r.pool_slack_bytes = slack_bytes_;
   return r;
-}
-
-void MemRegistry::reset() {
-  std::lock_guard lock(mutex_);
-  cells_.clear();
-  timeline_.clear();
-  timeline_dropped_ = 0;
-  level_resets_ = 0;
-  slack_bytes_ = 0;
-  live_total_.store(0, std::memory_order_relaxed);
 }
 
 // --------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 //
 // Every allocating subsystem (the exec Workspace slab pool, gpusim device
 // arenas and cycle buffers, kernel hash scratch, multigpu sync staging and
-// codec frames, graph CSR/contraction storage) reports into one process-wide
-// MemRegistry keyed by the same dotted tags the Workspace already uses
+// codec frames, graph CSR/contraction storage) reports into the MemRegistry
+// of the calling thread's RunScope (gala/scope/run_scope.hpp, whose
+// memtrace:: wrappers are the allocation sites' entry points), keyed by the
+// same dotted tags the Workspace already uses
 // ("phase1.delta", "gpusim.shared_arena", ...). The registry answers the
 // question the out-of-core roadmap item needs answered first: where do the
 // bytes live, and when do they peak.
@@ -61,6 +63,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::memtrace {
 
@@ -137,32 +141,32 @@ struct MemReport {
   std::string json(bool include_host = true) const;
 };
 
-/// Process-wide registry of per-subsystem memory gauges.
+/// Registry of per-subsystem memory gauges (one per RunScope).
 class MemRegistry {
  public:
   /// Timeline retention cap; marks beyond it count as timeline_dropped.
   static constexpr std::size_t kMaxTimeline = 1u << 16;
 
-  static MemRegistry& global();
+  /// `tracer` (optional) receives mark_epoch()'s "memory" counter samples.
+  explicit MemRegistry(telemetry::Tracer* tracer = nullptr) : tracer_(tracer) {}
 
   /// Fast disarmed check: one relaxed load. Armed by default.
-  static bool armed() { return armed_flag_.load(std::memory_order_relaxed); }
-  static void arm() { armed_flag_.store(true, std::memory_order_relaxed); }
-  static void disarm() { armed_flag_.store(false, std::memory_order_relaxed); }
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
+  void arm() { armed_.store(true, std::memory_order_relaxed); }
+  void disarm() { armed_.store(false, std::memory_order_relaxed); }
 
-  /// Admission hook, installed by gala::governor to veto allocations before
-  /// their modeled bytes go live. `may_throw` marks sites where a refusal
-  /// can unwind cleanly (Workspace checkouts); other sites must be observed
-  /// without throwing. Null (the default) costs one relaxed load per site.
-  using AdmitHook = void (*)(std::string_view tag, std::uint64_t modeled, bool may_throw);
-  static void set_admit_hook(AdmitHook hook) {
-    admit_hook_.store(hook, std::memory_order_relaxed);
-  }
-  static AdmitHook admit_hook() { return admit_hook_.load(std::memory_order_relaxed); }
-
-  /// Modeled bytes live right now (checked out + resident), summed across
-  /// all tags and ranks: the budget-enforcement input. One relaxed load.
+  /// Modeled bytes live right now (checked out + resident + admitted ahead
+  /// of their allocation), summed across all tags and ranks: the
+  /// budget-enforcement input. One relaxed load.
   std::uint64_t live_total() const { return live_total_.load(std::memory_order_relaxed); }
+  /// Charges `bytes` to the live total in one atomic step and returns the
+  /// total including them: the governor's admission, which concurrent
+  /// admissions see at once. The allocation that follows passes the same
+  /// bytes as `reserved`; a refused or transient one gives them back.
+  std::uint64_t reserve(std::uint64_t bytes) {
+    return live_total_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  }
+  void release(std::uint64_t bytes) { live_total_.fetch_sub(bytes, std::memory_order_relaxed); }
   /// Modeled live+resident bytes for one subsystem (tag prefix).
   std::uint64_t live_subsystem(std::string_view subsys) const;
   /// Current set_resident() gauge for `tag` under the ambient RankScope
@@ -172,8 +176,9 @@ class MemRegistry {
 
   /// A buffer went live under `tag`: `modeled` is its size-class charge,
   /// `requested` the raw request (their difference accumulates as waste).
+  /// `reserved` of the modeled bytes are already in the live total.
   void on_alloc(std::string_view tag, std::uint64_t modeled, std::uint64_t requested,
-                bool workspace);
+                bool workspace, std::uint64_t reserved = 0);
   /// The matching release. Unknown tags are ignored (never throws — runs
   /// inside noexcept release paths).
   void on_free(std::string_view tag, std::uint64_t modeled) noexcept;
@@ -181,7 +186,8 @@ class MemRegistry {
   /// charge are recorded; live is untouched (interleaving-independent).
   void charge(std::string_view tag, std::uint64_t modeled);
   /// Gauge for externally-owned storage (CSR arrays, contraction output).
-  void set_resident(std::string_view tag, std::uint64_t bytes);
+  /// `reserved` of the gauge's increase are already in the live total.
+  void set_resident(std::string_view tag, std::uint64_t bytes, std::uint64_t reserved = 0);
   /// Host-section slack: actual slab capacity beyond the modeled class.
   void note_slack(std::uint64_t bytes);
 
@@ -195,9 +201,6 @@ class MemRegistry {
   void note_level_reset();
 
   MemReport report() const;
-
-  /// Forgets all accounting (tags, timeline, leak records).
-  void reset();
 
  private:
   struct Key {
@@ -230,9 +233,8 @@ class MemRegistry {
 
   Cell& cell(std::string_view tag);  // caller holds mutex_
 
-  static inline std::atomic<bool> armed_flag_{true};
-  static inline std::atomic<AdmitHook> admit_hook_{nullptr};
-
+  telemetry::Tracer* const tracer_;
+  std::atomic<bool> armed_{true};
   std::atomic<std::uint64_t> live_total_{0};
   mutable std::mutex mutex_;
   std::map<Key, Cell, KeyLess> cells_;
@@ -241,50 +243,5 @@ class MemRegistry {
   std::uint64_t level_resets_ = 0;
   std::uint64_t slack_bytes_ = 0;
 };
-
-/// Admission check: allocation sites call this BEFORE the bytes go live.
-/// With no governor installed it is one relaxed load. `may_throw` sites
-/// (Workspace checkouts) let the governor refuse by throwing
-/// gala::ResourceExhausted; all other sites are observe-and-escalate only.
-inline void admit(std::string_view tag, std::uint64_t modeled, bool may_throw = false) {
-  if (MemRegistry::AdmitHook hook = MemRegistry::admit_hook()) hook(tag, modeled, may_throw);
-}
-
-/// Convenience wrappers: one relaxed load when disarmed.
-inline void on_alloc(std::string_view tag, std::uint64_t modeled, std::uint64_t requested,
-                     bool workspace = false) {
-  if (!MemRegistry::armed()) return;
-  MemRegistry::global().on_alloc(tag, modeled, requested, workspace);
-}
-inline void on_free(std::string_view tag, std::uint64_t modeled) noexcept {
-  if (!MemRegistry::armed()) return;
-  MemRegistry::global().on_free(tag, modeled);
-}
-inline void charge(std::string_view tag, std::uint64_t modeled) {
-  admit(tag, modeled, /*may_throw=*/false);
-  if (!MemRegistry::armed()) return;
-  MemRegistry::global().charge(tag, modeled);
-}
-inline void set_resident(std::string_view tag, std::uint64_t bytes) {
-  if (MemRegistry::admit_hook() != nullptr) {
-    // The governor projects live_total() + charge, and live_total_ already
-    // includes this gauge's current value — admit only the increase, or a
-    // re-set each level (e.g. "graph.contraction") double-counts the old
-    // value and escalates the ladder spuriously. A shrinking re-set is a
-    // release and can never be refused.
-    const std::uint64_t current = MemRegistry::global().resident_of(tag);
-    admit(tag, bytes > current ? bytes - current : 0, /*may_throw=*/false);
-  }
-  if (!MemRegistry::armed()) return;
-  MemRegistry::global().set_resident(tag, bytes);
-}
-inline void note_slack(std::uint64_t bytes) {
-  if (!MemRegistry::armed()) return;
-  MemRegistry::global().note_slack(bytes);
-}
-inline void mark_epoch(EpochKind kind, std::int64_t index) {
-  if (!MemRegistry::armed()) return;
-  MemRegistry::global().mark_epoch(kind, index);
-}
 
 }  // namespace gala::memtrace

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "gala/common/json.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::metrics {
 

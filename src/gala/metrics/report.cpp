@@ -5,7 +5,7 @@
 #include "gala/common/provenance.hpp"
 #include "gala/core/modularity.hpp"
 #include "gala/graph/stats.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::metrics {
 
@@ -23,6 +23,21 @@ void begin_run(JsonWriter& w, const graph::Graph& g) {
 }
 
 }  // namespace
+
+void RunReport::capture(RunScope& scope, std::string_view reason, bool flight_only) {
+  flight = scope.flight().json(reason);
+  if (flight_only) return;
+  if (scope.tracer().enabled()) metrics = telemetry::metrics_json(scope.tracer(), scope.registry());
+  if (scope.profiler().enabled()) profile = scope.profiler().report_json();
+  if (scope.memory().armed()) mem = scope.memory().report().json();
+  if (scope.governor().enabled()) {
+    JsonWriter w;
+    w.begin_object();
+    scope.governor().append_json(w);
+    w.end_object();
+    governor = w.str();
+  }
+}
 
 std::string RunReport::json() const {
   JsonWriter w;
@@ -125,11 +140,10 @@ std::string run_section(const graph::Graph& g, const baselines::LpaResult& resul
   return w.str();
 }
 
-bool write_postmortem(const std::string& path, std::string_view reason,
-                      std::size_t last_n) noexcept {
+bool write_postmortem(const std::string& path, std::string_view reason) noexcept {
   try {
     RunReport report;
-    report.flight = telemetry::FlightRecorder::global().json(reason, last_n);
+    report.capture(RunScope::current(), reason, /*flight_only=*/true);
     report.save(path);
     return true;
   } catch (...) {

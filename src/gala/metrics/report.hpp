@@ -7,8 +7,8 @@
 // Each section is the object its subsystem renders (telemetry::metrics_json,
 // Profiler::report_json, FlightRecorder::json, HealthReport::json,
 // MemReport::json, Governor::append_json) and carries no stamp of its own;
-// the report's one provenance member covers them all. A section left empty
-// is absent. `gala detect --report-out` writes the full report, the
+// the report's one provenance member covers them all. capture() renders the
+// observer sections from one RunScope. A section left empty is absent. `gala detect --report-out` writes the full report, the
 // supervisor's incident post-mortems write a flight-only one to the same
 // path, and tools/trace_check validates either.
 #pragma once
@@ -19,6 +19,7 @@
 
 #include "gala/baselines/label_propagation.hpp"
 #include "gala/common/json.hpp"
+#include "gala/common/scope_handle.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/graph/csr.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
@@ -32,6 +33,12 @@ struct RunReport {
 
   /// Pre-rendered JSON objects, in document order.
   std::string run, metrics, profile, flight, health, mem, governor;
+
+  /// Renders the observer sections from `scope`: flight (tagged `reason`)
+  /// and, unless `flight_only`, metrics while the tracer is enabled, profile
+  /// while the profiler is, mem while the memory registry is armed and
+  /// governor while a budget is installed.
+  void capture(RunScope& scope, std::string_view reason, bool flight_only = false);
 
   std::string json() const;
   /// Writes json() to `path`; throws gala::Error naming the path on failure.
@@ -51,11 +58,10 @@ std::string run_section(const graph::Graph& g, const multigpu::DistributedConfig
 std::string run_section(const graph::Graph& g, const baselines::LpaResult& result,
                         double modularity);
 
-/// Writes a report holding only the flight recorder's event window, tagged
-/// with `reason` (`last_n` > 0 keeps the newest n events). Returns false and
-/// never throws: post-mortems run inside exception handlers, and a dump that
-/// cannot be written must not mask the incident it records.
-bool write_postmortem(const std::string& path, std::string_view reason,
-                      std::size_t last_n = 0) noexcept;
+/// Writes a report holding only the current scope's flight window, tagged
+/// with `reason`. Returns false and never throws: post-mortems run inside
+/// exception handlers, and a dump that cannot be written must not mask the
+/// incident it records.
+bool write_postmortem(const std::string& path, std::string_view reason) noexcept;
 
 }  // namespace gala::metrics

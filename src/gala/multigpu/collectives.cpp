@@ -4,6 +4,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "gala/scope/run_scope.hpp"
+
 namespace gala::multigpu {
 
 Communicator::Communicator(std::size_t num_ranks, CommCostModel cost)
@@ -14,7 +16,7 @@ Communicator::Communicator(std::size_t num_ranks, CommCostModel cost)
 }
 
 void Communicator::inject_gather_faults(std::size_t rank, Chunk& chunk) {
-  auto& injector = resilience::FaultInjector::global();
+  auto& injector = RunScope::current().faults();
   const int r = static_cast<int>(rank);
   if (injector.should_fire(resilience::FaultSite::CollectiveDrop, "all_gather_v", r)) {
     chunk.bytes.clear();

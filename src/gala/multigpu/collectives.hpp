@@ -63,8 +63,7 @@
 #include "gala/codec/delta_codec.hpp"
 #include "gala/common/error.hpp"
 #include "gala/common/types.hpp"
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/resilience/fault_injection.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::multigpu {
 
@@ -159,7 +158,7 @@ class Communicator {
                      reinterpret_cast<const std::byte*>(local.data()) + local.size() * sizeof(T));
       c.status = ChunkStatus::Ok;
       c.checksum = fnv1a(c.bytes);
-      if (resilience::FaultInjector::armed()) inject_gather_faults(rank, c);
+      if (RunScope::current().faults().armed()) inject_gather_faults(rank, c);
     }
     PendingGather pending;
     pending.token_.emplace(barrier_.arrive());

@@ -10,9 +10,7 @@
 #include "gala/codec/delta_codec.hpp"
 #include "gala/core/modularity.hpp"
 #include "gala/core/phase1.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::multigpu {
@@ -82,7 +80,7 @@ class RankEngine final : public core::Phase1Driver {
     t.compute_modeled_ms = config_.device.modeled_ms(t.traffic);
     t.comm = comm_;
     t.workspace = ctx_->workspace().stats();
-    auto& registry = telemetry::Registry::global();
+    auto& registry = RunScope::current().registry();
     registry.counter("multigpu.overlap_hidden_us").add(static_cast<std::uint64_t>(comm_.hidden_us));
     if (rank_ != 0) return;
     registry.gauge("multigpu.overlap_ratio").set(comm_.overlap_ratio());
@@ -99,7 +97,7 @@ class RankEngine final : public core::Phase1Driver {
                     std::span<core::Decision> decisions, core::IterationStats& stats) override {
     if (decide_error_.empty()) {
       try {
-        telemetry::ScopedSpan span(telemetry::Tracer::global(), "decide", "multigpu");
+        telemetry::ScopedSpan span(RunScope::current().tracer(), "decide", "multigpu");
         gpusim::MemoryStats traffic;
         const core::DecideInput input{&g_, state_.comm, state_.comm_total, g_.two_m(),
                                       config_.resolution};
@@ -250,7 +248,7 @@ class RankEngine final : public core::Phase1Driver {
             sparse_now_ = false;
             recovered_dense_ = true;
             if (rank_ == 0) {
-              telemetry::Registry::global().counter("multigpu.sync_fallback_dense").add(1);
+              RunScope::current().registry().counter("multigpu.sync_fallback_dense").add(1);
             }
           }
         }
@@ -295,7 +293,7 @@ class RankEngine final : public core::Phase1Driver {
       sync_span_->last_arg("rank", static_cast<double>(rank_));
       sync_span_->last_arg("iteration", static_cast<double>(iter_));
       sync_span_->arg("bytes", static_cast<double>(out_msgs_.size() * sizeof(WeightMsg)));
-      telemetry::Registry::global()
+      RunScope::current().registry()
           .counter("multigpu.weight_sync_bytes")
           .add(out_msgs_.size() * sizeof(WeightMsg));
     }
@@ -386,7 +384,7 @@ class RankEngine final : public core::Phase1Driver {
       sync_span_->arg("bytes", static_cast<double>(shipped_bytes_));
       sync_span_->arg("moved_total", static_cast<double>(moved_total_));
       sync_span_->arg("overlap", dist_.overlap ? 1.0 : 0.0);
-      auto& registry = telemetry::Registry::global();
+      auto& registry = RunScope::current().registry();
       registry.counter("multigpu.sync_bytes").add(shipped_bytes_);
       if (sparse_now_ && compress_on_) {
         registry.counter("multigpu.codec_raw_bytes")
@@ -436,11 +434,11 @@ class RankEngine final : public core::Phase1Driver {
   // Opens the round's `sync` span and posts `payload` (overlap on; a
   // blocking gather ships it in gather()).
   void post(const char* sync, std::span<const std::byte> payload) {
-    sync_span_.emplace(telemetry::Tracer::global(), sync, "multigpu");
+    sync_span_.emplace(RunScope::current().tracer(), sync, "multigpu");
     telemetry::flight(telemetry::FlightKind::SyncPost, static_cast<double>(iter_),
                       static_cast<double>(payload.size()), static_cast<int>(rank_));
     if (!dist_.overlap) return;
-    telemetry::ScopedSpan span(telemetry::Tracer::global(), "post_gather", "multigpu");
+    telemetry::ScopedSpan span(RunScope::current().tracer(), "post_gather", "multigpu");
     posted_ = world_.post_gather_v<std::byte>(rank_, payload);
     flow_id_ = 0;
     if (span.active()) {
@@ -457,7 +455,7 @@ class RankEngine final : public core::Phase1Driver {
   void gather(std::span<const T> local, Out& out, double credit_us) {
     const CommStats before = comm_;
     if (dist_.overlap) {
-      telemetry::ScopedSpan span(telemetry::Tracer::global(), "complete_gather", "multigpu");
+      telemetry::ScopedSpan span(RunScope::current().tracer(), "complete_gather", "multigpu");
       world_.complete_gather_v<T>(std::move(posted_), comm_, out, credit_us);
       if (span.active()) {
         span.last_arg("rank", static_cast<double>(rank_));
@@ -598,11 +596,14 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
   // must agree on them for the whole phase-1 call. A mid-phase per-rank read
   // would desynchronise the collectives; escalation instead takes effect at
   // the next level's phase 1.
-  const bool governor_sparse = governor::Governor::global().force_sparse_sync();
+  const bool governor_sparse = RunScope::current().governor().force_sparse_sync();
 
   Timer wall_timer;
 
+  // Rank threads record into the caller's run scope.
+  RunScope* const scope = EnterScope::installed();
   auto rank_main = [&](std::size_t rank) {
+    const EnterScope enter(scope);
     // Ambient rank for the thread: every span and flight event recorded
     // below lands on this rank's track in the merged Chrome trace.
     telemetry::RankScope rank_scope(static_cast<int>(rank));

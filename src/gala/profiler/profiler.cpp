@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gala/telemetry/telemetry.hpp"
-
 namespace gala::profiler {
 
 double gini(std::span<const double> values) {
@@ -26,11 +24,6 @@ double modeled_dram_bytes(const gpusim::MemoryStats& s) {
          8.0 * static_cast<double>(s.global_atomics);
 }
 
-Profiler& Profiler::global() {
-  static Profiler profiler;
-  return profiler;
-}
-
 RooflineCeilings Profiler::ceilings() const {
   std::lock_guard lock(mutex_);
   return ceilings_;
@@ -45,8 +38,13 @@ void Profiler::record_launch(std::string_view name, std::size_t num_blocks,
                              const gpusim::MemoryStats& traffic, double modeled_cycles,
                              double modeled_ms, double wall_seconds,
                              std::span<const double> block_cycles) {
-  double max_over_mean = 0, g = 0;
-  bool have_imbalance = false;
+  KernelProfile launch{.name = std::string(name),
+                       .launches = 1,
+                       .blocks = num_blocks,
+                       .traffic = traffic,
+                       .modeled_cycles = modeled_cycles,
+                       .modeled_ms = modeled_ms,
+                       .wall_seconds = wall_seconds};
   if (!block_cycles.empty()) {
     double sum = 0, max = 0;
     for (const double c : block_cycles) {
@@ -54,49 +52,53 @@ void Profiler::record_launch(std::string_view name, std::size_t num_blocks,
       max = std::max(max, c);
     }
     if (sum > 0) {
-      have_imbalance = true;
-      max_over_mean = max / (sum / static_cast<double>(block_cycles.size()));
-      g = gini(block_cycles);
+      launch.max_over_mean_sum = max / (sum / static_cast<double>(block_cycles.size()));
+      launch.worst_max_over_mean = launch.max_over_mean_sum;
+      launch.gini_sum = gini(block_cycles);
+      launch.imbalance_samples = 1;
     }
   }
-
   {
     std::lock_guard lock(mutex_);
-    auto it = kernels_.find(name);
-    if (it == kernels_.end()) {
-      it = kernels_.emplace(std::string(name), KernelProfile{}).first;
-      it->second.name = std::string(name);
-    }
-    KernelProfile& k = it->second;
-    k.launches += 1;
-    k.blocks += num_blocks;
-    k.traffic += traffic;
-    k.modeled_cycles += modeled_cycles;
-    k.modeled_ms += modeled_ms;
-    k.wall_seconds += wall_seconds;
-    if (have_imbalance) {
-      k.max_over_mean_sum += max_over_mean;
-      k.worst_max_over_mean = std::max(k.worst_max_over_mean, max_over_mean);
-      k.gini_sum += g;
-      k.imbalance_samples += 1;
-    }
+    fold_locked(launch);
   }
 
   // Surface the launch through the telemetry registry so the metrics report and
   // registry consumers see the same counters without a profile export.
-  auto& registry = telemetry::Registry::global();
-  registry.counter("profiler.gather_requests").add(traffic.gather_requests);
-  registry.counter("profiler.gather_transactions").add(traffic.gather_transactions);
-  registry.counter("profiler.simt_lane_slots").add(traffic.simt_lane_slots);
-  registry.counter("profiler.simt_active_lanes").add(traffic.simt_active_lanes);
-  registry.counter("profiler.shared_requests").add(traffic.shared_requests);
-  registry.counter("profiler.bank_conflicts").add(traffic.bank_conflicts());
+  registry_.counter("profiler.gather_requests").add(traffic.gather_requests);
+  registry_.counter("profiler.gather_transactions").add(traffic.gather_transactions);
+  registry_.counter("profiler.simt_lane_slots").add(traffic.simt_lane_slots);
+  registry_.counter("profiler.simt_active_lanes").add(traffic.simt_active_lanes);
+  registry_.counter("profiler.shared_requests").add(traffic.shared_requests);
+  registry_.counter("profiler.bank_conflicts").add(traffic.bank_conflicts());
   if (traffic.ht_lookups > 0) {
-    auto& hist = registry.histogram("profiler.ht_probe_length");
+    auto& hist = registry_.histogram("profiler.ht_probe_length");
     for (std::size_t len = 1; len < gpusim::MemoryStats::kProbeBuckets; ++len) {
       if (traffic.ht_probe_hist[len] > 0) hist.observe_n(len, traffic.ht_probe_hist[len]);
     }
   }
+}
+
+void Profiler::merge(const Profiler& other) {
+  for (const KernelProfile& k : other.snapshot()) {
+    std::lock_guard lock(mutex_);
+    fold_locked(k);
+  }
+}
+
+void Profiler::fold_locked(const KernelProfile& add) {
+  KernelProfile& k = kernels_.try_emplace(add.name).first->second;
+  k.name = add.name;
+  k.launches += add.launches;
+  k.blocks += add.blocks;
+  k.traffic += add.traffic;
+  k.modeled_cycles += add.modeled_cycles;
+  k.modeled_ms += add.modeled_ms;
+  k.wall_seconds += add.wall_seconds;
+  k.max_over_mean_sum += add.max_over_mean_sum;
+  k.worst_max_over_mean = std::max(k.worst_max_over_mean, add.worst_max_over_mean);
+  k.gini_sum += add.gini_sum;
+  k.imbalance_samples += add.imbalance_samples;
 }
 
 void Profiler::reset() {

@@ -27,6 +27,7 @@
 
 #include "gala/common/json.hpp"
 #include "gala/gpusim/memory.hpp"
+#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::profiler {
 
@@ -70,11 +71,12 @@ double gini(std::span<const double> values);
 /// 8 per atomic (read-modify-write). Shared traffic never reaches DRAM.
 double modeled_dram_bytes(const gpusim::MemoryStats& s);
 
-/// Thread-safe per-kernel profile registry (process-global, like the
-/// telemetry tracer/registry).
+/// Thread-safe per-kernel profile registry (one per RunScope, beside the
+/// telemetry tracer and registry).
 class Profiler {
  public:
-  static Profiler& global();
+  /// Launches also surface as profiler.* instruments of `registry`.
+  explicit Profiler(telemetry::Registry& registry) : registry_(registry) {}
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
@@ -91,6 +93,10 @@ class Profiler {
                      double modeled_ms, double wall_seconds,
                      std::span<const double> block_cycles);
 
+  /// Adds every kernel profile of `other` into this one (a bench folding
+  /// the runs of its rows' scopes into one profile).
+  void merge(const Profiler& other);
+
   /// Forgets all accumulated profiles (ceilings and the enabled flag stay).
   void reset();
 
@@ -105,6 +111,9 @@ class Profiler {
   std::string report_json() const;
 
  private:
+  void fold_locked(const KernelProfile& add);  // caller holds mutex_
+
+  telemetry::Registry& registry_;
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
   RooflineCeilings ceilings_{};

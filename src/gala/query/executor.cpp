@@ -5,7 +5,7 @@
 
 #include "gala/common/error.hpp"
 #include "gala/common/thread_pool.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala::query {
 
@@ -19,13 +19,13 @@ cid_t QueryExecutor::community_of(vid_t v) const {
   GALA_CHECK(v < snap->num_vertices(),
              "vertex " << v << " out of range for epoch " << snap->epoch() << " ("
                        << snap->num_vertices() << " vertices)");
-  telemetry::Registry::global().counter("query.point_lookups").add(1);
+  RunScope::current().registry().counter("query.point_lookups").add(1);
   return snap->community_of(v);
 }
 
 std::vector<cid_t> QueryExecutor::community_of(const Snapshot& snap,
                                                std::span<const vid_t> vertices) const {
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "batch_community_of", "query");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "batch_community_of", "query");
   span.arg("ops", static_cast<double>(vertices.size()));
   const vid_t n = snap.num_vertices();
   std::vector<cid_t> out(vertices.size());
@@ -39,7 +39,7 @@ std::vector<cid_t> QueryExecutor::community_of(const Snapshot& snap,
         }
       },
       grain_);
-  telemetry::Registry::global().counter("query.batch_lookups").add(vertices.size());
+  RunScope::current().registry().counter("query.batch_lookups").add(vertices.size());
   return out;
 }
 
@@ -57,7 +57,7 @@ std::vector<vid_t> QueryExecutor::community_size_of(const Snapshot& snap,
         }
       },
       grain_);
-  telemetry::Registry::global().counter("query.batch_lookups").add(vertices.size());
+  RunScope::current().registry().counter("query.batch_lookups").add(vertices.size());
   return out;
 }
 
@@ -66,7 +66,7 @@ std::vector<vid_t> QueryExecutor::members(const Snapshot& snap, cid_t c) const {
                                                       << snap.epoch() << " ("
                                                       << snap.num_communities() << " communities)");
   auto row = snap.members(c);
-  telemetry::Registry::global().counter("query.member_scans").add(1);
+  RunScope::current().registry().counter("query.member_scans").add(1);
   return std::vector<vid_t>(row.begin(), row.end());
 }
 
@@ -79,12 +79,12 @@ std::vector<TopCommunity> QueryExecutor::top_k(const Snapshot& snap, std::size_t
     const cid_t c = order[i];
     out.push_back({c, snap.size(c), snap.weight(c), snap.modularity_of(c)});
   }
-  telemetry::Registry::global().counter("query.top_k").add(1);
+  RunScope::current().registry().counter("query.top_k").add(1);
   return out;
 }
 
 EpochDiff QueryExecutor::diff(const Snapshot& from, const Snapshot& to) const {
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "epoch_diff", "query");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "epoch_diff", "query");
   const vid_t n = from.num_vertices();
   GALA_CHECK(n == to.num_vertices(), "epoch diff across different vertex sets: epoch "
                                          << from.epoch() << " has " << n << " vertices, epoch "
@@ -123,7 +123,7 @@ EpochDiff QueryExecutor::diff(const Snapshot& from, const Snapshot& to) const {
     result.moved.insert(result.moved.end(), chunk.begin(), chunk.end());
   }
   span.arg("moved", static_cast<double>(result.moved.size()));
-  telemetry::Registry::global().counter("query.epoch_diffs").add(1);
+  RunScope::current().registry().counter("query.epoch_diffs").add(1);
   return result;
 }
 

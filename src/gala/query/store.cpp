@@ -6,16 +6,15 @@
 #include "gala/common/error.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/core/incremental.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::query {
 
 namespace {
 
-/// Modeled bytes live across every CommunityStore in the process — the
-/// "query.snapshots" gauge is process-wide, like the registry it feeds.
+/// Modeled bytes live across every CommunityStore in the process: the
+/// "query.snapshots" gauge a store sets in its current scope is this total.
 std::atomic<std::uint64_t> g_snapshot_bytes{0};
 
 std::size_t next_pow2(std::size_t x) {
@@ -39,37 +38,35 @@ CommunityStore::CommunityStore(StoreOptions options)
       mask_(capacity_ - 1),
       ring_(capacity_),
       hazards_(std::max<std::size_t>(options.reader_slots, 1)),
-      max_retained_(std::clamp<std::size_t>(options.max_retained, 1, capacity_)) {
+      max_retained_(std::clamp<std::size_t>(options.max_retained, 1, capacity_)),
+      governor_(RunScope::current().governor()) {
   for (auto& cell : ring_) cell.store(nullptr, std::memory_order_relaxed);
-  governor_client_ = options.governor_client;
-  if (governor_client_) {
-    // Rung-1 ladder client: under pressure the governor asks the store to
-    // shed history. Runs under the governor mutex, so: try-lock only (a
-    // publisher may be mid-link and could itself be blocked inside a gauge
-    // admission), and raw-registry gauge updates only (the admitting
-    // wrapper would re-enter Governor::admit and self-deadlock).
-    governor::Governor::global().register_reclaimer(this, [this]() -> std::uint64_t {
-      std::unique_lock<std::mutex> lock(writer_mutex_, std::try_to_lock);
-      if (!lock.owns_lock()) return 0;
-      const std::uint64_t latest = latest_epoch_.load(std::memory_order_relaxed);
-      if (latest != 0) {
-        std::uint64_t oldest = oldest_epoch_.load(std::memory_order_relaxed);
-        while (oldest < latest) {
-          retire_cell_locked(oldest);
-          ++oldest;
-          evicted_.fetch_add(1, std::memory_order_relaxed);
-        }
-        oldest_epoch_.store(oldest, std::memory_order_release);
+  // Rung-1 ladder client: under pressure the governor asks the store to
+  // shed history. Runs under the governor mutex, so: try-lock only (a
+  // publisher may be mid-link and could itself be blocked inside a gauge
+  // admission), and raw-registry gauge updates only (the admitting
+  // wrapper would re-enter Governor::admit and self-deadlock).
+  governor_.register_reclaimer(this, [this]() -> std::uint64_t {
+    std::unique_lock<std::mutex> lock(writer_mutex_, std::try_to_lock);
+    if (!lock.owns_lock()) return 0;
+    const std::uint64_t latest = latest_epoch_.load(std::memory_order_relaxed);
+    if (latest != 0) {
+      std::uint64_t oldest = oldest_epoch_.load(std::memory_order_relaxed);
+      while (oldest < latest) {
+        retire_cell_locked(oldest);
+        ++oldest;
+        evicted_.fetch_add(1, std::memory_order_relaxed);
       }
-      const std::uint64_t freed = reclaim_locked();
-      update_residency(/*admitting=*/false);
-      return freed;
-    });
-  }
+      oldest_epoch_.store(oldest, std::memory_order_release);
+    }
+    const std::uint64_t freed = reclaim_locked();
+    update_residency(/*admitting=*/false);
+    return freed;
+  });
 }
 
 CommunityStore::~CommunityStore() {
-  if (governor_client_) governor::Governor::global().unregister_reclaimer(this);
+  governor_.unregister_reclaimer(this);
   std::uint64_t live = 0;
   {
     std::lock_guard<std::mutex> lock(writer_mutex_);
@@ -86,7 +83,7 @@ CommunityStore::~CommunityStore() {
 
 std::uint64_t CommunityStore::publish(const graph::Graph& g, std::span<const cid_t> assignment,
                                       SnapshotSource source, wt_t resolution) {
-  telemetry::ScopedSpan span(telemetry::Tracer::global(), "publish", "query");
+  telemetry::ScopedSpan span(RunScope::current().tracer(), "publish", "query");
   auto snap = std::unique_ptr<Snapshot>(new Snapshot());
   snap->build(g, assignment, source, resolution);
   const cid_t k = snap->num_communities();
@@ -100,7 +97,7 @@ std::uint64_t CommunityStore::publish(const graph::Graph& g, std::span<const cid
   span.arg("bytes", static_cast<double>(snap->bytes()));
   const std::uint64_t e = link_and_evict(std::move(snap));
   span.last_arg("epoch", static_cast<double>(e));
-  telemetry::Registry::global().counter("query.epochs_published").add(1);
+  RunScope::current().registry().counter("query.epochs_published").add(1);
   return e;
 }
 
@@ -144,7 +141,7 @@ std::uint64_t CommunityStore::link_and_evict(std::unique_ptr<Snapshot> snap) {
   }
   update_residency(/*admitting=*/true);
   if (newly_evicted != 0) {
-    telemetry::Registry::global().counter("query.epochs_evicted").add(newly_evicted);
+    RunScope::current().registry().counter("query.epochs_evicted").add(newly_evicted);
   }
   return epoch;
 }
@@ -185,7 +182,7 @@ std::uint64_t CommunityStore::reclaim_locked() {
   }
   if (count != 0) {
     reclaimed_.fetch_add(count, std::memory_order_relaxed);
-    telemetry::Registry::global().counter("query.snapshots_reclaimed").add(count);
+    RunScope::current().registry().counter("query.snapshots_reclaimed").add(count);
   }
   return freed;
 }
@@ -284,8 +281,8 @@ std::size_t CommunityStore::live_snapshots() const {
 }
 
 std::size_t CommunityStore::effective_max_retained() const {
-  if (governor::Governor::enabled() &&
-      governor::Governor::global().rung() >= governor::Rung::ReclaimSlabs) {
+  const governor::Governor& gov = RunScope::current().governor();
+  if (gov.enabled() && gov.rung() >= governor::Rung::ReclaimSlabs) {
     return 1;
   }
   return max_retained_.load(std::memory_order_relaxed);
@@ -301,9 +298,8 @@ void CommunityStore::update_residency(bool admitting) const {
       memtrace::set_resident("query.snapshots", total);
       if (g_snapshot_bytes.load(std::memory_order_relaxed) == total) break;
     }
-  } else if (memtrace::MemRegistry::armed()) {
-    memtrace::MemRegistry::global().set_resident(
-        "query.snapshots", g_snapshot_bytes.load(std::memory_order_relaxed));
+  } else if (memtrace::MemRegistry& memory = RunScope::current().memory(); memory.armed()) {
+    memory.set_resident("query.snapshots", g_snapshot_bytes.load(std::memory_order_relaxed));
   }
 }
 

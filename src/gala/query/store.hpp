@@ -30,14 +30,17 @@
 // writer_mutex_ through the admitting wrapper, so an installed governor
 // sees snapshot residency and can push back.
 //
-// Governor integration: the store registers a rung-1 reclaimer that evicts
+// Governor integration: the store registers a rung-1 reclaimer with the
+// governor of the RunScope it was built under (which must outlive the
+// store); the reclaimer evicts
 // every retained epoch but the newest and frees drained retirees. The
 // reclaimer runs under the governor mutex, so it (a) try-locks
 // writer_mutex_ and yields if a publish is in flight, and (b) updates the
 // residency gauge through the raw registry — never the admitting wrapper,
 // which would re-enter Governor::admit and self-deadlock. Publishers also
 // consult the ladder directly: at rung >= ReclaimSlabs the effective
-// retention collapses to a single epoch until the budget is uninstalled.
+// retention collapses to a single epoch while the current scope's budget
+// holds.
 #pragma once
 
 #include <atomic>
@@ -47,6 +50,7 @@
 #include <span>
 #include <vector>
 
+#include "gala/governor/governor.hpp"
 #include "gala/query/snapshot.hpp"
 
 namespace gala::core {
@@ -109,8 +113,6 @@ struct StoreOptions {
   /// claimed, so size for peak reader concurrency; 64 covers the stress
   /// battery's 8 readers with an order of magnitude to spare.
   std::size_t reader_slots = 64;
-  /// Registers the rung-1 governor reclaimer (oldest-epoch eviction).
-  bool governor_client = true;
 };
 
 /// Epoch-versioned snapshot store: single- or multi-writer (publishes are
@@ -203,7 +205,7 @@ class CommunityStore {
   // unlinked from the ring but possibly still pinned by a reader.
   std::vector<std::unique_ptr<Snapshot>> active_;
   std::vector<std::unique_ptr<Snapshot>> retired_;
-  bool governor_client_ = false;
+  governor::Governor& governor_;  // holds the reclaimer; not owned
 };
 
 }  // namespace gala::query

@@ -5,8 +5,6 @@
 
 #include "gala/common/json.hpp"
 #include "gala/common/prng.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
-#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::resilience {
 
@@ -105,26 +103,13 @@ std::string FaultPlan::to_json() const {
   return w.str();
 }
 
-FaultInjector& FaultInjector::global() {
-  static FaultInjector injector;
-  return injector;
-}
-
 void FaultInjector::arm(FaultPlan plan) {
   std::lock_guard lock(mutex_);
   plan_ = std::move(plan);
   hits_.assign(plan_.rules.size(), 0);
   fired_.assign(plan_.rules.size(), 0);
   fires_.store(0, std::memory_order_relaxed);
-  armed_flag_.store(!plan_.rules.empty(), std::memory_order_relaxed);
-}
-
-void FaultInjector::disarm() {
-  std::lock_guard lock(mutex_);
-  armed_flag_.store(false, std::memory_order_relaxed);
-  plan_ = FaultPlan{};
-  hits_.clear();
-  fired_.clear();
+  armed_.store(!plan_.rules.empty(), std::memory_order_relaxed);
 }
 
 bool FaultInjector::should_fire(FaultSite site, std::string_view label, int rank,
@@ -146,17 +131,17 @@ bool FaultInjector::should_fire(FaultSite site, std::string_view label, int rank
     }
     ++fired_[i];
     const std::uint64_t total = fires_.fetch_add(1, std::memory_order_relaxed) + 1;
-    telemetry::Registry::global().counter("resilience.faults_injected").add(1);
-    telemetry::flight(telemetry::FlightKind::FaultFire, static_cast<double>(static_cast<int>(site)),
-                      static_cast<double>(total), rank);
+    registry_.counter("resilience.faults_injected").add(1);
+    flight_.record(telemetry::FlightKind::FaultFire, static_cast<double>(static_cast<int>(site)),
+                   static_cast<double>(total), rank);
     if (fired_rule != nullptr) *fired_rule = rule;
     return true;
   }
   return false;
 }
 
-void inject_throw(FaultSite site, std::string_view label) {
-  if (!FaultInjector::global().should_fire(site, label)) return;
+void FaultInjector::inject_throw(FaultSite site, std::string_view label) {
+  if (!should_fire(site, label)) return;
   switch (site) {
     case FaultSite::SharedAlloc:
       GALA_THROW(ResourceExhausted, "injected fault [shared-alloc] at '" << std::string(label)

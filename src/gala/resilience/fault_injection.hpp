@@ -8,12 +8,16 @@
 // probability). Plans load from JSON (schema in docs/resilience.md) or are
 // built programmatically by tests.
 //
+// Each RunScope (gala/scope/run_scope.hpp) owns one injector; a plan armed
+// on it fires only inside that scope's run.
+//
 // Cost discipline (same as telemetry): when no plan is armed, every
 // instrumented site pays exactly one relaxed atomic load and a predicted
 // branch — no strings, no locks, no allocation. Sites are wired via
-// maybe_inject() (throwing sites: gpusim launches, arena allocation, scratch
-// growth) or should_fire() (non-throwing sites: the Communicator corrupts /
-// drops payloads itself so the fault is *detected* rather than thrown).
+// resilience::maybe_inject() (run_scope.hpp; throwing sites: gpusim launches,
+// arena allocation, scratch growth) or should_fire() (non-throwing sites: the
+// Communicator corrupts / drops payloads itself so the fault is *detected*
+// rather than thrown).
 //
 // Determinism: a rule's firing decision depends only on (plan seed, rule
 // index, per-rule hit count). Rules evaluated from a single call site — or
@@ -30,6 +34,8 @@
 #include <vector>
 
 #include "gala/common/error.hpp"
+#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::resilience {
 
@@ -80,18 +86,19 @@ struct FaultPlan {
   std::string to_json() const;
 };
 
-/// The process-wide injector. Disarmed by default; arm() installs a plan and
-/// flips the fast-path flag that every instrumented site checks.
+/// A run scope's injector. Disarmed by default; arm() installs a plan and
+/// flips the fast-path flag that every instrumented site checks. Fires count
+/// in `registry` and append a flight event to `flight`.
 class FaultInjector {
  public:
-  static FaultInjector& global();
+  FaultInjector(telemetry::Registry& registry, telemetry::FlightRecorder& flight)
+      : registry_(registry), flight_(flight) {}
 
   /// Fast disarmed check: a single relaxed load (the only cost instrumented
   /// sites pay in production).
-  static bool armed() { return armed_flag_.load(std::memory_order_relaxed); }
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   void arm(FaultPlan plan);
-  void disarm();
 
   /// Evaluates the plan for one site hit; true when a rule fires. `fired_rule`
   /// (optional) receives a copy of the winning rule. Safe to call when
@@ -99,41 +106,24 @@ class FaultInjector {
   bool should_fire(FaultSite site, std::string_view label, int rank = -1,
                    FaultRule* fired_rule = nullptr);
 
+  /// Throwing form for sites whose natural failure is an exception: kernel
+  /// launches throw TransientFault; shared-memory allocation and
+  /// global-scratch growth throw gala::ResourceExhausted (the same type a
+  /// real overflow raises, so degradation paths treat both identically).
+  void inject_throw(FaultSite site, std::string_view label);
+
   /// Total fires since the last arm().
   std::uint64_t fires() const { return fires_.load(std::memory_order_relaxed); }
 
  private:
-  FaultInjector() = default;
-
-  static inline std::atomic<bool> armed_flag_{false};
-
+  telemetry::Registry& registry_;
+  telemetry::FlightRecorder& flight_;
+  std::atomic<bool> armed_{false};
   mutable std::mutex mutex_;
   FaultPlan plan_;
   std::vector<std::uint64_t> hits_;   // per-rule matching-hit count
   std::vector<std::uint64_t> fired_;  // per-rule fire count
   std::atomic<std::uint64_t> fires_{0};
-};
-
-/// Throwing injection hook for sites whose natural failure is an exception:
-/// kernel launches throw TransientFault; shared-memory allocation and
-/// global-scratch growth throw gala::ResourceExhausted (the same type a real
-/// overflow raises, so degradation paths treat both identically).
-void inject_throw(FaultSite site, std::string_view label);
-
-/// The hot-path wrapper: zero work unless a plan is armed.
-inline void maybe_inject(FaultSite site, std::string_view label) {
-  if (!FaultInjector::armed()) return;
-  inject_throw(site, label);
-}
-
-/// RAII arm/disarm for tests: arms the global injector on construction and
-/// disarms on destruction (exception-safe).
-class ScopedFaultPlan {
- public:
-  explicit ScopedFaultPlan(FaultPlan plan) { FaultInjector::global().arm(std::move(plan)); }
-  ~ScopedFaultPlan() { FaultInjector::global().disarm(); }
-  ScopedFaultPlan(const ScopedFaultPlan&) = delete;
-  ScopedFaultPlan& operator=(const ScopedFaultPlan&) = delete;
 };
 
 }  // namespace gala::resilience

@@ -8,7 +8,7 @@
 #include "gala/core/modularity.hpp"
 #include "gala/core/sequential_louvain.hpp"
 #include "gala/metrics/report.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 
 namespace gala::resilience {
@@ -86,7 +86,7 @@ class SupervisedEngine final : public core::LouvainBackend {
                             static_cast<double>(attempt));
           sr_.events.push_back({level, attempt, "phase1", "retry", e.what()});
           ++sr_.retries;
-          telemetry::Registry::global().counter("resilience.retries").add(1);
+          RunScope::current().registry().counter("resilience.retries").add(1);
           dump_flight(std::string("retry: ") + e.what());
           continue;
         }
@@ -97,12 +97,12 @@ class SupervisedEngine final : public core::LouvainBackend {
         // Last resort: re-run this level on the sequential host path. If the
         // armed plan reaches this path too, the fault propagates — the run
         // fails closed with the injection point named.
-        telemetry::ScopedSpan fb_span(telemetry::Tracer::global(), "sequential-fallback",
+        telemetry::ScopedSpan fb_span(RunScope::current().tracer(), "sequential-fallback",
                                       "resilience");
         telemetry::flight(telemetry::FlightKind::SequentialFallback, static_cast<double>(level),
                           static_cast<double>(attempt));
         sr_.events.push_back({level, attempt, "phase1", "sequential-fallback", e.what()});
-        telemetry::Registry::global().counter("resilience.sequential_fallbacks").add(1);
+        RunScope::current().registry().counter("resilience.sequential_fallbacks").add(1);
         sr_.degraded = true;
         dump_flight(std::string("sequential-fallback: ") + e.what());
         monitor_.begin_level(level);  // drop the failed attempt's trajectory
@@ -224,7 +224,7 @@ SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaC
                          "level modularity " + std::to_string(sr.result.rejected->modularity) +
                              " below the held partition's " +
                              std::to_string(sr.result.modularity)});
-    telemetry::Registry::global().counter("resilience.rollbacks").add(1);
+    RunScope::current().registry().counter("resilience.rollbacks").add(1);
     sr.rolled_back = true;
     envelope.dump_flight("rollback: modularity regressed at level " + std::to_string(level));
   }

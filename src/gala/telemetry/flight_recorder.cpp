@@ -76,13 +76,15 @@ const char* to_string(FlightKind kind) {
 /// recorder configuration the ring was built under, so a depth change or
 /// reset retires it (the owner re-registers on its next append).
 struct FlightRecorder::Ring {
-  Ring(std::size_t cap, std::uint32_t tid_in, std::uint64_t config_in)
-      : capacity(cap),
+  Ring(std::uint64_t recorder_in, std::size_t cap, std::uint32_t tid_in, std::uint64_t config_in)
+      : recorder(recorder_in),
+        capacity(cap),
         mask(cap - 1),
         tid(tid_in),
         config(config_in),
         words(std::make_unique<std::atomic<std::uint64_t>[]>(4 * cap)) {}
 
+  const std::uint64_t recorder;  ///< the owning recorder's id
   const std::size_t capacity;
   const std::size_t mask;
   const std::uint32_t tid;
@@ -108,11 +110,6 @@ FlightRecorder::FlightRecorder()
       }()),
       config_(pack_config(1, kDefaultDepth)) {}
 
-FlightRecorder& FlightRecorder::global() {
-  static FlightRecorder recorder;
-  return recorder;
-}
-
 void FlightRecorder::set_depth(std::size_t events) {
   const std::size_t depth = round_up_pow2(events);
   std::lock_guard lock(mutex_);
@@ -127,23 +124,30 @@ std::size_t FlightRecorder::depth() const {
 }
 
 FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
-  thread_local std::uint64_t cached_id = 0;
-  thread_local std::shared_ptr<Ring> cached;
+  // One cached ring per recorder this thread appends to, so a pool worker
+  // serving two live run scopes keeps a ring in each instead of registering
+  // a new one on every switch.
+  thread_local std::vector<std::shared_ptr<Ring>> cache;
   const std::uint64_t cfg = config_.load(std::memory_order_relaxed);
-  if (cached_id == id_ && cached != nullptr && cached->config == cfg) return cached.get();
+  for (const auto& ring : cache) {
+    if (ring->recorder == id_ && ring->config == cfg) return ring.get();
+  }
+  // Drop this recorder's retired ring, and every ring only the cache still
+  // holds: its recorder is gone.
+  std::erase_if(cache, [this](const auto& ring) {
+    return ring->recorder == id_ || ring.use_count() == 1;
+  });
   std::lock_guard lock(mutex_);
   // Build against the config as it stands under the lock, so a concurrent
   // set_depth cannot leave a freshly-registered ring orphaned.
   const std::uint64_t now = config_.load(std::memory_order_relaxed);
-  auto ring = std::make_shared<Ring>(static_cast<std::size_t>(now & 0xffffffffu),
-                                     next_tid_.fetch_add(1, std::memory_order_relaxed), now);
-  rings_.push_back(ring);
-  cached_id = id_;
-  cached = std::move(ring);
-  return cached.get();
+  cache.push_back(std::make_shared<Ring>(id_, static_cast<std::size_t>(now & 0xffffffffu),
+                                         next_tid_.fetch_add(1, std::memory_order_relaxed), now));
+  rings_.push_back(cache.back());
+  return cache.back().get();
 }
 
-void FlightRecorder::record(FlightKind kind, double a, double b, int rank) {
+void FlightRecorder::append(FlightKind kind, double a, double b, int rank) {
   Ring* ring = ring_for_this_thread();
   if (rank < 0) rank = RankScope::current();
   ring->push(clock_.fetch_add(1, std::memory_order_relaxed), kind,

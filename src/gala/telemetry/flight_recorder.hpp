@@ -12,6 +12,9 @@
 // degradation event (docs/resilience.md), and the CLI's --report-out carries
 // the same window as its "flight" section.
 //
+// Each RunScope (gala/scope/run_scope.hpp) owns one recorder, and
+// telemetry::flight() appends to the calling thread's current scope.
+//
 // Cost discipline: the recorder is armed by default, and an armed append is
 // a handful of relaxed atomic word stores into a pre-allocated ring — no
 // locks, no strings, no allocation (a thread allocates its ring once, on its
@@ -100,13 +103,10 @@ class FlightRecorder {
 
   FlightRecorder();
 
-  /// The process-wide recorder every instrumented site appends to.
-  static FlightRecorder& global();
-
   /// Fast disarmed check: one relaxed load. Armed by default.
-  static bool armed() { return armed_flag_.load(std::memory_order_relaxed); }
-  static void arm() { armed_flag_.store(true, std::memory_order_relaxed); }
-  static void disarm() { armed_flag_.store(false, std::memory_order_relaxed); }
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
+  void arm() { armed_.store(true, std::memory_order_relaxed); }
+  void disarm() { armed_.store(false, std::memory_order_relaxed); }
 
   /// Per-thread ring depth in events (rounded up to a power of two, min 8).
   /// Resizing abandons already-recorded events: threads re-register on their
@@ -114,9 +114,12 @@ class FlightRecorder {
   void set_depth(std::size_t events);
   std::size_t depth() const;
 
-  /// Appends one event to the calling thread's ring. When `rank` is -1 the
-  /// ambient RankScope (telemetry.hpp) is recorded instead.
-  void record(FlightKind kind, double a = 0, double b = 0, int rank = -1);
+  /// Appends one event to the calling thread's ring unless disarmed (one
+  /// relaxed load). When `rank` is -1 the ambient RankScope (telemetry.hpp)
+  /// is recorded instead.
+  void record(FlightKind kind, double a = 0, double b = 0, int rank = -1) {
+    if (armed()) append(kind, a, b, rank);
+  }
 
   /// Events ever recorded (including ones since overwritten).
   std::uint64_t recorded() const { return clock_.load(std::memory_order_relaxed); }
@@ -139,9 +142,9 @@ class FlightRecorder {
   struct Ring;
 
   Ring* ring_for_this_thread();
+  void append(FlightKind kind, double a, double b, int rank);
 
-  static inline std::atomic<bool> armed_flag_{true};
-
+  std::atomic<bool> armed_{true};
   const std::uint64_t id_;  // distinguishes recorder instances in the TLS cache
   std::atomic<std::uint64_t> clock_{0};
   /// Packed ring configuration: depth in the low 32 bits, a generation
@@ -153,11 +156,5 @@ class FlightRecorder {
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<Ring>> rings_;
 };
-
-/// Append helper: one relaxed load when disarmed.
-inline void flight(FlightKind kind, double a = 0, double b = 0, int rank = -1) {
-  if (!FlightRecorder::armed()) return;
-  FlightRecorder::global().record(kind, a, b, rank);
-}
 
 }  // namespace gala::telemetry

@@ -42,47 +42,6 @@ void write_file(const std::string& path, const std::string& contents) {
 // --------------------------------------------------------------------------
 // Sinks.
 
-void TextSink::on_span(const SpanRecord& span) {
-  std::string line;
-  line.append(2 * span.depth, ' ');
-  std::fprintf(out_, "[trace t%u] %s%s/%s %.3f ms", span.tid, line.c_str(),
-               span.category.c_str(), span.name.c_str(), span.dur_us / 1e3);
-  for (const auto& [k, v] : span.args) std::fprintf(out_, " %s=%g", k.c_str(), v);
-  std::fputc('\n', out_);
-}
-
-void JsonSink::on_span(const SpanRecord& span) {
-  std::lock_guard lock(mutex_);
-  spans_.push_back(span);
-  dirty_ = true;
-}
-
-void JsonSink::flush() {
-  std::lock_guard lock(mutex_);
-  if (!dirty_) return;
-  JsonWriter w;
-  w.begin_object();
-  w.key("spans").begin_array();
-  for (const auto& s : spans_) {
-    w.begin_object();
-    w.key("name").value(s.name);
-    w.key("cat").value(s.category);
-    w.key("ts_us").value(s.start_us);
-    w.key("dur_us").value(s.dur_us);
-    w.key("tid").value(static_cast<std::uint64_t>(s.tid));
-    w.key("depth").value(static_cast<std::uint64_t>(s.depth));
-    w.key("seq").value(s.seq);
-    w.key("rank").value(static_cast<double>(s.rank));
-    w.key("args");
-    append_args_object(w, s.args);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  write_file(path_, w.str());
-  dirty_ = false;
-}
-
 void ChromeTraceSink::on_span(const SpanRecord& span) {
   std::lock_guard lock(mutex_);
   spans_.push_back(span);
@@ -208,11 +167,6 @@ void ChromeTraceSink::flush() {
 
 Tracer::Tracer() : epoch_(Clock::now()) {}
 
-Tracer& Tracer::global() {
-  static Tracer tracer;
-  return tracer;
-}
-
 void Tracer::add_sink(std::shared_ptr<Sink> sink) {
   {
     std::lock_guard lock(mutex_);
@@ -228,11 +182,6 @@ void Tracer::flush_sinks() {
     sinks = sinks_;
   }
   for (const auto& s : sinks) s->flush();
-}
-
-void Tracer::clear_sinks() {
-  std::lock_guard lock(mutex_);
-  sinks_.clear();
 }
 
 void Tracer::record(SpanRecord&& span) {
@@ -343,10 +292,6 @@ std::string Tracer::summary_json() const {
   return w.str();
 }
 
-void Tracer::write_chrome_trace(const std::string& path) const {
-  write_file(path, chrome_trace_json());
-}
-
 // --------------------------------------------------------------------------
 // ScopedSpan.
 
@@ -371,11 +316,6 @@ ScopedSpan::~ScopedSpan() {
 
 // --------------------------------------------------------------------------
 // Registry.
-
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
 
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard lock(mutex_);

@@ -12,8 +12,11 @@
 // disabled, ScopedSpan's constructor is a single relaxed atomic load and no
 // strings are built — instrumented hot paths pay one predictable branch.
 //
+// Each RunScope (gala/scope/run_scope.hpp) owns one tracer and one registry;
+// instrumented code records into the calling thread's current scope.
+//
 // Usage:
-//   auto& tracer = telemetry::Tracer::global();
+//   auto& tracer = RunScope::current().tracer();
 //   tracer.add_sink(std::make_shared<telemetry::ChromeTraceSink>("trace.json"));
 //   {
 //     telemetry::ScopedSpan span(tracer, "decide", "phase1");
@@ -120,38 +123,6 @@ class Sink {
   virtual void flush() {}
 };
 
-/// Human-readable streaming sink: one line per span, indented by depth.
-class TextSink : public Sink {
- public:
-  explicit TextSink(std::FILE* out = stderr) : out_(out) {}
-  void on_span(const SpanRecord& span) override;
-
- private:
-  std::FILE* out_;
-};
-
-/// Buffers spans and writes a flat JSON dump {"spans":[...]} on flush().
-class JsonSink : public Sink {
- public:
-  explicit JsonSink(std::string path) : path_(std::move(path)) {}
-  // Best-effort: write failures surface from an explicit flush(), never from
-  // a destructor (which may run during static teardown after main exited).
-  ~JsonSink() override {
-    try {
-      flush();
-    } catch (...) {
-    }
-  }
-  void on_span(const SpanRecord& span) override;
-  void flush() override;
-
- private:
-  std::mutex mutex_;
-  std::string path_;
-  std::vector<SpanRecord> spans_;
-  bool dirty_ = false;
-};
-
 /// Buffers spans and writes Chrome-trace/Perfetto JSON on flush(). Open the
 /// file via chrome://tracing or https://ui.perfetto.dev.
 class ChromeTraceSink : public Sink {
@@ -181,9 +152,6 @@ class Tracer {
  public:
   Tracer();
 
-  /// The process-wide tracer that the GALA pipeline instrumentation uses.
-  static Tracer& global();
-
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
@@ -191,8 +159,6 @@ class Tracer {
   void add_sink(std::shared_ptr<Sink> sink);
   /// Flushes buffered sink output (e.g. before reading an exported file).
   void flush_sinks();
-  /// Drops all sinks (the tracer stays enabled if set_enabled(true) held).
-  void clear_sinks();
 
   /// Records a completed span (normally via ScopedSpan, not directly).
   void record(SpanRecord&& span);
@@ -228,8 +194,6 @@ class Tracer {
   /// Writes the summary's "spans" member into an open JSON object.
   void append_summary(JsonWriter& w) const;
 
-  void write_chrome_trace(const std::string& path) const;
-
   /// Retention cap (default 1M spans); exceeding it increments dropped().
   void set_max_spans(std::size_t cap) { max_spans_ = cap; }
 
@@ -253,8 +217,6 @@ class Tracer {
 class ScopedSpan {
  public:
   ScopedSpan(Tracer& tracer, std::string_view name, std::string_view category = "phase");
-  explicit ScopedSpan(std::string_view name, std::string_view category = "phase")
-      : ScopedSpan(Tracer::global(), name, category) {}
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -407,8 +369,6 @@ class Histogram {
 /// and cache the reference.
 class Registry {
  public:
-  static Registry& global();
-
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);

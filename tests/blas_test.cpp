@@ -17,8 +17,7 @@
 #include "gala/core/gala.hpp"
 #include "gala/core/modularity.hpp"
 #include "gala/exec/context.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -106,13 +105,12 @@ TEST(BlasSpgemm, GovernorRungTwoForcesSortedWithIdenticalOutput) {
   const auto fc = mixed_partition(g.num_vertices(), 29);
   const graph::Graph reference = blas::contract_csr(g, fc, 29, nullptr);
 
-  memtrace::MemRegistry::global().reset();
   {
-    governor::BudgetConfig cfg;
-    cfg.total_bytes = 1000;
-    governor::ScopedBudget scoped(cfg);
-    governor::Governor::global().admit("test.pressure", 870, /*may_throw=*/false);
-    ASSERT_TRUE(governor::Governor::global().force_sorted_accumulator());
+    RunScope scope;
+    scope.governor().install({.total_bytes = 1000});
+    // A transient pressure spike: admitted, then given back.
+    scope.memory().release(scope.governor().admit("test.pressure", 870, /*may_throw=*/false));
+    ASSERT_TRUE(scope.governor().force_sorted_accumulator());
 
     blas::SpgemmStats stats;
     const graph::Graph coarse =
@@ -121,8 +119,6 @@ TEST(BlasSpgemm, GovernorRungTwoForcesSortedWithIdenticalOutput) {
     EXPECT_TRUE(stats.governor_forced);
     expect_same_graph(reference, coarse);
   }
-  governor::Governor::global().uninstall();
-  memtrace::MemRegistry::global().reset();
 }
 
 TEST(BlasEngine, MatchesBspTrajectoryOnPlantedGraph) {

@@ -16,10 +16,9 @@
 
 #include "gala/codec/delta_codec.hpp"
 #include "gala/core/bsp_louvain.hpp"
-#include "gala/governor/governor.hpp"
 #include "gala/graph/generators.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala::multigpu {
@@ -208,30 +207,34 @@ TEST(DistDifferential, BudgetSweepKeepsEveryEngineBitIdentical) {
   DistributedConfig proto;  // defaults: MG pruning, hierarchical tables
   const auto reference = single_reference(g, proto);
 
-  const auto run_dist = [&g, &proto](std::size_t P, bool overlap) {
+  // Each run in its own scope: its budget (0 = none) and a memory registry
+  // that sees that run alone.
+  const auto run_dist = [&g, &proto](std::size_t P, bool overlap, std::uint64_t budget,
+                                     memtrace::MemReport& rep) {
     DistributedConfig cfg = proto;
     cfg.num_gpus = P;
     cfg.overlap = overlap;
     cfg.compress = overlap;
-    memtrace::MemRegistry::global().reset();
-    return distributed_phase1(g, cfg).community;
+    RunScope scope;
+    if (budget != 0) scope.governor().install({.total_bytes = budget});
+    std::vector<cid_t> community = distributed_phase1(g, cfg).community;
+    rep = scope.memory().report();
+    return community;
   };
   for (const auto& [P, overlap] : {std::pair<std::size_t, bool>{1, false}, {4, true}}) {
-    ASSERT_EQ(run_dist(P, overlap), reference.community) << "ungoverned P=" << P;
-    const std::uint64_t peak = memtrace::MemRegistry::global().report().peak_total_bytes();
+    memtrace::MemReport ungoverned;
+    ASSERT_EQ(run_dist(P, overlap, 0, ungoverned), reference.community) << "ungoverned P=" << P;
+    const std::uint64_t peak = ungoverned.peak_total_bytes();
     ASSERT_GT(peak, 0u);
 
     const auto feasible = [&](std::uint64_t budget) {
-      governor::BudgetConfig cfg;
-      cfg.total_bytes = budget;
-      governor::ScopedBudget scoped(cfg);
+      memtrace::MemReport rep;
       std::vector<cid_t> partition;
       try {
-        partition = run_dist(P, overlap);
+        partition = run_dist(P, overlap, budget, rep);
       } catch (const ResourceExhausted&) {
         return false;
       }
-      const auto rep = memtrace::MemRegistry::global().report();
       return rep.peak_total_bytes() <= budget && rep.leak_free() &&
              partition == reference.community;
     };

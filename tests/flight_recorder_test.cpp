@@ -15,32 +15,22 @@
 
 #include "gala/common/json.hpp"
 #include "gala/core/gala.hpp"
-#include "gala/resilience/fault_injection.hpp"
 #include "gala/resilience/supervisor.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala::telemetry {
 namespace {
 
-/// Fresh-state fixture: every test starts with an empty, armed recorder at
-/// the default depth (the recorder is a process-wide singleton).
+/// Every test runs in its own scope, so it starts with an empty, armed
+/// recorder at the default depth.
 class FlightRecorderTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    FlightRecorder::global().set_depth(FlightRecorder::kDefaultDepth);
-    FlightRecorder::global().reset();
-    FlightRecorder::arm();
-  }
-  void TearDown() override {
-    FlightRecorder::global().set_depth(FlightRecorder::kDefaultDepth);
-    FlightRecorder::global().reset();
-    FlightRecorder::arm();
-  }
+  RunScope scope;
+  FlightRecorder& rec = scope.flight();
 };
 
 TEST_F(FlightRecorderTest, RecordsAndDrainsInSeqOrder) {
-  auto& rec = FlightRecorder::global();
   rec.record(FlightKind::LevelBegin, 0, 100);
   rec.record(FlightKind::IterationBegin, 0, 100);
   rec.record(FlightKind::IterationEnd, 0.5, 0.1);
@@ -59,16 +49,13 @@ TEST_F(FlightRecorderTest, RecordsAndDrainsInSeqOrder) {
 }
 
 TEST_F(FlightRecorderTest, DisarmedRecordsNothing) {
-  auto& rec = FlightRecorder::global();
-  FlightRecorder::disarm();
+  rec.disarm();
   flight(FlightKind::Apply, 1, 2);  // the helper checks the armed flag
-  FlightRecorder::arm();
   EXPECT_EQ(rec.recorded(), 0u);
   EXPECT_TRUE(rec.drain().empty());
 }
 
 TEST_F(FlightRecorderTest, SmallRingWrapsKeepingNewestEvents) {
-  auto& rec = FlightRecorder::global();
   rec.set_depth(8);  // minimum depth; also a power of two
   ASSERT_EQ(rec.depth(), 8u);
 
@@ -85,7 +72,6 @@ TEST_F(FlightRecorderTest, SmallRingWrapsKeepingNewestEvents) {
 }
 
 TEST_F(FlightRecorderTest, DepthRoundsUpToPowerOfTwo) {
-  auto& rec = FlightRecorder::global();
   rec.set_depth(9);
   EXPECT_EQ(rec.depth(), 16u);
   rec.set_depth(1);
@@ -93,9 +79,8 @@ TEST_F(FlightRecorderTest, DepthRoundsUpToPowerOfTwo) {
 }
 
 TEST_F(FlightRecorderTest, RankScopeTagsEvents) {
-  auto& rec = FlightRecorder::global();
   {
-    RankScope scope(3);
+    RankScope rank(3);
     flight(FlightKind::SyncPost, 0, 128);
   }
   flight(FlightKind::SyncComplete, 0, 5, /*rank=*/1);  // explicit beats ambient
@@ -106,13 +91,12 @@ TEST_F(FlightRecorderTest, RankScopeTagsEvents) {
 }
 
 TEST_F(FlightRecorderTest, ConcurrentWritersProduceUniqueOrderedSeqs) {
-  auto& rec = FlightRecorder::global();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&rec, t] {
+    threads.emplace_back([this, t] {
       for (int i = 0; i < kPerThread; ++i) {
         rec.record(FlightKind::Decide, static_cast<double>(t), static_cast<double>(i));
       }
@@ -136,7 +120,6 @@ TEST_F(FlightRecorderTest, ConcurrentWritersProduceUniqueOrderedSeqs) {
 }
 
 TEST_F(FlightRecorderTest, DrainWhileWritersAppendNeverTearsEvents) {
-  auto& rec = FlightRecorder::global();
   rec.set_depth(64);  // small ring maximizes lapping during the copy
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -167,7 +150,6 @@ TEST_F(FlightRecorderTest, DrainWhileWritersAppendNeverTearsEvents) {
 }
 
 TEST_F(FlightRecorderTest, ResetForgetsEventsAndRestartsClock) {
-  auto& rec = FlightRecorder::global();
   rec.record(FlightKind::Apply);
   rec.record(FlightKind::Apply);
   rec.reset();
@@ -180,9 +162,8 @@ TEST_F(FlightRecorderTest, ResetForgetsEventsAndRestartsClock) {
 }
 
 TEST_F(FlightRecorderTest, PostMortemJsonRoundTripsThroughParser) {
-  auto& rec = FlightRecorder::global();
   {
-    RankScope scope(2);
+    RankScope rank(2);
     rec.record(FlightKind::FaultFire, 1, 1);
   }
   rec.record(FlightKind::Retry, 0, 1);
@@ -210,7 +191,6 @@ TEST_F(FlightRecorderTest, PostMortemJsonRoundTripsThroughParser) {
 }
 
 TEST_F(FlightRecorderTest, JsonLastNKeepsOnlyNewestEvents) {
-  auto& rec = FlightRecorder::global();
   for (int i = 0; i < 10; ++i) rec.record(FlightKind::Apply, static_cast<double>(i), 0);
   const JsonValue doc = parse_json(rec.json("window", /*last_n=*/4));
   const auto& events = doc.at("events").array;
@@ -228,7 +208,7 @@ TEST_F(FlightRecorderTest, EngineRunRecordsIterationEvents) {
   (void)core::run_louvain(g, cfg);
 
   std::set<FlightKind> kinds;
-  for (const auto& e : FlightRecorder::global().drain()) kinds.insert(e.kind);
+  for (const auto& e : rec.drain()) kinds.insert(e.kind);
   EXPECT_TRUE(kinds.count(FlightKind::LevelBegin));
   EXPECT_TRUE(kinds.count(FlightKind::IterationBegin));
   EXPECT_TRUE(kinds.count(FlightKind::Decide));
@@ -245,7 +225,7 @@ TEST_F(FlightRecorderTest, EveryInjectedFaultProducesNonEmptyPostMortem) {
   r.site = resilience::FaultSite::KernelLaunch;
   r.max_fires = 1;
   plan.rules.push_back(r);
-  resilience::ScopedFaultPlan armed(plan);
+  scope.faults().arm(plan);
 
   const gala::testing::ScopedTempDir tmp;
   const std::string path = tmp.file("flight_chaos.json");

@@ -18,21 +18,19 @@
 #include "gala/core/gala.hpp"
 #include "gala/exec/context.hpp"
 #include "gala/exec/workspace.hpp"
-#include "gala/memtrace/memtrace.hpp"
-#include "gala/resilience/fault_injection.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala::governor {
 namespace {
 
-/// Fresh registry + installed budget for every test (ScopedBudget uninstalls
-/// on scope exit, so a failing test cannot leak an armed hook into the next).
+/// A fresh run scope for every test: its own memory registry and governor,
+/// gone with the test, so a failing test cannot leak a budget into the next.
 struct GovernorFixture : ::testing::Test {
-  void SetUp() override { memtrace::MemRegistry::global().reset(); }
-  void TearDown() override {
-    Governor::global().uninstall();
-    memtrace::MemRegistry::global().reset();
-  }
+  RunScope scope;
+  Governor& gov = scope.governor();
+
+  void install(std::uint64_t total_bytes) { gov.install({.total_bytes = total_bytes}); }
 };
 
 /// The governor's run-report members, parsed as one object.
@@ -49,31 +47,33 @@ using GovernorShrink = GovernorFixture;
 using GovernorEnforce = GovernorFixture;
 
 TEST_F(GovernorLadder, EscalatesAtThresholdSchedule) {
-  BudgetConfig cfg;
-  cfg.total_bytes = 1000;
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  install(1000);
+  // Each step is a transient: admitted, then given back, so every admission
+  // projects its own bytes alone.
+  const auto transient = [this](std::uint64_t bytes) {
+    scope.memory().release(gov.admit("test.x", bytes, /*may_throw=*/false));
+  };
 
-  gov.admit("test.x", 790, /*may_throw=*/false);  // 79%: below every rung
+  transient(790);  // 79%: below every rung
   EXPECT_EQ(gov.rung(), Rung::None);
   EXPECT_EQ(gov.frontier_chunk(), 0u);
 
-  gov.admit("test.x", 820, false);  // 82%
+  transient(820);  // 82%
   EXPECT_EQ(gov.rung(), Rung::ReclaimSlabs);
-  gov.admit("test.x", 870, false);  // 87%
+  transient(870);  // 87%
   EXPECT_EQ(gov.rung(), Rung::GlobalOnlyHash);
   EXPECT_TRUE(gov.force_global_only());
   EXPECT_FALSE(gov.force_sparse_sync());
-  gov.admit("test.x", 920, false);  // 92%
+  transient(920);  // 92%
   EXPECT_EQ(gov.rung(), Rung::SparseSync);
   EXPECT_TRUE(gov.force_sparse_sync());
-  gov.admit("test.x", 960, false);  // 96%
+  transient(960);  // 96%
   EXPECT_EQ(gov.rung(), Rung::ChunkedFrontier);
   EXPECT_EQ(gov.frontier_chunk(), 4096u);
 
   // Over budget on a non-throwing site: denial recorded, no throw, and the
   // ladder does not reach the floor.
-  gov.admit("test.x", 1100, false);
+  transient(1100);
   EXPECT_EQ(gov.denials(), 1u);
   EXPECT_EQ(gov.rung(), Rung::ChunkedFrontier);
 
@@ -84,12 +84,9 @@ TEST_F(GovernorLadder, EscalatesAtThresholdSchedule) {
 }
 
 TEST_F(GovernorLadder, RungsAreStickyAndTransitionsMonotone) {
-  BudgetConfig cfg;
-  cfg.total_bytes = 1000;
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  install(1000);
 
-  gov.admit("test.x", 960, false);  // jumps straight through rungs 1-4
+  scope.memory().release(gov.admit("test.x", 960, false));  // jumps straight through rungs 1-4
   EXPECT_EQ(gov.rung(), Rung::ChunkedFrontier);
   gov.admit("test.x", 10, false);  // pressure released: the ladder stays put
   EXPECT_EQ(gov.rung(), Rung::ChunkedFrontier);
@@ -107,8 +104,7 @@ TEST_F(GovernorLadder, RungsAreStickyAndTransitionsMonotone) {
 TEST_F(GovernorLadder, SubsystemCapEscalatesWithoutTotalBudget) {
   BudgetConfig cfg;  // total stays 0 (unlimited): only the cap enforces
   cfg.subsystem_caps.emplace_back("phase1", 1000);
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  gov.install(cfg);
 
   gov.admit("gpusim.arena", 5000, false);  // other subsystems are uncapped
   EXPECT_EQ(gov.rung(), Rung::None);
@@ -118,10 +114,7 @@ TEST_F(GovernorLadder, SubsystemCapEscalatesWithoutTotalBudget) {
 }
 
 TEST_F(GovernorLadder, ReclaimersRunOnFirstEscalation) {
-  BudgetConfig cfg;
-  cfg.total_bytes = 1000;
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  install(1000);
   int calls = 0;
   gov.register_reclaimer(&calls, [&calls] {
     ++calls;
@@ -136,10 +129,7 @@ TEST_F(GovernorLadder, ReclaimersRunOnFirstEscalation) {
 }
 
 TEST_F(GovernorShrink, ShrinkNeverRaisesAndNeverDisables) {
-  BudgetConfig cfg;
-  cfg.total_bytes = 1000;
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  install(1000);
 
   gov.shrink_budget(400);
   EXPECT_EQ(gov.budget_total(), 400u);
@@ -157,12 +147,8 @@ TEST_F(GovernorShrink, BudgetShrinkFaultSiteCutsTheBudgetDeterministically) {
   rule.site = resilience::FaultSite::BudgetShrink;
   rule.max_fires = 1;
   plan.rules.push_back(rule);
-  resilience::ScopedFaultPlan armed(plan);
-
-  BudgetConfig cfg;
-  cfg.total_bytes = 1000;
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  scope.faults().arm(plan);
+  install(1000);
 
   gov.admit("test.x", 10, false);  // the fault fires here: cut to max(live, 500)
   EXPECT_EQ(gov.budget_total(), 500u);
@@ -179,23 +165,20 @@ TEST_F(GovernorShrink, BudgetShrinkFaultSiteCutsTheBudgetDeterministically) {
 TEST_F(GovernorEnforce, WorkspaceCheckoutOverBudgetThrowsAndRecoversOnUninstall) {
   exec::Workspace ws(/*pooling=*/true);
   {
-    BudgetConfig cfg;
-    cfg.total_bytes = 1024;
-    ScopedBudget scoped(cfg);
+    RunScope budgeted;
+    budgeted.governor().install({.total_bytes = 1024});
     EXPECT_THROW(ws.take<std::uint64_t>(1000, "test.denied"), ResourceExhausted);
-    EXPECT_EQ(Governor::global().rung(), Rung::HostFallback);
-    EXPECT_GE(Governor::global().denials(), 1u);
+    EXPECT_EQ(budgeted.governor().rung(), Rung::HostFallback);
+    EXPECT_GE(budgeted.governor().denials(), 1u);
+    EXPECT_EQ(budgeted.memory().live_total(), 0u) << "a refused checkout charges nothing";
   }
-  // Budget gone: the same checkout is admitted.
+  // Budget gone with its scope: the same checkout is admitted.
   auto lease = ws.take<std::uint64_t>(1000, "test.granted");
   EXPECT_EQ(lease.span().size(), 1000u);
 }
 
 TEST_F(GovernorEnforce, GaugeResetAdmitsOnlyTheIncrease) {
-  BudgetConfig cfg;
-  cfg.total_bytes = 1000;
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  install(1000);
 
   memtrace::set_resident("test.gauge", 600);  // 60%: below every rung
   EXPECT_EQ(gov.rung(), Rung::None);
@@ -209,14 +192,31 @@ TEST_F(GovernorEnforce, GaugeResetAdmitsOnlyTheIncrease) {
   memtrace::set_resident("test.gauge", 100);  // shrinking re-set releases
   memtrace::set_resident("test.gauge", 820);  // 100 live + 720 delta = 82%
   EXPECT_EQ(gov.rung(), Rung::ReclaimSlabs);
-  EXPECT_EQ(memtrace::MemRegistry::global().live_total(), 820u);
+  EXPECT_EQ(scope.memory().live_total(), 820u);
+}
+
+TEST_F(GovernorEnforce, AdmissionHoldsItsBytesUntilTheAllocationTakesThem) {
+  install(1000);
+  exec::Workspace ws(/*pooling=*/true);
+
+  // An admitted charge stays on the live total, so a second admission
+  // projects both: two ranks can never fit into the same headroom.
+  EXPECT_EQ(gov.admit("test.x", 600, /*may_throw=*/true), 600u);
+  EXPECT_EQ(scope.memory().live_total(), 600u);
+  EXPECT_THROW(gov.admit("test.x", 500, /*may_throw=*/true), ResourceExhausted);
+  EXPECT_EQ(scope.memory().live_total(), 600u) << "a refusal gives its bytes back";
+  scope.memory().release(600);
+
+  // A checkout's admitted bytes become its live bytes: counted once.
+  {
+    auto lease = ws.take<std::byte>(512, "test.lease");  // a whole size class
+    EXPECT_EQ(scope.memory().live_total(), 512u);
+  }
+  EXPECT_EQ(scope.memory().live_total(), 0u);
 }
 
 TEST_F(GovernorEnforce, ConcurrentEscalationsStayMonotoneAndTeardownIsSafe) {
-  BudgetConfig cfg;
-  cfg.total_bytes = 1000;
-  ScopedBudget scoped(cfg);
-  auto& gov = Governor::global();
+  install(1000);
 
   // Threads race up the ladder while registering and tearing down stack-owned
   // reclaimers (standing in for rank ExecutionContexts unwinding mid-run);
@@ -224,14 +224,15 @@ TEST_F(GovernorEnforce, ConcurrentEscalationsStayMonotoneAndTeardownIsSafe) {
   // dies, and concurrent escalations must still record in rung order.
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&gov, t] {
+    threads.emplace_back([this, t] {
       for (int i = 0; i < 50; ++i) {
         int local = 0;
         gov.register_reclaimer(&local, [&local] {
           ++local;
           return std::uint64_t{0};
         });
-        gov.admit("test.race", 820 + 45 * t, /*may_throw=*/false);  // 82..95.5%
+        const std::uint64_t bytes = 820 + 45 * t;  // 82..95.5%
+        scope.memory().release(gov.admit("test.race", bytes, /*may_throw=*/false));
         gov.unregister_reclaimer(&local);  // `local` leaves scope right after
       }
     });
@@ -250,26 +251,26 @@ TEST_F(GovernorEnforce, ConcurrentEscalationsStayMonotoneAndTeardownIsSafe) {
 }
 
 TEST_F(GovernorEnforce, HookIsNullWhenUninstalled) {
-  EXPECT_EQ(memtrace::MemRegistry::admit_hook(), nullptr);
-  EXPECT_FALSE(Governor::enabled());
+  // A scope starts without a budget, and a budget ends with its scope.
+  EXPECT_FALSE(gov.enabled());
   {
-    BudgetConfig cfg;
-    cfg.total_bytes = 1 << 20;
-    ScopedBudget scoped(cfg);
-    EXPECT_NE(memtrace::MemRegistry::admit_hook(), nullptr);
-    EXPECT_TRUE(Governor::enabled());
+    RunScope budgeted;
+    budgeted.governor().install({.total_bytes = 1 << 20});
+    EXPECT_TRUE(RunScope::current().governor().enabled());
+    EXPECT_FALSE(gov.enabled()) << "a budget is per scope";
   }
-  EXPECT_EQ(memtrace::MemRegistry::admit_hook(), nullptr);
+  EXPECT_EQ(&RunScope::current(), &scope);
+  EXPECT_FALSE(RunScope::current().governor().enabled());
 }
 
 TEST_F(GovernorEnforce, SectionJsonShape) {
   BudgetConfig cfg;
   cfg.total_bytes = 2048;
   cfg.subsystem_caps.emplace_back("phase1", 1024);
-  ScopedBudget scoped(cfg);
-  Governor::global().admit("test.x", 100, false);
+  gov.install(cfg);
+  gov.admit("test.x", 100, false);
 
-  const JsonValue doc = section(Governor::global());
+  const JsonValue doc = section(gov);
   EXPECT_EQ(doc.at("budget_total").number, 2048.0);
   EXPECT_EQ(doc.at("rung").string, "none");
   EXPECT_EQ(doc.at("rung_ordinal").number, 0.0);
@@ -320,23 +321,22 @@ TEST(MinFeasibleBudget, ZeroGranularityIsClampedToOneByte) {
 
 TEST(GovernorEndToEnd, GenerousBudgetIsInvisible) {
   const auto g = gala::testing::small_planted();
-  const auto run = [&g] {
+  const auto run = [&g](std::uint64_t budget) {
+    RunScope scope;
+    if (budget != 0) scope.governor().install({.total_bytes = budget});
     exec::ExecutionContext ctx({}, /*seed=*/7, /*pooling=*/true);
     core::GalaConfig cfg;
     cfg.bsp.parallel = false;
     cfg.bsp.context = &ctx;
-    memtrace::MemRegistry::global().reset();
-    return core::run_louvain(g, cfg).assignment;
+    const std::vector<cid_t> assignment = core::run_louvain(g, cfg).assignment;
+    if (budget != 0) {
+      EXPECT_EQ(scope.governor().rung(), Rung::None);
+      EXPECT_EQ(scope.governor().denials(), 0u);
+      EXPECT_GT(scope.governor().admits(), 0u);
+    }
+    return assignment;
   };
-  const std::vector<cid_t> reference = run();
-
-  BudgetConfig cfg;
-  cfg.total_bytes = 1ull << 32;
-  ScopedBudget scoped(cfg);
-  EXPECT_EQ(run(), reference);
-  EXPECT_EQ(Governor::global().rung(), Rung::None);
-  EXPECT_EQ(Governor::global().denials(), 0u);
-  EXPECT_GT(Governor::global().admits(), 0u);
+  EXPECT_EQ(run(1ull << 32), run(0));
 }
 
 }  // namespace

@@ -17,17 +17,15 @@
 #include "gala/core/gala.hpp"
 #include "gala/exec/context.hpp"
 #include "gala/exec/workspace.hpp"
-#include "gala/governor/governor.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala::memtrace {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Registry arithmetic on a private instance (the global registry is shared
-// by the whole binary; unit math uses a local one).
+// Registry arithmetic on a standalone instance.
 
 TEST(MemRegistryTest, AllocFreeChargeResidentArithmetic) {
   MemRegistry reg;
@@ -80,12 +78,12 @@ TEST(MemRegistryTest, UnknownFreeAndUnderflowAreIgnored) {
 }
 
 TEST(MemRegistryTest, DisarmedWrappersAreNoOps) {
-  MemRegistry::global().reset();
-  MemRegistry::disarm();
+  RunScope scope;
+  scope.memory().disarm();
   charge("test.disarmed", 4096);
   set_resident("test.disarmed", 4096);
-  MemRegistry::arm();
-  const MemReport rep = MemRegistry::global().report();
+  scope.memory().arm();
+  const MemReport rep = scope.memory().report();
   for (const auto& s : rep.subsystems) EXPECT_NE(s.name, "test");
 }
 
@@ -96,15 +94,15 @@ TEST(MemRegistryTest, DisarmedWrappersAreNoOps) {
 std::string louvain_mem_json(const graph::Graph& g, bool pooling,
                              core::PruningStrategy pruning = core::PruningStrategy::ModularityGain,
                              core::HashTablePolicy table = core::HashTablePolicy::Hierarchical) {
+  RunScope scope;
   exec::ExecutionContext ctx({}, /*seed=*/7, pooling);
   core::GalaConfig cfg;
   cfg.bsp.parallel = false;  // shared-rank pool workers would interleave peaks
   cfg.bsp.pruning = pruning;
   cfg.bsp.hashtable = table;
   cfg.bsp.context = &ctx;
-  MemRegistry::global().reset();
   (void)core::run_louvain(g, cfg);
-  return MemRegistry::global().report().json(/*include_host=*/false);
+  return scope.memory().report().json(/*include_host=*/false);
 }
 
 TEST(MemDeterminism, ByteIdenticalAcrossPooling) {
@@ -132,9 +130,9 @@ MemReport dist_mem_report(const graph::Graph& g, bool overlap, bool compress) {
   cfg.num_gpus = 4;
   cfg.overlap = overlap;
   cfg.compress = compress;
-  MemRegistry::global().reset();
+  RunScope scope;
   (void)multigpu::distributed_phase1(g, cfg);
-  return MemRegistry::global().report();
+  return scope.memory().report();
 }
 
 TEST(MemDeterminism, DistributedSyncModesAreSelfDeterministic) {
@@ -171,15 +169,15 @@ TEST(MemDeterminism, DistributedSyncModesAreSelfDeterministic) {
 
 TEST(MemWorkspace, AccountingMatchesWorkspaceStats) {
   const auto g = gala::testing::small_planted();
+  RunScope scope;
   exec::ExecutionContext ctx({}, 7, /*pooling=*/true);
   core::GalaConfig cfg;
   cfg.bsp.parallel = false;
   cfg.bsp.context = &ctx;
-  MemRegistry::global().reset();
   const auto r = core::run_louvain(g, cfg);
 
   std::uint64_t allocs = 0, frees = 0;
-  for (const auto& s : MemRegistry::global().report().subsystems) {
+  for (const auto& s : scope.memory().report().subsystems) {
     for (const auto& t : s.tags) {
       if (!t.workspace) continue;
       allocs += t.allocs;
@@ -192,12 +190,12 @@ TEST(MemWorkspace, AccountingMatchesWorkspaceStats) {
 }
 
 TEST(MemWorkspace, LeaseHeldAcrossLevelResetIsALeak) {
-  MemRegistry::global().reset();
   exec::Workspace ws(/*pooling=*/true);
   {
+    RunScope scope;
     auto lease = ws.take<std::uint64_t>(100, "test.retained");
     ws.reset_level();  // lease still live: retention the pool contract forbids
-    const MemReport rep = MemRegistry::global().report();
+    const MemReport rep = scope.memory().report();
     EXPECT_FALSE(rep.leak_free());
     EXPECT_EQ(rep.level_resets, 1u);
     bool flagged = false;
@@ -211,9 +209,9 @@ TEST(MemWorkspace, LeaseHeldAcrossLevelResetIsALeak) {
     // The stale lease's release is quiet (the epoch trap fires on span()
     // access, not destruction); release now so the test can end cleanly.
   }
-  MemRegistry::global().reset();
+  RunScope fresh;
   ws.reset_level();
-  EXPECT_TRUE(MemRegistry::global().report().leak_free());
+  EXPECT_TRUE(fresh.memory().report().leak_free());
 }
 
 // ---------------------------------------------------------------------------
@@ -221,14 +219,14 @@ TEST(MemWorkspace, LeaseHeldAcrossLevelResetIsALeak) {
 
 TEST(MemTimeline, AlignsWithIterationAndLevelBoundaries) {
   const auto g = gala::testing::small_planted();
+  RunScope scope;
   exec::ExecutionContext ctx({}, 7, true);
   core::GalaConfig cfg;
   cfg.bsp.parallel = false;
   cfg.bsp.context = &ctx;
-  MemRegistry::global().reset();
   const auto r = core::run_louvain(g, cfg);
 
-  const MemReport rep = MemRegistry::global().report();
+  const MemReport rep = scope.memory().report();
   std::uint64_t iter_marks = 0, level_marks = 0, total_iterations = 0;
   for (const auto& e : rep.timeline) {
     (e.kind == EpochKind::Iteration ? iter_marks : level_marks) += 1;
@@ -241,20 +239,16 @@ TEST(MemTimeline, AlignsWithIterationAndLevelBoundaries) {
 }
 
 TEST(MemTimeline, EmitsChromeCounterEventsOnMemoryTrack) {
-  auto& tracer = telemetry::Tracer::global();
-  tracer.reset();
-  tracer.set_enabled(true);
+  RunScope scope;
+  scope.tracer().set_enabled(true);
   const auto g = gala::testing::two_triangles();
   exec::ExecutionContext ctx({}, 7, true);
   core::GalaConfig cfg;
   cfg.bsp.parallel = false;
   cfg.bsp.context = &ctx;
-  MemRegistry::global().reset();
   (void)core::run_louvain(g, cfg);
 
-  const JsonValue doc = parse_json(tracer.chrome_trace_json());
-  tracer.set_enabled(false);
-  tracer.reset();
+  const JsonValue doc = parse_json(scope.tracer().chrome_trace_json());
   std::size_t counters = 0;
   for (const auto& e : doc.at("traceEvents").array) {
     if (e.at("ph").string != "C") continue;
@@ -275,29 +269,32 @@ TEST(MemTimeline, EmitsChromeCounterEventsOnMemoryTrack) {
 TEST(MemBudgetSweep, PartitionsAreBitIdenticalDownToMinFeasible) {
   const auto g = gala::testing::small_planted();
   for (const bool pooling : {true, false}) {
-    const auto run = [&g, pooling] {
+    // Each run in its own scope: its budget (0 = none) and a registry that
+    // sees that run alone.
+    const auto run = [&g, pooling](std::uint64_t budget, MemReport& rep) {
+      RunScope scope;
+      if (budget != 0) scope.governor().install({.total_bytes = budget});
       exec::ExecutionContext ctx({}, /*seed=*/7, pooling);
       core::GalaConfig cfg;
       cfg.bsp.parallel = false;
       cfg.bsp.context = &ctx;
-      MemRegistry::global().reset();
-      return core::run_louvain(g, cfg).assignment;
+      std::vector<cid_t> assignment = core::run_louvain(g, cfg).assignment;
+      rep = scope.memory().report();
+      return assignment;
     };
-    const std::vector<cid_t> reference = run();
-    const std::uint64_t peak = MemRegistry::global().report().peak_total_bytes();
+    MemReport unbudgeted;
+    const std::vector<cid_t> reference = run(0, unbudgeted);
+    const std::uint64_t peak = unbudgeted.peak_total_bytes();
     ASSERT_GT(peak, 0u);
 
     const auto feasible = [&](std::uint64_t budget) {
-      governor::BudgetConfig cfg;
-      cfg.total_bytes = budget;
-      governor::ScopedBudget scoped(cfg);
+      MemReport rep;
       std::vector<cid_t> partition;
       try {
-        partition = run();
+        partition = run(budget, rep);
       } catch (const ResourceExhausted&) {
         return false;
       }
-      const MemReport rep = MemRegistry::global().report();
       return rep.peak_total_bytes() <= budget && rep.leak_free() && partition == reference;
     };
     // Throws, naming the ceiling, when even the unbudgeted peak is infeasible.
@@ -321,13 +318,13 @@ TEST(MemBudgetSweep, PartitionsAreBitIdenticalDownToMinFeasible) {
 
 TEST(MemReportTest, JsonShapeAndSanity) {
   const auto g = gala::testing::small_planted();
+  RunScope scope;
   exec::ExecutionContext ctx({}, 7, true);
   core::GalaConfig cfg;
   cfg.bsp.parallel = false;
   cfg.bsp.context = &ctx;
-  MemRegistry::global().reset();
   (void)core::run_louvain(g, cfg);
-  const MemReport rep = MemRegistry::global().report();
+  const MemReport rep = scope.memory().report();
 
   EXPECT_LE(rep.peak_ws_bytes(), rep.peak_total_bytes());
   EXPECT_GE(rep.frag_pct(), 0.0);

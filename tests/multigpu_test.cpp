@@ -6,8 +6,8 @@
 
 #include "gala/codec/delta_codec.hpp"
 #include "gala/core/bsp_louvain.hpp"
-#include "gala/governor/governor.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala::multigpu {
@@ -438,9 +438,8 @@ TEST(Distributed, ExhaustedDecideRaisesResourceExhaustedOnEveryRank) {
     cfg.num_gpus = P;
     cfg.kernel = core::KernelMode::HashOnly;
     cfg.hashtable = core::HashTablePolicy::GlobalOnly;  // every decide needs hash scratch
-    governor::BudgetConfig budget;
-    budget.subsystem_caps = {{"core", 1}};
-    governor::ScopedBudget scoped(budget);
+    RunScope scope;
+    scope.governor().install({.subsystem_caps = {{"core", 1}}});
     try {
       (void)distributed_phase1(g, cfg);
       ADD_FAILURE() << "P=" << P << ": run completed under a 1-byte core budget";

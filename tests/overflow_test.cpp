@@ -10,7 +10,7 @@
 #include "gala/core/hashtables.hpp"
 #include "gala/core/kernels.hpp"
 #include "gala/gpusim/shared_memory.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala::core {
@@ -107,9 +107,7 @@ TEST(HashKernelOverflowTest, ExhaustedArenaDegradesToGlobalOnlyWithSameDecision)
   const Decision reference =
       hash_decide(in, /*v=*/2, HashTablePolicy::GlobalOnly, fresh, scratch_a, kSalt, stats_a);
 
-  const std::uint64_t fallbacks_before =
-      telemetry::Registry::global().counter("resilience.hashtable_fallbacks").value();
-
+  RunScope scope;
   gpusim::SharedMemoryArena full(4 * sizeof(HashBucket));
   full.allocate<HashBucket>(4);
   HashScratch scratch_b;
@@ -118,8 +116,7 @@ TEST(HashKernelOverflowTest, ExhaustedArenaDegradesToGlobalOnlyWithSameDecision)
       hash_decide(in, /*v=*/2, HashTablePolicy::Hierarchical, full, scratch_b, kSalt, stats_b);
 
   expect_same_decision(reference, degraded);
-  EXPECT_EQ(telemetry::Registry::global().counter("resilience.hashtable_fallbacks").value(),
-            fallbacks_before + 1);
+  EXPECT_EQ(scope.registry().counter("resilience.hashtable_fallbacks").value(), 1u);
 }
 
 TEST(HashKernelOverflowTest, AllPoliciesAgreeOnEveryVertex) {

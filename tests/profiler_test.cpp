@@ -12,6 +12,7 @@
 #include "gala/gpusim/device.hpp"
 #include "gala/gpusim/shared_memory.hpp"
 #include "gala/gpusim/warp.hpp"
+#include "gala/scope/run_scope.hpp"
 
 namespace gala {
 namespace {
@@ -234,17 +235,10 @@ TEST(DramBytes, FourPerWordEightPerAtomic) {
 
 class ProfilerFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
-    auto& p = profiler::Profiler::global();
-    p.reset();
-    p.set_enabled(true);
-  }
-  void TearDown() override {
-    auto& p = profiler::Profiler::global();
-    p.set_enabled(false);
-    p.reset();
-  }
+  void SetUp() override { prof.set_enabled(true); }
 
+  RunScope scope;
+  profiler::Profiler& prof = scope.profiler();
   ThreadPool serial{1};  // launches run in block order on the test thread
 };
 
@@ -257,7 +251,7 @@ TEST_F(ProfilerFixture, DeviceLaunchRecordsLoadImbalance) {
         if (ctx.block_id == 0) ctx.stats->global_reads += 10;
       },
       "imbalance_kernel");
-  const auto kernels = profiler::Profiler::global().snapshot();
+  const auto kernels = prof.snapshot();
   ASSERT_EQ(kernels.size(), 1u);
   const auto& k = kernels[0];
   EXPECT_EQ(k.name, "imbalance_kernel");
@@ -275,7 +269,7 @@ TEST_F(ProfilerFixture, LaunchesUnderOneNameAggregate) {
   const auto body = [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; };
   device.launch(serial, 2, body, "k");
   device.launch(serial, 3, body, "k");
-  const auto kernels = profiler::Profiler::global().snapshot();
+  const auto kernels = prof.snapshot();
   ASSERT_EQ(kernels.size(), 1u);
   EXPECT_EQ(kernels[0].launches, 2u);
   EXPECT_EQ(kernels[0].blocks, 5u);
@@ -283,11 +277,11 @@ TEST_F(ProfilerFixture, LaunchesUnderOneNameAggregate) {
 }
 
 TEST_F(ProfilerFixture, DisabledProfilerRecordsNothing) {
-  profiler::Profiler::global().set_enabled(false);
+  prof.set_enabled(false);
   gpusim::Device device;
   device.launch(
       serial, 1, [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; }, "k");
-  EXPECT_TRUE(profiler::Profiler::global().snapshot().empty());
+  EXPECT_TRUE(prof.snapshot().empty());
 }
 
 TEST_F(ProfilerFixture, ReportJsonHasTheDocumentedShape) {
@@ -301,7 +295,7 @@ TEST_F(ProfilerFixture, ReportJsonHasTheDocumentedShape) {
         ctx.stats->record_table_occupancy(1, 2);
       },
       "shape_kernel");
-  const JsonValue doc = parse_json(profiler::Profiler::global().report_json());
+  const JsonValue doc = parse_json(prof.report_json());
   EXPECT_EQ(doc.at("profile_schema").number, 1.0);
   EXPECT_DOUBLE_EQ(doc.at("ceilings").at("dram_gbps").number, 1555.0);
   const auto& kernels = doc.at("kernels");
@@ -325,7 +319,7 @@ TEST_F(ProfilerFixture, ReportJsonHasTheDocumentedShape) {
 TEST_F(ProfilerFixture, ResetForgetsKernelsButKeepsCeilings) {
   profiler::RooflineCeilings custom;
   custom.dram_gbps = 900.0;
-  auto& p = profiler::Profiler::global();
+  auto& p = prof;
   p.set_ceilings(custom);
   gpusim::Device device;
   device.launch(
@@ -333,7 +327,6 @@ TEST_F(ProfilerFixture, ResetForgetsKernelsButKeepsCeilings) {
   p.reset();
   EXPECT_TRUE(p.snapshot().empty());
   EXPECT_DOUBLE_EQ(p.ceilings().dram_gbps, 900.0);
-  p.set_ceilings(profiler::RooflineCeilings{});
 }
 
 TEST(MemoryStatsMerge, HistogramsAndCountersAdd) {

@@ -133,7 +133,6 @@ TEST(QueryDifferential, ExecutorMatchesBruteForceOverRandomUpdateStreams) {
 
     StoreOptions opts;
     opts.max_retained = kEpochsPerTrial + 1;
-    opts.governor_client = false;
     CommunityStore store(opts);
     // Two executors: one always inline, one forced through the thread pool
     // (tiny grain) — answers must agree with brute force either way.
@@ -221,7 +220,6 @@ TEST(QueryDifferential, SparseLabelSpacesCanonicaliseIdentically) {
     }
     StoreOptions opts;
     opts.max_retained = 2;
-    opts.governor_client = false;
     CommunityStore store(opts);
     store.publish(g, sparse);
     std::vector<cid_t> canonical(sparse.begin(), sparse.end());

@@ -10,10 +10,9 @@
 #include "gala/core/gala.hpp"
 #include "gala/core/incremental.hpp"
 #include "gala/core/modularity.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/query/executor.hpp"
 #include "gala/query/store.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -28,7 +27,6 @@ using query::StoreOptions;
 StoreOptions plain_options(std::size_t max_retained = 8) {
   StoreOptions o;
   o.max_retained = max_retained;
-  o.governor_client = false;  // most tests want no global-governor coupling
   return o;
 }
 
@@ -145,32 +143,30 @@ TEST(QueryStore, SetMaxRetainedClampsAndApplies) {
 
 // ------------------------------------------------------------ memtrace ----
 TEST(QueryStore, ResidencyGaugeTracksLiveSnapshots) {
-  memtrace::MemRegistry::global().reset();
+  RunScope scope;
   const auto g = testing::small_planted(23);
   {
     CommunityStore store(plain_options(/*max_retained=*/2));
     const auto result = core::run_louvain(g);
     for (int i = 0; i < 5; ++i) store.publish(g, result);
-    EXPECT_EQ(memtrace::MemRegistry::global().live_subsystem("query"), store.resident_bytes());
+    EXPECT_EQ(scope.memory().live_subsystem("query"), store.resident_bytes());
     EXPECT_GT(store.resident_bytes(), 0u);
   }
   // Store destruction returns the gauge to zero — nothing leaks.
-  EXPECT_EQ(memtrace::MemRegistry::global().live_subsystem("query"), 0u);
+  EXPECT_EQ(scope.memory().live_subsystem("query"), 0u);
 }
 
 // ------------------------------------------------------------ governor ----
 TEST(QueryStore, GovernorPressureCollapsesRetention) {
-  memtrace::MemRegistry::global().reset();
+  RunScope scope;
   const auto g = testing::small_planted(25, 2000, 10, 0.2);
   const auto result = core::run_louvain(g);
   StoreOptions opts;
   opts.max_retained = 8;
   CommunityStore store(opts);  // governor client on
-  governor::BudgetConfig cfg;
-  cfg.total_bytes = 3 * (2000 * 3 * 4);  // ~3 snapshots of headroom
-  governor::ScopedBudget scoped(cfg);
+  scope.governor().install({.total_bytes = 3 * (2000 * 3 * 4)});  // ~3 snapshots of headroom
   for (int i = 0; i < 8; ++i) store.publish(g, result);
-  EXPECT_GE(governor::Governor::global().rung(), governor::Rung::ReclaimSlabs);
+  EXPECT_GE(scope.governor().rung(), governor::Rung::ReclaimSlabs);
   // Under ladder pressure the store sheds history down to the newest epoch.
   EXPECT_EQ(store.retained(), 1u);
   EXPECT_GT(store.evicted(), 0u);

@@ -20,10 +20,9 @@
 
 #include "gala/core/gala.hpp"
 #include "gala/core/incremental.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/query/executor.hpp"
 #include "gala/query/store.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -131,13 +130,12 @@ void reader_pass(const CommunityStore& store, const QueryExecutor& exec, Failure
 }
 
 TEST(QueryStress, ReadersNeverObserveTornEpochsAcrossHundredsOfPublishes) {
-  memtrace::MemRegistry::global().reset();
+  RunScope scope;
   const auto g = testing::small_planted(41, 240, 8, 0.2);
   const auto base = core::run_louvain(g);
 
   StoreOptions opts;
   opts.max_retained = 4;
-  opts.governor_client = false;
   CommunityStore store(opts);
   // Batches this size run inline: no cross-reader thread-pool coupling.
   QueryExecutor exec(store, nullptr, /*grain=*/1u << 20);
@@ -150,6 +148,7 @@ TEST(QueryStress, ReadersNeverObserveTornEpochsAcrossHundredsOfPublishes) {
   std::atomic<std::uint64_t> incremental_epochs{0};
 
   std::thread writer([&] {
+    const EnterScope enter(&scope);  // the residency gauge is the test scope's
     graph::Graph current_graph = g;
     std::vector<cid_t> assignment = base.assignment;
     std::uint64_t rng = 0x5eed5eedULL;
@@ -219,14 +218,13 @@ TEST(QueryStress, ReadersNeverObserveTornEpochsAcrossHundredsOfPublishes) {
   EXPECT_EQ(store.retained(), 4u);
   EXPECT_GT(store.reclaimed(), 0u);
   EXPECT_EQ(store.evicted() + store.retained(), store.published());
-  EXPECT_EQ(memtrace::MemRegistry::global().live_subsystem("query"), store.resident_bytes());
+  EXPECT_EQ(scope.memory().live_subsystem("query"), store.resident_bytes());
 }
 
 TEST(QueryStress, SingleEpochChurnKeepsThePinValidationHonest) {
   const auto g = testing::two_triangles();
   StoreOptions opts;
   opts.max_retained = 1;  // every publish retires the previous epoch
-  opts.governor_client = false;
   CommunityStore store(opts);
 
   const std::vector<cid_t> a = {0, 0, 0, 1, 1, 1};
@@ -268,7 +266,7 @@ TEST(QueryStress, SingleEpochChurnKeepsThePinValidationHonest) {
 }
 
 TEST(QueryStress, GovernorReclaimerRacesReadersAndPublishes) {
-  memtrace::MemRegistry::global().reset();
+  RunScope scope;
   const auto g = testing::small_planted(43, 800, 8, 0.2);
   const auto base = core::run_louvain(g);
 
@@ -278,14 +276,13 @@ TEST(QueryStress, GovernorReclaimerRacesReadersAndPublishes) {
 
   // Tight enough that publishing 8 retained snapshots crosses the 80%
   // reclaim threshold and keeps the rung-1 reclaimer firing.
-  governor::BudgetConfig cfg;
-  cfg.total_bytes = 4 * 800 * 12;
-  governor::ScopedBudget budget(cfg);
+  scope.governor().install({.total_bytes = 4 * 800 * 12});
 
   FailureLog failures;
   std::atomic<bool> done{false};
 
   std::thread writer([&] {
+    const EnterScope enter(&scope);  // publishes admit under the test's budget
     for (int i = 0; i < 120; ++i) store.publish(g, base.assignment);
     done.store(true, std::memory_order_release);
   });
@@ -306,7 +303,7 @@ TEST(QueryStress, GovernorReclaimerRacesReadersAndPublishes) {
   writer.join();
   for (auto& r : readers) r.join();
   EXPECT_EQ(failures.count(), 0u) << failures.summary();
-  EXPECT_GE(governor::Governor::global().rung(), governor::Rung::ReclaimSlabs);
+  EXPECT_GE(scope.governor().rung(), governor::Rung::ReclaimSlabs);
   EXPECT_GT(store.evicted(), 0u);
   store.reclaim();
   EXPECT_EQ(store.live_snapshots(), store.retained());

@@ -4,12 +4,9 @@
 #include <fstream>
 
 #include "gala/core/gala.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/metrics/health.hpp"
 #include "gala/metrics/report.hpp"
-#include "gala/profiler/profiler.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "losing_engine.hpp"
 #include "test_util.hpp"
 
@@ -91,9 +88,8 @@ TEST(RunReport, SavesToDisk) {
 }
 
 TEST(RunReport, PostmortemReportsIoFailureWithoutThrowing) {
-  auto& rec = telemetry::FlightRecorder::global();
-  rec.reset();
-  rec.record(telemetry::FlightKind::Apply);
+  RunScope scope;
+  scope.flight().record(telemetry::FlightKind::Apply);
   EXPECT_FALSE(metrics::write_postmortem("/nonexistent-dir/flight.json", "reason"));
 
   const testing::ScopedTempDir tmp;
@@ -105,7 +101,6 @@ TEST(RunReport, PostmortemReportsIoFailureWithoutThrowing) {
   for (const char* absent : {"run", "metrics", "profile", "health", "mem", "governor"}) {
     EXPECT_EQ(doc.find(absent), nullptr) << absent;
   }
-  rec.reset();
 }
 
 TEST(RunReport, GovernorSectionIsAbsentWhenEmpty) {
@@ -134,18 +129,18 @@ TEST(ProvenanceTest, EveryReportWriterIsStamped) {
     EXPECT_EQ(prov->at("schema").string, schema);
     EXPECT_GE(prov->at("schema_version").number, 1);
   };
-  auto& tracer = telemetry::Tracer::global();
-  expect_stamp(parse_json(tracer.chrome_trace_json()), "trace");
+  RunScope scope;
+  expect_stamp(parse_json(scope.tracer().chrome_trace_json()), "trace");
 
+  scope.tracer().set_enabled(true);
+  scope.profiler().set_enabled(true);
+  scope.governor().install({.total_bytes = 1 << 20});
   metrics::RunReport report;
-  report.metrics = telemetry::metrics_json(tracer, telemetry::Registry::global());
-  report.profile = profiler::Profiler::global().report_json();
-  report.flight = telemetry::FlightRecorder::global().json("test");
+  report.capture(scope, "test");
   report.health = metrics::HealthMonitor().report().json();
-  report.mem = memtrace::MemRegistry::global().report().json();
   const JsonValue doc = parse_json(report.json());
   expect_stamp(doc, "report");
-  for (const char* section : {"metrics", "profile", "flight", "health", "mem"}) {
+  for (const char* section : {"metrics", "profile", "flight", "health", "mem", "governor"}) {
     EXPECT_EQ(doc.at(section).find("provenance"), nullptr) << section;
   }
 

@@ -17,7 +17,7 @@
 #include "gala/core/kernels.hpp"
 #include "gala/core/modularity.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "losing_engine.hpp"
 #include "test_util.hpp"
 
@@ -36,8 +36,8 @@ FaultRule rule(FaultSite site, std::string label = "", int rank = -1, int skip_f
   return r;
 }
 
-std::uint64_t counter_value(const char* name) {
-  return telemetry::Registry::global().counter(name).value();
+std::uint64_t counter_value(RunScope& scope, const char* name) {
+  return scope.registry().counter(name).value();
 }
 
 // ---- plan serialisation ----------------------------------------------------
@@ -78,9 +78,9 @@ TEST(FaultPlanTest, SiteNamesRoundTrip) {
 // ---- injector mechanics ----------------------------------------------------
 
 TEST(FaultInjectorTest, DisarmedCostsNothingAndNeverFires) {
-  auto& inj = FaultInjector::global();
-  inj.disarm();
-  EXPECT_FALSE(FaultInjector::armed());
+  RunScope scope;  // a scope starts without a plan
+  auto& inj = scope.faults();
+  EXPECT_FALSE(inj.armed());
   EXPECT_FALSE(inj.should_fire(FaultSite::KernelLaunch, "decide"));
   EXPECT_NO_THROW(maybe_inject(FaultSite::KernelLaunch, "decide"));
 }
@@ -91,10 +91,11 @@ TEST(FaultInjectorTest, FiringPatternIsDeterministicInSeed) {
   plan.rules.push_back(rule(FaultSite::KernelLaunch, "", -1, 0, -1, 0.3));
 
   auto pattern = [&] {
-    ScopedFaultPlan armed(plan);
+    RunScope scope;
+    scope.faults().arm(plan);
     std::vector<bool> fired;
     for (int i = 0; i < 64; ++i) {
-      fired.push_back(FaultInjector::global().should_fire(FaultSite::KernelLaunch, "decide"));
+      fired.push_back(scope.faults().should_fire(FaultSite::KernelLaunch, "decide"));
     }
     return fired;
   };
@@ -108,10 +109,11 @@ TEST(FaultInjectorTest, FiringPatternIsDeterministicInSeed) {
   EXPECT_LT(fires, 64);
 
   plan.seed = 4321;  // different seed, different pattern
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
   std::vector<bool> other;
   for (int i = 0; i < 64; ++i) {
-    other.push_back(FaultInjector::global().should_fire(FaultSite::KernelLaunch, "decide"));
+    other.push_back(scope.faults().should_fire(FaultSite::KernelLaunch, "decide"));
   }
   EXPECT_NE(first, other);
 }
@@ -119,8 +121,9 @@ TEST(FaultInjectorTest, FiringPatternIsDeterministicInSeed) {
 TEST(FaultInjectorTest, SkipFirstAndMaxFiresSchedule) {
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::ScratchGrow, "", -1, /*skip_first=*/2, /*max_fires=*/2));
-  ScopedFaultPlan armed(plan);
-  auto& inj = FaultInjector::global();
+  RunScope scope;
+  scope.faults().arm(plan);
+  auto& inj = scope.faults();
   std::vector<bool> fired;
   for (int i = 0; i < 6; ++i) fired.push_back(inj.should_fire(FaultSite::ScratchGrow, "x"));
   EXPECT_EQ(fired, (std::vector<bool>{false, false, true, true, false, false}));
@@ -130,8 +133,9 @@ TEST(FaultInjectorTest, SkipFirstAndMaxFiresSchedule) {
 TEST(FaultInjectorTest, LabelAndRankFiltersApply) {
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::CollectiveDrop, "all_gather_v", /*rank=*/1));
-  ScopedFaultPlan armed(plan);
-  auto& inj = FaultInjector::global();
+  RunScope scope;
+  scope.faults().arm(plan);
+  auto& inj = scope.faults();
   EXPECT_FALSE(inj.should_fire(FaultSite::CollectiveDrop, "all_reduce", 1));  // label mismatch
   EXPECT_FALSE(inj.should_fire(FaultSite::CollectiveDrop, "all_gather_v", 0));  // rank mismatch
   EXPECT_TRUE(inj.should_fire(FaultSite::CollectiveDrop, "all_gather_v", 1));
@@ -225,7 +229,8 @@ TEST(SupervisedRunTest, TransientKernelFaultRetriesToExactParity) {
   FaultPlan plan;
   plan.seed = 7;
   plan.rules.push_back(rule(FaultSite::KernelLaunch, "", -1, 0, /*max_fires=*/1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   const auto sup = run_louvain_supervised(g, cfg);
   EXPECT_EQ(sup.retries, 1);
@@ -243,7 +248,8 @@ TEST(SupervisedRunTest, StrictModeFailsClosedNamingInjectionPoint) {
   const auto g = gala::testing::small_planted();
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::KernelLaunch, "", -1, 0, 1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   SupervisorConfig sup;
   sup.strict = true;
@@ -257,11 +263,10 @@ TEST(SupervisedRunTest, StrictModeFailsClosedNamingInjectionPoint) {
 
 TEST(SupervisedRunTest, PersistentFaultDegradesToSequentialHostPath) {
   const auto g = gala::testing::small_planted();
-  const std::uint64_t fallbacks_before = counter_value("resilience.sequential_fallbacks");
-
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::KernelLaunch, ""));  // every launch dies, forever
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   SupervisorConfig sup;
   sup.max_retries = 1;
@@ -270,7 +275,7 @@ TEST(SupervisedRunTest, PersistentFaultDegradesToSequentialHostPath) {
   bool saw_fallback = false;
   for (const auto& ev : r.events) saw_fallback |= ev.action == "sequential-fallback";
   EXPECT_TRUE(saw_fallback);
-  EXPECT_GT(counter_value("resilience.sequential_fallbacks"), fallbacks_before);
+  EXPECT_GT(counter_value(scope, "resilience.sequential_fallbacks"), 0u);
   // The degraded path still yields a valid, decent partition.
   validate_partition(g, r.result.assignment);
   const wt_t audited = core::modularity(g, r.result.assignment);
@@ -282,7 +287,8 @@ TEST(SupervisedRunTest, SequentialFallbackDisabledFailsClosed) {
   const auto g = gala::testing::small_planted();
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::KernelLaunch, ""));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   SupervisorConfig sup;
   sup.max_retries = 1;
@@ -294,14 +300,14 @@ TEST(SupervisedRunTest, MonotonicityGuardRollsBackToBestLevel) {
   // Level 1 of the fake engine loses modularity, so the loop must not fold
   // it and the run keeps the level-0 partition.
   const auto g = gala::testing::small_planted();
-  const std::uint64_t rollbacks_before = counter_value("resilience.rollbacks");
+  RunScope scope;
   gala::testing::LosingEngine engine(/*losing_level=*/1);
   const auto r = run_louvain_supervised(g, {}, {}, engine);
   EXPECT_TRUE(r.rolled_back);
   bool saw_rollback = false;
   for (const auto& ev : r.events) saw_rollback |= ev.action == "rollback";
   EXPECT_TRUE(saw_rollback);
-  EXPECT_EQ(counter_value("resilience.rollbacks"), rollbacks_before + 1);
+  EXPECT_EQ(counter_value(scope, "resilience.rollbacks"), 1u);
   validate_partition(g, r.result.assignment);
   EXPECT_NEAR(core::modularity(g, r.result.assignment), r.result.modularity, 1e-9);
 }
@@ -331,7 +337,8 @@ TEST(SupervisedRunTest, RetriedLevelIsRecordedOnceInHealth) {
 
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::KernelLaunch, "", -1, /*skip_first=*/25, /*max_fires=*/1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
   const auto sup = run_louvain_supervised(g);
   ASSERT_EQ(sup.retries, 1);
   EXPECT_GT(recovery_events(sup)[0].level, 0) << "the fault should hit a later level";
@@ -350,18 +357,18 @@ TEST(SupervisedRunTest, SharedArenaFaultDegradesInKernelWithExactParity) {
   cfg.bsp.hashtable = core::HashTablePolicy::Hierarchical;
   const auto fault_free = core::run_louvain(g, cfg);
 
-  const std::uint64_t fallbacks_before = counter_value("resilience.hashtable_fallbacks");
   FaultPlan plan;
   plan.seed = 3;
   plan.rules.push_back(rule(FaultSite::SharedAlloc, "shared-arena", -1, 0, /*max_fires=*/4));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   // The in-kernel Hierarchical -> GlobalOnly fallback absorbs the faults:
   // no supervisor retry needed, and decisions are policy-independent.
   const auto sup = run_louvain_supervised(g, cfg);
   EXPECT_EQ(sup.retries, 0);
   EXPECT_FALSE(sup.degraded);
-  EXPECT_GT(counter_value("resilience.hashtable_fallbacks"), fallbacks_before);
+  EXPECT_GT(counter_value(scope, "resilience.hashtable_fallbacks"), 0u);
   EXPECT_EQ(sup.result.assignment, fault_free.assignment);
   EXPECT_NEAR(sup.result.modularity, fault_free.modularity, 1e-9);
 }
@@ -378,7 +385,8 @@ TEST(DistributedFaultTest, CorruptSparseSyncFallsBackToDense) {
   FaultPlan plan;
   plan.rules.push_back(
       rule(FaultSite::CollectiveCorrupt, "all_gather_v", /*rank=*/0, 0, /*max_fires=*/1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   const auto r = multigpu::distributed_phase1(g, cfg);
   ASSERT_FALSE(r.iteration_log.empty());
@@ -398,7 +406,8 @@ TEST(DistributedFaultTest, PersistentDropFailsClosedWithoutDeadlock) {
 
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::CollectiveDrop, "all_gather_v", /*rank=*/1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   try {
     multigpu::distributed_phase1(g, cfg);
@@ -424,7 +433,8 @@ TEST(DistributedFaultTest, CorruptCompressedOverlappedSyncFallsBackToDense) {
   FaultPlan plan;
   plan.rules.push_back(
       rule(FaultSite::CollectiveCorrupt, "all_gather_v", /*rank=*/0, 0, /*max_fires=*/1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   const auto r = multigpu::distributed_phase1(g, cfg);
   ASSERT_FALSE(r.iteration_log.empty());
@@ -450,7 +460,8 @@ TEST(DistributedFaultTest, DroppedWeightGatherRetriesOnTheSecondBuffer) {
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::CollectiveDrop, "all_gather_v", /*rank=*/1,
                             /*skip_first=*/1, /*max_fires=*/1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   const auto r = multigpu::distributed_phase1(g, cfg);
   EXPECT_EQ(r.community, fault_free.community);
@@ -468,7 +479,8 @@ TEST(DistributedFaultTest, PersistentDropWithOverlapFailsClosed) {
 
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::CollectiveDrop, "all_gather_v", /*rank=*/1));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   try {
     multigpu::distributed_phase1(g, cfg);
@@ -487,7 +499,8 @@ TEST(DistributedFaultTest, TimeoutIsDetectedAndNamed) {
 
   FaultPlan plan;
   plan.rules.push_back(rule(FaultSite::CollectiveTimeout, "all_gather_v", /*rank=*/0));
-  ScopedFaultPlan armed(plan);
+  RunScope scope;
+  scope.faults().arm(plan);
 
   try {
     multigpu::distributed_phase1(g, cfg);

@@ -16,7 +16,7 @@
 #include "gala/core/bsp_louvain.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/graph/generators.hpp"
-#include "gala/telemetry/telemetry.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -336,44 +336,6 @@ TEST(Sinks, ChromeTraceSinkWritesParseableFile) {
   EXPECT_EQ(doc.at("traceEvents").array[0].at("name").string, "synced");
 }
 
-TEST(Sinks, JsonSinkWritesFlatSpanDump) {
-  const testing::ScopedTempDir tmp;
-  const fs::path path = tmp.path() / "sink_flat.json";
-  Tracer tracer;
-  tracer.add_sink(std::make_shared<telemetry::JsonSink>(path.string()));
-  {
-    ScopedSpan outer(tracer, "outer", "test");
-    ScopedSpan inner(tracer, "inner", "test");
-    inner.arg("v", 7);
-  }
-  tracer.flush_sinks();
-  const JsonValue doc = parse_json(read_file(path.string()));
-  ASSERT_EQ(doc.at("spans").array.size(), 2u);
-  const JsonValue& inner = doc.at("spans").array[0];
-  EXPECT_EQ(inner.at("name").string, "inner");
-  EXPECT_EQ(inner.at("depth").number, 1);
-  EXPECT_EQ(inner.at("args").at("v").number, 7);
-}
-
-TEST(Sinks, TextSinkWritesOneLinePerSpan) {
-  const testing::ScopedTempDir tmp;
-  const fs::path path = tmp.path() / "sink_text.txt";
-  {
-    std::FILE* f = std::fopen(path.string().c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    Tracer tracer;
-    tracer.add_sink(std::make_shared<telemetry::TextSink>(f));
-    {
-      ScopedSpan span(tracer, "hello", "test");
-      span.arg("n", 3);
-    }
-    std::fclose(f);
-  }
-  const std::string text = read_file(path.string());
-  EXPECT_NE(text.find("test/hello"), std::string::npos);
-  EXPECT_NE(text.find("n=3"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Registry.
 
@@ -512,8 +474,8 @@ TEST(Tracer, SummaryFoldsEachArgByItsRollup) {
 // Pipeline instrumentation contract.
 
 TEST(PipelineTelemetry, Phase1SpansMatchPhase1Result) {
-  auto& tracer = Tracer::global();
-  tracer.reset();
+  RunScope scope;
+  auto& tracer = scope.tracer();
   tracer.set_enabled(true);
 
   graph::PlantedPartitionParams params;
@@ -560,13 +522,11 @@ TEST(PipelineTelemetry, Phase1SpansMatchPhase1Result) {
   std::uint64_t decide_reads = 0;
   for (const auto& it : result.iterations) decide_reads += it.decide_traffic.global_reads;
   EXPECT_EQ(kernel_reads, static_cast<double>(decide_reads));
-
-  tracer.reset();
 }
 
 TEST(PipelineTelemetry, SummaryRatiosComeFromSummedParts) {
-  auto& tracer = Tracer::global();
-  tracer.reset();
+  RunScope scope;
+  auto& tracer = scope.tracer();
   tracer.set_enabled(true);
   graph::PlantedPartitionParams params;
   params.num_vertices = 300;
@@ -581,7 +541,6 @@ TEST(PipelineTelemetry, SummaryRatiosComeFromSummedParts) {
   const core::Phase1Result result = core::bsp_phase1(g, cfg);
   tracer.set_enabled(false);
   const JsonValue doc = parse_json(tracer.summary_json());
-  tracer.reset();
 
   struct Ratio {
     const char* key;
@@ -628,8 +587,8 @@ TEST(PipelineTelemetry, SummaryRatiosComeFromSummedParts) {
 }
 
 TEST(PipelineTelemetry, LevelIdentifiersRollUpAsLastValues) {
-  auto& tracer = Tracer::global();
-  tracer.reset();
+  RunScope scope;
+  auto& tracer = scope.tracer();
   tracer.set_enabled(true);
   graph::PlantedPartitionParams params;
   params.num_vertices = 600;
@@ -641,7 +600,6 @@ TEST(PipelineTelemetry, LevelIdentifiersRollUpAsLastValues) {
   const core::GalaResult result = core::run_louvain(g);
   tracer.set_enabled(false);
   const JsonValue doc = parse_json(tracer.summary_json());
-  tracer.reset();
 
   // Level indices and community counts are states: summed over levels they
   // would read as a level that never ran and communities that never existed.

@@ -20,10 +20,8 @@
 #include "gala/common/json.hpp"
 #include "gala/common/table.hpp"
 #include "gala/common/timer.hpp"
-#include "gala/governor/governor.hpp"
-#include "gala/memtrace/memtrace.hpp"
 #include "gala/metrics/health.hpp"
-#include "gala/telemetry/flight_recorder.hpp"
+#include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/core/refinement.hpp"
@@ -39,7 +37,6 @@
 #include "gala/query/executor.hpp"
 #include "gala/query/store.hpp"
 #include "gala/resilience/supervisor.hpp"
-#include "gala/profiler/profiler.hpp"
 
 namespace {
 
@@ -200,13 +197,11 @@ int cmd_detect(int argc, const char* const* argv) {
     GALA_CHECK(query_epochs > 0, "--query-epochs: must be positive, got " << query_epochs);
   }
 
-  // --report-out is the one arm switch: it resets and enables the tracer,
-  // registry, profiler and health monitor (--trace-out alone arms only the
-  // tracer) and resets the always-armed memory registry, so the report
-  // covers exactly this run.
-  auto& tracer = telemetry::Tracer::global();
-  auto& registry = telemetry::Registry::global();
-  auto& prof = profiler::Profiler::global();
+  // The run's observers. --report-out is the one arm switch: it enables the
+  // tracer, profiler and health monitor (--trace-out alone enables only the
+  // tracer) on top of the always-armed flight and memory recorders.
+  RunScope scope;
+  auto& tracer = scope.tracer();
   const std::string trace_out = args.get("trace-out");
   const std::string report_out = args.get("report-out");
   const bool reporting = !report_out.empty();
@@ -216,14 +211,10 @@ int cmd_detect(int argc, const char* const* argv) {
   // across pooling / parallelism / sync configurations.
   std::optional<metrics::HealthMonitor> health;
   if (reporting) {
-    memtrace::MemRegistry::global().reset();
     health.emplace();
-    prof.reset();
-    prof.set_enabled(true);
+    scope.profiler().set_enabled(true);
   }
   if (reporting || !trace_out.empty()) {
-    tracer.reset();
-    registry.reset();
     tracer.set_enabled(true);
     if (!trace_out.empty()) {
       tracer.add_sink(std::make_shared<telemetry::ChromeTraceSink>(trace_out));
@@ -232,9 +223,8 @@ int cmd_detect(int argc, const char* const* argv) {
 
   // Fault injection: arm the plan before any pipeline work so every
   // instrumented site (kernel launches, arena, scratch, collectives) sees it.
-  std::optional<resilience::ScopedFaultPlan> armed_plan;
   if (const std::string plan_path = args.get("faults"); !plan_path.empty()) {
-    armed_plan.emplace(resilience::FaultPlan::load(plan_path));
+    scope.faults().arm(resilience::FaultPlan::load(plan_path));
     std::printf("armed fault plan %s\n", plan_path.c_str());
   }
 
@@ -249,7 +239,7 @@ int cmd_detect(int argc, const char* const* argv) {
   }
   const bool governed = gov_cfg.total_bytes != 0 || !gov_cfg.subsystem_caps.empty();
   if (governed) {
-    governor::Governor::global().install(gov_cfg);
+    scope.governor().install(gov_cfg);
     std::printf("governor: enforcing budget %llu B with %zu subsystem caps\n",
                 static_cast<unsigned long long>(gov_cfg.total_bytes),
                 gov_cfg.subsystem_caps.size());
@@ -377,11 +367,10 @@ int cmd_detect(int argc, const char* const* argv) {
                 core::is_partition_connected(g, assignment) ? "yes" : "no");
   }
   if (args.has("serve")) {
-    // Scoped so the store (and its governor reclaimer, when a budget is
-    // installed) unwinds before the governor epilogue below.
+    // Scoped so the store (and its governor reclaimer) unwinds before the
+    // governor epilogue below.
     query::StoreOptions qopts;
     qopts.max_retained = static_cast<std::size_t>(query_epochs);
-    qopts.governor_client = governed;
     query::CommunityStore store(qopts);
     const std::uint64_t epoch = store.publish(g, assignment, query::SnapshotSource::Direct,
                                               args.get_double("resolution"));
@@ -417,22 +406,10 @@ int cmd_detect(int argc, const char* const* argv) {
     std::printf("wrote trace to %s (%zu spans; open in chrome://tracing or ui.perfetto.dev)\n",
                 trace_out.c_str(), tracer.span_count());
   }
-  if (reporting) {
-    report.metrics = telemetry::metrics_json(tracer, registry);
-    report.profile = prof.report_json();
-    report.flight = telemetry::FlightRecorder::global().json("end-of-run");
-    if (health.has_value()) report.health = health->report().json();
-    report.mem = memtrace::MemRegistry::global().report().json();
-  }
-
   // Governor epilogue: summary line, then the optional min-feasible-budget
-  // probe (which resets the memory registry per trial, so every section
-  // above is captured first), then the report with its governor section.
-  JsonWriter governor_section;
-  governor_section.begin_object();
+  // probe, then the report.
   if (governed) {
-    auto& gov = governor::Governor::global();
-    gov.append_json(governor_section);
+    const auto& gov = scope.governor();
     std::printf("governor: budget %llu B, rung %s, %llu admits, %llu denials, %llu shrinks, "
                 "%llu reclaims\n",
                 static_cast<unsigned long long>(gov.budget_total()),
@@ -441,43 +418,52 @@ int cmd_detect(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(gov.denials()),
                 static_cast<unsigned long long>(gov.shrinks()),
                 static_cast<unsigned long long>(gov.reclaims()));
-    gov.uninstall();
   }
 
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> probed;  // (min feasible, unlimited peak)
   if (args.has("probe-min-budget")) {
     GALA_CHECK(probe_solve != nullptr, "--probe-min-budget requires algorithm=louvain");
-    // A still-armed fault plan would fire inside the trial runs and break the
-    // probe's monotone-feasibility assumption; the main run is over, drop it.
-    armed_plan.reset();
-    auto& mem = memtrace::MemRegistry::global();
-    mem.reset();
-    const std::vector<cid_t> reference = probe_solve();
-    const std::uint64_t unlimited_peak = mem.report().peak_total_bytes();
+    // Each trial replays the run in a fresh scope: no fault plan (a firing
+    // fault would break the probe's monotone-feasibility assumption), the
+    // trial's budget if any, and the run's profiler setting (its per-block
+    // cycle buffers count toward the peak).
+    const auto replay = [&](std::uint64_t budget, std::uint64_t& peak) {
+      RunScope trial;
+      trial.profiler().set_enabled(scope.profiler().enabled());
+      if (budget != 0) trial.governor().install({.total_bytes = budget});
+      std::vector<cid_t> partition = probe_solve();
+      peak = trial.memory().report().peak_total_bytes();
+      return partition;
+    };
+    std::uint64_t unlimited_peak = 0;
+    const std::vector<cid_t> reference = replay(0, unlimited_peak);
     const auto feasible = [&](std::uint64_t budget) {
-      mem.reset();
-      governor::BudgetConfig trial;
-      trial.total_bytes = budget;
-      governor::ScopedBudget scoped(trial);
-      std::vector<cid_t> partition;
+      std::uint64_t peak = 0;
       try {
-        partition = probe_solve();
+        return replay(budget, peak) == reference && peak <= budget;
       } catch (const ResourceExhausted&) {
         return false;
       }
-      return memtrace::MemRegistry::global().report().peak_total_bytes() <= budget &&
-             partition == reference;
     };
     const std::uint64_t min_feasible = governor::min_feasible_budget(unlimited_peak, feasible);
     std::printf("min feasible budget: %llu B (unlimited peak %llu B)\n",
                 static_cast<unsigned long long>(min_feasible),
                 static_cast<unsigned long long>(unlimited_peak));
-    governor_section.key("min_feasible_budget_bytes").value(min_feasible);
-    governor_section.key("unlimited_peak_bytes").value(unlimited_peak);
+    probed.emplace(min_feasible, unlimited_peak);
   }
-  governor_section.end_object();
 
   if (reporting) {
-    if (governed || args.has("probe-min-budget")) report.governor = governor_section.str();
+    report.capture(scope, "end-of-run");
+    if (health.has_value()) report.health = health->report().json();
+    if (probed) {
+      JsonWriter w;
+      w.begin_object();
+      if (governed) scope.governor().append_json(w);
+      w.key("min_feasible_budget_bytes").value(probed->first);
+      w.key("unlimited_peak_bytes").value(probed->second);
+      w.end_object();
+      report.governor = w.str();
+    }
     report.save(report_out);
     std::printf("wrote run report to %s\n", report_out.c_str());
   }
