@@ -1,12 +1,13 @@
 #include "gala/baselines/baseline.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <mutex>
 #include <unordered_map>
 
-#include "gala/baselines/generic_bsp.hpp"
 #include "gala/common/timer.hpp"
 #include "gala/core/backend.hpp"
-#include "gala/core/modularity.hpp"
+#include "gala/core/phase1.hpp"
 
 namespace gala::baselines {
 namespace {
@@ -20,29 +21,29 @@ using gpusim::MemoryStats;
 // Modeled-time calibration.
 //
 // Every GPU-style system is charged the same per-access latencies (the
-// default CostModel); they differ in *traffic*, and in effective concurrency
+// device's CostModel) over the device's lanes (full A100 occupancy: 108 SMs
+// x 2048 resident threads); they differ in *traffic*, and in lane efficiency
 // where the execution style demonstrably wastes lanes:
-//  - kGpuLanes: full A100 occupancy (108 SMs x 2048 resident threads).
-//  - kThreadPerVertexLanes: legacy Grappolo-GPU maps one scalar thread to a
-//    whole vertex; divergence and uncoalesced access keep roughly 1/8 of the
-//    machine busy (the usual penalty reported for scalar graph kernels).
-//  - kCpuLanes: 2 x 28 cores x 2-way SMT x ~4-wide memory-level parallelism
-//    ~= 448 concurrent accesses; CPU cache hierarchies also see lower
-//    average latencies (global ~= 120 cycles vs HBM 400).
+//  - kThreadPerVertexEfficiency: legacy Grappolo-GPU maps one scalar thread
+//    to a whole vertex; divergence and uncoalesced access keep roughly 1/4
+//    of the machine busy (the usual penalty reported for scalar graph
+//    kernels).
+//  - Grappolo (CPU) runs on cpu_device(): 2 x 28 cores x 2-way SMT x ~4-wide
+//    memory-level parallelism ~= 448 concurrent accesses (1000 lanes), and
+//    CPU cache hierarchies see lower average latencies (global ~= 120 cycles
+//    vs HBM 400).
 // DESIGN.md records this calibration; EXPERIMENTS.md compares the resulting
 // ratios against the paper's.
 // ---------------------------------------------------------------------------
-constexpr double kGpuLanes = 108.0 * 2048.0;
-constexpr double kThreadPerVertexLanes = kGpuLanes / 4.0;
-constexpr double kCpuLanes = 1000.0;
+constexpr double kThreadPerVertexEfficiency = 0.25;
 
-gpusim::CostModel cpu_cost_model() {
-  gpusim::CostModel m;
-  m.global_cycles = 120;
-  m.global_atomic_cycles = 240;
-  m.shared_cycles = 12;   // ~L1
-  m.shared_atomic_cycles = 24;
-  return m;
+gpusim::DeviceConfig cpu_device(gpusim::DeviceConfig device) {
+  device.cost_model.global_cycles = 120;
+  device.cost_model.global_atomic_cycles = 240;
+  device.cost_model.shared_cycles = 12;  // ~L1
+  device.cost_model.shared_atomic_cycles = 24;
+  device.model_parallel_lanes = 1000.0;
+  return device;
 }
 
 /// Shared scoring tail: turn per-community weights into a Decision.
@@ -82,7 +83,7 @@ Decision score_communities(const DecideInput& in, vid_t v, ForEach&& for_each_co
 // Sort-based DecideAndMove: materialise (community, weight) key-value pairs,
 // sort by community, segmented-reduce. The sort is charged as an LSD radix
 // sort over 32-bit keys (4 passes, read+write per element per pass).
-void cugraph_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<Decision>& out,
+void cugraph_decide(const DecideInput& in, vid_t lo, vid_t hi, std::span<Decision> out,
                     MemoryStats& stats) {
   std::vector<std::pair<cid_t, wt_t>> pairs;
   for (vid_t v = lo; v < hi; ++v) {
@@ -123,7 +124,7 @@ void cugraph_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<Decis
 // weight) contributions with global atomics into an accumulation slab, then
 // a filter pass re-reads them per vertex. Twice the materialisation traffic
 // of the hash kernel and everything through global memory.
-void gunrock_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<Decision>& out,
+void gunrock_decide(const DecideInput& in, vid_t lo, vid_t hi, std::span<Decision> out,
                     MemoryStats& stats) {
   std::unordered_map<cid_t, wt_t> acc;
   for (vid_t v = lo; v < hi; ++v) {
@@ -151,7 +152,7 @@ void gunrock_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<Decis
 // --------------------------- hashtable-based -------------------------------
 // Grappolo (GPU) and nido both evaluate through a global-memory hashtable;
 // they differ in lane efficiency / batching overhead (configured by caller).
-void global_hash_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<Decision>& out,
+void global_hash_decide(const DecideInput& in, vid_t lo, vid_t hi, std::span<Decision> out,
                         MemoryStats& stats) {
   gpusim::SharedMemoryArena arena(1);  // effectively no shared memory
   core::HashScratch scratch;
@@ -168,7 +169,7 @@ void global_hash_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<D
 // --------------------------- Grappolo (CPU) --------------------------------
 // Host-threaded BSP with per-vertex std::unordered_map accumulation: the
 // natural CPU implementation, also measured in real wall-clock.
-void cpu_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<Decision>& out,
+void cpu_decide(const DecideInput& in, vid_t lo, vid_t hi, std::span<Decision> out,
                 MemoryStats& stats) {
   std::unordered_map<cid_t, wt_t> acc;
   for (vid_t v = lo; v < hi; ++v) {
@@ -190,17 +191,76 @@ void cpu_decide(const DecideInput& in, vid_t lo, vid_t hi, std::vector<Decision>
   }
 }
 
-BaselineResult with_name(BaselineResult r, std::string name) {
-  r.name = std::move(name);
-  return r;
+/// decide(input, lo, hi, decisions, stats): evaluates vertices [lo, hi).
+using DecideRange = void (*)(const DecideInput&, vid_t, vid_t, std::span<Decision>,
+                             MemoryStats&);
+
+/// Extra traffic a system pays per iteration beyond the naive weight
+/// recompute (e.g. nido's batch reloads); called with (num_vertices,
+/// num_adjacency).
+using ExtraTraffic = std::function<void(vid_t, eid_t, MemoryStats&)>;
+
+/// A comparator on the phase-1 driver: the system's DecideRange is its
+/// DecideAndMove, over every vertex (pruning None keeps all of them active),
+/// and the driver's naive recompute plus the system's extra traffic is its
+/// weight update. The guard, bookkeeping, modularity and convergence rule
+/// are GALA's own, which is §5.1's "same convergence strategy".
+class ComparatorEngine final : public core::Phase1Driver {
+ public:
+  ComparatorEngine(const graph::Graph& g, const core::BspConfig& config, DecideRange decide,
+                   ExtraTraffic extra)
+      : Phase1Driver(g, config, core::CommunityState(g)), decide_(decide),
+        extra_(std::move(extra)) {}
+
+ private:
+  void decide_phase(std::span<const std::uint8_t> /*active*/, vid_t /*active_count*/,
+                    std::span<Decision> decisions, core::IterationStats& stats) override {
+    Timer timer;
+    const DecideInput input{&g_, state_.comm, state_.comm_total, g_.two_m(), config_.resolution};
+    std::mutex merge;
+    pool_.parallel_for_chunked(
+        0, g_.num_vertices(),
+        [&](std::size_t lo, std::size_t hi) {
+          MemoryStats local;
+          decide_(input, static_cast<vid_t>(lo), static_cast<vid_t>(hi), decisions, local);
+          std::lock_guard lock(merge);
+          stats.decide_traffic += local;
+        },
+        256);
+    stats.decide_wall += timer.seconds();
+  }
+
+  void weight_update_phase(std::span<const std::uint8_t> /*moved*/,
+                           core::IterationStats& stats) override {
+    Timer timer;
+    stats.update_traffic += recompute_weights();
+    if (extra_) extra_(g_.num_vertices(), g_.num_adjacency(), stats.update_traffic);
+    stats.update_wall += timer.seconds();
+  }
+
+  DecideRange decide_;
+  ExtraTraffic extra_;
+};
+
+/// The phase-1 config every system runs under: the shared baseline options.
+core::BspConfig system_config(const BaselineOptions& opts) {
+  core::BspConfig cfg;
+  cfg.theta = opts.theta;
+  cfg.max_iterations = opts.max_iterations;
+  cfg.parallel = opts.parallel;
+  cfg.seed = opts.seed;
+  cfg.device = opts.device;
+  return cfg;
 }
 
-/// Wraps a phase-1 engine run into the baseline result shape.
-BaselineResult from_engine(const graph::Graph& g, const core::BspConfig& cfg, std::string name,
-                           double lane_efficiency = 1.0,
-                           core::Backend backend = core::Backend::Bsp) {
+/// Times one phase-1 run and wraps it into the baseline result shape. The
+/// one modeled-time conversion every system shares: cfg.device's cost model
+/// over `lane_efficiency` of its lanes.
+template <typename Run>
+BaselineResult from_engine(std::string name, const core::BspConfig& cfg, Run&& run,
+                           double lane_efficiency = 1.0) {
   Timer timer;
-  const auto r = core::make_backend(backend)->run_level(g, cfg);
+  const core::Phase1Result r = run();
   BaselineResult out;
   out.name = std::move(name);
   out.community = r.community;
@@ -213,38 +273,36 @@ BaselineResult from_engine(const graph::Graph& g, const core::BspConfig& cfg, st
   return out;
 }
 
-/// GALA's own phase 1 on `backend`, under the shared baseline options.
-BaselineResult run_gala_backend(const graph::Graph& g, const BaselineOptions& opts,
-                                core::Backend backend, std::string name) {
-  core::BspConfig cfg;
-  cfg.theta = opts.theta;
-  cfg.max_iterations = opts.max_iterations;
-  cfg.parallel = opts.parallel;
-  cfg.seed = opts.seed;
-  cfg.device = opts.device;
-  return from_engine(g, cfg, std::move(name), 1.0, backend);
+/// A comparator row: `decide` and `extra` on the phase-1 driver.
+BaselineResult run_comparator(const graph::Graph& g, std::string name, core::BspConfig cfg,
+                              DecideRange decide, ExtraTraffic extra = {},
+                              double lane_efficiency = 1.0) {
+  cfg.pruning = core::PruningStrategy::None;  // `decide` evaluates every vertex
+  return from_engine(
+      std::move(name), cfg,
+      [&] { return ComparatorEngine(g, cfg, decide, std::move(extra)).run(); },
+      lane_efficiency);
+}
+
+/// A row on one of GALA's engines under `cfg`.
+BaselineResult run_backend(const graph::Graph& g, std::string name, const core::BspConfig& cfg,
+                           core::Backend backend = core::Backend::Bsp) {
+  return from_engine(std::move(name), cfg,
+                     [&] { return core::make_backend(backend)->run_level(g, cfg); });
 }
 
 }  // namespace
 
 BaselineResult run_cugraph_like(const graph::Graph& g, const BaselineOptions& opts) {
-  detail::GenericBspSpec spec;
-  spec.decide_range = cugraph_decide;
-  spec.parallel_lanes = kGpuLanes;
-  spec.cost_model = opts.device.cost_model;
-  return with_name(detail::generic_bsp(g, opts, spec), "cuGraph");
+  return run_comparator(g, "cuGraph", system_config(opts), cugraph_decide);
 }
 
 BaselineResult run_gunrock_like(const graph::Graph& g, const BaselineOptions& opts) {
-  detail::GenericBspSpec spec;
-  spec.decide_range = gunrock_decide;
-  spec.parallel_lanes = kGpuLanes;
-  spec.cost_model = opts.device.cost_model;
   // Gunrock's Louvain pipeline re-materialises the full edge list every
   // iteration: segmented sort of m kv-pairs (~4 radix passes, read+write
   // each), reduce_by_key (read + compacted write), and the frontier
   // advance/filter kernels re-streaming edges and vertices.
-  spec.extra_per_iteration = [](vid_t n, eid_t m, MemoryStats& s) {
+  const auto extra = [](vid_t n, eid_t m, MemoryStats& s) {
     // Two full-edge-list segmented sorts of 64-bit (vertex, community) keys
     // per iteration (one for d_C(v), one for the community totals), 8 radix
     // passes each, read+write per element per pass.
@@ -254,67 +312,53 @@ BaselineResult run_gunrock_like(const graph::Graph& g, const BaselineOptions& op
     s.global_writes += m;      // reduce_by_key output
     s.global_reads += 2 * m + 2 * n;  // advance + filter re-streaming
   };
-  return with_name(detail::generic_bsp(g, opts, spec), "Gunrock");
+  return run_comparator(g, "Gunrock", system_config(opts), gunrock_decide, extra);
 }
 
 BaselineResult run_nido_like(const graph::Graph& g, const BaselineOptions& opts) {
-  detail::GenericBspSpec spec;
-  spec.decide_range = global_hash_decide;
-  spec.parallel_lanes = kGpuLanes;
-  spec.cost_model = opts.device.cost_model;
   // Batched processing: every batch reloads the community state, re-streams
   // boundary edges, and flushes its partial results before the next batch is
   // admitted.
   const int batches = std::max(1, opts.nido_batches);
-  spec.extra_per_iteration = [batches](vid_t n, eid_t m, MemoryStats& s) {
+  const auto extra = [batches](vid_t n, eid_t m, MemoryStats& s) {
     s.global_reads += static_cast<std::uint64_t>(batches) * n;  // state reloads
     // Each batch re-streams the full adjacency to find its boundary edges
     // and stages the cut-edge contributions for later batches.
     s.global_reads += static_cast<std::uint64_t>(batches) * m;
     s.global_writes += static_cast<std::uint64_t>(batches) * n + m;  // partial flush
   };
-  return with_name(detail::generic_bsp(g, opts, spec), "nido");
+  return run_comparator(g, "nido", system_config(opts), global_hash_decide, extra);
 }
 
 BaselineResult run_grappolo_gpu(const graph::Graph& g, const BaselineOptions& opts) {
   // Legacy code path: one scalar thread per vertex, global-memory hashtable.
-  detail::GenericBspSpec spec;
-  spec.decide_range = global_hash_decide;
-  spec.parallel_lanes = kThreadPerVertexLanes;
-  spec.cost_model = opts.device.cost_model;
-  return with_name(detail::generic_bsp(g, opts, spec), "Grappolo (GPU)");
+  return run_comparator(g, "Grappolo (GPU)", system_config(opts), global_hash_decide, {},
+                        kThreadPerVertexEfficiency);
 }
 
 BaselineResult run_grappolo_gpu_star(const graph::Graph& g, const BaselineOptions& opts) {
   // Modernised port: block-per-vertex, unified shared/global hashtable, but
   // no pruning and naive weight recompute.
-  core::BspConfig cfg;
+  core::BspConfig cfg = system_config(opts);
   cfg.pruning = core::PruningStrategy::None;
   cfg.kernel = core::KernelMode::HashOnly;
   cfg.hashtable = core::HashTablePolicy::Unified;
   cfg.weight_update = core::WeightUpdateMode::Recompute;
-  cfg.theta = opts.theta;
-  cfg.max_iterations = opts.max_iterations;
-  cfg.parallel = opts.parallel;
-  cfg.seed = opts.seed;
-  cfg.device = opts.device;
-  return from_engine(g, cfg, "Grappolo (GPU)*");
+  return run_backend(g, "Grappolo (GPU)*", cfg);
 }
 
 BaselineResult run_grappolo_cpu(const graph::Graph& g, const BaselineOptions& opts) {
-  detail::GenericBspSpec spec;
-  spec.decide_range = cpu_decide;
-  spec.parallel_lanes = kCpuLanes;
-  spec.cost_model = cpu_cost_model();
-  return with_name(detail::generic_bsp(g, opts, spec), "Grappolo (CPU)");
+  core::BspConfig cfg = system_config(opts);
+  cfg.device = cpu_device(cfg.device);
+  return run_comparator(g, "Grappolo (CPU)", cfg, cpu_decide);
 }
 
 BaselineResult run_gala(const graph::Graph& g, const BaselineOptions& opts) {
-  return run_gala_backend(g, opts, core::Backend::Bsp, "GALA");
+  return run_backend(g, "GALA", system_config(opts));
 }
 
 BaselineResult run_gala_blas(const graph::Graph& g, const BaselineOptions& opts) {
-  return run_gala_backend(g, opts, core::Backend::Blas, "GALA (blas)");
+  return run_backend(g, "GALA (blas)", system_config(opts), core::Backend::Blas);
 }
 
 std::vector<BaselineResult> run_all_systems(const graph::Graph& g, const BaselineOptions& opts) {

@@ -19,9 +19,13 @@
 //   Grappolo (CPU) : host-threaded BSP with per-vertex hash maps [36],
 //                    measured in wall-clock on the actual CPU.
 //
-// All baselines share GALA's decide semantics and convergence rule, so final
-// modularity is identical across systems (§5.1: "the modularity values are
-// identical") — asserted by tests.
+// Every comparator but Grappolo (GPU)* runs as an engine of GALA's phase-1
+// driver (core/phase1.hpp): its own DecideAndMove, no pruning, and the naive
+// weight recompute plus its extra per-iteration traffic; Grappolo (GPU)* is
+// the BSP engine configured that way. So all systems share GALA's decide
+// semantics and convergence rule, and final modularity is identical across
+// systems (§5.1: "the modularity values are identical") — asserted by tests
+// and by bench/fig05_sota_comparison.
 #pragma once
 
 #include <string>

@@ -96,7 +96,6 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
     // proves to hold an active row, so all-pruned ranges cost only the scan.
     std::atomic<std::uint64_t> rows{0};
     out.launch = launch(n, [&](gpusim::BlockContext& ctx) {
-      GALA_ASSERT(ctx.workspace != nullptr);
       const std::size_t lo = ctx.block_id * kRowsPerBlock;
       const std::size_t hi = std::min<std::size_t>(n, lo + kRowsPerBlock);
       std::optional<Spa> spa;
@@ -104,7 +103,7 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
       for (std::size_t v = lo; v < hi; ++v) {
         ctx.stats->global_reads += 1;  // mask load
         if (!mask[v]) continue;
-        if (!spa) spa.emplace(*ctx.workspace, n, touched_cap);
+        if (!spa) spa.emplace(ctx.workspace, n, touched_cap);
         gather_row(static_cast<vid_t>(v), *spa, *ctx.stats);
         ++evaluated;
       }
@@ -115,11 +114,10 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
     // Push: the frontier is already compacted; blocks stride over it.
     out.rows = frontier.size();
     out.launch = launch(frontier.size(), [&](gpusim::BlockContext& ctx) {
-      GALA_ASSERT(ctx.workspace != nullptr);
       const std::size_t lo = ctx.block_id * kRowsPerBlock;
       const std::size_t hi = std::min(frontier.size(), lo + kRowsPerBlock);
       if (lo >= hi) return;
-      Spa spa(*ctx.workspace, n, touched_cap);
+      Spa spa(ctx.workspace, n, touched_cap);
       for (std::size_t i = lo; i < hi; ++i) {
         ctx.stats->global_reads += 1;  // frontier entry load
         gather_row(frontier[i], spa, *ctx.stats);

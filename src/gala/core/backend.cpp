@@ -14,8 +14,10 @@ class EngineBackend final : public LouvainBackend {
 
   const char* name() const override { return backend_ == Backend::Blas ? "blas" : "bsp"; }
 
-  Phase1Result run_level(const graph::Graph& g, const BspConfig& config) override {
-    return backend_ == Backend::Blas ? blas_phase1(g, config, tuning_) : bsp_phase1(g, config);
+  Phase1Result run_level(const graph::Graph& g, const BspConfig& config,
+                         std::span<const cid_t> initial) override {
+    return backend_ == Backend::Blas ? blas_phase1(g, config, tuning_, nullptr, initial)
+                                     : bsp_phase1(g, config, initial);
   }
 
   AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,

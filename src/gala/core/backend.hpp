@@ -28,8 +28,10 @@ class LouvainBackend {
 
   virtual const char* name() const = 0;
 
-  /// Phase 1: run one level's move loop to convergence.
-  virtual Phase1Result run_level(const graph::Graph& g, const BspConfig& config) = 0;
+  /// Phase 1: run one level's move loop to convergence from `initial`
+  /// (community ids in [0, V)), or from singletons when it is empty.
+  virtual Phase1Result run_level(const graph::Graph& g, const BspConfig& config,
+                                 std::span<const cid_t> initial = {}) = 0;
 
   /// Phase 2: contract `g` by `community` (ids need not be dense).
   virtual AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,

@@ -20,8 +20,9 @@ constexpr std::size_t kMarkRowsPerBlock = 128;
 class BlasEngine final : public Phase1Driver {
  public:
   BlasEngine(const graph::Graph& g, const BspConfig& config, const blas::Tuning& tuning,
-             BlasPhase1Stats* blas_stats)
-      : Phase1Driver(g, config, CommunityState(g)), tuning_(tuning), blas_stats_(blas_stats),
+             BlasPhase1Stats* blas_stats, std::span<const cid_t> initial)
+      : Phase1Driver(g, config, CommunityState(g, initial)), tuning_(tuning),
+        blas_stats_(blas_stats),
         frontier_(ctx_->workspace(), "blas.frontier") {}
 
  private:
@@ -210,8 +211,9 @@ void BlasEngine::weight_update_phase(std::span<const std::uint8_t> moved,
 }  // namespace
 
 Phase1Result blas_phase1(const graph::Graph& g, const BspConfig& config,
-                         const blas::Tuning& tuning, BlasPhase1Stats* stats) {
-  return BlasEngine(g, config, tuning, stats).run();
+                         const blas::Tuning& tuning, BlasPhase1Stats* stats,
+                         std::span<const cid_t> initial) {
+  return BlasEngine(g, config, tuning, stats, initial).run();
 }
 
 }  // namespace gala::core

@@ -50,7 +50,9 @@ struct BlasPhase1Stats {
 /// Runs phase 1 through the blas primitives. Accepts the same config as the
 /// BSP engine (kernel/hashtable knobs are ignored — there is no hash
 /// kernel); `tuning` selects the accumulator and the pull/push threshold.
+/// Starts from `initial` like bsp_phase1 (singletons when empty).
 Phase1Result blas_phase1(const graph::Graph& g, const BspConfig& config,
-                         const blas::Tuning& tuning = {}, BlasPhase1Stats* stats = nullptr);
+                         const blas::Tuning& tuning = {}, BlasPhase1Stats* stats = nullptr,
+                         std::span<const cid_t> initial = {});
 
 }  // namespace gala::core

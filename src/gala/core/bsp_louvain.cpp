@@ -180,22 +180,7 @@ void BspEngine::weight_update_phase(std::span<const std::uint8_t> moved,
   };
 
   if (config_.weight_update == WeightUpdateMode::Recompute) {
-    // Naive: every vertex rescans its neighbourhood (as expensive as
-    // DecideAndMove — the bottleneck Fig. 8's P1 column exhibits).
-    for_chunks([&](std::size_t lo, std::size_t hi, gpusim::MemoryStats& local) {
-      for (std::size_t v = lo; v < hi; ++v) {
-        const cid_t c = next_comm[v];
-        auto nbrs = g_.neighbors(static_cast<vid_t>(v));
-        auto ws = g_.weights(static_cast<vid_t>(v));
-        wt_t sum = 0;
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          local.global_reads += 2;
-          if (nbrs[i] != v && next_comm[nbrs[i]] == c) sum += ws[i];
-        }
-        weight[v] = sum;
-        local.global_writes += 1;
-      }
-    });
+    traffic = recompute_weights();
   } else {
     // Delta (§3.5): moved vertices recompute and notify unmoved neighbours;
     // unmoved vertices only fold in the deltas they received. Cost is
@@ -236,10 +221,6 @@ void BspEngine::weight_update_phase(std::span<const std::uint8_t> moved,
 }
 
 }  // namespace
-
-Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config) {
-  return BspEngine(g, config, CommunityState(g)).run();
-}
 
 Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config,
                         std::span<const cid_t> initial) {

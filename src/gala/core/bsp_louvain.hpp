@@ -162,12 +162,10 @@ wt_t emit_mover_deltas(const graph::Graph& g, std::span<const cid_t> comm,
   return own;
 }
 
-/// Runs phase 1 with the BSP engine from singletons.
-Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config = {});
-
-/// Warm start: begins from `initial` (community ids in [0, V)) instead of
-/// singletons; see CommunityState (phase1.hpp).
-Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config,
-                        std::span<const cid_t> initial);
+/// Runs phase 1 with the BSP engine from `initial` (community ids in
+/// [0, V)), or from singletons when it is empty; see CommunityState
+/// (phase1.hpp).
+Phase1Result bsp_phase1(const graph::Graph& g, const BspConfig& config = {},
+                        std::span<const cid_t> initial = {});
 
 }  // namespace gala::core

@@ -12,13 +12,16 @@
 
 namespace gala::core {
 
-GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config) {
+GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config,
+                       std::span<const cid_t> initial) {
   const std::unique_ptr<LouvainBackend> engine = make_backend(config.backend, config.blas);
-  return run_louvain(g, config, *engine);
+  return run_louvain(g, config, *engine, initial);
 }
 
-GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainBackend& engine) {
+GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainBackend& engine,
+                       std::span<const cid_t> initial) {
   if (config.vertex_following) {
+    GALA_CHECK(initial.empty(), "a warm start cannot be combined with vertex following");
     // Preprocess: merge pendant vertices, solve the reduced instance, and
     // expand. Contraction preserves modularity exactly (see
     // vertex_following.hpp), so the reported Q transfers unchanged.
@@ -69,7 +72,10 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
     telemetry::flight(telemetry::FlightKind::LevelBegin, static_cast<double>(level),
                       static_cast<double>(current->num_vertices()));
     Timer level_timer;
-    Phase1Result phase1 = engine.run_level(*current, cfg.bsp);
+    // The partition this level starts from: the warm start at level 0,
+    // singletons (empty) after.
+    const std::span<const cid_t> start = level == 0 ? initial : std::span<const cid_t>{};
+    Phase1Result phase1 = engine.run_level(*current, cfg.bsp, start);
     if (level == 0 && config.keep_first_round) result.first_round = phase1;
     if (level_span.active()) {
       level_span.last_arg("level", static_cast<double>(level));
@@ -87,13 +93,20 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
 
     if (phase1.modularity < phase1.start_modularity) {
       // Synchronous moves can lose modularity. Folding this partition would
-      // hand back a worse one than the run already holds, so keep that one.
+      // hand back a worse one than the level started from, so fold that one.
       telemetry::flight(telemetry::FlightKind::Rollback, static_cast<double>(level),
                         phase1.modularity);
-      lv.wall_seconds = level_timer.seconds();
-      result.rejected = std::move(lv);
-      memtrace::mark_epoch(memtrace::EpochKind::Level, level);
-      break;
+      if (start.empty()) {
+        // Singletons do not compress: the run ends on the partition it held.
+        lv.wall_seconds = level_timer.seconds();
+        result.rejected = std::move(lv);
+        memtrace::mark_epoch(memtrace::EpochKind::Level, level);
+        break;
+      }
+      phase1.community.assign(start.begin(), start.end());
+      phase1.modularity = phase1.start_modularity;
+      lv.communities = count_communities(phase1.community);
+      lv.modularity = phase1.modularity;
     }
     const bool converged = level > 0 && phase1.modularity - prev_q < cfg.level_theta;
     prev_q = phase1.modularity;

@@ -3,11 +3,19 @@
 // Repeats { phase 1 (bsp_louvain.hpp) ; phase 2 contraction
 // (aggregation.hpp) } until the modularity gain between levels drops below
 // `level_theta` or the graph stops compressing — the complete algorithm the
-// paper's §5.1 end-to-end comparison runs. A level whose phase 1 ends below
-// the modularity it started from is not folded: the run keeps the partition
-// it already held. This is the only multi-level loop; the supervisor
-// (resilience/supervisor.hpp) and the dendrogram (dendrogram.hpp) run it
-// through the LouvainBackend seam.
+// paper's §5.1 end-to-end comparison runs.
+//
+// Level 0 starts from singletons, or from a caller's initial assignment (a
+// warm start: the incremental repair, core/incremental.hpp); every deeper
+// level starts from singletons of the contracted graph. One rule guards
+// every level: a level whose phase 1 ends below the modularity it started
+// from folds the partition it started from instead, and the loop stops when
+// that fold does not compress. Singletons never compress, so a cold level
+// that loses ends the run on the partition it already held; a warm level 0
+// that loses folds the warm start and the deeper levels go on from there.
+// This is the only multi-level loop; the supervisor
+// (resilience/supervisor.hpp), the dendrogram (dendrogram.hpp) and the
+// repair run it through the LouvainBackend seam.
 //
 // Quickstart:
 //   gala::graph::Graph g = gala::graph::load_edge_list("graph.txt");
@@ -68,9 +76,11 @@ struct GalaResult {
   vid_t num_communities = 0;
   /// The folded levels, in order.
   std::vector<GalaLevel> levels;
-  /// The level whose phase 1 ended below the modularity it started from, if
-  /// any. It was not folded, so `assignment` is the partition held before it
-  /// and `modularity` is that partition's audited Q.
+  /// The level whose phase 1 ended below the modularity it started from and
+  /// whose start did not compress, if any: the run stopped there without
+  /// folding it, so `assignment` is the partition held before it and
+  /// `modularity` is that partition's audited Q. (A warm level 0 that loses
+  /// folds its start, which is then levels[0].)
   std::optional<GalaLevel> rejected;
   double wall_seconds = 0;
   /// Modeled GPU time across all levels, a rejected one included (cost
@@ -84,11 +94,15 @@ struct GalaResult {
 };
 
 /// Runs the full pipeline on `g` with make_backend(config.backend,
-/// config.blas).
-GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config = {});
+/// config.blas). Level 0 starts from `initial` (community ids in [0, V)), or
+/// from singletons when it is empty; a warm start cannot be combined with
+/// vertex following, which changes the vertex set.
+GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config = {},
+                       std::span<const cid_t> initial = {});
 
 /// Runs the full pipeline on `g`, every level through `engine`
 /// (config.backend and config.blas are not consulted).
-GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainBackend& engine);
+GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainBackend& engine,
+                       std::span<const cid_t> initial = {});
 
 }  // namespace gala::core

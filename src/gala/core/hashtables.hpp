@@ -63,9 +63,6 @@ class HashScratch {
  public:
   HashScratch() = default;
   explicit HashScratch(exec::Workspace& ws) : ws_(&ws) {}
-  /// Pointer form for kernel bodies: null falls back to heap mode (unbound
-  /// device; BlockContext::workspace may legitimately be null).
-  explicit HashScratch(exec::Workspace* ws) : ws_(ws) {}
 
   /// Usable bucket count (>= every ensure() so far; never shrinks).
   std::size_t size() const { return cap_; }

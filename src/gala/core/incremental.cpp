@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "gala/core/aggregation.hpp"
 #include "gala/core/modularity.hpp"
 
 namespace gala::core {
@@ -127,25 +126,16 @@ IncrementalResult update_communities(const graph::Graph& g, std::span<const cid_
   GALA_CHECK(previous.size() == g.num_vertices(), "assignment size mismatch");
   IncrementalResult result;
   result.graph = apply_edge_updates(g, updates);
-
-  // Round 1: warm-started repair. MG pruning deactivates the untouched bulk
-  // on iteration 0.
   std::vector<cid_t> warm(previous.begin(), previous.end());
   renumber_communities(warm);
-  const Phase1Result repair = bsp_phase1(result.graph, config.bsp, warm);
-  result.repair_iterations = static_cast<int>(repair.iterations.size());
-  for (const auto& it : repair.iterations) result.evaluated_vertices += it.active;
-
-  // Contract the repaired partition and finish with the standard pipeline.
-  AggregationResult agg = aggregate(result.graph, repair.community);
-  result.assignment = agg.fine_to_coarse;
-  if (agg.num_communities > 1 && agg.num_communities < result.graph.num_vertices()) {
-    GalaConfig rest = config;
-    const GalaResult deeper = run_louvain(agg.coarse, rest);
-    result.assignment = compose_assignment(result.assignment, deeper.assignment);
-  }
-  result.num_communities = renumber_communities(result.assignment);
-  result.modularity = modularity(result.graph, result.assignment, config.bsp.resolution);
+  GalaConfig repair = config;
+  repair.keep_first_round = true;  // level 0 is the warm-started round
+  GalaResult run = run_louvain(result.graph, repair, warm);
+  result.repair_iterations = static_cast<int>(run.first_round.iterations.size());
+  for (const auto& it : run.first_round.iterations) result.evaluated_vertices += it.active;
+  result.assignment = std::move(run.assignment);
+  result.modularity = run.modularity;
+  result.num_communities = run.num_communities;
   return result;
 }
 

@@ -6,16 +6,19 @@
 //
 //   1. merge the batch into the sorted CSR (untouched rows are block-copied,
 //      only the rows the batch touches are re-merged),
-//   2. warm-start the BSP engine from the previous assignment,
-//   3. let MG pruning (Equation 6) act as delta screening — vertices whose
-//      converged neighbourhood is untouched satisfy the inequality on
-//      iteration 0 and are never re-evaluated; only the perturbed region
-//      (and whatever it destabilises transitively) reruns,
-//   4. finish with the standard multi-level pipeline on the repaired
-//      partition's contraction.
+//   2. run the multi-level pipeline (core/gala.hpp) warm-started from the
+//      previous assignment, on GalaConfig::backend. At level 0, MG pruning
+//      (Equation 6) acts as delta screening: vertices whose converged
+//      neighbourhood is untouched satisfy the inequality on iteration 0 and
+//      are never re-evaluated; only the perturbed region (and whatever it
+//      destabilises transitively) reruns. The deeper levels run from
+//      singletons of the contraction, as in any run.
 //
-// The zero-false-negative guarantee of MG means the repair converges to the
-// same fixed-point family a full rerun would reach from this partition.
+// The pipeline's one rejection rule holds here too: when the warm round's
+// synchronous moves end below the previous assignment's modularity on the
+// updated graph, the level folds the previous assignment instead, so a
+// repair without refinement never returns less than the partition it was
+// given (a refined fold may hold less than the phase 1 it refines).
 #pragma once
 
 #include <span>
@@ -44,16 +47,18 @@ struct IncrementalResult {
   std::vector<cid_t> assignment;  ///< repaired communities (dense ids)
   wt_t modularity = 0;
   vid_t num_communities = 0;
-  /// Vertices DecideAndMove actually evaluated during the repair's first
-  /// round — the savings relative to V * iterations is the point.
+  /// Vertices DecideAndMove actually evaluated during the warm-started
+  /// level 0 — the savings relative to V * iterations is the point.
   std::uint64_t evaluated_vertices = 0;
+  /// Phase-1 iterations of the warm-started level 0.
   int repair_iterations = 0;
 };
 
 /// Repairs `previous` (an assignment on `g`, any dense id space over [0,V))
-/// after applying `updates`. `config.bsp.pruning` should be ModularityGain
-/// (or MgPlusRelaxed) for the delta-screening effect; other strategies work
-/// but re-evaluate everything in round 1.
+/// after applying `updates`: apply_edge_updates, then run_louvain
+/// warm-started from `previous`. `config.bsp.pruning` should be
+/// ModularityGain (or MgPlusRelaxed) for the delta-screening effect; other
+/// strategies work but re-evaluate everything at level 0.
 IncrementalResult update_communities(const graph::Graph& g, std::span<const cid_t> previous,
                                      std::span<const EdgeUpdate> updates,
                                      const GalaConfig& config = {});

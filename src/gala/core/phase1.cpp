@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 
 #include "gala/common/error.hpp"
 #include "gala/common/timer.hpp"
@@ -11,36 +12,26 @@
 
 namespace gala::core {
 
-CommunityState::CommunityState(const graph::Graph& g) {
+CommunityState::CommunityState(const graph::Graph& g, std::span<const cid_t> initial) {
   GALA_CHECK(g.total_weight() > 0, "graph has no edge weight");
   const vid_t n = g.num_vertices();
+  GALA_CHECK(initial.empty() || initial.size() == n, "initial assignment size mismatch");
   comm.resize(n);
   next_comm.resize(n);
-  comm_total.resize(n);
-  comm_size.resize(n);
+  comm_total.assign(n, 0);
+  comm_size.assign(n, 0);
   weight.assign(n, 0);
   prev_moved.assign(n, 0);
   comm_changed.assign(n, 0);
   for (vid_t v = 0; v < n; ++v) {
-    comm[v] = v;
-    comm_total[v] = g.degree(v);
-    comm_size[v] = 1;
+    const cid_t c = initial.empty() ? v : initial[v];
+    GALA_CHECK(c < n, "initial community id out of range");
+    comm[v] = c;
+    comm_total[c] += g.degree(v);
+    ++comm_size[c];
     sum_self_loops += g.self_loop(v);
   }
-}
-
-CommunityState::CommunityState(const graph::Graph& g, std::span<const cid_t> initial)
-    : CommunityState(g) {
-  const vid_t n = g.num_vertices();
-  GALA_CHECK(initial.size() == n, "initial assignment size mismatch");
-  std::fill(comm_total.begin(), comm_total.end(), 0);
-  std::fill(comm_size.begin(), comm_size.end(), 0);
-  for (vid_t v = 0; v < n; ++v) {
-    GALA_CHECK(initial[v] < n, "initial community id out of range");
-    comm[v] = initial[v];
-    comm_total[initial[v]] += g.degree(v);
-    ++comm_size[initial[v]];
-  }
+  if (initial.empty()) return;  // no vertex shares a singleton
   // e_{v,C[v]} of the warm-started partition (one-off full scan).
   for (vid_t v = 0; v < n; ++v) {
     auto nbrs = g.neighbors(v);
@@ -114,6 +105,34 @@ Phase1Driver::Phase1Driver(const graph::Graph& g, const BspConfig& config, Commu
       ctx_(config.context != nullptr ? config.context : owned_context_.get()),
       pool_(config.parallel ? ctx_->pool() : serial_pool_), state_(std::move(state)),
       owned_(owned), primary_(primary), rng_(config.seed) {}
+
+gpusim::MemoryStats Phase1Driver::recompute_weights() {
+  const std::span<const cid_t> next_comm = state_.next_comm;
+  const std::span<wt_t> weight = state_.weight;
+  gpusim::MemoryStats traffic;
+  std::mutex merge;
+  pool_.parallel_for_chunked(
+      0, g_.num_vertices(),
+      [&](std::size_t lo, std::size_t hi) {
+        gpusim::MemoryStats local;
+        for (std::size_t v = lo; v < hi; ++v) {
+          const cid_t c = next_comm[v];
+          auto nbrs = g_.neighbors(static_cast<vid_t>(v));
+          auto ws = g_.weights(static_cast<vid_t>(v));
+          wt_t sum = 0;
+          for (std::size_t i = 0; i < nbrs.size(); ++i) {
+            local.global_reads += 2;
+            if (nbrs[i] != v && next_comm[nbrs[i]] == c) sum += ws[i];
+          }
+          weight[v] = sum;
+          local.global_writes += 1;
+        }
+        std::lock_guard lock(merge);
+        traffic += local;
+      },
+      512);
+  return traffic;
+}
 
 vid_t Phase1Driver::prune_then_decide(int iter, const CommunityState::Scan& scan,
                                       std::span<const std::uint8_t> only,

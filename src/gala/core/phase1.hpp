@@ -16,10 +16,11 @@
 // pruning, the guard, the oracle pass, bookkeeping, modularity, the stop
 // test, and the per-iteration accounting (IterationStats, spans, flight
 // events, memtrace epochs, on_iteration, Phase1Result totals and gauges).
-// Every engine derives from it: the BSP engine (bsp_louvain.cpp) and the
-// linear-algebra engine (blas_louvain.cpp) own every vertex and exchange
-// nothing; a distributed rank (gala/multigpu) owns a slice, keeps a full
-// CommunityState replica, and exchanges through its collectives. When a
+// Every engine derives from it: the BSP engine (bsp_louvain.cpp), the
+// linear-algebra engine (blas_louvain.cpp) and the Fig. 5 comparators
+// (gala/baselines) own every vertex and exchange nothing; a distributed
+// rank (gala/multigpu) owns a slice, keeps a full CommunityState replica,
+// and exchanges through its collectives. When a
 // rank opens a window between an exchange's post and complete halves, the
 // driver runs bookkeeping and the next prune+decide of the vertices whose
 // inputs are already final there, so overlap is a schedule of this loop.
@@ -40,13 +41,12 @@ namespace gala::core {
 /// community id, which lives in the vertex id space [0, V).
 struct CommunityState {
   CommunityState() = default;
-  /// Singleton start. total_weight() must be positive.
-  explicit CommunityState(const graph::Graph& g);
-  /// Warm start from `initial` (community ids in [0, V)) instead of
-  /// singletons. Used by the incremental-update extension — with MG
-  /// pruning, Equation 6 immediately deactivates every vertex whose
-  /// converged neighbourhood still holds, so only perturbed regions rerun.
-  CommunityState(const graph::Graph& g, std::span<const cid_t> initial);
+  /// Starts from `initial` (community ids in [0, V)), or from singletons
+  /// when it is empty. total_weight() must be positive. A warm start is how
+  /// a repair reruns (core/incremental.hpp): with MG pruning, Equation 6
+  /// immediately deactivates every vertex whose converged neighbourhood
+  /// still holds, so only perturbed regions rerun.
+  explicit CommunityState(const graph::Graph& g, std::span<const cid_t> initial = {});
 
   /// Bookkeeping (Alg. 1 lines 5-11): moves every flagged vertex's degree
   /// from comm[v] to next_comm[v], marks both communities changed, then
@@ -145,6 +145,12 @@ class Phase1Driver {
   virtual void complete_exchange(Round, const gpusim::MemoryStats& /*window*/, IterationStats&) {}
   /// Sums a per-device partial over every device (the modularity reduce).
   virtual wt_t sum_over_devices(wt_t partial) { return partial; }
+
+  /// The naive weight update: every vertex rescans its neighbourhood for
+  /// weight[v] = e_{v, next_comm[v]}, as expensive as DecideAndMove (the
+  /// bottleneck Fig. 8's P1 column exhibits). Returns the traffic, charged
+  /// as the kernel would.
+  gpusim::MemoryStats recompute_weights();
 
   const graph::Graph& g_;
   BspConfig config_;

@@ -41,7 +41,7 @@ class ExecutionContext {
   explicit ExecutionContext(const gpusim::DeviceConfig& device_config = {},
                             std::uint64_t seed = 7, bool pooling = true,
                             ThreadPool* pool = nullptr)
-      : workspace_(pooling), device_(device_config, &workspace_), seed_(seed),
+      : workspace_(pooling), device_(device_config, workspace_), seed_(seed),
         pool_(pool != nullptr ? pool : &ThreadPool::global()),
         governor_(&RunScope::current().governor()) {
     // Rung 1 of the governor's degradation ladder trims idle pooled slabs;

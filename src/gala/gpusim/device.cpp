@@ -1,13 +1,12 @@
 #include "gala/gpusim/device.hpp"
 
 #include <span>
-#include <vector>
 
 #include "gala/scope/run_scope.hpp"
 
 namespace gala::gpusim {
 
-Device::Device(const DeviceConfig& config, exec::Workspace* workspace)
+Device::Device(const DeviceConfig& config, exec::Workspace& workspace)
     : config_(config), workspace_(workspace) {}
 
 void attach_traffic(telemetry::ScopedSpan& span, const MemoryStats& stats,
@@ -91,45 +90,15 @@ void finish_launch(LaunchStats& result, const DeviceConfig& config, std::size_t 
   }
 }
 
-/// One worker chunk's block arena: workspace pages when the device is bound
-/// (pool-recycled across launches), a private heap buffer otherwise. The
-/// lease is sized to exactly the configured shared-memory budget, so arena
-/// capacity — and with it the hashtable shared/global split — is identical
-/// in both modes.
+/// One worker chunk's block arena: workspace pages (pool-recycled across
+/// launches) sized to exactly the configured shared-memory budget.
 struct ChunkArena {
   exec::Workspace::Lease<std::byte> pages;
   SharedMemoryArena arena;
 
-  ChunkArena(const DeviceConfig& config, exec::Workspace* ws)
-      : pages(ws != nullptr
-                  ? ws->take<std::byte>(config.shared_bytes_per_block, "gpusim.shared_arena")
-                  : exec::Workspace::Lease<std::byte>{}),
-        arena(ws != nullptr ? SharedMemoryArena(pages.span())
-                            : SharedMemoryArena(config.shared_bytes_per_block)) {
-    // The workspace route is accounted by take(); only the private heap
-    // fallback needs an explicit memtrace charge.
-    if (ws == nullptr) memtrace::charge("gpusim.shared_arena", config.shared_bytes_per_block);
-  }
-};
-
-/// Per-block modeled-cycle buffer (profiler load-imbalance statistics);
-/// pooled when a workspace is bound, empty when profiling is off.
-struct CycleBuffer {
-  exec::Workspace::Lease<double> lease;
-  std::vector<double> heap;
-  std::span<double> cycles;
-
-  CycleBuffer(bool profiling, std::size_t num_blocks, exec::Workspace* ws) {
-    if (!profiling) return;
-    if (ws != nullptr) {
-      lease = ws->take<double>(num_blocks, "gpusim.block_cycles", exec::Fill::Zero);
-      cycles = lease.span();
-    } else {
-      heap.assign(num_blocks, 0.0);
-      cycles = heap;
-      memtrace::charge("gpusim.block_cycles", num_blocks * sizeof(double));
-    }
-  }
+  ChunkArena(const DeviceConfig& config, exec::Workspace& ws)
+      : pages(ws.take<std::byte>(config.shared_bytes_per_block, "gpusim.shared_arena")),
+        arena(pages.span()) {}
 };
 
 }  // namespace
@@ -144,7 +113,11 @@ LaunchStats Device::launch(ThreadPool& pool, std::size_t num_blocks,
   // Per-block modeled cycles feed the profiler's load-imbalance statistics.
   // Indexed writes by block id: no synchronisation needed between workers.
   const bool profiling = RunScope::current().profiler().enabled();
-  CycleBuffer block_cycles(profiling, num_blocks, workspace_);
+  exec::Workspace::Lease<double> cycles_lease;
+  if (profiling) {
+    cycles_lease = workspace_.take<double>(num_blocks, "gpusim.block_cycles", exec::Fill::Zero);
+  }
+  const std::span<double> block_cycles = profiling ? cycles_lease.span() : std::span<double>{};
   std::mutex merge_mutex;
   pool.parallel_for_chunked(
       0, num_blocks,
@@ -159,7 +132,7 @@ LaunchStats Device::launch(ThreadPool& pool, std::size_t num_blocks,
           body(ctx);
           if (profiling) {
             const double cycles_after = config_.cost_model.cycles(stats);
-            block_cycles.cycles[b] = cycles_after - cycles_before;
+            block_cycles[b] = cycles_after - cycles_before;
             cycles_before = cycles_after;
           }
         }
@@ -168,7 +141,7 @@ LaunchStats Device::launch(ThreadPool& pool, std::size_t num_blocks,
       },
       /*grain=*/16);
   result.wall_seconds = timer.seconds();
-  finish_launch(result, config_, num_blocks, span, name, block_cycles.cycles);
+  finish_launch(result, config_, num_blocks, span, name, block_cycles);
   return result;
 }
 

@@ -44,10 +44,9 @@ struct BlockContext {
   std::size_t block_id = 0;
   SharedMemoryArena* shared = nullptr;
   MemoryStats* stats = nullptr;
-  /// The launching device's workspace (null on an unbound device). Kernel
-  /// bodies check per-block scratch out of it instead of keeping
-  /// thread_local state.
-  exec::Workspace* workspace = nullptr;
+  /// The launching device's workspace. Kernel bodies check per-block
+  /// scratch out of it instead of keeping thread_local state.
+  exec::Workspace& workspace;
 };
 
 /// Aggregated result of one kernel launch.
@@ -66,14 +65,13 @@ struct LaunchStats {
 
 class Device {
  public:
-  /// `workspace`, when given, backs per-launch transients (block arena
-  /// pages, profiling buffers) with pooled slabs instead of heap
-  /// allocations, and is handed to kernel bodies via BlockContext. It must
-  /// outlive the device.
-  explicit Device(const DeviceConfig& config = {}, exec::Workspace* workspace = nullptr);
+  /// `workspace` backs per-launch transients (block arena pages, profiling
+  /// buffers) with pooled slabs and is handed to kernel bodies via
+  /// BlockContext. It must outlive the device.
+  Device(const DeviceConfig& config, exec::Workspace& workspace);
 
   const DeviceConfig& config() const { return config_; }
-  exec::Workspace* workspace() const { return workspace_; }
+  exec::Workspace& workspace() const { return workspace_; }
 
   /// Launches `num_blocks` blocks of `body` on `pool`. Each pool chunk of
   /// blocks reuses one arena (reset between blocks); a size-1 pool runs
@@ -87,7 +85,7 @@ class Device {
 
  private:
   DeviceConfig config_;
-  exec::Workspace* workspace_;     // not owned; null = heap-backed transients
+  exec::Workspace& workspace_;  // not owned
 };
 
 /// Attaches a MemoryStats snapshot to an open span, and — when `model` is

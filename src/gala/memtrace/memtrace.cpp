@@ -81,6 +81,15 @@ void MemRegistry::set_resident(std::string_view tag, std::uint64_t bytes,
   c.resident_peak = std::max(c.resident_peak, bytes);
 }
 
+void MemRegistry::add_resident(std::string_view tag, std::int64_t delta,
+                               std::uint64_t reserved) {
+  std::lock_guard lock(mutex_);
+  Cell& c = cell(tag);
+  live_total_.fetch_add(static_cast<std::uint64_t>(delta) - reserved, std::memory_order_relaxed);
+  c.resident += static_cast<std::uint64_t>(delta);
+  c.resident_peak = std::max(c.resident_peak, c.resident);
+}
+
 std::uint64_t MemRegistry::live_subsystem(std::string_view subsys) const {
   std::lock_guard lock(mutex_);
   std::uint64_t total = 0;

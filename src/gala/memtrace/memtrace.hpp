@@ -188,6 +188,9 @@ class MemRegistry {
   /// Gauge for externally-owned storage (CSR arrays, contraction output).
   /// `reserved` of the gauge's increase are already in the live total.
   void set_resident(std::string_view tag, std::uint64_t bytes, std::uint64_t reserved = 0);
+  /// Moves the gauge by `delta` in one step, for a gauge several owners
+  /// share (each adds the change of its own share).
+  void add_resident(std::string_view tag, std::int64_t delta, std::uint64_t reserved = 0);
   /// Host-section slack: actual slab capacity beyond the modeled class.
   void note_slack(std::uint64_t bytes);
 

@@ -13,10 +13,6 @@ namespace gala::query {
 
 namespace {
 
-/// Modeled bytes live across every CommunityStore in the process: the
-/// "query.snapshots" gauge a store sets in its current scope is this total.
-std::atomic<std::uint64_t> g_snapshot_bytes{0};
-
 std::size_t next_pow2(std::size_t x) {
   std::size_t p = 1;
   while (p < x) p <<= 1;
@@ -39,14 +35,14 @@ CommunityStore::CommunityStore(StoreOptions options)
       ring_(capacity_),
       hazards_(std::max<std::size_t>(options.reader_slots, 1)),
       max_retained_(std::clamp<std::size_t>(options.max_retained, 1, capacity_)),
-      governor_(RunScope::current().governor()) {
+      scope_(RunScope::current()) {
   for (auto& cell : ring_) cell.store(nullptr, std::memory_order_relaxed);
   // Rung-1 ladder client: under pressure the governor asks the store to
   // shed history. Runs under the governor mutex, so: try-lock only (a
   // publisher may be mid-link and could itself be blocked inside a gauge
   // admission), and raw-registry gauge updates only (the admitting
   // wrapper would re-enter Governor::admit and self-deadlock).
-  governor_.register_reclaimer(this, [this]() -> std::uint64_t {
+  scope_.governor().register_reclaimer(this, [this]() -> std::uint64_t {
     std::unique_lock<std::mutex> lock(writer_mutex_, std::try_to_lock);
     if (!lock.owns_lock()) return 0;
     const std::uint64_t latest = latest_epoch_.load(std::memory_order_relaxed);
@@ -66,17 +62,13 @@ CommunityStore::CommunityStore(StoreOptions options)
 }
 
 CommunityStore::~CommunityStore() {
-  governor_.unregister_reclaimer(this);
-  std::uint64_t live = 0;
+  scope_.governor().unregister_reclaimer(this);
   {
     std::lock_guard<std::mutex> lock(writer_mutex_);
     for (auto& cell : ring_) cell.store(nullptr, std::memory_order_seq_cst);
-    for (const auto& s : active_) live += s->bytes();
-    for (const auto& s : retired_) live += s->bytes();
     active_.clear();
     retired_.clear();
     resident_bytes_.store(0, std::memory_order_relaxed);
-    g_snapshot_bytes.fetch_sub(live, std::memory_order_relaxed);
   }
   update_residency(/*admitting=*/true);
 }
@@ -122,7 +114,6 @@ std::uint64_t CommunityStore::link_and_evict(std::unique_ptr<Snapshot> snap) {
     // retention was just widened; retire it rather than orphan it.
     if (epoch > capacity_) retire_cell_locked(epoch - capacity_);
     resident_bytes_.fetch_add(snap->bytes(), std::memory_order_relaxed);
-    g_snapshot_bytes.fetch_add(snap->bytes(), std::memory_order_relaxed);
     ring_[epoch & mask_].store(snap.get(), std::memory_order_seq_cst);
     active_.push_back(std::move(snap));
     latest_epoch_.store(epoch, std::memory_order_release);
@@ -178,7 +169,6 @@ std::uint64_t CommunityStore::reclaim_locked() {
   }
   if (freed != 0) {
     resident_bytes_.fetch_sub(freed, std::memory_order_relaxed);
-    g_snapshot_bytes.fetch_sub(freed, std::memory_order_relaxed);
   }
   if (count != 0) {
     reclaimed_.fetch_add(count, std::memory_order_relaxed);
@@ -288,19 +278,28 @@ std::size_t CommunityStore::effective_max_retained() const {
   return max_retained_.load(std::memory_order_relaxed);
 }
 
-void CommunityStore::update_residency(bool admitting) const {
-  if (admitting) {
-    // The admitting wrapper can escalate the governor, whose reclaimer
-    // evicts history and rewrites the gauge mid-call — re-check the total
-    // afterwards so a stale (pre-eviction) value never sticks.
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint64_t total = g_snapshot_bytes.load(std::memory_order_relaxed);
-      memtrace::set_resident("query.snapshots", total);
-      if (g_snapshot_bytes.load(std::memory_order_relaxed) == total) break;
-    }
-  } else if (memtrace::MemRegistry& memory = RunScope::current().memory(); memory.armed()) {
-    memory.set_resident("query.snapshots", g_snapshot_bytes.load(std::memory_order_relaxed));
+void CommunityStore::update_residency(bool admitting) {
+  // The scope's gauge sums the shares of the stores built under it; this
+  // store moves it by the change of its own share. The admission runs first
+  // and outside residency_mutex_: it can escalate the governor, whose
+  // reclaimer evicts history and updates this share itself.
+  std::uint64_t admitted = 0;
+  if (admitting && scope_.governor().enabled()) {
+    const std::uint64_t now = resident_bytes_.load(std::memory_order_relaxed);
+    const std::uint64_t shown = shown_bytes_.load(std::memory_order_relaxed);
+    if (now > shown) admitted = scope_.admit("query.snapshots", now - shown, /*may_throw=*/false);
   }
+  memtrace::MemRegistry& memory = scope_.memory();
+  std::lock_guard<std::mutex> lock(residency_mutex_);
+  if (!memory.armed()) {
+    memory.release(admitted);
+    return;
+  }
+  const std::uint64_t now = resident_bytes_.load(std::memory_order_relaxed);
+  const std::uint64_t shown = shown_bytes_.load(std::memory_order_relaxed);
+  memory.add_resident("query.snapshots",
+                      static_cast<std::int64_t>(now) - static_cast<std::int64_t>(shown), admitted);
+  shown_bytes_.store(now, std::memory_order_relaxed);
 }
 
 }  // namespace gala::query

@@ -24,11 +24,13 @@
 //   only when no reader pins it (RCU-style deferred reclamation).
 //
 // Residency accounting: live snapshot bytes (retained + retired-but-pinned)
-// are a memtrace set_resident gauge under "query.snapshots" — a gauge, not
+// are a memtrace resident gauge under "query.snapshots" — a gauge, not
 // on_alloc/on_free, because snapshots legitimately outlive engine level
-// resets and must not trip the leak detector. The gauge is updated outside
-// writer_mutex_ through the admitting wrapper, so an installed governor
-// sees snapshot residency and can push back.
+// resets and must not trip the leak detector. The gauge belongs to the
+// RunScope the store was built under and sums the stores built under that
+// scope: each store adds the change of its own share. It is updated outside
+// writer_mutex_ after a governor admission, so an installed governor sees
+// snapshot residency and can push back.
 //
 // Governor integration: the store registers a rung-1 reclaimer with the
 // governor of the RunScope it was built under (which must outlive the
@@ -52,6 +54,10 @@
 
 #include "gala/governor/governor.hpp"
 #include "gala/query/snapshot.hpp"
+
+namespace gala {
+class RunScope;
+}  // namespace gala
 
 namespace gala::core {
 struct GalaResult;
@@ -183,9 +189,10 @@ class CommunityStore {
   /// onto the retired list.
   void retire_cell_locked(std::uint64_t epoch);
   std::size_t effective_max_retained() const;
-  /// Recomputes the residency gauge; `admitting` selects the governor-aware
-  /// wrapper (publish path) vs the raw registry (reclaimer path).
-  void update_residency(bool admitting) const;
+  /// Brings this store's share of the residency gauge up to date;
+  /// `admitting` charges an increase to the governor first (publish path),
+  /// which the reclaimer path must not re-enter.
+  void update_residency(bool admitting);
 
   const std::size_t capacity_;  // power of two
   const std::size_t mask_;
@@ -196,6 +203,9 @@ class CommunityStore {
   std::atomic<std::uint64_t> oldest_epoch_{0};
   std::atomic<std::size_t> max_retained_;
   std::atomic<std::uint64_t> resident_bytes_{0};
+  // This store's share of the scope's gauge; written under residency_mutex_.
+  std::atomic<std::uint64_t> shown_bytes_{0};
+  std::mutex residency_mutex_;
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> evicted_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
@@ -205,7 +215,7 @@ class CommunityStore {
   // unlinked from the ring but possibly still pinned by a reader.
   std::vector<std::unique_ptr<Snapshot>> active_;
   std::vector<std::unique_ptr<Snapshot>> retired_;
-  governor::Governor& governor_;  // holds the reclaimer; not owned
+  RunScope& scope_;  // built under: holds the reclaimer and the gauge; not owned
 };
 
 }  // namespace gala::query

@@ -22,7 +22,11 @@ namespace {
 /// terminates. Vertex-at-a-time greedy with immediate updates typically
 /// lands on a (slightly different) local optimum, which is why degraded runs
 /// report the path taken instead of promising bitwise modularity parity.
-core::Phase1Result sequential_host_phase1(const graph::Graph& g, const core::BspConfig& bsp) {
+/// The sweep starts from singletons, but its start modularity is that of
+/// `initial`, the partition the level was given (singletons when empty), so
+/// the level loop judges it against what the level started from.
+core::Phase1Result sequential_host_phase1(const graph::Graph& g, const core::BspConfig& bsp,
+                                          std::span<const cid_t> initial) {
   core::SequentialOptions opts;
   opts.resolution = bsp.resolution;
   opts.theta = bsp.theta;
@@ -32,9 +36,13 @@ core::Phase1Result sequential_host_phase1(const graph::Graph& g, const core::Bsp
   phase1.community = std::move(seq.assignment);
   phase1.modularity = seq.modularity;
   phase1.num_communities = seq.num_communities;
-  std::vector<cid_t> singletons(g.num_vertices());
-  std::iota(singletons.begin(), singletons.end(), cid_t{0});
-  phase1.start_modularity = core::modularity(g, singletons, bsp.resolution);
+  std::vector<cid_t> singletons;
+  if (initial.empty()) {
+    singletons.resize(g.num_vertices());
+    std::iota(singletons.begin(), singletons.end(), cid_t{0});
+    initial = singletons;
+  }
+  phase1.start_modularity = core::modularity(g, initial, bsp.resolution);
   return phase1;
 }
 
@@ -54,7 +62,8 @@ class SupervisedEngine final : public core::LouvainBackend {
 
   const char* name() const override { return inner_.name(); }
 
-  core::Phase1Result run_level(const graph::Graph& g, const core::BspConfig& config) override {
+  core::Phase1Result run_level(const graph::Graph& g, const core::BspConfig& config,
+                               std::span<const cid_t> initial) override {
     const int level = level_++;
     // The monitor observes through the engine's iteration hook without
     // displacing the caller's own.
@@ -69,7 +78,7 @@ class SupervisedEngine final : public core::LouvainBackend {
     for (int attempt = 0;; ++attempt) {
       monitor_.begin_level(level);
       try {
-        core::Phase1Result phase1 = inner_.run_level(g, bsp);
+        core::Phase1Result phase1 = inner_.run_level(g, bsp, initial);
         validate_level(g, phase1);
         return phase1;
       } catch (const Error& e) {
@@ -106,7 +115,7 @@ class SupervisedEngine final : public core::LouvainBackend {
         sr_.degraded = true;
         dump_flight(std::string("sequential-fallback: ") + e.what());
         monitor_.begin_level(level);  // drop the failed attempt's trajectory
-        core::Phase1Result phase1 = sequential_host_phase1(g, config);
+        core::Phase1Result phase1 = sequential_host_phase1(g, config, initial);
         validate_level(g, phase1);
         return phase1;
       }

@@ -13,7 +13,10 @@
 
 #include "gala/core/blas_louvain.hpp"
 #include "gala/core/gala.hpp"
+#include "gala/core/incremental.hpp"
+#include "gala/graph/generators.hpp"
 #include "gala/graph/standin.hpp"
+#include "test_util.hpp"
 
 namespace gala {
 namespace {
@@ -120,6 +123,47 @@ TEST(BackendParity, ConfusionMatrixMatchesBsp) {
     pruned += a.tn + a.fn;
   }
   EXPECT_GT(pruned, 0u);  // the oracle actually evaluated pruned vertices
+}
+
+// The repair's warm-started pipeline keeps the two engines on one trajectory
+// whether its level 0 is kept or rejected (a rejected level folds the warm
+// start on both, and the deeper levels go on from its contraction).
+TEST(BackendParity, WarmStartMatchesBspWhetherLevelZeroIsKeptOrRejected) {
+  // The repair sweep of Incremental.RepairNeverReturnsLessThanThePartitionItWasGiven.
+  int kept = 0;
+  int rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    graph::RmatParams params;
+    params.scale = 9;
+    params.seed = seed;
+    graph::Graph g = graph::rmat(params);
+    std::vector<cid_t> warm = core::run_louvain(g).assignment;
+    Xoshiro256 rng(seed);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      g = core::apply_edge_updates(g, testing::random_insertions(g.num_vertices(), 50, rng));
+      core::GalaConfig cfg;
+      cfg.bsp.parallel = false;
+      cfg.keep_first_round = true;
+      core::GalaResult bsp = core::run_louvain(g, cfg, warm);
+      cfg.backend = core::Backend::Blas;
+      const core::GalaResult blas = core::run_louvain(g, cfg, warm);
+
+      const std::string at = "seed " + std::to_string(seed) + " epoch " + std::to_string(epoch);
+      const core::Phase1Result& round = bsp.first_round;
+      ++(round.modularity < round.start_modularity ? rejected : kept);
+      EXPECT_EQ(bsp.first_round.community, blas.first_round.community) << at;
+      EXPECT_EQ(bsp.assignment, blas.assignment) << at;
+      EXPECT_NEAR(bsp.modularity, blas.modularity, 1e-9) << at;
+      ASSERT_EQ(bsp.levels.size(), blas.levels.size()) << at;
+      for (std::size_t i = 0; i < bsp.levels.size(); ++i) {
+        EXPECT_EQ(bsp.levels[i].iterations, blas.levels[i].iterations) << at << " level " << i;
+        EXPECT_EQ(bsp.levels[i].communities, blas.levels[i].communities) << at << " level " << i;
+      }
+      warm = std::move(bsp.assignment);
+    }
+  }
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(StandInSuite, BackendParity,

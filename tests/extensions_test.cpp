@@ -261,6 +261,34 @@ TEST(Incremental, RepairReachesFullRecomputeQuality) {
               core::modularity(repaired.graph, repaired.assignment), 1e-9);
 }
 
+TEST(Incremental, RepairNeverReturnsLessThanThePartitionItWasGiven) {
+  // Synchronous moves can lose modularity, and a warm start is no exception:
+  // on these RMAT graphs about one warm round in five ends below the
+  // partition it started from. The level loop then folds that partition
+  // instead, so no repair returns less than it was given.
+  int repairs = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    graph::RmatParams params;
+    params.scale = 9;
+    params.seed = seed;
+    graph::Graph g = graph::rmat(params);
+    std::vector<cid_t> assignment = core::run_louvain(g).assignment;
+    Xoshiro256 rng(seed);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      const auto batch = testing::random_insertions(g.num_vertices(), 50, rng);
+      auto repaired = core::update_communities(g, assignment, batch);
+      const wt_t given = core::modularity(repaired.graph, assignment);
+      const wt_t returned = core::modularity(repaired.graph, repaired.assignment);
+      EXPECT_GE(returned, given - 1e-12) << "seed " << seed << " epoch " << epoch;
+      EXPECT_NEAR(repaired.modularity, returned, 1e-9) << "seed " << seed << " epoch " << epoch;
+      g = std::move(repaired.graph);
+      assignment = std::move(repaired.assignment);
+      ++repairs;
+    }
+  }
+  EXPECT_EQ(repairs, 80);
+}
+
 TEST(Incremental, MgScreensOutTheUntouchedBulk) {
   const auto g = testing::small_planted(21, 3000, 30, 0.15);
   const auto initial = core::run_louvain(g);

@@ -105,6 +105,28 @@ TEST(Gala, NeverFoldsALevelThatLostModularity) {
   }
 }
 
+TEST(Gala, WarmLevelThatLostModularityFoldsItsStart) {
+  // A warm level 0 whose phase 1 ends below the warm start folds the warm
+  // start instead, and the deeper levels go on from its contraction.
+  const auto g = testing::small_planted(5, 2000, 20, 0.2);
+  GalaConfig one_level;
+  one_level.max_levels = 1;
+  const auto warm = run_louvain(g, one_level).assignment;
+  testing::LosingEngine engine(/*losing_level=*/0);
+  GalaConfig cfg;
+  cfg.keep_first_round = true;
+  const auto r = run_louvain(g, cfg, engine, warm);
+  EXPECT_LT(r.first_round.modularity, r.first_round.start_modularity);
+  EXPECT_FALSE(r.rejected.has_value());
+  ASSERT_GE(r.levels.size(), 2u);
+  EXPECT_EQ(r.levels[0].communities, count_communities(warm));
+  EXPECT_NEAR(r.levels[0].modularity, modularity(g, warm), 1e-12);
+  EXPECT_GT(r.modularity, r.levels[0].modularity);
+  EXPECT_NEAR(r.modularity, modularity(g, r.assignment), 1e-9);
+  // Folding the warm start is folding the cold run's level 0.
+  EXPECT_EQ(r.assignment, run_louvain(g).assignment);
+}
+
 TEST(Gala, DeterministicAcrossRuns) {
   const auto g = testing::small_planted(13);
   const auto a = run_louvain(g);

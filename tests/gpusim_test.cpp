@@ -174,7 +174,8 @@ TEST(SharedMemoryArena, RespectsAlignment) {
 }
 
 TEST(Device, ParallelAndSequentialLaunchesChargeIdenticalTraffic) {
-  Device device;
+  exec::Workspace ws;
+  Device device({}, ws);
   ThreadPool pool(4);
   ThreadPool serial(1);
   auto body = [](BlockContext& ctx) {
@@ -189,7 +190,8 @@ TEST(Device, ParallelAndSequentialLaunchesChargeIdenticalTraffic) {
 }
 
 TEST(Device, SharedArenaResetBetweenBlocks) {
-  Device device;
+  exec::Workspace ws;
+  Device device({}, ws);
   ThreadPool serial(1);
   device.launch(serial, 10, [](BlockContext& ctx) {
     // Each block can claim the full budget: the arena was reset.

@@ -243,7 +243,8 @@ class ProfilerFixture : public ::testing::Test {
 };
 
 TEST_F(ProfilerFixture, DeviceLaunchRecordsLoadImbalance) {
-  gpusim::Device device;
+  exec::Workspace ws;
+  gpusim::Device device({}, ws);
   // Block 0 does all the work: per-block cycles [10 * 400, 0, 0, 0].
   device.launch(
       serial, 4,
@@ -265,7 +266,8 @@ TEST_F(ProfilerFixture, DeviceLaunchRecordsLoadImbalance) {
 }
 
 TEST_F(ProfilerFixture, LaunchesUnderOneNameAggregate) {
-  gpusim::Device device;
+  exec::Workspace ws;
+  gpusim::Device device({}, ws);
   const auto body = [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; };
   device.launch(serial, 2, body, "k");
   device.launch(serial, 3, body, "k");
@@ -278,14 +280,16 @@ TEST_F(ProfilerFixture, LaunchesUnderOneNameAggregate) {
 
 TEST_F(ProfilerFixture, DisabledProfilerRecordsNothing) {
   prof.set_enabled(false);
-  gpusim::Device device;
+  exec::Workspace ws;
+  gpusim::Device device({}, ws);
   device.launch(
       serial, 1, [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; }, "k");
   EXPECT_TRUE(prof.snapshot().empty());
 }
 
 TEST_F(ProfilerFixture, ReportJsonHasTheDocumentedShape) {
-  gpusim::Device device;
+  exec::Workspace ws;
+  gpusim::Device device({}, ws);
   device.launch(
       serial, 2,
       [](gpusim::BlockContext& ctx) {
@@ -321,7 +325,8 @@ TEST_F(ProfilerFixture, ResetForgetsKernelsButKeepsCeilings) {
   custom.dram_gbps = 900.0;
   auto& p = prof;
   p.set_ceilings(custom);
-  gpusim::Device device;
+  exec::Workspace ws;
+  gpusim::Device device({}, ws);
   device.launch(
       serial, 1, [](gpusim::BlockContext& ctx) { ctx.stats->global_reads += 1; }, "k");
   p.reset();

@@ -156,6 +156,46 @@ TEST(QueryStore, ResidencyGaugeTracksLiveSnapshots) {
   EXPECT_EQ(scope.memory().live_subsystem("query"), 0u);
 }
 
+TEST(QueryStore, ResidencyGaugeBelongsToTheScopeTheStoreWasBuiltUnder) {
+  // Two stores in two scopes: each scope's gauge holds its own store's
+  // bytes, never the total across the process.
+  const auto g = testing::small_planted(23);
+  const auto result = core::run_louvain(g);
+  RunScope outer;
+  CommunityStore outer_store(plain_options());
+  outer_store.publish(g, result);
+  {
+    RunScope inner;
+    CommunityStore inner_store(plain_options());
+    inner_store.publish(g, result);
+    EXPECT_EQ(inner.memory().resident_of("query.snapshots"), inner_store.resident_bytes());
+    // A publish under another scope still moves the store's own gauge.
+    outer_store.publish(g, result);
+    EXPECT_EQ(inner.memory().resident_of("query.snapshots"), inner_store.resident_bytes());
+  }
+  EXPECT_EQ(outer.memory().resident_of("query.snapshots"), outer_store.resident_bytes());
+  EXPECT_GT(outer_store.resident_bytes(), 0u);
+}
+
+TEST(QueryStore, ResidencyGaugeSumsTheStoresOfOneScope) {
+  RunScope scope;
+  const auto g = testing::small_planted(23);
+  const auto result = core::run_louvain(g);
+  CommunityStore a(plain_options(/*max_retained=*/2));
+  {
+    CommunityStore b(plain_options(/*max_retained=*/2));
+    for (int i = 0; i < 3; ++i) {
+      a.publish(g, result);
+      b.publish(g, result);
+    }
+    EXPECT_EQ(scope.memory().resident_of("query.snapshots"),
+              a.resident_bytes() + b.resident_bytes());
+  }
+  // The destroyed store takes its share with it; the other's stays.
+  EXPECT_EQ(scope.memory().resident_of("query.snapshots"), a.resident_bytes());
+  EXPECT_GT(a.resident_bytes(), 0u);
+}
+
 // ------------------------------------------------------------ governor ----
 TEST(QueryStore, GovernorPressureCollapsesRetention) {
   RunScope scope;

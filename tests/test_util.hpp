@@ -10,7 +10,10 @@
 #include <iterator>
 #include <string>
 #include <system_error>
+#include <vector>
 
+#include "gala/common/prng.hpp"
+#include "gala/core/incremental.hpp"
 #include "gala/gpusim/memory.hpp"
 #include "gala/graph/csr.hpp"
 #include "gala/graph/generators.hpp"
@@ -41,6 +44,18 @@ inline graph::Graph small_planted(std::uint64_t seed = 5, vid_t n = 400, vid_t k
   p.mixing = mixing;
   p.seed = seed;
   return graph::planted_partition(p);
+}
+
+/// `count` unit-weight insertions between random distinct vertices of an
+/// `n`-vertex graph: one epoch of the repair sweeps.
+inline std::vector<core::EdgeUpdate> random_insertions(vid_t n, int count, Xoshiro256& rng) {
+  std::vector<core::EdgeUpdate> batch;
+  while (static_cast<int>(batch.size()) < count) {
+    const auto u = static_cast<vid_t>(rng.next_below(n));
+    const auto v = static_cast<vid_t>(rng.next_below(n));
+    if (u != v) batch.push_back({u, v, 1.0, false});
+  }
+  return batch;
 }
 
 /// Asserts that two graphs are identical bit for bit: every CSR array and
