@@ -70,8 +70,8 @@ class JsonRecord {
     path_ = std::string(dir) + "/BENCH_" + name_ + ".json";
     // GALA_BENCH_PROFILE=1 additionally captures the per-kernel
     // hardware-counter profile over the bench's lifetime (its own scope's
-    // launches plus every RowScope's) and attaches it to the sidecar as a
-    // "profile" member (the perf-diff gate's input).
+    // launches plus those of every row folded in) and attaches it to the
+    // sidecar as a "profile" member (the perf-diff gate's input).
     if (const char* p = std::getenv("GALA_BENCH_PROFILE");
         p != nullptr && *p != '\0' && std::strcmp(p, "0") != 0) {
       profile_ = &RunScope::current().profiler();
@@ -153,15 +153,12 @@ class JsonRecord {
 
 /// A fresh run scope for one bench row (or one probe trial), so its memory
 /// accounting, flight ring and budget cover that run alone. It is profiled
-/// while the sidecar is, and its kernel profiles fold into the sidecar's
-/// when it ends.
+/// while the sidecar is (the profiler's cycle buffers count toward its
+/// peaks); a row that measures a kernel adds its profiles to the sidecar's
+/// with JsonRecord::fold.
 class RowScope : public RunScope {
  public:
-  explicit RowScope(JsonRecord& rec) : rec_(rec) { profiler().set_enabled(rec.profiling()); }
-  ~RowScope() { rec_.fold(profiler()); }
-
- private:
-  JsonRecord& rec_;
+  explicit RowScope(const JsonRecord& rec) { profiler().set_enabled(rec.profiling()); }
 };
 
 }  // namespace gala::bench

@@ -41,7 +41,7 @@ int main() {
     for (const std::size_t p : gpu_counts) {
       const auto r = multigpu::distributed_phase1(g, make_config(p));
       totals.push_back(r.modeled_ms());
-      q = r.modularity;
+      q = r.phase1.modularity;
     }
     const double speedup8 = totals[0] / totals[3];
     logsum8 += std::log(speedup8);
@@ -140,7 +140,7 @@ int main() {
         .cell(r_off.max_comm_modeled_ms(), 3)
         .cell(r_on.max_comm_modeled_ms(), 3)
         .cell(cut, 1)
-        .cell(r_on.community == r_off.community ? "yes" : "NO");
+        .cell(r_on.phase1.community == r_off.phase1.community ? "yes" : "NO");
   }
   td.print();
   std::printf("geo-mean comm-wait reduction at 4 GPUs: %.0f%% (target: >= 20%% per graph)\n",

@@ -1,6 +1,8 @@
 // Deterministic profiler baseline: small fixed graphs through phase 1 with
 // every hashtable policy, sequential launches, and the hardware-counter
-// profile attached to the JSON sidecar.
+// profile attached to the JSON sidecar. The profile covers the rows that
+// measure a kernel (hashtable policies, shuffle, blas), which fold their
+// kernel profiles into it; every other row runs profiled but stays out.
 //
 // All counters this bench emits are modeled (traffic, probe chains, modeled
 // cycles) and therefore bit-identical across machines — only the wall_*
@@ -54,6 +56,7 @@ int main() {
       bench::RowScope row(rec);
       const auto r = core::bsp_phase1(g, cfg);
       const auto mem = row.memory().report();
+      rec.fold(row.profiler());
       double modeled_ms = 0;
       for (const auto& it : r.iterations) {
         modeled_ms += cfg.device.modeled_ms(it.decide_traffic) +
@@ -91,6 +94,7 @@ int main() {
     bench::RowScope row(rec);
     const auto r = core::bsp_phase1(graphs[0].g, cfg);
     const auto mem = row.memory().report();
+    rec.fold(row.profiler());
     std::printf("%-16s %-13s Q=%.5f, %u communities\n", graphs[0].name, "shuffle",
                 r.modularity, r.num_communities);
     rec.row()
@@ -122,6 +126,7 @@ int main() {
       blas::SpgemmStats spgemm;
       const auto agg = core::aggregate(g, r.community, nullptr, tuning, &spgemm);
       const auto mem = row.memory().report();
+      rec.fold(row.profiler());
       double modeled_ms = 0;
       for (const auto& it : r.iterations) {
         modeled_ms += cfg.device.modeled_ms(it.decide_traffic) +
@@ -171,6 +176,8 @@ int main() {
       cfg.overlap = overlap;
       cfg.compress = overlap;
       bench::RowScope row(rec);
+      // The graph is resident for the row's peak, as in a pipeline run.
+      memtrace::set_resident("graph.csr", g.memory_bytes());
       const auto r = multigpu::distributed_phase1(g, cfg);
       const auto mem = row.memory().report();
       std::uint64_t comm_bytes = 0;
@@ -186,13 +193,14 @@ int main() {
         sync_raw_bytes += it.sync_raw_bytes;
       }
       std::printf("%-16s %-13s Q=%.5f, %d iterations, %.4f modeled ms, %llu comm bytes\n",
-                  "dist_ring_p2", overlap ? "overlap_codec" : "blocking", r.modularity,
-                  r.iterations, r.modeled_ms(), static_cast<unsigned long long>(comm_bytes));
+                  "dist_ring_p2", overlap ? "overlap_codec" : "blocking", r.phase1.modularity,
+                  static_cast<int>(r.phase1.iterations.size()), r.modeled_ms(),
+                  static_cast<unsigned long long>(comm_bytes));
       rec.row()
           .field("graph", "dist_ring_p2")
           .field("policy", overlap ? "overlap_codec" : "blocking")
-          .field("modularity", r.modularity)
-          .field("iterations", static_cast<std::uint64_t>(r.iterations))
+          .field("modularity", r.phase1.modularity)
+          .field("iterations", static_cast<std::uint64_t>(r.phase1.iterations.size()))
           .field("modeled_ms", r.modeled_ms())
           .field("comm_bytes", comm_bytes)
           .field("comm_wait_ms", [&] {

@@ -21,11 +21,11 @@ int main() {
   cfg.device.model_parallel_lanes = 2048;
   const auto r = multigpu::distributed_phase1(g, cfg);
 
-  std::printf("phase 1 of round 1 on 8 devices: %d iterations, modularity %.5f\n", r.iterations,
-              r.modularity);
+  std::printf("phase 1 of round 1 on 8 devices: %zu iterations, modularity %.5f\n",
+              r.phase1.iterations.size(), r.phase1.modularity);
   std::printf("modeled: %.3f ms total (compute %.3f, comm %.3f) | host wall: %.2f s\n",
               r.modeled_ms(), r.max_compute_modeled_ms(), r.max_comm_modeled_ms(),
-              r.wall_seconds);
+              r.phase1.wall_seconds);
   std::uint64_t bytes = 0;
   int sparse = 0;
   for (const auto& it : r.iteration_log) {

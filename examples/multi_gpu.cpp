@@ -30,8 +30,8 @@ int main() {
     table.row()
         .cell(gpus)
         .cell(to_string(config.sync))
-        .cell(r.iterations)
-        .cell(r.modularity, 5)
+        .cell(r.phase1.iterations.size())
+        .cell(r.phase1.modularity, 5)
         .cell(r.max_compute_modeled_ms(), 3)
         .cell(r.max_comm_modeled_ms(), 3)
         .cell(r.modeled_ms(), 3)

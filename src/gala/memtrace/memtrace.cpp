@@ -29,7 +29,7 @@ MemRegistry::Cell& MemRegistry::cell(std::string_view tag) {
   const std::pair<std::string_view, int> key{tag, rank};
   auto it = cells_.find(key);
   if (it == cells_.end()) {
-    it = cells_.emplace(Key{std::string(tag), rank}, Cell{}).first;
+    it = cells_.emplace(Key{std::string(tag), rank}, Cell{.stream = &streams_[rank]}).first;
   }
   return it->second;
 }
@@ -44,6 +44,7 @@ void MemRegistry::on_alloc(std::string_view tag, std::uint64_t modeled,
   c.peak = std::max(c.peak, c.live);
   if (modeled > requested) c.waste += modeled - requested;
   c.workspace = c.workspace || workspace;
+  c.stream->grow(modeled);
   live_total_.fetch_add(modeled - reserved, std::memory_order_relaxed);
 }
 
@@ -59,6 +60,7 @@ void MemRegistry::on_free(std::string_view tag, std::uint64_t modeled) noexcept 
   ++c.frees;
   const std::uint64_t delta = std::min(c.live, modeled);
   c.live -= delta;
+  c.stream->live -= delta;
   live_total_.fetch_sub(delta, std::memory_order_relaxed);
 }
 
@@ -68,6 +70,7 @@ void MemRegistry::charge(std::string_view tag, std::uint64_t modeled) {
   ++c.allocs;
   c.bytes_total += modeled;
   c.peak = std::max(c.peak, modeled);
+  c.stream->high_water = std::max(c.stream->high_water, c.stream->live + modeled);
 }
 
 void MemRegistry::set_resident(std::string_view tag, std::uint64_t bytes,
@@ -77,6 +80,7 @@ void MemRegistry::set_resident(std::string_view tag, std::uint64_t bytes,
   // Unsigned wrap-around makes this the signed change (bytes - resident -
   // reserved), whichever way the gauge moved.
   live_total_.fetch_add(bytes - c.resident - reserved, std::memory_order_relaxed);
+  c.stream->grow(bytes - c.resident);
   c.resident = bytes;
   c.resident_peak = std::max(c.resident_peak, bytes);
 }
@@ -87,6 +91,7 @@ void MemRegistry::add_resident(std::string_view tag, std::int64_t delta,
   Cell& c = cell(tag);
   live_total_.fetch_add(static_cast<std::uint64_t>(delta) - reserved, std::memory_order_relaxed);
   c.resident += static_cast<std::uint64_t>(delta);
+  c.stream->grow(static_cast<std::uint64_t>(delta));
   c.resident_peak = std::max(c.resident_peak, c.resident);
 }
 
@@ -202,6 +207,7 @@ MemReport MemRegistry::report() const {
   r.timeline = timeline_;
   r.timeline_dropped = timeline_dropped_;
   r.level_resets = level_resets_;
+  for (const auto& [rank, s] : streams_) r.peak_live_bytes += s.high_water;
   r.pool_slack_bytes = slack_bytes_;
   return r;
 }
@@ -290,6 +296,7 @@ std::string MemReport::json(bool include_host) const {
   w.key("totals").begin_object();
   w.key("peak_ws_bytes").value(peak_ws_bytes());
   w.key("peak_total_bytes").value(peak_total_bytes());
+  w.key("peak_live_bytes").value(peak_live_bytes);
   w.key("live_bytes").value(live_bytes());
   w.key("frag_pct").value(frag_pct());
   w.end_object();

@@ -56,6 +56,7 @@
 // the flight recorder. Disarmed, every site pays a single relaxed load.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -121,6 +122,12 @@ struct MemReport {
   std::vector<EpochSnapshot> timeline;
   std::uint64_t timeline_dropped = 0;
   std::uint64_t level_resets = 0;
+  /// High-water of modeled live+resident bytes (transient charges
+  /// included), taken per rank stream and summed over streams: a
+  /// deterministic upper bound on the bytes ever live at once, which is what
+  /// a governor budget caps. Unlike peak_total_bytes() it never adds up
+  /// peaks that cannot coexist (phase 2's scratch and phase 1's, say).
+  std::uint64_t peak_live_bytes = 0;
   /// Host section (pool-state dependent, excluded from byte-identity):
   /// actual-slab-capacity slack beyond the modeled size class.
   std::uint64_t pool_slack_bytes = 0;
@@ -221,7 +228,18 @@ class MemRegistry {
       return a < view(b);
     }
   };
+  /// One rank's accounting stream: its live+resident bytes and their
+  /// high-water mark (a transient charge counts for its instant).
+  struct Stream {
+    std::uint64_t live = 0;
+    std::uint64_t high_water = 0;
+    void grow(std::uint64_t bytes) {
+      live += bytes;
+      high_water = std::max(high_water, live);
+    }
+  };
   struct Cell {
+    Stream* stream = nullptr;  // the cell's rank's, in streams_
     std::uint64_t allocs = 0;
     std::uint64_t frees = 0;
     std::uint64_t bytes_total = 0;
@@ -241,6 +259,7 @@ class MemRegistry {
   std::atomic<std::uint64_t> live_total_{0};
   mutable std::mutex mutex_;
   std::map<Key, Cell, KeyLess> cells_;
+  std::map<int, Stream> streams_;  // keyed by RankScope; nodes never move
   std::vector<EpochSnapshot> timeline_;
   std::uint64_t timeline_dropped_ = 0;
   std::uint64_t level_resets_ = 0;

@@ -3,7 +3,6 @@
 #include <fstream>
 
 #include "gala/common/provenance.hpp"
-#include "gala/core/modularity.hpp"
 #include "gala/graph/stats.hpp"
 #include "gala/scope/run_scope.hpp"
 
@@ -62,12 +61,12 @@ void RunReport::save(const std::string& path) const {
 }
 
 std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
-                        const core::GalaResult& result) {
+                        const core::GalaResult& result, const core::LouvainBackend& engine) {
   JsonWriter w;
   begin_run(w, g);
 
   w.key("config").begin_object();
-  w.key("backend").value(core::to_string(config.backend));
+  w.key("backend").value(engine.name());
   w.key("pruning").value(core::to_string(config.bsp.pruning));
   w.key("kernel").value(core::to_string(config.bsp.kernel));
   w.key("hashtable").value(core::to_string(config.bsp.hashtable));
@@ -76,6 +75,11 @@ std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
   w.key("theta").value(config.bsp.theta);
   w.key("refine").value(config.refine);
   w.key("vertex_following").value(config.vertex_following);
+  if (const auto* dist = dynamic_cast<const multigpu::DistributedBackend*>(&engine)) {
+    w.key("devices").value(static_cast<std::uint64_t>(dist->exchange().num_gpus));
+    w.key("overlap").value(dist->exchange().overlap);
+    w.key("compress").value(dist->exchange().compress);
+  }
   w.end_object();
 
   w.key("result").begin_object();
@@ -103,26 +107,6 @@ std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
   }
   w.end_object();
 
-  w.end_object();
-  return w.str();
-}
-
-std::string run_section(const graph::Graph& g, const multigpu::DistributedConfig& config,
-                        const multigpu::DistributedResult& result) {
-  JsonWriter w;
-  begin_run(w, g);
-  w.key("config").begin_object();
-  w.key("devices").value(static_cast<std::uint64_t>(config.num_gpus));
-  w.key("overlap").value(config.overlap);
-  w.key("compress").value(config.compress);
-  w.end_object();
-  w.key("result").begin_object();
-  w.key("modularity").value(result.modularity);
-  w.key("communities").value(static_cast<std::uint64_t>(core::count_communities(result.community)));
-  w.key("iterations").value(result.iterations);
-  w.key("wall_seconds").value(result.wall_seconds);
-  w.key("modeled_ms").value(result.modeled_ms());
-  w.end_object();
   w.end_object();
   return w.str();
 }

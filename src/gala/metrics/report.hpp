@@ -45,14 +45,12 @@ struct RunReport {
   void save(const std::string& path) const;
 };
 
-/// The "run" section of a single-device detection: graph summary, config
-/// highlights, per-level stats and final quality.
+/// The "run" section of a Louvain detection: graph summary, config
+/// highlights, per-level stats and final quality. `engine` is the one that
+/// ran (its name is the config's backend); a distributed one adds its device
+/// count, overlap and compression.
 std::string run_section(const graph::Graph& g, const core::GalaConfig& config,
-                        const core::GalaResult& result);
-
-/// The "run" section of a distributed phase-1 run.
-std::string run_section(const graph::Graph& g, const multigpu::DistributedConfig& config,
-                        const multigpu::DistributedResult& result);
+                        const core::GalaResult& result, const core::LouvainBackend& engine);
 
 /// The "run" section of a label-propagation run scored at `modularity`.
 std::string run_section(const graph::Graph& g, const baselines::LpaResult& result,

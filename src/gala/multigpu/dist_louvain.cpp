@@ -6,9 +6,7 @@
 #include <string_view>
 #include <thread>
 
-#include "gala/common/timer.hpp"
 #include "gala/codec/delta_codec.hpp"
-#include "gala/core/modularity.hpp"
 #include "gala/core/phase1.hpp"
 #include "gala/scope/run_scope.hpp"
 #include "gala/telemetry/telemetry.hpp"
@@ -37,9 +35,9 @@ struct StagedRun {
 class RankEngine final : public core::Phase1Driver {
  public:
   RankEngine(const graph::Graph& g, const core::BspConfig& bsp, const DistributedConfig& config,
-             Communicator& world, std::size_t rank, graph::VertexRange range,
-             bool governor_sparse)
-      : Phase1Driver(g, bsp, core::CommunityState(g), range, /*primary=*/rank == 0),
+             std::span<const cid_t> initial, Communicator& world, std::size_t rank,
+             graph::VertexRange range, bool governor_sparse)
+      : Phase1Driver(g, bsp, core::CommunityState(g, initial), range, /*primary=*/rank == 0),
         dist_(config), world_(world), rank_(rank), governor_sparse_(governor_sparse),
         // Rung 3 forces sparse+compressed staging even in configurations
         // that asked for dense; with the governor engaged, Dense no longer
@@ -72,8 +70,8 @@ class RankEngine final : public core::Phase1Driver {
 
   /// Records the rank's share of `result` after `r` = run(): its Fig. 10(b)
   /// timeline (the driver's traffic plus the exchange's own) and, on rank 0,
-  /// the partition and the sync log with the modularity trajectory.
-  void report(const core::Phase1Result& r, DistributedResult& result) const {
+  /// the phase 1 and the sync log.
+  void report(core::Phase1Result r, DistributedResult& result) const {
     DeviceTimeline& t = result.devices[rank_];
     t.traffic = r.total_traffic;
     t.traffic += traffic_;
@@ -84,12 +82,8 @@ class RankEngine final : public core::Phase1Driver {
     registry.counter("multigpu.overlap_hidden_us").add(static_cast<std::uint64_t>(comm_.hidden_us));
     if (rank_ != 0) return;
     registry.gauge("multigpu.overlap_ratio").set(comm_.overlap_ratio());
-    result.community = r.community;
+    result.phase1 = std::move(r);
     result.iteration_log = log_;
-    for (std::size_t i = 0; i < log_.size(); ++i) {
-      result.iteration_log[i].modularity = r.iterations[i].modularity;
-      result.iteration_log[i].delta_q = r.iterations[i].delta_q;
-    }
   }
 
  private:
@@ -260,8 +254,8 @@ class RankEngine final : public core::Phase1Driver {
       stats.moved = moved_total_;
       if (dist_.overlap && moved_total_ > 0) mark_eligible();
       const std::uint64_t dense_bytes = static_cast<std::uint64_t>(n) * sizeof(cid_t);
-      log_.push_back({moved_total_, sparse_now_, sparse_now_ ? sparse_bytes_ : dense_bytes,
-                      sparse_now_ ? raw_sparse_bytes_ : dense_bytes, 0, 0, recovered_dense_});
+      log_.push_back({sparse_now_, sparse_now_ ? sparse_bytes_ : dense_bytes,
+                      sparse_now_ ? raw_sparse_bytes_ : dense_bytes, recovered_dense_});
       return;
     }
 
@@ -442,7 +436,8 @@ class RankEngine final : public core::Phase1Driver {
     posted_ = world_.post_gather_v<std::byte>(rank_, payload);
     flow_id_ = 0;
     if (span.active()) {
-      flow_id_ = (static_cast<std::uint64_t>(rank_) << 32) | ++flow_seq_;
+      // Unique within the run's trace, across ranks and levels.
+      flow_id_ = RunScope::current().tracer().next_seq() + 1;
       span.last_arg("rank", static_cast<double>(rank_));
       span.last_arg("iteration", static_cast<double>(iter_));
       span.arg("bytes", static_cast<double>(payload.size()));
@@ -515,7 +510,6 @@ class RankEngine final : public core::Phase1Driver {
   gpusim::MemoryStats traffic_;  // the exchange's compute; the driver keeps the rest
   CommStats comm_;
   std::vector<DistIterationStats> log_;
-  std::uint64_t flow_seq_ = 0;  // flow ids: rank in the high word, sequence low
   std::uint64_t flow_id_ = 0;
   Communicator::PendingGather posted_;
   std::optional<telemetry::ScopedSpan> sync_span_;  // open from post to completion
@@ -538,24 +532,16 @@ class RankEngine final : public core::Phase1Driver {
   gpusim::MemoryStats window_traffic_;  // the rank's share of the weight window
 };
 
-/// The phase-1 config a rank drives with: the distributed policy knobs,
-/// a size-1 pool in a private context (each simulated device owns its
+/// The phase-1 config a rank drives with: the caller's, on a size-1 pool in
+/// a private context, not the caller's (each simulated device owns its
 /// pooled workspace, so its arena pages, hash scratch and sync staging are
-/// recycled without cross-rank allocator contention), and on rank 0 the
-/// observer, without the rank-local flag spans.
+/// recycled without cross-rank allocator contention), and on rank 0 only
+/// the observer, without the rank-local flag spans.
 core::BspConfig rank_config(const DistributedConfig& config, std::size_t rank) {
-  core::BspConfig bsp;
-  bsp.pruning = config.pruning;
-  bsp.kernel = config.kernel;
-  bsp.hashtable = config.hashtable;
-  bsp.shuffle_degree_limit = config.shuffle_degree_limit;
-  bsp.resolution = config.resolution;
-  bsp.theta = config.theta;
-  bsp.max_iterations = config.max_iterations;
-  bsp.seed = config.seed;
-  bsp.pm_alpha = config.pm_alpha;
-  bsp.device = config.device;
+  core::BspConfig bsp = config;
   bsp.parallel = false;
+  bsp.context = nullptr;
+  bsp.on_iteration = nullptr;
   if (rank == 0 && config.on_iteration) {
     bsp.on_iteration = [observe = config.on_iteration](int iter, const core::IterationStats& s,
                                                        auto, auto, std::span<const cid_t> comm) {
@@ -579,17 +565,20 @@ std::string to_string(SyncMode mode) {
   return "?";
 }
 
-DistributedResult distributed_phase1(const graph::Graph& g, const DistributedConfig& config) {
+DistributedResult distributed_phase1(const graph::Graph& g, const DistributedConfig& config,
+                                     std::span<const cid_t> initial) {
   GALA_CHECK(config.num_gpus >= 1, "need at least one device");
   GALA_CHECK(g.total_weight() > 0, "graph has no edge weight");
+  GALA_CHECK(config.weight_update == core::WeightUpdateMode::Delta,
+             "distributed ranks run the delta update: weight_update = recompute is refused");
+  GALA_CHECK(!config.track_confusion,
+             "distributed ranks would count confusion rank-locally: track_confusion is refused");
   const std::size_t P = config.num_gpus;
   const auto ranges = graph::partition_by_edges(g, P);
 
   Communicator comm_world(P, config.comm_cost);
   DistributedResult result;
   result.devices.resize(P);
-
-  memtrace::set_resident("graph.csr", g.memory_bytes());
 
   // Governor rung 3 is snapshotted once, before the rank threads spawn: the
   // sync mode and compression flag feed collective shapes, so every rank
@@ -598,8 +587,6 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
   // the next level's phase 1.
   const bool governor_sparse = RunScope::current().governor().force_sparse_sync();
 
-  Timer wall_timer;
-
   // Rank threads record into the caller's run scope.
   RunScope* const scope = EnterScope::installed();
   auto rank_main = [&](std::size_t rank) {
@@ -607,8 +594,8 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
     // Ambient rank for the thread: every span and flight event recorded
     // below lands on this rank's track in the merged Chrome trace.
     telemetry::RankScope rank_scope(static_cast<int>(rank));
-    RankEngine engine(g, rank_config(config, rank), config, comm_world, rank, ranges[rank],
-                      governor_sparse);
+    RankEngine engine(g, rank_config(config, rank), config, initial, comm_world, rank,
+                      ranges[rank], governor_sparse);
     engine.report(engine.run(), result);
   };
 
@@ -661,10 +648,16 @@ DistributedResult distributed_phase1(const graph::Graph& g, const DistributedCon
     if (chosen) std::rethrow_exception(chosen);
   }
 
-  result.modularity = core::modularity(g, result.community);
-  result.iterations = static_cast<int>(result.iteration_log.size());
-  result.wall_seconds = wall_timer.seconds();
   return result;
+}
+
+core::Phase1Result DistributedBackend::run_level(const graph::Graph& g,
+                                                 const core::BspConfig& config,
+                                                 std::span<const cid_t> initial) {
+  DistributedResult r = distributed_phase1(g, DistributedConfig{config, exchange_}, initial);
+  r.phase1.other_modeled_ms =
+      r.modeled_ms() - r.phase1.decide_modeled_ms - r.phase1.update_modeled_ms;
+  return std::move(r.phase1);
 }
 
 }  // namespace gala::multigpu

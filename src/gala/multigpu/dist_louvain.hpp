@@ -33,7 +33,7 @@
 
 #include <vector>
 
-#include "gala/core/bsp_louvain.hpp"
+#include "gala/core/backend.hpp"
 #include "gala/graph/partition.hpp"
 #include "gala/multigpu/collectives.hpp"
 
@@ -42,20 +42,12 @@ namespace gala::multigpu {
 enum class SyncMode { Dense, Sparse, Adaptive };
 std::string to_string(SyncMode mode);
 
-struct DistributedConfig {
+/// The exchange's own settings: the device count, how the ranks sync their
+/// community replicas, and what the links cost.
+struct Exchange {
   std::size_t num_gpus = 2;
   SyncMode sync = SyncMode::Adaptive;
-  core::PruningStrategy pruning = core::PruningStrategy::ModularityGain;
-  core::KernelMode kernel = core::KernelMode::Auto;
-  core::HashTablePolicy hashtable = core::HashTablePolicy::Hierarchical;
-  vid_t shuffle_degree_limit = 32;
-  double resolution = 1.0;
-  double theta = 1e-6;
-  int max_iterations = 1000;
-  std::uint64_t seed = 7;
-  double pm_alpha = 0.25;
   CommCostModel comm_cost{};
-  gpusim::DeviceConfig device{};
   /// Community/weight-sync attempts after a CollectiveFault before the run
   /// fails closed. A failed *sparse* sync degrades to dense for the retry
   /// (the dense payload needs no per-move records a corrupted rank could
@@ -69,15 +61,16 @@ struct DistributedConfig {
   /// Sparse syncs ship compressed delta frames; the adaptive crossover
   /// compares the real encoded payload against the dense size.
   bool compress = false;
-  /// End-of-iteration hook, invoked on rank 0 after the modularity reduce
-  /// with its stats, whose active/moved counts, modularity and delta_q are
-  /// cluster-wide (the community span is the synced post-iteration replica).
-  /// Setting it adds one slot to the per-iteration moved-count reduction —
-  /// the global active count rides along — so runs without an observer ship
-  /// exactly the baseline byte counts. Used by the algorithm-health layer
-  /// (metrics/health.hpp); the active/moved flag spans are empty.
-  core::IterationCallback on_iteration;
 };
+
+/// The phase-1 policy every rank runs (weight_update = Recompute and
+/// track_confusion are refused: ranks run the owner-computed delta update
+/// and would count confusion rank-locally) plus the exchange. Only rank 0
+/// calls on_iteration, after the modularity reduce, with cluster-wide counts
+/// and Q, empty flag spans and the synced community replica; setting it adds
+/// the global active count to the moved-count reduction, so runs without an
+/// observer ship the baseline byte counts.
+struct DistributedConfig : core::BspConfig, Exchange {};
 
 /// Per-device accounting for the Fig. 10(b) breakdown.
 struct DeviceTimeline {
@@ -95,8 +88,9 @@ struct DeviceTimeline {
   double total_modeled_ms() const { return compute_modeled_ms + comm_modeled_ms(); }
 };
 
+/// One iteration's community sync (its moved count, modularity and delta_q
+/// are the iteration's core::IterationStats).
 struct DistIterationStats {
-  vid_t moved = 0;
   bool sparse_sync = false;
   std::uint64_t sync_bytes = 0;  ///< community-sync wire payload this iteration
   /// What the sparse payload would cost as raw MoveRecords. Equal to
@@ -104,19 +98,18 @@ struct DistIterationStats {
   /// is the bytes the codec saved (framing overhead can make it negative
   /// for a handful of movers).
   std::uint64_t sync_raw_bytes = 0;
-  wt_t modularity = 0;
-  wt_t delta_q = 0;
   /// True when a sparse sync failed this iteration and the dense fallback
   /// completed it (graceful degradation, visible in the run report).
   bool recovered_dense = false;
 };
 
 struct DistributedResult {
-  std::vector<cid_t> community;
-  wt_t modularity = 0;
-  int iterations = 0;
-  double wall_seconds = 0;
+  /// Rank 0's phase 1: the partition, its modularity (all-reduced, the same
+  /// on every rank) and the per-iteration stats. Its modeled times are rank
+  /// 0's alone; modeled_ms() below is the run's.
+  core::Phase1Result phase1;
   std::vector<DeviceTimeline> devices;
+  /// One entry per iteration, in phase1.iterations order.
   std::vector<DistIterationStats> iteration_log;
 
   /// Modeled end-to-end time: the slowest device's compute + comm.
@@ -137,7 +130,35 @@ struct DistributedResult {
   }
 };
 
-/// Runs phase 1 of round 1 across `config.num_gpus` simulated devices.
-DistributedResult distributed_phase1(const graph::Graph& g, const DistributedConfig& config);
+/// Runs phase 1 across `config.num_gpus` simulated devices from `initial`
+/// (community ids in [0, V)), or from singletons when it is empty.
+DistributedResult distributed_phase1(const graph::Graph& g, const DistributedConfig& config,
+                                     std::span<const cid_t> initial = {});
+
+/// distributed_phase1 as core::run_louvain's engine: each level runs it with
+/// the level's BspConfig and this engine's exchange, and contracts through
+/// the shared aggregate. A level's modeled time is
+/// DistributedResult::modeled_ms: rank 0's decide and update times, and the
+/// rest of the slowest device's critical path as other_modeled_ms.
+class DistributedBackend final : public core::LouvainBackend {
+ public:
+  explicit DistributedBackend(const Exchange& exchange) : exchange_(exchange) {}
+  /// A full config's phase-1 half would be ignored: the level loop's wins.
+  explicit DistributedBackend(const DistributedConfig&) = delete;
+
+  const char* name() const override { return "distributed"; }
+  const Exchange& exchange() const { return exchange_; }
+
+  core::Phase1Result run_level(const graph::Graph& g, const core::BspConfig& config,
+                               std::span<const cid_t> initial) override;
+
+  core::AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
+                                   exec::Workspace* workspace) override {
+    return core::aggregate(g, community, workspace);
+  }
+
+ private:
+  Exchange exchange_;
+};
 
 }  // namespace gala::multigpu

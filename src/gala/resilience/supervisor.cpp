@@ -200,18 +200,19 @@ void validate_csr(const graph::Graph& g) {
 }
 
 SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaConfig& config,
-                                        const SupervisorConfig& sup) {
+                                        const SupervisorConfig& sup,
+                                        std::span<const cid_t> initial) {
   const std::unique_ptr<core::LouvainBackend> engine =
       core::make_backend(config.backend, config.blas);
-  return run_louvain_supervised(g, config, sup, *engine);
+  return run_louvain_supervised(g, config, sup, *engine, initial);
 }
 
 SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaConfig& config,
-                                        const SupervisorConfig& sup,
-                                        core::LouvainBackend& engine) {
+                                        const SupervisorConfig& sup, core::LouvainBackend& engine,
+                                        std::span<const cid_t> initial) {
   SupervisedResult sr;
   SupervisedEngine envelope(engine, sup, sr);
-  sr.result = core::run_louvain(g, config, envelope);
+  sr.result = core::run_louvain(g, config, envelope, initial);
 
   sr.health = envelope.health();
   for (const metrics::LevelHealth& lv : sr.health.levels) {

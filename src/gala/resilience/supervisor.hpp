@@ -108,12 +108,16 @@ void validate_modularity(wt_t q);
 void validate_csr(const graph::Graph& g);
 
 /// Runs the full multi-level pipeline under supervision, over
-/// make_backend(config.backend, config.blas).
+/// make_backend(config.backend, config.blas). Level 0 starts from `initial`
+/// as in core::run_louvain (a warm start), or from singletons when it is
+/// empty.
 SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaConfig& config = {},
-                                        const SupervisorConfig& sup = {});
+                                        const SupervisorConfig& sup = {},
+                                        std::span<const cid_t> initial = {});
 
 /// Same, supervising `engine` instead.
 SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaConfig& config,
-                                        const SupervisorConfig& sup, core::LouvainBackend& engine);
+                                        const SupervisorConfig& sup, core::LouvainBackend& engine,
+                                        std::span<const cid_t> initial = {});
 
 }  // namespace gala::resilience

@@ -1,5 +1,6 @@
 // BSP vs blas backend parity over the full stand-in suite (the CI
-// backend-parity job runs exactly this binary).
+// backend-parity job runs exactly this binary), and the distributed engine
+// against both on warm starts.
 //
 // The two engines share the phase-1 driver (pruning, move guard, oracle
 // pass, bookkeeping, convergence test) and the SpGEMM contraction, and both
@@ -16,6 +17,7 @@
 #include "gala/core/incremental.hpp"
 #include "gala/graph/generators.hpp"
 #include "gala/graph/standin.hpp"
+#include "gala/multigpu/dist_louvain.hpp"
 #include "test_util.hpp"
 
 namespace gala {
@@ -129,7 +131,13 @@ TEST(BackendParity, ConfusionMatrixMatchesBsp) {
 // whether its level 0 is kept or rejected (a rejected level folds the warm
 // start on both, and the deeper levels go on from its contraction).
 TEST(BackendParity, WarmStartMatchesBspWhetherLevelZeroIsKeptOrRejected) {
-  // The repair sweep of Incremental.RepairNeverReturnsLessThanThePartitionItWasGiven.
+  // The repair sweep of Incremental.RepairNeverReturnsLessThanThePartitionItWasGiven,
+  // on bsp, blas and three distributed devices (overlapped, compressed).
+  multigpu::Exchange exchange;
+  exchange.num_gpus = 3;
+  exchange.overlap = true;
+  exchange.compress = true;
+  multigpu::DistributedBackend distributed(exchange);
   int kept = 0;
   int rejected = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -145,19 +153,27 @@ TEST(BackendParity, WarmStartMatchesBspWhetherLevelZeroIsKeptOrRejected) {
       cfg.bsp.parallel = false;
       cfg.keep_first_round = true;
       core::GalaResult bsp = core::run_louvain(g, cfg, warm);
+      const core::GalaResult dist = core::run_louvain(g, cfg, distributed, warm);
       cfg.backend = core::Backend::Blas;
       const core::GalaResult blas = core::run_louvain(g, cfg, warm);
 
       const std::string at = "seed " + std::to_string(seed) + " epoch " + std::to_string(epoch);
       const core::Phase1Result& round = bsp.first_round;
       ++(round.modularity < round.start_modularity ? rejected : kept);
-      EXPECT_EQ(bsp.first_round.community, blas.first_round.community) << at;
-      EXPECT_EQ(bsp.assignment, blas.assignment) << at;
-      EXPECT_NEAR(bsp.modularity, blas.modularity, 1e-9) << at;
-      ASSERT_EQ(bsp.levels.size(), blas.levels.size()) << at;
-      for (std::size_t i = 0; i < bsp.levels.size(); ++i) {
-        EXPECT_EQ(bsp.levels[i].iterations, blas.levels[i].iterations) << at << " level " << i;
-        EXPECT_EQ(bsp.levels[i].communities, blas.levels[i].communities) << at << " level " << i;
+      for (const auto& [name, other] :
+           {std::pair{"blas", &blas}, std::pair{"distributed", &dist}}) {
+        EXPECT_EQ(bsp.first_round.community, other->first_round.community) << at << " " << name;
+        EXPECT_EQ(bsp.first_round.start_modularity, other->first_round.start_modularity)
+            << at << " " << name;
+        EXPECT_EQ(bsp.assignment, other->assignment) << at << " " << name;
+        EXPECT_NEAR(bsp.modularity, other->modularity, 1e-9) << at << " " << name;
+        ASSERT_EQ(bsp.levels.size(), other->levels.size()) << at << " " << name;
+        for (std::size_t i = 0; i < bsp.levels.size(); ++i) {
+          EXPECT_EQ(bsp.levels[i].iterations, other->levels[i].iterations)
+              << at << " " << name << " level " << i;
+          EXPECT_EQ(bsp.levels[i].communities, other->levels[i].communities)
+              << at << " " << name << " level " << i;
+        }
       }
       warm = std::move(bsp.assignment);
     }

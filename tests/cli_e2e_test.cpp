@@ -137,9 +137,14 @@ TEST_F(CliE2e, DetectWithStandinAndJsonReport) {
 }
 
 TEST_F(CliE2e, DistributedDetect) {
+  // --gpus N runs the whole pipeline with every level's phase 1 distributed,
+  // so it writes the single-device partition.
   std::string out;
-  ASSERT_EQ(run("detect standin:OR:0.05 --gpus 4", &out), 0) << out;
-  EXPECT_NE(out.find("distributed phase 1 on 4 devices"), std::string::npos);
+  ASSERT_EQ(run("detect standin:OR:0.05 --output " + path("one.txt"), &out), 0) << out;
+  ASSERT_EQ(run("detect standin:OR:0.05 --gpus 4 --output " + path("four.txt"), &out), 0) << out;
+  EXPECT_NE(out.find("level:"), std::string::npos) << out;
+  EXPECT_FALSE(slurp("one.txt").empty());
+  EXPECT_EQ(slurp("four.txt"), slurp("one.txt"));
 }
 
 TEST_F(CliE2e, DistributedRunReportCarriesTheResult) {
@@ -147,13 +152,57 @@ TEST_F(CliE2e, DistributedRunReportCarriesTheResult) {
   ASSERT_EQ(run("detect standin:HW:0.05 --gpus 4 --report-out " + path("d.json"), &out), 0)
       << out;
   const gala::JsonValue run_section = report("d.json").at("run");
+  EXPECT_EQ(run_section.at("config").at("backend").string, "distributed");
   EXPECT_EQ(run_section.at("config").at("devices").number, 4);
+  EXPECT_FALSE(run_section.at("config").at("overlap").boolean);
+  EXPECT_FALSE(run_section.at("config").at("compress").boolean);
   const gala::JsonValue& result = run_section.at("result");
   ASSERT_TRUE(result.at("modularity").is_number());
   EXPECT_GT(result.at("modularity").number, 0);
-  EXPECT_GT(result.at("iterations").number, 0);
   EXPECT_GT(result.at("communities").number, 0);
   EXPECT_GT(result.at("modeled_ms").number, 0);
+  const auto& levels = result.at("levels").array;
+  ASSERT_FALSE(levels.empty());
+  for (const auto& lv : levels) EXPECT_GT(lv.at("iterations").number, 0);
+}
+
+TEST_F(CliE2e, DistributedHonoursEveryLouvainFlag) {
+  // --refine, --follow and --supervise act on a --gpus run as on one device.
+  for (const std::string flag : {"--refine", "--follow", "--supervise"}) {
+    std::string out;
+    ASSERT_EQ(run("detect standin:HW:0.05 " + flag + " --output " + path("one.txt"), &out), 0)
+        << flag << "\n" << out;
+    ASSERT_EQ(
+        run("detect standin:HW:0.05 --gpus 4 " + flag + " --output " + path("four.txt"), &out),
+        0)
+        << flag << "\n" << out;
+    EXPECT_FALSE(slurp("one.txt").empty()) << flag;
+    EXPECT_EQ(slurp("four.txt"), slurp("one.txt")) << flag;
+  }
+}
+
+TEST_F(CliE2e, DistributedCollectiveFaultRecoversUnderTheSupervisor) {
+  // Three dropped gathers outlast the two sync retries, so level 0's
+  // distributed phase 1 fails closed; --faults supervises the run, which
+  // retries the level and writes the fault-free partition.
+  {
+    std::ofstream plan(path("plan.json"));
+    plan << R"({"seed": 42, "rules": [{"site": "collective-drop", "label": "all_gather_v", )"
+         << R"("rank": 1, "max_fires": 3}]})";
+  }
+  std::string out;
+  ASSERT_EQ(run("detect standin:HW:0.05 --gpus 4 --output " + path("plain.txt"), &out), 0)
+      << out;
+  ASSERT_EQ(run("detect standin:HW:0.05 --gpus 4 --faults " + path("plan.json") + " --output " +
+                    path("recovered.txt"),
+                &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("supervisor: 1 retries"), std::string::npos) << out;
+  EXPECT_NE(out.find("recovery: level 0 attempt 0 [phase1] retry"), std::string::npos) << out;
+  EXPECT_NE(out.find("collective-drop"), std::string::npos) << out;
+  EXPECT_FALSE(slurp("plain.txt").empty());
+  EXPECT_EQ(slurp("recovered.txt"), slurp("plain.txt"));
 }
 
 TEST_F(CliE2e, LpaAlgorithm) {
@@ -402,6 +451,37 @@ TEST_F(CliE2e, ProbeMinBudgetReportsAFeasibleFloor) {
   // The floor can round up past the raw peak (granule ceiling + ladder
   // effects) but never collapses to nothing or explodes past it.
   EXPECT_LE(min_feasible, peak + 2 * 4096);
+}
+
+TEST_F(CliE2e, DistributedProbeFloorWalksTheLadder) {
+  // A --gpus probe gates on the live high-water, not on the summed tag
+  // peaks (which count phase 2's scratch beside phase 1's), so a rerun at
+  // the floor engages the ladder, stays within it and keeps the partition.
+  std::string out;
+  ASSERT_EQ(run("generate planted --vertices 2000 --communities 20 --mixing 0.1 --out " +
+                    path("g.txt"),
+                &out),
+            0)
+      << out;
+  const std::string detect = "detect " + path("g.txt") + " --gpus 4 --overlap";
+  ASSERT_EQ(run(detect + " --probe-min-budget --output " + path("base.txt") + " --report-out " +
+                    path("probe.json"),
+                &out),
+            0)
+      << out;
+  const gala::JsonValue probe = report("probe.json");
+  const double floor = probe.at("governor").at("min_feasible_budget_bytes").number;
+  EXPECT_LT(probe.at("governor").at("unlimited_peak_bytes").number,
+            probe.at("mem").at("totals").at("peak_total_bytes").number);
+  ASSERT_EQ(run(detect + " --mem-budget " + std::to_string(static_cast<std::uint64_t>(floor)) +
+                    " --output " + path("floor.txt") + " --report-out " + path("floor.json"),
+                &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp("floor.txt"), slurp("base.txt"));
+  const gala::JsonValue at_floor = report("floor.json");
+  EXPECT_FALSE(at_floor.at("governor").at("transitions").array.empty()) << "no rung engaged";
+  EXPECT_LE(at_floor.at("mem").at("totals").at("peak_live_bytes").number, floor);
 }
 
 TEST_F(CliE2e, InvalidBudgetsAreRejectedWithFlagAndReason) {

@@ -74,7 +74,7 @@ TEST_P(CrossImplementationFuzz, AllEnginesAgreeAndInvariantsHold) {
   multigpu::DistributedConfig dist_cfg;
   dist_cfg.num_gpus = 3;
   const auto dist = multigpu::distributed_phase1(g, dist_cfg);
-  EXPECT_EQ(dist.community, ref.community);
+  EXPECT_EQ(dist.phase1.community, ref.community);
 
   // 3. Hash-only with every hashtable policy agrees.
   for (const auto policy : {core::HashTablePolicy::GlobalOnly, core::HashTablePolicy::Unified,

@@ -71,18 +71,9 @@ std::string repro_tuple(std::uint64_t seed, const std::string& graph_recipe,
 }
 
 /// Reference trajectory: the sequential single-GPU engine with the same
-/// policy knobs (deterministic launch order, so its partition is exact).
+/// phase-1 settings (deterministic launch order, so its partition is exact).
 core::Phase1Result single_reference(const graph::Graph& g, const DistributedConfig& cfg) {
-  core::BspConfig single;
-  single.pruning = cfg.pruning;
-  single.kernel = cfg.kernel;
-  single.hashtable = cfg.hashtable;
-  single.shuffle_degree_limit = cfg.shuffle_degree_limit;
-  single.resolution = cfg.resolution;
-  single.theta = cfg.theta;
-  single.max_iterations = cfg.max_iterations;
-  single.seed = cfg.seed;
-  single.pm_alpha = cfg.pm_alpha;
+  core::BspConfig single = cfg;
   single.parallel = false;
   return core::bsp_phase1(g, single);
 }
@@ -116,11 +107,11 @@ TEST(DistDifferential, RandomizedTrialsMatchSingleEngineBitIdentically) {
             cfg.overlap = overlap;
             cfg.compress = compress;
             const auto dist = distributed_phase1(tg.g, cfg);
-            ASSERT_EQ(dist.community, reference.community)
+            ASSERT_EQ(dist.phase1.community, reference.community)
                 << repro_tuple(seed, tg.recipe, cfg);
-            ASSERT_EQ(static_cast<std::size_t>(dist.iterations), reference.iterations.size())
+            ASSERT_EQ(dist.phase1.iterations.size(), reference.iterations.size())
                 << repro_tuple(seed, tg.recipe, cfg);
-            ASSERT_NEAR(dist.modularity, reference.modularity, 1e-9)
+            ASSERT_NEAR(dist.phase1.modularity, reference.modularity, 1e-9)
                 << repro_tuple(seed, tg.recipe, cfg);
           }
         }
@@ -153,7 +144,8 @@ TEST(DistDifferential, ProbabilisticPruningIsConfigInvariantAcrossTheGrid) {
           cfg.overlap = overlap;
           cfg.compress = true;
           const auto dist = distributed_phase1(tg.g, cfg);
-          ASSERT_EQ(dist.community, reference.community) << repro_tuple(seed, tg.recipe, cfg);
+          ASSERT_EQ(dist.phase1.community, reference.phase1.community)
+              << repro_tuple(seed, tg.recipe, cfg);
         }
       }
     }
@@ -189,7 +181,7 @@ TEST(DistDifferential, FullPolicyGridOnFixedGraph) {
             cfg.overlap = overlap;
             cfg.compress = compress;
             const auto dist = distributed_phase1(g, cfg);
-            ASSERT_EQ(dist.community, reference.community) << repro_tuple(0, "fixed", cfg);
+            ASSERT_EQ(dist.phase1.community, reference.community) << repro_tuple(0, "fixed", cfg);
           }
         }
       }
@@ -217,7 +209,7 @@ TEST(DistDifferential, BudgetSweepKeepsEveryEngineBitIdentical) {
     cfg.compress = overlap;
     RunScope scope;
     if (budget != 0) scope.governor().install({.total_bytes = budget});
-    std::vector<cid_t> community = distributed_phase1(g, cfg).community;
+    std::vector<cid_t> community = distributed_phase1(g, cfg).phase1.community;
     rep = scope.memory().report();
     return community;
   };

@@ -64,7 +64,30 @@ TEST(MemRegistryTest, AllocFreeChargeResidentArithmetic) {
 
   EXPECT_EQ(rep.peak_ws_bytes(), 384u);
   EXPECT_EQ(rep.peak_total_bytes(), 384u + 64u + 1000u);
+  // Live at once at most: the 256-byte lease plus the 1000-byte gauge (the
+  // first lease was back, the charges came and went before the gauge).
+  EXPECT_EQ(rep.peak_live_bytes, 256u + 1000u);
   EXPECT_EQ(rep.live_bytes(), 256u + 500u);
+}
+
+TEST(MemRegistryTest, LiveHighWaterCountsOnlyWhatCoexists) {
+  MemRegistry reg;
+  // Two phases on the host stream: their peaks never overlap.
+  reg.on_alloc("phase1.delta", 300, 300, true);
+  reg.on_free("phase1.delta", 300);
+  reg.on_alloc("phase2.renumber", 200, 200, true);
+  reg.charge("multigpu.comm_staging", 50);  // on top of the live 200
+  reg.on_free("phase2.renumber", 200);
+  // Two ranks' streams sum: each may peak while the other does.
+  for (const int rank : {0, 1}) {
+    telemetry::RankScope scope(rank);
+    reg.on_alloc("multigpu.recv_msgs", 40, 40, true);
+    reg.on_free("multigpu.recv_msgs", 40);
+  }
+  const MemReport rep = reg.report();
+  EXPECT_EQ(rep.peak_total_bytes(), 300u + 200u + 50u + 2 * 40u);
+  EXPECT_EQ(rep.peak_live_bytes, 300u + 2 * 40u);
+  EXPECT_NE(rep.json().find("\"peak_live_bytes\":380"), std::string::npos) << rep.json();
 }
 
 TEST(MemRegistryTest, UnknownFreeAndUnderflowAreIgnored) {
@@ -131,6 +154,9 @@ MemReport dist_mem_report(const graph::Graph& g, bool overlap, bool compress) {
   cfg.overlap = overlap;
   cfg.compress = compress;
   RunScope scope;
+  // A standalone phase 1 leaves the graph's residency to its caller, as
+  // run_louvain sets it.
+  memtrace::set_resident("graph.csr", g.memory_bytes());
   (void)multigpu::distributed_phase1(g, cfg);
   return scope.memory().report();
 }

@@ -1,11 +1,13 @@
-// Multi-GPU layer: collectives, distributed/single-device parity, and the
-// dense/sparse synchronisation behaviour.
+// Multi-GPU layer: collectives, distributed/single-device parity (phase 1
+// and the whole pipeline), and the dense/sparse synchronisation behaviour.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "gala/codec/delta_codec.hpp"
 #include "gala/core/bsp_louvain.hpp"
+#include "gala/core/gala.hpp"
+#include "gala/graph/standin.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
 #include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
@@ -264,9 +266,9 @@ TEST_P(DeviceCounts, MatchesSingleEngineTrajectoryExactly) {
   DistributedConfig cfg;
   cfg.num_gpus = GetParam();
   const auto dist = distributed_phase1(g, cfg);
-  EXPECT_EQ(dist.community, single.community);
-  EXPECT_NEAR(dist.modularity, single.modularity, 1e-9);
-  EXPECT_EQ(static_cast<std::size_t>(dist.iterations), single.iterations.size());
+  EXPECT_EQ(dist.phase1.community, single.community);
+  EXPECT_NEAR(dist.phase1.modularity, single.modularity, 1e-9);
+  EXPECT_EQ(dist.phase1.iterations.size(), single.iterations.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(OneToEight, DeviceCounts, ::testing::Values(1, 2, 3, 4, 8));
@@ -278,7 +280,7 @@ TEST(Distributed, AllSyncModesProduceTheSameResult) {
     DistributedConfig cfg;
     cfg.num_gpus = 4;
     cfg.sync = mode;
-    communities.push_back(distributed_phase1(g, cfg).community);
+    communities.push_back(distributed_phase1(g, cfg).phase1.community);
   }
   EXPECT_EQ(communities[0], communities[1]);
   EXPECT_EQ(communities[1], communities[2]);
@@ -338,7 +340,7 @@ TEST(Distributed, ComputeTrafficSplitsAcrossDevices) {
   EXPECT_GT(static_cast<double>(reads4), 0.9 * reads1);
   const double replicated_bound =
       4.0 * 4.0 * static_cast<double>(g.num_vertices()) *
-      static_cast<double>(r4.iterations);  // 4 ranks x ~4n replicated reads/iter
+      static_cast<double>(r4.phase1.iterations.size());  // 4 ranks x ~4n replicated reads/iter
   EXPECT_LT(static_cast<double>(reads4), 1.1 * reads1 + replicated_bound);
 }
 
@@ -358,7 +360,7 @@ TEST(Distributed, PruningStrategiesMatchSingleEngineExactly) {
     cfg.num_gpus = 3;
     cfg.pruning = strategy;
     const auto r = distributed_phase1(g, cfg);
-    EXPECT_EQ(r.community, single.community) << core::to_string(strategy);
+    EXPECT_EQ(r.phase1.community, single.community) << core::to_string(strategy);
   }
 }
 
@@ -377,9 +379,9 @@ TEST(Distributed, OverlapIsBitIdenticalAndHidesCommunication) {
   const auto r_off = distributed_phase1(g, off);
   const auto r_on = distributed_phase1(g, on);
 
-  EXPECT_EQ(r_on.community, r_off.community);
-  EXPECT_EQ(r_on.iterations, r_off.iterations);
-  EXPECT_NEAR(r_on.modularity, r_off.modularity, 1e-12);
+  EXPECT_EQ(r_on.phase1.community, r_off.phase1.community);
+  EXPECT_EQ(r_on.phase1.iterations.size(), r_off.phase1.iterations.size());
+  EXPECT_NEAR(r_on.phase1.modularity, r_off.phase1.modularity, 1e-12);
 
   double hidden_on = 0, hidden_off = 0;
   std::uint64_t posted_on = 0;
@@ -411,8 +413,8 @@ TEST(Distributed, CompressionShrinksSparsePayloadBitIdentically) {
   const auto r_raw = distributed_phase1(g, raw);
   const auto r_packed = distributed_phase1(g, packed);
 
-  EXPECT_EQ(r_packed.community, r_raw.community);
-  EXPECT_EQ(r_packed.iterations, r_raw.iterations);
+  EXPECT_EQ(r_packed.phase1.community, r_raw.phase1.community);
+  EXPECT_EQ(r_packed.phase1.iterations.size(), r_raw.phase1.iterations.size());
 
   std::uint64_t bytes_raw = 0, bytes_packed = 0;
   bool saw_sparse_savings = false;
@@ -458,6 +460,97 @@ TEST(Distributed, RejectsZeroDevices) {
   cfg.num_gpus = 0;
   EXPECT_THROW(distributed_phase1(g, cfg), Error);
 }
+
+TEST(Distributed, RefusesSettingsTheRanksDoNotHonour) {
+  // Ranks always run the owner-computed delta update and would count the
+  // confusion matrix rank-locally: both settings fail, naming themselves.
+  const auto g = testing::two_triangles();
+  DistributedBackend engine(Exchange{});
+  core::GalaConfig recompute;
+  recompute.bsp.weight_update = core::WeightUpdateMode::Recompute;
+  core::GalaConfig confusion;
+  confusion.bsp.track_confusion = true;
+  for (const auto& [cfg, field] : {std::pair{recompute, "weight_update"},
+                                   std::pair{confusion, "track_confusion"}}) {
+    try {
+      (void)core::run_louvain(g, cfg, engine);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
+// ---- the distributed engine in run_louvain's level loop ---------------------
+
+std::vector<std::string> pipeline_graphs() {
+  std::vector<std::string> names = graph::standin_abbrs();
+  names.push_back("planted");
+  names.push_back("ring");
+  return names;
+}
+
+graph::Graph pipeline_graph(const std::string& name) {
+  if (name == "planted") {
+    graph::PlantedPartitionParams p;
+    p.num_vertices = 2000;
+    p.num_communities = 20;
+    p.mixing = 0.1;
+    return graph::planted_partition(p);
+  }
+  // Level 1 of the ring has 3 vertices: at P = 16 most ranks own nothing.
+  if (name == "ring") return graph::ring_of_cliques(3, 4);
+  return graph::make_standin(name, 0.05);
+}
+
+void expect_same_run(const core::GalaResult& dist, const core::GalaResult& ref,
+                     const std::string& at) {
+  EXPECT_EQ(dist.assignment, ref.assignment) << at;
+  EXPECT_NEAR(dist.modularity, ref.modularity, 1e-9) << at;
+  EXPECT_EQ(dist.rejected.has_value(), ref.rejected.has_value()) << at;
+  ASSERT_EQ(dist.levels.size(), ref.levels.size()) << at;
+  for (std::size_t i = 0; i < ref.levels.size(); ++i) {
+    EXPECT_EQ(dist.levels[i].vertices, ref.levels[i].vertices) << at << " level " << i;
+    EXPECT_EQ(dist.levels[i].communities, ref.levels[i].communities) << at << " level " << i;
+    EXPECT_EQ(dist.levels[i].iterations, ref.levels[i].iterations) << at << " level " << i;
+    EXPECT_NEAR(dist.levels[i].modularity, ref.levels[i].modularity, 1e-9)
+        << at << " level " << i;
+  }
+}
+
+class DistributedPipeline : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DistributedPipeline, MatchesTheSingleDevicePipeline) {
+  const graph::Graph g = pipeline_graph(GetParam());
+  const core::GalaResult ref = core::run_louvain(g);
+  const auto check = [&](const Exchange& exchange) {
+    DistributedBackend engine(exchange);
+    expect_same_run(core::run_louvain(g, {}, engine), ref,
+                    "P=" + std::to_string(exchange.num_gpus) + " sync=" +
+                        to_string(exchange.sync) + " overlap+compress=" +
+                        std::to_string(exchange.overlap));
+  };
+  for (const std::size_t P : {1, 2, 3, 4, 7, 16}) {
+    for (const bool both : {false, true}) {
+      Exchange exchange;
+      exchange.num_gpus = P;
+      exchange.overlap = both;
+      exchange.compress = both;
+      check(exchange);
+    }
+  }
+  for (const auto sync : {SyncMode::Dense, SyncMode::Sparse, SyncMode::Adaptive}) {
+    Exchange exchange;
+    exchange.num_gpus = 4;
+    exchange.sync = sync;
+    check(exchange);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Graphs, DistributedPipeline, ::testing::ValuesIn(pipeline_graphs()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace gala::multigpu

@@ -47,7 +47,7 @@ TEST(RunReport, ContainsTheKeyFacts) {
   core::GalaConfig cfg;
   cfg.refine = true;
   const auto result = core::run_louvain(g, cfg);
-  const std::string json = metrics::run_section(g, cfg, result);
+  const std::string json = metrics::run_section(g, cfg, result, *core::make_backend(cfg.backend));
   EXPECT_NE(json.find("\"backend\":\"bsp\""), std::string::npos);
   EXPECT_NE(json.find("\"pruning\":\"MG\""), std::string::npos);
   EXPECT_NE(json.find("\"refine\":true"), std::string::npos);
@@ -63,10 +63,11 @@ TEST(RunReport, NamesTheRejectedLevel) {
   const auto g = testing::small_planted();
   testing::LosingEngine engine(/*losing_level=*/1);
   const auto result = core::run_louvain(g, {}, engine);
-  const JsonValue run = parse_json(metrics::run_section(g, {}, result)).at("result");
+  const JsonValue run = parse_json(metrics::run_section(g, {}, result, engine)).at("result");
   EXPECT_EQ(run.at("levels").array.size(), 1u);
   EXPECT_EQ(run.at("rejected_level").at("communities").number, 1);
-  EXPECT_EQ(parse_json(metrics::run_section(g, {}, core::run_louvain(g)))
+  const auto bsp = core::make_backend(core::Backend::Bsp);
+  EXPECT_EQ(parse_json(metrics::run_section(g, {}, core::run_louvain(g), *bsp))
                 .at("result")
                 .find("rejected_level"),
             nullptr);
@@ -78,7 +79,7 @@ TEST(RunReport, SavesToDisk) {
   const testing::ScopedTempDir tmp;
   const auto path = tmp.file("run.json");
   metrics::RunReport report;
-  report.run = metrics::run_section(g, {}, result);
+  report.run = metrics::run_section(g, {}, result, *core::make_backend(core::Backend::Bsp));
   report.save(path);
   const JsonValue doc = parse_json(slurp(path));
   EXPECT_EQ(doc.at("report_schema").number, metrics::RunReport::kSchema);

@@ -373,6 +373,70 @@ TEST(SupervisedRunTest, SharedArenaFaultDegradesInKernelWithExactParity) {
   EXPECT_NEAR(sup.result.modularity, fault_free.modularity, 1e-9);
 }
 
+/// A warm start for the supervised repair tests: a converged partition of
+/// small_planted(), and the graph after 50 random insertions.
+struct WarmCase {
+  graph::Graph g;
+  std::vector<cid_t> initial;
+};
+
+WarmCase warm_case() {
+  const auto base = gala::testing::small_planted();
+  Xoshiro256 rng(11);
+  return {core::apply_edge_updates(base, gala::testing::random_insertions(base.num_vertices(),
+                                                                           50, rng)),
+          core::run_louvain(base).assignment};
+}
+
+TEST(SupervisedRunTest, FaultFreeWarmStartMatchesUnsupervisedBitForBit) {
+  const WarmCase w = warm_case();
+  core::GalaConfig cfg;
+  cfg.keep_first_round = true;
+  const auto plain = core::run_louvain(w.g, cfg, w.initial);
+  const auto sup = run_louvain_supervised(w.g, cfg, {}, w.initial);
+  EXPECT_EQ(sup.result.first_round.start_modularity, plain.first_round.start_modularity);
+  EXPECT_EQ(sup.result.first_round.community, plain.first_round.community);
+  EXPECT_EQ(sup.result.assignment, plain.assignment);
+  EXPECT_EQ(sup.result.modularity, plain.modularity);
+  ASSERT_EQ(sup.result.levels.size(), plain.levels.size());
+  for (std::size_t i = 0; i < plain.levels.size(); ++i) {
+    EXPECT_EQ(sup.result.levels[i].communities, plain.levels[i].communities) << "level " << i;
+    EXPECT_EQ(sup.result.levels[i].modularity, plain.levels[i].modularity) << "level " << i;
+    EXPECT_EQ(sup.result.levels[i].iterations, plain.levels[i].iterations) << "level " << i;
+  }
+  EXPECT_EQ(sup.result.modeled_ms, plain.modeled_ms);
+  EXPECT_EQ(sup.retries, 0);
+  EXPECT_TRUE(recovery_events(sup).empty());
+}
+
+TEST(SupervisedRunTest, WarmStartThatExhaustsItsRetriesFallsBackFromItsStart) {
+  // Three launch faults against two retries: level 0's every attempt dies and
+  // the level re-runs on the sequential host path. That path starts from
+  // singletons, but the level started from the warm start, so its start
+  // modularity is the warm start's and the loop never ends below it.
+  const WarmCase w = warm_case();
+  const wt_t start_q = core::modularity(w.g, w.initial);
+  FaultPlan plan;
+  plan.rules.push_back(rule(FaultSite::KernelLaunch, "", -1, 0, /*max_fires=*/3));
+  RunScope scope;
+  scope.faults().arm(plan);
+
+  core::GalaConfig cfg;
+  cfg.keep_first_round = true;
+  const auto sup = run_louvain_supervised(w.g, cfg, {}, w.initial);
+  EXPECT_TRUE(sup.degraded);
+  EXPECT_EQ(sup.retries, 2);
+  const auto recov = recovery_events(sup);
+  ASSERT_GE(recov.size(), 3u);
+  EXPECT_EQ(recov[0].action, "retry");
+  EXPECT_EQ(recov[1].action, "retry");
+  EXPECT_EQ(recov[2].action, "sequential-fallback");
+  EXPECT_EQ(recov[2].level, 0);
+  EXPECT_NEAR(sup.result.first_round.start_modularity, start_q, 1e-12);
+  EXPECT_GE(sup.result.modularity, start_q - 1e-12);
+  EXPECT_NEAR(core::modularity(w.g, sup.result.assignment), sup.result.modularity, 1e-9);
+}
+
 // ---- distributed engine: collective faults ---------------------------------
 
 TEST(DistributedFaultTest, CorruptSparseSyncFallsBackToDense) {
@@ -393,8 +457,8 @@ TEST(DistributedFaultTest, CorruptSparseSyncFallsBackToDense) {
   EXPECT_TRUE(r.iteration_log[0].recovered_dense);
   EXPECT_FALSE(r.iteration_log[0].sparse_sync);
   // Dense and sparse sync agree on the replicated state: exact parity.
-  EXPECT_EQ(r.community, fault_free.community);
-  EXPECT_NEAR(r.modularity, fault_free.modularity, 1e-9);
+  EXPECT_EQ(r.phase1.community, fault_free.phase1.community);
+  EXPECT_NEAR(r.phase1.modularity, fault_free.phase1.modularity, 1e-9);
 }
 
 TEST(DistributedFaultTest, PersistentDropFailsClosedWithoutDeadlock) {
@@ -440,8 +504,8 @@ TEST(DistributedFaultTest, CorruptCompressedOverlappedSyncFallsBackToDense) {
   ASSERT_FALSE(r.iteration_log.empty());
   EXPECT_TRUE(r.iteration_log[0].recovered_dense);
   EXPECT_FALSE(r.iteration_log[0].sparse_sync);
-  EXPECT_EQ(r.community, fault_free.community);
-  EXPECT_NEAR(r.modularity, fault_free.modularity, 1e-9);
+  EXPECT_EQ(r.phase1.community, fault_free.phase1.community);
+  EXPECT_NEAR(r.phase1.modularity, fault_free.phase1.modularity, 1e-9);
 }
 
 TEST(DistributedFaultTest, DroppedWeightGatherRetriesOnTheSecondBuffer) {
@@ -464,8 +528,8 @@ TEST(DistributedFaultTest, DroppedWeightGatherRetriesOnTheSecondBuffer) {
   scope.faults().arm(plan);
 
   const auto r = multigpu::distributed_phase1(g, cfg);
-  EXPECT_EQ(r.community, fault_free.community);
-  EXPECT_NEAR(r.modularity, fault_free.modularity, 1e-9);
+  EXPECT_EQ(r.phase1.community, fault_free.phase1.community);
+  EXPECT_NEAR(r.phase1.modularity, fault_free.phase1.modularity, 1e-9);
 }
 
 TEST(DistributedFaultTest, PersistentDropWithOverlapFailsClosed) {
@@ -511,6 +575,32 @@ TEST(DistributedFaultTest, TimeoutIsDetectedAndNamed) {
 }
 
 // ---- communicator hardening ------------------------------------------------
+
+TEST(DistributedFaultTest, ExhaustedSyncRetriesRecoverThroughTheSupervisor) {
+  // Three dropped gathers outlast the two sync retries, so level 0's
+  // distributed phase 1 fails closed; the supervisor retries the level,
+  // which then runs fault-free to the unsupervised partition.
+  const auto g = gala::testing::small_planted();
+  multigpu::Exchange exchange;
+  exchange.num_gpus = 4;
+  multigpu::DistributedBackend engine(exchange);
+  const auto fault_free = core::run_louvain(g, {}, engine);
+
+  FaultPlan plan;
+  plan.rules.push_back(
+      rule(FaultSite::CollectiveDrop, "all_gather_v", /*rank=*/1, 0, /*max_fires=*/3));
+  RunScope scope;
+  scope.faults().arm(plan);
+  const auto sup = run_louvain_supervised(g, {}, {}, engine);
+  EXPECT_EQ(sup.retries, 1);
+  EXPECT_FALSE(sup.degraded);
+  const auto recov = recovery_events(sup);
+  ASSERT_FALSE(recov.empty());
+  EXPECT_EQ(recov[0].action, "retry");
+  EXPECT_NE(recov[0].detail.find("collective-drop"), std::string::npos);
+  EXPECT_EQ(sup.result.assignment, fault_free.assignment);
+  EXPECT_EQ(sup.result.modularity, fault_free.modularity);
+}
 
 TEST(CommunicatorTest, CollectivesRejectOutOfRangeRank) {
   multigpu::Communicator comm(2);

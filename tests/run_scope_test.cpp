@@ -114,7 +114,7 @@ ReportedRun reported_run(const graph::Graph& g, core::Backend backend) {
   cfg.bsp.on_iteration = health.callback();
   const core::GalaResult r = core::run_louvain(g, cfg);
   metrics::RunReport report;
-  report.run = metrics::run_section(g, cfg, r);
+  report.run = metrics::run_section(g, cfg, r, *core::make_backend(cfg.backend, cfg.blas));
   report.health = health.report().json();
   report.capture(RunScope::current(), "end-of-run");  // `scope`, unless runs share observers
   ReportedRun out{r.assignment, {}};

@@ -217,6 +217,20 @@ TEST_F(TraceCheck, RejectsABrokenCopyOfEveryInvariant) {
          total = number(total.number + 1);
        },
        "timeline entry total does not equal the subsystem sum"},
+      {"mem live high-water above the summed peaks", false,
+       [](JsonValue& d) {
+         JsonValue& totals = at(at(d, "mem"), "totals");
+         at(totals, "peak_live_bytes") = number(totals.at("peak_total_bytes").number + 1);
+       },
+       "peak_live_bytes exceeds peak_total_bytes"},
+      {"mem timeline above the live high-water", false,
+       [](JsonValue& d) {
+         const double over = d.at("mem").at("totals").at("peak_live_bytes").number + 1;
+         JsonValue& epoch = at(at(d, "mem"), "timeline").array[0];
+         at(epoch, "total") = number(over);
+         at(epoch, "subsystems").object = {{"graph", number(over)}};
+       },
+       "timeline entry total exceeds peak_live_bytes"},
       {"unknown report member", false, [](JsonValue& d) { d.object.emplace_back("extra", d); },
        "unknown report member 'extra'"},
       {"section that is not an object", false, [](JsonValue& d) { at(d, "health") = number(1); },
@@ -232,6 +246,18 @@ TEST_F(TraceCheck, RejectsABrokenCopyOfEveryInvariant) {
          }
        },
        "posted but never completed"},
+      {"flow id reused", true,
+       [](JsonValue& d) {
+         auto& events = at(d, "traceEvents").array;
+         for (std::size_t i = 0; i < events.size(); ++i) {
+           if (events[i].at("ph").string == "s") {
+             const JsonValue start = events[i];
+             events.push_back(start);
+             return;
+           }
+         }
+       },
+       "used by two arrows"},
       {"malformed trace event", true,
        [](JsonValue& d) { at(d, "traceEvents").array.push_back(number(0)); },
        "malformed trace event"},
@@ -265,13 +291,13 @@ TEST_F(TraceCheck, RequireNamesItsSection) {
 
 TEST_F(TraceCheck, BudgetAndRanksBindTheirSections) {
   detect("--trace-out " + path("t.json") + " --report-out " + path("r.json"));
-  const double peak = load("r.json").at("mem").at("totals").at("peak_total_bytes").number;
+  const double peak = load("r.json").at("mem").at("totals").at("peak_live_bytes").number;
   const auto bytes = [](double b) { return std::to_string(static_cast<unsigned long long>(b)); };
   EXPECT_EQ(check("r.json", "--budget " + bytes(peak)), 0) << out_;
   EXPECT_EQ(check("r.json", "--budget " + bytes(peak - 1)), 1) << out_;
   EXPECT_NE(out_.find("exceeds the budget"), std::string::npos) << out_;
 
-  // A timeline epoch over the budget fails even when the peak gauge is under it.
+  // A timeline epoch over the budget fails even when the high-water is under it.
   JsonValue doc = load("r.json");
   JsonValue& epoch = at(at(doc, "mem"), "timeline").array[0];
   at(epoch, "total") = number(peak + 1);

@@ -153,8 +153,7 @@ int cmd_detect(int argc, const char* const* argv) {
                   "bsp")
       .add_option("resolution", "gamma for generalised modularity", "1.0")
       .add_option("theta", "per-iteration convergence threshold", "1e-6")
-      .add_option("gpus", "simulated devices (>1 uses the distributed engine, phase 1 only)",
-                  "1")
+      .add_option("gpus", "simulated devices (>1 distributes every level's phase 1)", "1")
       .add_option("output", "write 'vertex community' lines here", "")
       .add_option("algorithm", "louvain|lpa", "louvain")
       .add_option("trace-out", "write a Chrome-trace/Perfetto JSON of the run here", "")
@@ -256,10 +255,11 @@ int cmd_detect(int argc, const char* const* argv) {
               load_timer.total_seconds());
 
   std::vector<cid_t> assignment;
-  // --probe-min-budget replays the solve under trial budgets; each Louvain
+  // --probe-min-budget replays the solve under trial budgets; the Louvain
   // branch stashes a replayable unsupervised configuration here (without the
   // health callback, so the probe never pollutes the health report).
   std::function<std::vector<cid_t>()> probe_solve;
+  std::unique_ptr<core::LouvainBackend> engine;  // the Louvain run's, shared with the probe
   if (args.get("algorithm") == "lpa") {
     baselines::LpaOptions opts;
     const auto r = baselines::label_propagation(g, opts);
@@ -268,32 +268,6 @@ int cmd_detect(int argc, const char* const* argv) {
     if (reporting) report.run = metrics::run_section(g, r, q);
     std::printf("label propagation: %u communities in %d iterations, modularity %.5f\n",
                 r.num_communities, r.iterations, q);
-  } else if (args.get_int("gpus") > 1) {
-    multigpu::DistributedConfig cfg;
-    cfg.num_gpus = static_cast<std::size_t>(args.get_int("gpus"));
-    cfg.pruning = parse_pruning(args.get("pruning"));
-    cfg.hashtable = parse_hashtable(args.get("hashtable"));
-    cfg.resolution = args.get_double("resolution");
-    cfg.theta = args.get_double("theta");
-    cfg.overlap = args.has("overlap");
-    cfg.compress = args.has("compress");
-    if (health.has_value()) cfg.on_iteration = health->callback();
-    {
-      multigpu::DistributedConfig probe_cfg = cfg;
-      probe_cfg.on_iteration = nullptr;
-      probe_solve = [&g, probe_cfg] {
-        auto pr = multigpu::distributed_phase1(g, probe_cfg);
-        core::renumber_communities(pr.community);
-        return pr.community;
-      };
-    }
-    const auto r = multigpu::distributed_phase1(g, cfg);
-    assignment = r.community;
-    core::renumber_communities(assignment);
-    if (reporting) report.run = metrics::run_section(g, cfg, r);
-    std::printf("distributed phase 1 on %zu devices: modularity %.5f, %d iterations, "
-                "%.3f modeled ms, %.3f s wall\n",
-                cfg.num_gpus, r.modularity, r.iterations, r.modeled_ms(), r.wall_seconds);
   } else {
     core::GalaConfig cfg;
     cfg.backend = backend;
@@ -303,14 +277,27 @@ int cmd_detect(int argc, const char* const* argv) {
     cfg.bsp.theta = args.get_double("theta");
     cfg.refine = args.has("refine");
     cfg.vertex_following = args.has("follow");
+    // --gpus N > 1 distributes every level's phase 1 (multigpu/dist_louvain.hpp).
+    if (args.get_int("gpus") > 1) {
+      multigpu::Exchange exchange;
+      exchange.num_gpus = static_cast<std::size_t>(args.get_int("gpus"));
+      exchange.overlap = args.has("overlap");
+      exchange.compress = args.has("compress");
+      engine = std::make_unique<multigpu::DistributedBackend>(exchange);
+    } else {
+      engine = core::make_backend(backend, cfg.blas);
+    }
     {
       core::GalaConfig probe_cfg = cfg;
       // Peaks of parallel launches depend on how many pool workers hold
       // scratch at once, so a trial could exceed the reference peak it was
       // sized from. Sequential replays make feasibility a deterministic,
       // monotone function of the budget, which the binary search assumes.
+      // (Distributed ranks always launch sequentially.)
       probe_cfg.bsp.parallel = false;
-      probe_solve = [&g, probe_cfg] { return core::run_louvain(g, probe_cfg).assignment; };
+      probe_solve = [&g, &engine, probe_cfg] {
+        return core::run_louvain(g, probe_cfg, *engine).assignment;
+      };
     }
     const bool supervised = args.has("supervise") || args.has("faults") || args.has("strict") ||
                             args.has("max-retries");
@@ -324,7 +311,8 @@ int cmd_detect(int argc, const char* const* argv) {
       // overwrites it and keeps the incident events (they are still in the
       // ring) under the freshest reason.
       sup.flight_dump_path = report_out;
-      const resilience::SupervisedResult sr = resilience::run_louvain_supervised(g, cfg, sup);
+      const resilience::SupervisedResult sr =
+          resilience::run_louvain_supervised(g, cfg, sup, *engine);
       r = sr.result;
       // The supervisor's health monitor is the run's one monitor.
       if (health.has_value()) {
@@ -341,10 +329,10 @@ int cmd_detect(int argc, const char* const* argv) {
       }
     } else {
       if (health.has_value()) cfg.bsp.on_iteration = health->callback();
-      r = core::run_louvain(g, cfg);
+      r = core::run_louvain(g, cfg, *engine);
     }
     assignment = r.assignment;
-    if (reporting) report.run = metrics::run_section(g, cfg, r);
+    if (reporting) report.run = metrics::run_section(g, cfg, r, *engine);
     std::printf("GALA: %u communities, modularity %.5f, %zu levels, %.3f s wall, "
                 "%.3f modeled ms\n",
                 r.num_communities, r.modularity, r.levels.size(), r.wall_seconds, r.modeled_ms);
@@ -426,13 +414,20 @@ int cmd_detect(int argc, const char* const* argv) {
     // Each trial replays the run in a fresh scope: no fault plan (a firing
     // fault would break the probe's monotone-feasibility assumption), the
     // trial's budget if any, and the run's profiler setting (its per-block
-    // cycle buffers count toward the peak).
+    // cycle buffers count toward the peak). A --gpus replay is the run
+    // (ranks always launch sequentially), so its peak is the live
+    // high-water, what the budget caps; summing every tag's own peak would
+    // count phase 2's scratch as if it coexisted with phase 1's. A
+    // single-device replay launches sequentially while the run holds a
+    // scratch set per pool worker, so it keeps the summed peaks' headroom.
+    const bool replay_is_run = args.get_int("gpus") > 1;
     const auto replay = [&](std::uint64_t budget, std::uint64_t& peak) {
       RunScope trial;
       trial.profiler().set_enabled(scope.profiler().enabled());
       if (budget != 0) trial.governor().install({.total_bytes = budget});
       std::vector<cid_t> partition = probe_solve();
-      peak = trial.memory().report().peak_total_bytes();
+      const memtrace::MemReport mem = trial.memory().report();
+      peak = replay_is_run ? mem.peak_live_bytes : mem.peak_total_bytes();
       return partition;
     };
     std::uint64_t unlimited_peak = 0;

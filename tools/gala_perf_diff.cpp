@@ -1,10 +1,8 @@
 // Compares two performance sidecar files (or directories of them) and fails
-// when modeled counters drift beyond tolerance — the CI perf-regression gate.
+// when modeled counters drift — the CI perf-regression gate.
 //
 // Usage:
-//   gala_perf_diff <baseline> <current> [--tolerance T] [--ms-tolerance M]
-//                  [--alloc-tolerance A] [--comm-tolerance C]
-//                  [--overhead-tolerance O] [--mem-tolerance B] [--strict-new]
+//   gala_perf_diff <baseline> <current>
 //
 // <baseline>/<current> are JSON files, or directories compared pairwise by
 // file name (every baseline file must exist on the current side). Documents
@@ -13,40 +11,36 @@
 //   - keys starting with "wall" are skipped (host wall-clock is
 //     nondeterministic; modeled counters are the contract),
 //   - keys ending in "_efficiency" are higher-better: only a drop beyond
-//     --tolerance is a regression,
+//     kTolerance (2 %) is a regression,
 //   - "modeled_ms" / "modeled_cycles" are lower-better: only growth beyond
-//     --ms-tolerance is a regression,
-//   - keys ending in "_allocs" are lower-better with a zero default budget
-//     (--alloc-tolerance): workspace pool misses are exact counts, so any
-//     growth means a pooled path started hitting the heap,
-//   - keys ending in "comm_bytes" are lower-better with a zero default
-//     budget (--comm-tolerance): the distributed sync trajectory is
-//     bit-deterministic, so for an unchanged configuration any growth in
-//     wire volume is a communication regression (shrinkage — better
-//     elision or compression — passes),
+//     kMsTolerance (10 %) is a regression,
+//   - keys ending in "_allocs" are lower-better and gate at zero growth:
+//     workspace pool misses are exact counts, so any growth means a pooled
+//     path started hitting the heap,
+//   - keys ending in "comm_bytes" gate at zero growth: the distributed sync
+//     trajectory is bit-deterministic, so for an unchanged configuration any
+//     growth in wire volume is a communication regression (shrinkage —
+//     better elision or compression — passes),
 //   - keys ending in "_overhead_pct" are compared absolutely, in percentage
-//     points (--overhead-tolerance): the baseline hovers near zero, so a
+//     points (kOverheadPoints, 2): the baseline hovers near zero, so a
 //     relative rule would flag noise; the contract is "armed instrumentation
-//     stays under N points of overhead", not "matches the baseline",
-//   - keys matching "peak_*_bytes" are lower-better with a zero default
-//     budget (--mem-tolerance): memory high-water marks are modeled from
-//     deterministic request sequences, so any growth means a subsystem's
-//     footprint regressed (shrinkage passes),
-//   - keys starting with "min_feasible" are lower-better with the same zero
-//     default budget (--mem-tolerance): the smallest enforceable memory
-//     budget is binary-searched from modeled bytes, so growth means the
-//     governor's degradation ladder lost headroom (shrinkage passes),
-//   - every other number must match within --tolerance in either direction
+//     stays under 2 points of overhead", not "matches the baseline",
+//   - keys matching "peak_*_bytes" gate at zero growth: memory high-water
+//     marks are modeled from deterministic request sequences, so any growth
+//     means a subsystem's footprint regressed (shrinkage passes),
+//   - keys starting with "min_feasible" gate at zero growth: the smallest
+//     enforceable memory budget is binary-searched from modeled bytes, so
+//     growth means the governor's degradation ladder lost headroom
+//     (shrinkage passes),
+//   - every other number must match within kTolerance in either direction
 //     (the emulated counters are deterministic, so any drift is a change
 //     worth explaining — refresh the baseline deliberately, see
 //     bench/baseline/README.md).
 //
-// A relative-rule metric whose baseline value is exactly zero is reported as
-// a "new metric" and passes (the row gained a field after the baseline was
-// cut; refresh the baseline to start gating it) unless --strict-new is
-// given. Zero-growth rules (_allocs, comm_bytes, peak_*_bytes,
-// min_feasible*) are exempt: there, base 0 -> cur > 0 is precisely the
-// regression being gated.
+// A metric under a relative rule whose baseline value is exactly zero fails:
+// the bench grew a metric the baseline does not gate, so the baseline is
+// refreshed in the same change. The zero-growth rules need no such case:
+// there, base 0 -> cur > 0 is precisely the regression being gated.
 //
 // Array elements align by their "name" member when present, else by index.
 // Exit codes: 0 = within tolerance, 1 = regression/drift, 2 = usage or I/O.
@@ -67,18 +61,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct Options {
-  double tolerance = 0.02;       // symmetric counter drift
-  double ms_tolerance = 0.10;    // modeled-ms / modeled-cycles growth
-  double alloc_tolerance = 0.0;  // "*_allocs" growth (pool misses are exact)
-  double comm_tolerance = 0.0;   // "*comm_bytes" growth (wire volume is exact)
-  double overhead_tolerance = 2.0;  // "*_overhead_pct" ceiling, percentage points
-  double mem_tolerance = 0.0;       // "peak_*_bytes" growth (modeled bytes are exact)
-  bool strict_new = false;          // fail on zero-baseline metrics instead of noting them
-};
+constexpr double kTolerance = 0.02;       // symmetric counter drift, efficiency drop
+constexpr double kMsTolerance = 0.10;     // modeled-ms / modeled-cycles growth
+constexpr double kOverheadPoints = 2.0;   // "*_overhead_pct" ceiling, percentage points
 
 struct DiffState {
-  const Options* opts = nullptr;
   int regressions = 0;
 
   void report(const std::string& path, double base, double cur, const char* what) {
@@ -89,17 +76,9 @@ struct DiffState {
   }
 
   /// A metric whose baseline is exactly zero has no meaningful relative
-  /// delta — it usually means the row gained a field after the baseline was
-  /// cut. Note it (and pass) unless --strict-new turns it into a failure.
+  /// delta: the row gained a field after the baseline was cut.
   void report_new(const std::string& path, double cur) {
-    if (opts->strict_new) {
-      report(path, 0, cur, "new metric (zero baseline) under --strict-new");
-      return;
-    }
-    std::fprintf(stderr,
-                 "perf_diff: %s: new metric (baseline 0, current %.6g) — refresh the "
-                 "baseline to start gating it\n",
-                 path.c_str(), cur);
+    report(path, 0, cur, "new metric (zero baseline): refresh the baseline to gate it");
   }
 };
 
@@ -127,7 +106,7 @@ void diff_number(double base, double cur, const std::string& path, DiffState& st
   if (ends_with(key, "_overhead_pct")) {
     // Overhead rows measure a ratio that should sit at ~0%, where relative
     // comparison explodes; gate on the absolute ceiling instead.
-    if (cur > base + state.opts->overhead_tolerance) {
+    if (cur > base + kOverheadPoints) {
       state.report(path, base, cur, "instrumentation overhead regressed");
     }
     return;
@@ -136,37 +115,35 @@ void diff_number(double base, double cur, const std::string& path, DiffState& st
   const double rel = (cur - base) / denom;
   if (ends_with(key, "_efficiency")) {
     if (base == 0 && cur != 0) return state.report_new(path, cur);
-    if (rel < -state.opts->tolerance) state.report(path, base, cur, "efficiency regressed");
+    if (rel < -kTolerance) state.report(path, base, cur, "efficiency regressed");
   } else if (key == "modeled_ms" || key == "modeled_cycles") {
     if (base == 0 && cur != 0) return state.report_new(path, cur);
-    if (rel > state.opts->ms_tolerance) state.report(path, base, cur, "modeled time regressed");
+    if (rel > kMsTolerance) state.report(path, base, cur, "modeled time regressed");
   } else if (ends_with(key, "_allocs")) {
-    // Workspace pool misses are deterministic, so they gate at zero growth
-    // by default: any new steady-state allocation is a pooling regression.
-    // A zero baseline is NOT a "new metric" here — base 0 -> cur > 0 is
-    // exactly the regression this rule exists to catch.
-    if (rel > state.opts->alloc_tolerance) state.report(path, base, cur, "allocations regressed");
+    // Workspace pool misses are deterministic, so they gate at zero growth:
+    // any new steady-state allocation is a pooling regression. A zero
+    // baseline is NOT a "new metric" here — base 0 -> cur > 0 is exactly
+    // the regression this rule exists to catch.
+    if (cur > base) state.report(path, base, cur, "allocations regressed");
   } else if (ends_with(key, "comm_bytes")) {
     // Distributed wire volume is deterministic: growth for an unchanged
     // configuration means sync payloads, elision, or compression regressed.
-    if (rel > state.opts->comm_tolerance) state.report(path, base, cur, "comm bytes regressed");
+    if (cur > base) state.report(path, base, cur, "comm bytes regressed");
   } else if (starts_with(key, "min_feasible")) {
     // The smallest budget that still completes with a reference-identical
     // partition is modeled and deterministic; growth means the degradation
     // ladder lost headroom somewhere. Shrinkage passes. A zero baseline
     // stays a hard gate, like the other byte budgets.
-    if (rel > state.opts->mem_tolerance) {
-      state.report(path, base, cur, "min feasible budget regressed");
-    }
+    if (cur > base) state.report(path, base, cur, "min feasible budget regressed");
   } else if (starts_with(key, "peak_") && ends_with(key, "_bytes")) {
     // Memory high-water marks are modeled (power-of-two size classes over
-    // deterministic request sequences), so they gate at zero growth by
-    // default: any new peak means a subsystem's footprint grew. Shrinkage
-    // passes. Like _allocs, a zero baseline stays a hard gate.
-    if (rel > state.opts->mem_tolerance) state.report(path, base, cur, "peak bytes regressed");
+    // deterministic request sequences), so they gate at zero growth: any new
+    // peak means a subsystem's footprint grew. Shrinkage passes. Like
+    // _allocs, a zero baseline stays a hard gate.
+    if (cur > base) state.report(path, base, cur, "peak bytes regressed");
   } else {
     if (base == 0 && cur != 0) return state.report_new(path, cur);
-    if (std::fabs(rel) > state.opts->tolerance) state.report(path, base, cur, "counter drifted");
+    if (std::fabs(rel) > kTolerance) state.report(path, base, cur, "counter drifted");
   }
 }
 
@@ -243,9 +220,8 @@ gala::JsonValue load(const fs::path& file) {
   return gala::parse_json(ss.str());
 }
 
-int diff_files(const fs::path& base, const fs::path& cur, const Options& opts) {
+int diff_files(const fs::path& base, const fs::path& cur) {
   DiffState state;
-  state.opts = &opts;
   diff_value(load(base), load(cur), base.filename().string(), state);
   if (state.regressions > 0) {
     std::fprintf(stderr, "perf_diff: %s vs %s: %d regression%s\n", base.string().c_str(),
@@ -259,52 +235,12 @@ int diff_files(const fs::path& base, const fs::path& cur, const Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> positional;
-  Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next_double = [&](double& out) {
-      if (++i >= argc) {
-        std::fprintf(stderr, "perf_diff: %s needs a value\n", arg.c_str());
-        return false;
-      }
-      char* end = nullptr;
-      const double v = std::strtod(argv[i], &end);
-      if (end == argv[i] || *end != '\0' || !(v >= 0.0)) {
-        std::fprintf(stderr, "perf_diff: %s needs a non-negative number, got '%s'\n",
-                     arg.c_str(), argv[i]);
-        return false;
-      }
-      out = v;
-      return true;
-    };
-    if (arg == "--tolerance") {
-      if (!next_double(opts.tolerance)) return 2;
-    } else if (arg == "--ms-tolerance") {
-      if (!next_double(opts.ms_tolerance)) return 2;
-    } else if (arg == "--alloc-tolerance") {
-      if (!next_double(opts.alloc_tolerance)) return 2;
-    } else if (arg == "--comm-tolerance") {
-      if (!next_double(opts.comm_tolerance)) return 2;
-    } else if (arg == "--overhead-tolerance") {
-      if (!next_double(opts.overhead_tolerance)) return 2;
-    } else if (arg == "--mem-tolerance") {
-      if (!next_double(opts.mem_tolerance)) return 2;
-    } else if (arg == "--strict-new") {
-      opts.strict_new = true;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: gala_perf_diff <baseline> <current> [--tolerance T] "
-                 "[--ms-tolerance M] [--alloc-tolerance A] [--comm-tolerance C] "
-                 "[--overhead-tolerance O] [--mem-tolerance B] [--strict-new]\n");
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: gala_perf_diff <baseline> <current>\n");
     return 2;
   }
 
-  const fs::path base(positional[0]), cur(positional[1]);
+  const fs::path base(argv[1]), cur(argv[2]);
   try {
     if (fs::is_directory(base)) {
       if (!fs::is_directory(cur)) {
@@ -332,11 +268,11 @@ int main(int argc, char** argv) {
           worst = std::max(worst, 1);
           continue;
         }
-        worst = std::max(worst, diff_files(file, other, opts));
+        worst = std::max(worst, diff_files(file, other));
       }
       return worst;
     }
-    return diff_files(base, cur, opts);
+    return diff_files(base, cur);
   } catch (const gala::Error& e) {
     std::fprintf(stderr, "perf_diff: %s\n", e.what());
     return 2;

@@ -2,7 +2,8 @@
 // 1 on any failure, so CI can gate on it. The file's shape picks the checks:
 //
 //   Chrome trace ({"traceEvents":[...]}, detect --trace-out): every event has
-//     a name, ph and ts, and flow events ("s"/"f") pair up by id.
+//     a name, ph and ts, and flow events ("s"/"f") pair up by id, one arrow
+//     per id.
 //   Run report ({"report_schema":1,...}, detect --report-out or a supervisor
 //     post-mortem): only known sections, each an object, and every section
 //     present is checked:
@@ -21,9 +22,10 @@
 //              the iteration count, churn in [0, 1], and a summary consistent
 //              with the per-level entries.
 //     mem      mem_schema, per-subsystem byte accounting with live <= peak,
-//              totals with frag_pct in [0, 100], a consistent leak_check, and
-//              a residency timeline whose entry totals equal their subsystem
-//              sums.
+//              totals with peak_live_bytes <= peak_total_bytes and frag_pct
+//              in [0, 100], a consistent leak_check, and a residency
+//              timeline whose entry totals equal their subsystem sums and
+//              never exceed peak_live_bytes.
 //
 // Usage:
 //   trace_check <file.json> [--require NAME]... [--ranks N] [--budget BYTES]
@@ -39,7 +41,8 @@
 //                   distinct ranks >= 0 in a report's flight section.
 //   --budget BYTES  require a report's mem section to respect a governor
 //                   budget: every residency-timeline epoch total and the
-//                   peak_total_bytes gauge must be <= BYTES.
+//                   peak_live_bytes high-water (the bytes ever live at once,
+//                   which is what a budget caps) must be <= BYTES.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -388,7 +391,7 @@ bool check_mem(const gala::JsonValue& doc, const std::string& file, std::uint64_
   }
   const gala::JsonValue* totals = doc.find("totals");
   if (totals == nullptr || !totals->is_object()) return fail(file, "no totals object");
-  for (const char* key : {"peak_ws_bytes", "peak_total_bytes", "live_bytes"}) {
+  for (const char* key : {"peak_ws_bytes", "peak_total_bytes", "peak_live_bytes", "live_bytes"}) {
     const gala::JsonValue* v = totals->find(key);
     if (v == nullptr || !v->is_number() || v->number < 0) {
       return fail(file, std::string("totals: '") + key + "' is not a non-negative number");
@@ -401,10 +404,14 @@ bool check_mem(const gala::JsonValue& doc, const std::string& file, std::uint64_
   if (frag == nullptr || !frag->is_number() || frag->number < 0 || frag->number > 100.0) {
     return fail(file, "totals: frag_pct is not in [0, 100]");
   }
-  if (budget > 0 && totals->at("peak_total_bytes").number > static_cast<double>(budget)) {
-    return fail(file, "totals: peak_total_bytes " +
-                          std::to_string(static_cast<std::uint64_t>(
-                              totals->at("peak_total_bytes").number)) +
+  // What was live at once can never exceed the sum of every tag's own peak.
+  const double peak_live = totals->at("peak_live_bytes").number;
+  if (peak_live > totals->at("peak_total_bytes").number) {
+    return fail(file, "totals: peak_live_bytes exceeds peak_total_bytes");
+  }
+  if (budget > 0 && peak_live > static_cast<double>(budget)) {
+    return fail(file, "totals: peak_live_bytes " +
+                          std::to_string(static_cast<std::uint64_t>(peak_live)) +
                           " exceeds the budget " + std::to_string(budget));
   }
   const gala::JsonValue* leak = doc.find("leak_check");
@@ -452,6 +459,7 @@ bool check_mem(const gala::JsonValue& doc, const std::string& file, std::uint64_
                             std::to_string(static_cast<std::uint64_t>(e.at("total").number)) +
                             " exceeds the budget " + std::to_string(budget));
     }
+    if (sum > peak_live) return fail(file, "timeline entry total exceeds peak_live_bytes");
   }
   return true;
 }
@@ -463,7 +471,8 @@ bool check_chrome(const gala::JsonValue& doc, const std::string& file, int want_
   if (!events.is_array()) return fail(file, "traceEvents is not an array");
   // Flow arrows must pair up: each posted edge ("s") needs a consumer ("f")
   // with the same id, and vice versa — a dangling side means the merge lost
-  // the other rank's half of the hand-off.
+  // the other rank's half of the hand-off. An id names one arrow: reusing it
+  // would let one arrow's end stand in for another's.
   std::set<std::string> flow_starts;
   std::set<std::string> flow_finishes;
   std::set<double> rank_pids;
@@ -478,7 +487,9 @@ bool check_chrome(const gala::JsonValue& doc, const std::string& file, int want_
       const gala::JsonValue* id = e.find("id");
       if (id == nullptr) return fail(file, "flow event without an id");
       const std::string key = id->is_string() ? id->string : std::to_string(id->number);
-      (ph == "s" ? flow_starts : flow_finishes).insert(key);
+      if (!(ph == "s" ? flow_starts : flow_finishes).insert(key).second) {
+        return fail(file, "flow id '" + key + "' used by two arrows");
+      }
     }
     if (const gala::JsonValue* pid = e.find("pid")) {
       if (pid->is_number() && pid->number > 0 && ph != "M") rank_pids.insert(pid->number);
