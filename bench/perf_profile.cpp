@@ -111,11 +111,11 @@ int main() {
   }
   // Blas-engine rows: phase 1 through the linear-algebra formulation, then
   // the shared SpGEMM contraction of the resulting partition — one row per
-  // accumulator. Everything is modeled (traffic, flops, probe chains,
-  // occupancy), so the rows baseline bit-identically; the phase-1 trajectory
+  // accumulator. Everything is modeled (traffic, flops, nnz), so the rows
+  // baseline bit-identically; the phase-1 trajectory
   // is engine-independent, so modularity/iterations match the BSP rows above.
   for (const auto& [name, g] : graphs) {
-    for (const auto acc : {blas::Accumulator::Hash, blas::Accumulator::Sorted}) {
+    for (const auto acc : {blas::Accumulator::Spa, blas::Accumulator::Sorted}) {
       core::BspConfig cfg;
       cfg.parallel = false;
       blas::Tuning tuning;
@@ -132,7 +132,7 @@ int main() {
         modeled_ms += cfg.device.modeled_ms(it.decide_traffic) +
                       cfg.device.modeled_ms(it.update_traffic);
       }
-      const char* policy = acc == blas::Accumulator::Hash ? "blas_hash" : "blas_sorted";
+      const char* policy = acc == blas::Accumulator::Spa ? "blas_spa" : "blas_sorted";
       std::printf("%-16s %-13s Q=%.5f, %u communities, %.4f modeled ms, "
                   "%llu spgemm flops\n",
                   name, policy, r.modularity, r.num_communities, modeled_ms,
@@ -152,8 +152,6 @@ int main() {
           .field("spgemm_flops", spgemm.flops)
           .field("spgemm_nnz", spgemm.nnz)
           .field("spgemm_max_row_nnz", spgemm.max_row_nnz)
-          .field("spgemm_hash_probes", spgemm.hash_probes)
-          .field("spgemm_mean_occupancy", spgemm.mean_occupancy)
           .field("coarse_vertices", static_cast<std::uint64_t>(agg.coarse.num_vertices()))
           .field("ws_heap_allocs", r.workspace.heap_allocs)
           .field("ws_peak_bytes", r.workspace.peak_bytes)

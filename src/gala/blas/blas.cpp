@@ -4,8 +4,8 @@ namespace gala::blas {
 
 const char* to_string(Accumulator a) {
   switch (a) {
-    case Accumulator::Hash:
-      return "hash";
+    case Accumulator::Spa:
+      return "spa";
     case Accumulator::Sorted:
       return "sorted";
   }

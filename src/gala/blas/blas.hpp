@@ -6,8 +6,8 @@
 //     SpMV row sweep over A with columns relabelled by the community map
 //     (spmv.hpp), direction-optimized push/pull by frontier density,
 //   - phase-2 contraction is the triple product S^T·A·S where S is the
-//     V x C membership indicator (spgemm.hpp), with hash- or sorted-merge
-//     row accumulators.
+//     V x C membership indicator (spgemm.hpp), summed over the upper
+//     triangle with a dense SPA or a sorted-merge row accumulator.
 //
 // This library is primitives-only: it knows graphs, workspaces, the device
 // model, and the governor — never the engine. The blas Louvain engine that
@@ -26,13 +26,13 @@
 
 namespace gala::blas {
 
-/// SpGEMM row-accumulator variant. Hash: open-addressing (power-of-two
-/// table, linear probing) — fastest, but the table slack is real footprint.
+/// SpGEMM row-accumulator variant. Spa: a dense array of C slots per pool
+/// thread (sparse accumulator) — fastest, but its C slots are real footprint.
 /// Sorted: materialise (column, value) pairs and stable-sort-merge —
 /// smaller, more traffic. Output is bit-identical (see header comment), so
 /// the governor may force Sorted under memory pressure without perturbing
 /// the partition.
-enum class Accumulator : std::uint8_t { Hash, Sorted };
+enum class Accumulator : std::uint8_t { Spa, Sorted };
 const char* to_string(Accumulator a);
 
 /// Masked-SpMV sweep direction (Gunrock's direction-optimization). Pull
@@ -44,7 +44,7 @@ const char* to_string(Direction d);
 
 /// Knobs the blas backend exposes through GalaConfig::blas.
 struct Tuning {
-  Accumulator accumulator = Accumulator::Hash;
+  Accumulator accumulator = Accumulator::Spa;
   /// Frontier density (active/V) at or above which the gather pulls;
   /// below it, the frontier is compacted and pushed.
   double pull_threshold = 0.10;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <optional>
 
 #include "gala/common/error.hpp"
 #include "gala/exec/workspace.hpp"
@@ -21,21 +20,32 @@ constexpr std::size_t kRowsPerBlock = 128;
 /// that lands in the same class can still trust recycled_same_tag.
 std::size_t mark_capacity(std::size_t n) { return std::bit_ceil(std::max<std::size_t>(n, 64)); }
 
-/// Block-local SPA, checked out of the launch workspace (tag-affine
-/// recycling keeps the steady state allocation-free). The mark slab keeps an
-/// all-zeros-on-release invariant — every row clears exactly what it
-/// touched — so a same-tag recycled slab skips re-initialisation.
-struct Spa {
+/// A launch chunk's SPA: the kernel scratch of a gather launch, checked out
+/// of the workspace on the chunk's first active row and reused by every row
+/// of every block after it (tag-affine recycling keeps the steady state
+/// allocation-free). The mark slab keeps an all-zeros-on-release invariant —
+/// every row clears exactly what it touched — so a same-tag recycled slab
+/// skips re-initialisation.
+class Spa {
+ public:
+  explicit Spa(exec::Workspace& ws) : ws_(&ws) {}
+
+  /// Checks the slabs out for `n` columns and rows of up to `touched_cap`
+  /// entries, unless this chunk already holds them.
+  void ensure(std::size_t n, std::size_t touched_cap) {
+    if (vals) return;
+    vals = ws_->take<wt_t>(n, "blas.spa_vals");
+    marks = ws_->take<std::uint8_t>(mark_capacity(n), "blas.spa_marks");
+    touched = ws_->take<cid_t>(touched_cap, "blas.spa_touched");
+    if (!marks.recycled_same_tag()) std::memset(marks.data(), 0, marks.span().size());
+  }
+
   exec::Workspace::Lease<wt_t> vals;
   exec::Workspace::Lease<std::uint8_t> marks;
   exec::Workspace::Lease<cid_t> touched;
 
-  Spa(exec::Workspace& ws, std::size_t n, std::size_t touched_cap)
-      : vals(ws.take<wt_t>(n, "blas.spa_vals")),
-        marks(ws.take<std::uint8_t>(mark_capacity(n), "blas.spa_marks")),
-        touched(ws.take<cid_t>(touched_cap, "blas.spa_touched")) {
-    if (!marks.recycled_same_tag()) std::memset(marks.data(), 0, marks.span().size());
-  }
+ private:
+  exec::Workspace* ws_;
 };
 
 }  // namespace
@@ -84,27 +94,27 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
     stats.global_writes += tc;  // SPA reset of the touched slots
   };
 
-  const auto launch = [&](std::size_t count, const auto& body) {
+  using Body = std::function<void(gpusim::BlockContext&, Spa&)>;
+  const auto launch = [&](std::size_t count, const Body& body) {
     const std::size_t blocks = (count + kRowsPerBlock - 1) / kRowsPerBlock;
     if (blocks == 0) return gpusim::LaunchStats{};
-    return device.launch(pool, blocks, body, kernel_name);
+    return device.launch<Spa>(pool, blocks, body, kernel_name);
   };
 
   if (dir == Direction::Pull) {
     // Pull: stream every row, test the mask inline — no frontier is ever
-    // materialised. The SPA checkout is deferred until the block's range
-    // proves to hold an active row, so all-pruned ranges cost only the scan.
+    // materialised. The chunk's SPA checkout waits for its first active
+    // row, so all-pruned chunks cost only the scan.
     std::atomic<std::uint64_t> rows{0};
-    out.launch = launch(n, [&](gpusim::BlockContext& ctx) {
+    out.launch = launch(n, [&](gpusim::BlockContext& ctx, Spa& spa) {
       const std::size_t lo = ctx.block_id * kRowsPerBlock;
       const std::size_t hi = std::min<std::size_t>(n, lo + kRowsPerBlock);
-      std::optional<Spa> spa;
       std::uint64_t evaluated = 0;
       for (std::size_t v = lo; v < hi; ++v) {
         ctx.stats->global_reads += 1;  // mask load
         if (!mask[v]) continue;
-        if (!spa) spa.emplace(ctx.workspace, n, touched_cap);
-        gather_row(static_cast<vid_t>(v), *spa, *ctx.stats);
+        spa.ensure(n, touched_cap);
+        gather_row(static_cast<vid_t>(v), spa, *ctx.stats);
         ++evaluated;
       }
       rows.fetch_add(evaluated, std::memory_order_relaxed);
@@ -113,11 +123,11 @@ GatherStats masked_gather(const graph::Graph& g, std::span<const cid_t> comm,
   } else {
     // Push: the frontier is already compacted; blocks stride over it.
     out.rows = frontier.size();
-    out.launch = launch(frontier.size(), [&](gpusim::BlockContext& ctx) {
+    out.launch = launch(frontier.size(), [&](gpusim::BlockContext& ctx, Spa& spa) {
       const std::size_t lo = ctx.block_id * kRowsPerBlock;
       const std::size_t hi = std::min(frontier.size(), lo + kRowsPerBlock);
       if (lo >= hi) return;
-      Spa spa(ctx.workspace, n, touched_cap);
+      spa.ensure(n, touched_cap);
       for (std::size_t i = lo; i < hi; ++i) {
         ctx.stats->global_reads += 1;  // frontier entry load
         gather_row(frontier[i], spa, *ctx.stats);

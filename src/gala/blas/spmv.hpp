@@ -14,11 +14,12 @@
 // same rows with the same sums — so direction is a pure cost knob, chosen
 // per launch from frontier density (choose_direction).
 //
-// SPA scratch is checked out of the launching block's workspace per launch
-// (tags "blas.spa_*"). The mark array keeps an all-zeros-on-release
-// invariant: each row clears exactly the entries it touched, so a same-tag
-// recycled slab skips re-initialisation (Lease::recycled_same_tag) and the
-// steady state allocates nothing.
+// The SPA is the launch's kernel scratch (Device::launch<Scratch>): each
+// pool chunk checks one out of the device's workspace (tags "blas.spa_*")
+// and every row of every block in the chunk reuses it. The mark array keeps
+// an all-zeros-on-release invariant: each row clears exactly the entries it
+// touched, so a same-tag recycled slab skips re-initialisation
+// (Lease::recycled_same_tag) and the steady state allocates nothing.
 //
 // masked_dot is the one-column case: each masked row needs only the weight
 // to its own column, so it sums that column directly and needs no SPA.

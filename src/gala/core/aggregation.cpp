@@ -29,17 +29,20 @@ vid_t renumber_pooled(std::span<cid_t> community, exec::Workspace* ws) {
 
 }  // namespace
 
-AggregationResult aggregate(const graph::Graph& g, std::span<const cid_t> community,
-                            exec::Workspace* workspace, const blas::Tuning& tuning,
-                            blas::SpgemmStats* stats) {
-  const vid_t n = g.num_vertices();
-  GALA_CHECK(community.size() == n, "assignment size mismatch");
-
+AggregationResult fold(std::span<const cid_t> community, exec::Workspace* workspace) {
   AggregationResult result;
   result.fine_to_coarse.assign(community.begin(), community.end());
   result.num_communities = renumber_pooled(result.fine_to_coarse, workspace);
+  return result;
+}
+
+AggregationResult aggregate(const graph::Graph& g, std::span<const cid_t> community,
+                            exec::Workspace* workspace, const blas::Tuning& tuning,
+                            blas::SpgemmStats* stats, ThreadPool* pool) {
+  GALA_CHECK(community.size() == g.num_vertices(), "assignment size mismatch");
+  AggregationResult result = fold(community, workspace);
   result.coarse = blas::contract_csr(g, result.fine_to_coarse, result.num_communities, workspace,
-                                     tuning, stats);
+                                     tuning, stats, pool);
   memtrace::set_resident("graph.contraction", result.coarse.memory_bytes());
   return result;
 }

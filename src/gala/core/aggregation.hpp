@@ -29,16 +29,22 @@ struct AggregationResult {
 /// levels of the pipeline recycle one slab. Results are identical.
 ///
 /// The contraction itself is S^T·A·S through the shared SpGEMM
-/// (blas::contract_csr); `tuning` selects its accumulator and `stats`, when
-/// given, receives the kernel counters. The historical edge-list builder
-/// produced the same graph — the SpGEMM replicates its counting conventions
-/// (see blas/spgemm.hpp) — so exact-weight contractions are bit-identical
-/// to the pre-SpGEMM output.
+/// (blas::contract_csr); `tuning` selects its accumulator, `stats`, when
+/// given, receives the kernel counters, and `pool`, when given, runs its
+/// row accumulation (the calling thread does otherwise; the graph is the
+/// same). The historical edge-list builder produced the same graph — the
+/// SpGEMM replicates its counting conventions (see blas/spgemm.hpp) — so
+/// exact-weight contractions are bit-identical to the pre-SpGEMM output.
 AggregationResult aggregate(const graph::Graph& g, std::span<const cid_t> community,
                             exec::Workspace* workspace, const blas::Tuning& tuning,
-                            blas::SpgemmStats* stats = nullptr);
+                            blas::SpgemmStats* stats = nullptr, ThreadPool* pool = nullptr);
 AggregationResult aggregate(const graph::Graph& g, std::span<const cid_t> community,
                             exec::Workspace* workspace = nullptr);
+
+/// The fold alone: `community` renumbered to the dense ids aggregate() gives
+/// it, with `coarse` left empty. For a level whose coarse graph nothing
+/// would read (the last level of a run).
+AggregationResult fold(std::span<const cid_t> community, exec::Workspace* workspace = nullptr);
 
 /// Composes a two-level assignment: result[v] = coarse_assignment[fine_to_coarse[v]].
 std::vector<cid_t> compose_assignment(std::span<const cid_t> fine_to_coarse,

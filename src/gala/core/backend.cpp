@@ -21,8 +21,8 @@ class EngineBackend final : public LouvainBackend {
   }
 
   AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
-                             exec::Workspace* workspace) override {
-    return aggregate(g, community, workspace, tuning_);
+                             exec::Workspace* workspace, ThreadPool* pool) override {
+    return aggregate(g, community, workspace, tuning_, nullptr, pool);
   }
 
  private:

@@ -33,9 +33,10 @@ class LouvainBackend {
   virtual Phase1Result run_level(const graph::Graph& g, const BspConfig& config,
                                  std::span<const cid_t> initial = {}) = 0;
 
-  /// Phase 2: contract `g` by `community` (ids need not be dense).
+  /// Phase 2: contract `g` by `community` (ids need not be dense), running
+  /// the row accumulation on `pool` when given (inline otherwise).
   virtual AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
-                                     exec::Workspace* workspace) = 0;
+                                     exec::Workspace* workspace, ThreadPool* pool = nullptr) = 0;
 };
 
 /// Builds the engine for `backend`. `tuning` parameterises the blas engine

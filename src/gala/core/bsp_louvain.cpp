@@ -77,32 +77,31 @@ void BspEngine::decide_phase(std::span<const std::uint8_t> active, vid_t /*activ
 
   // Both launches run the same per-vertex body: decide_vertex re-applies the
   // dispatch rule, which maps each list back onto its own kernel. The hash
-  // scratch is checked out of the launch's workspace per block (tag-affine
-  // recycling), replacing the old thread_local vector that pinned peak-sized
-  // slabs to pool threads for the process lifetime.
-  const auto decide_range = [&](gpusim::BlockContext& ctx, std::span<const vid_t> list,
-                                std::size_t lo, std::size_t hi) {
-    HashScratch global_scratch(ctx.workspace);
+  // scratch is the launch's kernel scratch: each pool chunk checks one out
+  // of the workspace and every vertex of the chunk reuses it, as the chunk
+  // reuses its arena.
+  using Body = std::function<void(gpusim::BlockContext&, HashScratch&)>;
+  const auto decide_range = [&](gpusim::BlockContext& ctx, HashScratch& scratch,
+                                std::span<const vid_t> list, std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const vid_t v = list[i];
-      decisions[v] =
-          decide_vertex(input, v, dispatch, *ctx.shared, global_scratch, salt_, *ctx.stats);
+      decisions[v] = decide_vertex(input, v, dispatch, *ctx.shared, scratch, salt_, *ctx.stats);
     }
   };
   // Shuffle kernel: one warp per vertex; blocks batch several warps.
   constexpr std::size_t kWarpsPerBlock = 32;
-  const auto run_shuffle = [&](gpusim::BlockContext& ctx) {
+  const Body run_shuffle = [&](gpusim::BlockContext& ctx, HashScratch& scratch) {
     const std::size_t lo = ctx.block_id * kWarpsPerBlock;
     const std::size_t hi = std::min(shuffle_list_.size(), lo + kWarpsPerBlock);
-    decide_range(ctx, shuffle_list_, lo, hi);
+    decide_range(ctx, scratch, shuffle_list_, lo, hi);
   };
   // Hash kernel: one block per vertex (paper's assignment for large degrees).
-  const auto run_hash = [&](gpusim::BlockContext& ctx) {
-    decide_range(ctx, hash_list_, ctx.block_id, ctx.block_id + 1);
+  const Body run_hash = [&](gpusim::BlockContext& ctx, HashScratch& scratch) {
+    decide_range(ctx, scratch, hash_list_, ctx.block_id, ctx.block_id + 1);
   };
 
-  const auto launch = [&](std::size_t blocks, const auto& body, std::string_view name) {
-    return ctx_->device().launch(pool_, blocks, body, name);
+  const auto launch = [&](std::size_t blocks, const Body& body, std::string_view name) {
+    return ctx_->device().launch<HashScratch>(pool_, blocks, body, name);
   };
 
   telemetry::ScopedSpan span(RunScope::current().tracer(), "decide", "phase1");

@@ -56,6 +56,9 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
     cfg.bsp.context = owned_ctx.get();
   }
   exec::Workspace& ws = cfg.bsp.context->workspace();
+  // Contraction runs on the phase-1 engines' pool: the context's, or inline
+  // on this thread when the run is sequential.
+  ThreadPool* const pool = cfg.bsp.parallel ? &cfg.bsp.context->pool() : nullptr;
 
   const vid_t n = g.num_vertices();
   result.assignment.resize(n);
@@ -111,25 +114,34 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
     const bool converged = level > 0 && phase1.modularity - prev_q < cfg.level_theta;
     prev_q = phase1.modularity;
 
+    // The partition this level folds: phase 1's, or its refinement. A
+    // converged level folds phase 1's so the reported assignment matches the
+    // reported modularity exactly (matters when refinement made the
+    // previously-folded partition finer than phase 1's).
+    RefinementResult refined;
+    std::span<const cid_t> folded = phase1.community;
+    vid_t folded_count = lv.communities;
+    if (!converged && cfg.refine) {
+      telemetry::ScopedSpan refine_span(RunScope::current().tracer(), "refine", "phase2");
+      refined = refine_partition(*current, phase1.community, cfg.bsp.resolution,
+                                 cfg.bsp.seed ^ (level + 1));
+      folded = refined.refined;
+      folded_count = refined.num_subcommunities;
+    }
+    // A level that ends the run only renumbers its fold: nothing reads the
+    // coarse graph it would contract to.
+    const bool compressed = folded_count < current->num_vertices();
+    const bool last = converged || !compressed || level + 1 == cfg.max_levels;
     AggregationResult agg;
-    if (converged) {
-      // Fold the final phase-1 partition so the reported assignment matches
-      // the reported modularity exactly (matters when refinement made the
-      // previously-folded partition finer than phase 1's).
-      agg = engine.contract(*current, phase1.community, &ws);
-    } else if (cfg.refine) {
-      RefinementResult refined;
-      {
-        telemetry::ScopedSpan refine_span(RunScope::current().tracer(), "refine", "phase2");
-        refined = refine_partition(*current, phase1.community, cfg.bsp.resolution,
-                                   cfg.bsp.seed ^ (level + 1));
-      }
-      telemetry::ScopedSpan agg_span(RunScope::current().tracer(), "aggregate", "phase2");
-      agg = engine.contract(*current, refined.refined, &ws);
+    if (last) {
+      agg = fold(folded, &ws);
     } else {
       telemetry::ScopedSpan agg_span(RunScope::current().tracer(), "aggregate", "phase2");
-      agg = engine.contract(*current, phase1.community, &ws);
+      agg = engine.contract(*current, folded, &ws, pool);
     }
+    GALA_CHECK(agg.num_communities == folded_count,
+               "level " << level << " folds " << agg.num_communities << " communities, its engine "
+                        << "counted " << folded_count);
     result.assignment = compose_assignment(result.assignment, agg.fine_to_coarse);
     held_refined = cfg.refine && !converged;
     lv.wall_seconds = level_timer.seconds();
@@ -137,8 +149,7 @@ GalaResult run_louvain(const graph::Graph& g, const GalaConfig& config, LouvainB
     result.levels.push_back(std::move(lv));
     memtrace::mark_epoch(memtrace::EpochKind::Level, level);
 
-    const bool compressed = agg.num_communities < current->num_vertices();
-    if (converged || !compressed) break;
+    if (last) break;
     owned = std::move(agg.coarse);
     current = &owned;
     // Level boundary: no lease is outstanding here (the engine and the

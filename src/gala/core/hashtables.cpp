@@ -63,7 +63,8 @@ NeighborCommunityTable::NeighborCommunityTable(HashTablePolicy policy,
     resilience::maybe_inject(resilience::FaultSite::ScratchGrow, to_string(policy));
     global_scratch_.ensure(global_count_);
   }
-  used_.reserve(capacity_hint);
+  GALA_ASSERT(global_scratch_.used().empty());
+  global_scratch_.used().reserve(capacity_hint);
 }
 
 std::uint32_t NeighborCommunityTable::hash0(cid_t c) const {
@@ -145,11 +146,12 @@ void NeighborCommunityTable::reset() {
     // partially-filled warp of shared probes and sample the load factor.
     retired_ = true;
     bank_model_.flush();
-    stats_->record_table_occupancy(used_.size(),
+    stats_->record_table_occupancy(size(),
                                    shared_.size() + static_cast<std::size_t>(global_count_));
   }
-  for (const Slot slot : used_) bucket(slot) = HashBucket{};
-  used_.clear();
+  std::vector<Slot>& used = global_scratch_.used();
+  for (const Slot slot : used) bucket(slot) = HashBucket{};
+  used.clear();
 }
 
 }  // namespace gala::core

@@ -43,8 +43,14 @@ struct HashBucket {
   wt_t community_total = 0;
 };
 
+/// Where one occupied bucket lives: the shared part or the global slab.
+struct HashSlot {
+  bool in_shared;
+  std::uint32_t index;
+};
+
 /// The "global memory" bucket slab that absorbs entries missing the shared
-/// part. Replaces the ad-hoc `std::vector<HashBucket>` scratch (and the
+/// part, plus the live table's used-slot list. Replaces the ad-hoc `std::vector<HashBucket>` scratch (and the
 /// engine's thread_local copies, which retained peak-sized memory for the
 /// life of the thread pool). Two modes:
 ///
@@ -54,11 +60,14 @@ struct HashBucket {
 ///    tag and returned on destruction, so memory is pool-recycled across
 ///    vertices, launches, and levels, and provably given back after a run.
 ///
-/// Invariant: every bucket in [0, size()) is empty (key == kInvalidCid)
-/// whenever no table is live on the scratch — NeighborCommunityTable::reset()
-/// restores it on each table's retirement. That is what lets a workspace
-/// checkout that recycles a same-tag slab skip re-initialisation, keeping
-/// pooled runs bit-identical to fresh-allocation runs.
+/// Invariant: every bucket in [0, size()) is empty (key == kInvalidCid), and
+/// the used-slot list is empty, whenever no table is live on the scratch —
+/// NeighborCommunityTable::reset() restores both on each table's
+/// retirement. That is what lets a workspace checkout that recycles a
+/// same-tag slab skip re-initialisation, keeping pooled runs bit-identical
+/// to fresh-allocation runs, and lets one scratch serve every vertex of a
+/// launch chunk: the used list keeps its capacity, so no vertex allocates.
+/// At most one table is live on a scratch at a time.
 class HashScratch {
  public:
   HashScratch() = default;
@@ -79,17 +88,23 @@ class HashScratch {
   const HashBucket* begin() const { return data_; }
   const HashBucket* end() const { return data_ + cap_; }
 
+  /// The live table's occupied slots, in first-upsert order.
+  std::vector<HashSlot>& used() { return used_; }
+  const std::vector<HashSlot>& used() const { return used_; }
+
  private:
   exec::Workspace* ws_ = nullptr;             // null = heap mode
   exec::Workspace::Lease<HashBucket> lease_;  // workspace mode storage
   std::vector<HashBucket> heap_;              // heap mode storage
   HashBucket* data_ = nullptr;
   std::size_t cap_ = 0;
+  // Host-side bookkeeping, as the table's own list was: never charged.
+  std::vector<HashSlot> used_;
 };
 
 /// A per-vertex neighbour-community table. The shared part lives in the
-/// block's SharedMemoryArena; the global part in a caller-provided
-/// HashScratch slab (reused across vertices, standing in for a
+/// block's SharedMemoryArena; the global part and the used-slot list in a
+/// caller-provided HashScratch (reused across vertices, standing in for a
 /// global-memory slab).
 class NeighborCommunityTable {
  public:
@@ -121,7 +136,7 @@ class NeighborCommunityTable {
       b.community_total = load_total(c);
       charge_write(slot);
       charge_maintenance(slot);
-      used_.push_back(slot);
+      global_scratch_.used().push_back(slot);
     }
     // atomicAdd on the accumulated weight (Alg. 3 line 10).
     b.weight += w;
@@ -132,14 +147,14 @@ class NeighborCommunityTable {
   /// Iterates occupied buckets; f(key, weight, community_total).
   template <typename F>
   void for_each(F&& f) const {
-    for (const Slot slot : used_) {
+    for (const Slot slot : global_scratch_.used()) {
       const HashBucket& b = const_bucket(slot);
       charge_read(slot);
       f(b.key, b.weight, b.community_total);
     }
   }
 
-  std::size_t size() const { return used_.size(); }
+  std::size_t size() const { return global_scratch_.used().size(); }
   std::size_t shared_buckets() const { return shared_.size(); }
   std::size_t global_buckets() const { return global_count_; }
 
@@ -147,10 +162,7 @@ class NeighborCommunityTable {
   void reset();
 
  private:
-  struct Slot {
-    bool in_shared;
-    std::uint32_t index;
-  };
+  using Slot = HashSlot;
 
   Slot locate(cid_t c);
   HashBucket& bucket(Slot s) { return s.in_shared ? shared_[s.index] : global_scratch_[s.index]; }
@@ -184,7 +196,6 @@ class NeighborCommunityTable {
   std::uint32_t global_count_ = 0;          // g
   std::uint64_t salt_;
   gpusim::MemoryStats* stats_;
-  std::vector<Slot> used_;
   // Profiler diagnostics: shared-bucket probes regrouped into warp-wide
   // requests for bank-conflict accounting, and a once-per-table occupancy
   // sample recorded on the first reset().

@@ -18,9 +18,10 @@
 //   rung 2  global-only-hash  downgrade Hierarchical hashtables to
 //                             GlobalOnly (PR 3's exact-parity fallback), so
 //                             shared-arena pages stop being charged; the
-//                             blas SpGEMM likewise swaps its hash
-//                             accumulator for the sorted-merge one (tight
-//                             pair buffer instead of power-of-two slack)
+//                             blas SpGEMM likewise swaps its dense SPA (C
+//                             slots per thread) for the sorted-merge pair
+//                             buffer (at most C/4 pairs, half the bytes;
+//                             upper triangle plus scatters either way)
 //   rung 3  sparse-sync       force sparse+compressed sync staging in the
 //                             distributed engine (snapshot at level grain so
 //                             every rank agrees on collective shapes)
@@ -137,9 +138,10 @@ class Governor {
   Rung rung() const { return static_cast<Rung>(rung_.load(std::memory_order_relaxed)); }
   /// Rung 2+: decide kernels must run the GlobalOnly hashtable policy.
   bool force_global_only() const { return rung() >= Rung::GlobalOnlyHash; }
-  /// Rung 2+: the blas SpGEMM must trade its hash accumulator (power-of-two
-  /// slack) for the sorted-merge accumulator's tight pair buffer. Results
-  /// are bit-identical — only footprint and traffic change.
+  /// Rung 2+: the blas SpGEMM must trade its dense SPA (C slots per thread)
+  /// for the sorted-merge accumulator's pair buffer (at most C/4 pairs, half
+  /// the bytes). Results are bit-identical — only footprint and traffic
+  /// change.
   bool force_sorted_accumulator() const { return rung() >= Rung::GlobalOnlyHash; }
   /// Rung 3+: the distributed engine must use sparse+compressed staging.
   bool force_sparse_sync() const { return rung() >= Rung::SparseSync; }

@@ -103,9 +103,9 @@ struct ChunkArena {
 
 }  // namespace
 
-LaunchStats Device::launch(ThreadPool& pool, std::size_t num_blocks,
-                           const std::function<void(BlockContext&)>& body,
-                           std::string_view name) const {
+LaunchStats Device::launch_chunks(ThreadPool& pool, std::size_t num_blocks,
+                                  const std::function<void(const RunBlocks&)>& chunk,
+                                  std::string_view name) const {
   resilience::maybe_inject(resilience::FaultSite::KernelLaunch, name);
   telemetry::ScopedSpan span(RunScope::current().tracer(), name, "kernel");
   LaunchStats result;
@@ -122,20 +122,22 @@ LaunchStats Device::launch(ThreadPool& pool, std::size_t num_blocks,
   pool.parallel_for_chunked(
       0, num_blocks,
       [&](std::size_t lo, std::size_t hi) {
-        ChunkArena chunk(config_, workspace_);
+        ChunkArena arena(config_, workspace_);
         MemoryStats stats;
-        BlockContext ctx{0, &chunk.arena, &stats, workspace_};
-        double cycles_before = 0;
-        for (std::size_t b = lo; b < hi; ++b) {
-          ctx.block_id = b;
-          chunk.arena.reset();
-          body(ctx);
-          if (profiling) {
-            const double cycles_after = config_.cost_model.cycles(stats);
-            block_cycles[b] = cycles_after - cycles_before;
-            cycles_before = cycles_after;
+        chunk([&](const BlockBody& body) {
+          BlockContext ctx{0, &arena.arena, &stats, workspace_};
+          double cycles_before = 0;
+          for (std::size_t b = lo; b < hi; ++b) {
+            ctx.block_id = b;
+            arena.arena.reset();
+            body(ctx);
+            if (profiling) {
+              const double cycles_after = config_.cost_model.cycles(stats);
+              block_cycles[b] = cycles_after - cycles_before;
+              cycles_before = cycles_after;
+            }
           }
-        }
+        });
         std::lock_guard lock(merge_mutex);
         result.traffic += stats;
       },

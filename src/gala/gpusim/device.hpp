@@ -7,6 +7,12 @@
 // MemoryStats sink; blocks run concurrently (real host parallelism), lanes
 // within a block run warp-synchronously inside the kernel body. Launch
 // results aggregate traffic, modeled cycles, and wall time.
+//
+// A pool chunk of blocks is the unit that holds resources: it checks one
+// arena out of the workspace and resets it between blocks, and a typed
+// launch (launch<Scratch>) also builds one kernel scratch per chunk and
+// hands it to every block of the chunk. So a kernel's per-block workspace,
+// memtrace and governor traffic is one checkout per chunk, not per block.
 #pragma once
 
 #include <cstddef>
@@ -81,9 +87,39 @@ class Device {
   /// snapshot and modeled-cycle breakdown.
   LaunchStats launch(ThreadPool& pool, std::size_t num_blocks,
                      const std::function<void(BlockContext&)>& body,
-                     std::string_view name = "kernel") const;
+                     std::string_view name = "kernel") const {
+    return launch_chunks(pool, num_blocks, [&](const RunBlocks& run) { run(body); }, name);
+  }
+
+  /// launch() with a kernel scratch held per chunk: each pool chunk
+  /// constructs one `Scratch` from the device's workspace
+  /// (`Scratch(exec::Workspace&)`) and passes it to every block it runs, as
+  /// it does its arena. The scratch must carry nothing from one block to the
+  /// next that a block's result depends on.
+  template <typename Scratch>
+  LaunchStats launch(ThreadPool& pool, std::size_t num_blocks,
+                     const std::function<void(BlockContext&, Scratch&)>& body,
+                     std::string_view name = "kernel") const {
+    return launch_chunks(
+        pool, num_blocks,
+        [&](const RunBlocks& run) {
+          Scratch scratch(workspace_);
+          run([&](BlockContext& ctx) { body(ctx, scratch); });
+        },
+        name);
+  }
 
  private:
+  using BlockBody = std::function<void(BlockContext&)>;
+  /// Runs the calling chunk's blocks through a body.
+  using RunBlocks = std::function<void(const BlockBody&)>;
+
+  /// The launch loop: `chunk` runs once per pool chunk and calls its
+  /// RunBlocks argument once to run the chunk's blocks.
+  LaunchStats launch_chunks(ThreadPool& pool, std::size_t num_blocks,
+                            const std::function<void(const RunBlocks&)>& chunk,
+                            std::string_view name) const;
+
   DeviceConfig config_;
   exec::Workspace& workspace_;  // not owned
 };

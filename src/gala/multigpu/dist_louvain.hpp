@@ -153,8 +153,8 @@ class DistributedBackend final : public core::LouvainBackend {
                                std::span<const cid_t> initial) override;
 
   core::AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
-                                   exec::Workspace* workspace) override {
-    return core::aggregate(g, community, workspace);
+                                   exec::Workspace* workspace, ThreadPool* pool) override {
+    return core::aggregate(g, community, workspace, blas::Tuning{}, nullptr, pool);
   }
 
  private:

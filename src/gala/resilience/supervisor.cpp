@@ -123,8 +123,8 @@ class SupervisedEngine final : public core::LouvainBackend {
   }
 
   core::AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
-                                   exec::Workspace* workspace) override {
-    return inner_.contract(g, community, workspace);
+                                   exec::Workspace* workspace, ThreadPool* pool) override {
+    return inner_.contract(g, community, workspace, pool);
   }
 
   metrics::HealthReport health() { return monitor_.report(); }

@@ -1,22 +1,28 @@
 // gala::blas primitives and the linear-algebra engine: SpGEMM contraction
-// parity against the historical edge-list builder, hash/sorted accumulator
+// parity against the historical edge-list builder, SPA/sorted accumulator
 // bit-identity, governor-forced degradation, pull/push direction
 // equivalence, determinism, the steady-state zero-allocation gate, and the
 // masked weight update's bit parity with a full recompute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gala/blas/blas.hpp"
 #include "gala/blas/spgemm.hpp"
 #include "gala/blas/spmv.hpp"
 #include "gala/common/prng.hpp"
+#include "gala/common/thread_pool.hpp"
 #include "gala/core/aggregation.hpp"
 #include "gala/core/blas_louvain.hpp"
 #include "gala/core/bsp_louvain.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/core/modularity.hpp"
 #include "gala/exec/context.hpp"
+#include "gala/memtrace/memtrace.hpp"
 #include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
@@ -59,7 +65,7 @@ TEST(BlasSpgemm, ContractMatchesLegacyBuilderBitExact) {
     const vid_t num_coarse = std::max<vid_t>(2, g.num_vertices() / 7);
     const auto fc = mixed_partition(g.num_vertices(), num_coarse);
     const graph::Graph reference = legacy_contract(g, fc, num_coarse);
-    for (const blas::Accumulator acc : {blas::Accumulator::Hash, blas::Accumulator::Sorted}) {
+    for (const blas::Accumulator acc : {blas::Accumulator::Spa, blas::Accumulator::Sorted}) {
       blas::Tuning tuning;
       tuning.accumulator = acc;
       blas::SpgemmStats stats;
@@ -118,6 +124,181 @@ TEST(BlasSpgemm, GovernorRungTwoForcesSortedWithIdenticalOutput) {
     EXPECT_EQ(stats.accumulator, blas::Accumulator::Sorted);
     EXPECT_TRUE(stats.governor_forced);
     expect_same_graph(reference, coarse);
+  }
+}
+
+/// A hub-heavy RMAT graph reweighted with `weight(u, v)`, a self-loop on
+/// every fifth vertex and four extra isolated vertices (RMAT leaves some of
+/// its own isolated too).
+template <typename Weight>
+graph::Graph weighted_rmat(Weight&& weight) {
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  p.seed = 3;
+  const graph::Graph base = graph::rmat(p);
+  const vid_t n = base.num_vertices();
+  graph::GraphBuilder b(n + 4);
+  for (vid_t v = 0; v < n; ++v) {
+    for (const vid_t u : base.neighbors(v)) {
+      if (u > v) b.add_edge(v, u, weight(v, u));
+    }
+    if (v % 5 == 0) b.add_edge(v, v, weight(v, v));
+  }
+  return b.build();
+}
+
+/// The documented contraction order, written plainly: row c sums each entry
+/// (c, d), d >= c, over its members ascending in adjacency order (the
+/// diagonal from the u >= v half only), and (d, c) takes (c, d)'s sum.
+graph::Graph canonical_contract(const graph::Graph& g, std::span<const cid_t> fc,
+                                vid_t num_coarse) {
+  std::vector<std::vector<vid_t>> members(num_coarse);
+  for (vid_t v = 0; v < g.num_vertices(); ++v) members[fc[v]].push_back(v);
+  std::vector<std::map<cid_t, wt_t>> rows(num_coarse);
+  for (cid_t c = 0; c < num_coarse; ++c) {
+    for (const vid_t v : members[c]) {
+      const auto nbrs = g.neighbors(v);
+      const auto ws = g.weights(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const cid_t cu = fc[nbrs[i]];
+        if (cu < c || (cu == c && nbrs[i] < v)) continue;
+        const auto [it, fresh] = rows[c].try_emplace(cu, ws[i]);
+        if (!fresh) it->second += ws[i];
+      }
+    }
+  }
+  for (cid_t c = 0; c < num_coarse; ++c) {
+    for (const auto& [d, w] : rows[c]) {
+      if (d > c) rows[d][c] = w;
+    }
+  }
+  std::vector<eid_t> offsets{0};
+  std::vector<vid_t> neighbors;
+  std::vector<wt_t> weights;
+  for (const auto& row : rows) {
+    for (const auto& [d, w] : row) {
+      neighbors.push_back(d);
+      weights.push_back(w);
+    }
+    offsets.push_back(neighbors.size());
+  }
+  return graph::GraphBuilder::from_sorted_csr(num_coarse, std::move(offsets),
+                                              std::move(neighbors), std::move(weights));
+}
+
+/// Every way to run contract_csr — both accumulators, workspace and heap
+/// scratch, a many-thread pool, a size-1 pool and none — on `fc`.
+void expect_every_contraction_equals(const graph::Graph& g, std::span<const cid_t> fc,
+                                     vid_t num_coarse, const graph::Graph& reference) {
+  ThreadPool wide(4);
+  ThreadPool serial(1);
+  for (const blas::Accumulator acc : {blas::Accumulator::Spa, blas::Accumulator::Sorted}) {
+    for (const bool pooled_scratch : {true, false}) {
+      for (ThreadPool* pool : {&wide, &serial, static_cast<ThreadPool*>(nullptr)}) {
+        SCOPED_TRACE(std::string(blas::to_string(acc)) +
+                     (pooled_scratch ? " / workspace" : " / heap") +
+                     (pool == nullptr ? " / inline" : " / pool of " + std::to_string(pool->size())));
+        ExecutionContext ctx;
+        blas::Tuning tuning;
+        tuning.accumulator = acc;
+        blas::SpgemmStats stats;
+        const graph::Graph coarse =
+            blas::contract_csr(g, fc, num_coarse, pooled_scratch ? &ctx.workspace() : nullptr,
+                               tuning, &stats, pool);
+        expect_same_graph(reference, coarse);
+        EXPECT_EQ(stats.nnz, coarse.num_adjacency());
+        EXPECT_EQ(ctx.workspace().stats().outstanding_bytes, 0u);
+      }
+    }
+  }
+}
+
+TEST(BlasSpgemm, UpperTriangleContractionMatchesLegacyOnWeightedRmat) {
+  // Dyadic weights sum exactly in any order, so the legacy builder's
+  // unspecified duplicate order cannot matter: every variant must give its
+  // graph byte for byte.
+  const graph::Graph g = weighted_rmat([](vid_t u, vid_t v) {
+    return static_cast<wt_t>(1 + (splitmix64(u * 1315423911ULL + v) & 15)) / 8.0;
+  });
+  const vid_t n = g.num_vertices();
+  ASSERT_GT(std::count_if(g.degrees().begin(), g.degrees().end(), [](wt_t d) { return d == 0; }),
+            4);
+
+  core::BspConfig cfg;
+  cfg.parallel = false;
+  std::vector<cid_t> louvain = core::bsp_phase1(g, cfg).community;
+  const vid_t louvain_coarse = core::renumber_communities(louvain);
+  std::vector<cid_t> hub_heavy(n);  // one giant community, the rest singletons
+  for (vid_t v = 0; v < n; ++v) hub_heavy[v] = g.out_degree(v) >= 8 ? 0 : v + 1;
+  const vid_t hub_coarse = core::renumber_communities(hub_heavy);
+  const std::vector<cid_t> mixed = mixed_partition(n, 37);
+
+  for (const auto& [fc, num_coarse] : {std::pair{std::span<const cid_t>(louvain), louvain_coarse},
+                                       std::pair{std::span<const cid_t>(hub_heavy), hub_coarse},
+                                       std::pair{std::span<const cid_t>(mixed), vid_t{37}}}) {
+    SCOPED_TRACE(std::to_string(num_coarse) + " communities");
+    expect_every_contraction_equals(g, fc, num_coarse, legacy_contract(g, fc, num_coarse));
+  }
+}
+
+TEST(BlasSpgemm, UpperTriangleContractionKeepsTheCanonicalSumOrder) {
+  // Real weights: sums depend on their order, which must be the documented
+  // one in every variant; the mirror keeps the graph exactly symmetric.
+  const graph::Graph g = weighted_rmat([](vid_t u, vid_t v) {
+    return 0.1 + static_cast<wt_t>(splitmix64(u * 2654435761ULL ^ v) % 1000) * 0.0029;
+  });
+  core::BspConfig cfg;
+  cfg.parallel = false;
+  std::vector<cid_t> fc = core::bsp_phase1(g, cfg).community;
+  const vid_t num_coarse = core::renumber_communities(fc);
+  const graph::Graph reference = canonical_contract(g, fc, num_coarse);
+  expect_every_contraction_equals(g, fc, num_coarse, reference);
+  const graph::Graph coarse = blas::contract_csr(g, fc, num_coarse, nullptr);
+  EXPECT_NO_THROW(coarse.validate());
+  for (vid_t c = 0; c < num_coarse; ++c) {
+    const auto nbrs = coarse.neighbors(c);
+    const auto ws = coarse.weights(c);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const auto rn = coarse.neighbors(nbrs[i]);
+      const auto it = std::lower_bound(rn.begin(), rn.end(), c);
+      EXPECT_EQ(coarse.weights(nbrs[i])[it - rn.begin()], ws[i]);
+    }
+  }
+}
+
+TEST(BlasSpgemm, PooledContractionChargesTheSameBytesInEveryRun) {
+  // One accumulator per pool thread, all taken on the calling thread before
+  // any row runs: how the workers interleave cannot move a peak.
+  const graph::Graph g = weighted_rmat([](vid_t, vid_t) { return 1.0; });
+  core::BspConfig cfg;
+  cfg.parallel = false;
+  std::vector<cid_t> fc = core::bsp_phase1(g, cfg).community;
+  const vid_t num_coarse = core::renumber_communities(fc);
+  ThreadPool pool(4);
+  for (const blas::Accumulator acc : {blas::Accumulator::Spa, blas::Accumulator::Sorted}) {
+    SCOPED_TRACE(blas::to_string(acc));
+    blas::Tuning tuning;
+    tuning.accumulator = acc;
+    const std::string tag = acc == blas::Accumulator::Spa ? "blas.spgemm.spa" : "blas.spgemm.pairs";
+    std::string first;
+    for (int run = 0; run < 10; ++run) {
+      RunScope scope;
+      ExecutionContext ctx;
+      blas::contract_csr(g, fc, num_coarse, &ctx.workspace(), tuning, nullptr, &pool);
+      const memtrace::MemReport report = scope.memory().report();
+      const std::string json = report.json(/*include_host=*/false);
+      if (run == 0) {
+        first = json;
+        std::uint64_t allocs = 0;
+        for (const auto& subsystem : report.subsystems) {
+          for (const auto& t : subsystem.tags) allocs += t.name == tag ? t.allocs : 0;
+        }
+        EXPECT_EQ(allocs, pool.size());
+      } else {
+        EXPECT_EQ(json, first) << "run " << run;
+      }
+    }
   }
 }
 

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "gala/core/modularity.hpp"
+#include "gala/core/refinement.hpp"
 #include "gala/core/sequential_louvain.hpp"
 #include "gala/graph/generators.hpp"
 #include "gala/metrics/nmi.hpp"
@@ -125,6 +130,110 @@ TEST(Gala, WarmLevelThatLostModularityFoldsItsStart) {
   EXPECT_NEAR(r.modularity, modularity(g, r.assignment), 1e-9);
   // Folding the warm start is folding the cold run's level 0.
   EXPECT_EQ(r.assignment, run_louvain(g).assignment);
+}
+
+/// The backend of `backend`, counting its contractions.
+class CountingEngine final : public LouvainBackend {
+ public:
+  explicit CountingEngine(Backend backend) : real_(make_backend(backend)) {}
+
+  const char* name() const override { return real_->name(); }
+  Phase1Result run_level(const graph::Graph& g, const BspConfig& config,
+                         std::span<const cid_t> initial) override {
+    return real_->run_level(g, config, initial);
+  }
+  AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
+                             exec::Workspace* workspace, ThreadPool* pool) override {
+    ++contractions;
+    return real_->contract(g, community, workspace, pool);
+  }
+
+  int contractions = 0;
+
+ private:
+  std::unique_ptr<LouvainBackend> real_;
+};
+
+/// The level loop with every level contracted through `engine`, the last
+/// one included, as run_louvain did before its last level only renumbered
+/// (cold start, no vertex following).
+GalaResult contract_every_level(const graph::Graph& g, const GalaConfig& cfg,
+                                LouvainBackend& engine) {
+  GalaResult r;
+  r.assignment.resize(g.num_vertices());
+  for (vid_t v = 0; v < g.num_vertices(); ++v) r.assignment[v] = v;
+  const graph::Graph* current = &g;
+  graph::Graph owned;
+  wt_t prev_q = -1;
+  bool held_refined = false;
+  for (int level = 0; level < cfg.max_levels; ++level) {
+    const Phase1Result p = engine.run_level(*current, cfg.bsp);
+    GalaLevel lv{current->num_vertices(), p.num_communities, p.modularity,
+                 static_cast<int>(p.iterations.size()), 0, {}};
+    if (p.modularity < p.start_modularity) {
+      r.rejected = lv;
+      break;
+    }
+    const bool converged = level > 0 && p.modularity - prev_q < cfg.level_theta;
+    prev_q = p.modularity;
+    const std::vector<cid_t> folded =
+        !converged && cfg.refine ? refine_partition(*current, p.community, cfg.bsp.resolution,
+                                                    cfg.bsp.seed ^ (level + 1))
+                                       .refined
+                                 : p.community;
+    AggregationResult agg = engine.contract(*current, folded, nullptr);
+    r.assignment = compose_assignment(r.assignment, agg.fine_to_coarse);
+    held_refined = cfg.refine && !converged;
+    lv.fold = agg.fine_to_coarse;
+    r.levels.push_back(lv);
+    if (converged || agg.num_communities == current->num_vertices()) break;
+    owned = std::move(agg.coarse);
+    current = &owned;
+  }
+  r.num_communities = renumber_communities(r.assignment);
+  r.modularity = r.rejected || held_refined ? modularity(g, r.assignment, cfg.bsp.resolution)
+                                            : prev_q;
+  return r;
+}
+
+TEST(Gala, LastLevelRenumbersInsteadOfContracting) {
+  // The level that ends a run — converged, not compressing, or at
+  // max_levels — folds by renumbering alone, and the result is the one that
+  // contracting it gave: levels, folds, assignment and Q.
+  const graph::Graph graphs[] = {testing::small_planted(3, 1500, 15, 0.25),
+                                 graph::ring_of_cliques(16, 5)};
+  for (const auto& g : graphs) {
+    for (const Backend backend : {Backend::Bsp, Backend::Blas}) {
+      for (const bool refine : {false, true}) {
+        for (const int max_levels : {30, 1, 2}) {
+          SCOPED_TRACE(to_string(backend) + (refine ? " refine" : "") + " max_levels " +
+                       std::to_string(max_levels));
+          GalaConfig cfg;
+          cfg.refine = refine;
+          cfg.max_levels = max_levels;
+          CountingEngine engine(backend);
+          const GalaResult r = run_louvain(g, cfg, engine);
+          CountingEngine reference_engine(backend);
+          const GalaResult ref = contract_every_level(g, cfg, reference_engine);
+          ASSERT_EQ(r.levels.size(), ref.levels.size());
+          for (std::size_t i = 0; i < r.levels.size(); ++i) {
+            EXPECT_EQ(r.levels[i].vertices, ref.levels[i].vertices) << "level " << i;
+            EXPECT_EQ(r.levels[i].communities, ref.levels[i].communities) << "level " << i;
+            EXPECT_EQ(r.levels[i].modularity, ref.levels[i].modularity) << "level " << i;
+            EXPECT_EQ(r.levels[i].iterations, ref.levels[i].iterations) << "level " << i;
+            EXPECT_EQ(r.levels[i].fold, ref.levels[i].fold) << "level " << i;
+          }
+          EXPECT_EQ(r.rejected.has_value(), ref.rejected.has_value());
+          EXPECT_EQ(r.assignment, ref.assignment);
+          EXPECT_EQ(r.num_communities, ref.num_communities);
+          EXPECT_EQ(r.modularity, ref.modularity);
+          // Every level contracts but the one that ends the run.
+          EXPECT_EQ(engine.contractions, reference_engine.contractions - 1);
+          EXPECT_EQ(engine.contractions, static_cast<int>(r.levels.size()) - 1);
+        }
+      }
+    }
+  }
 }
 
 TEST(Gala, DeterministicAcrossRuns) {

@@ -3,6 +3,9 @@
 // the shared-memory arena, the device scheduler, and the cost model.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+
 #include "gala/common/prng.hpp"
 #include "gala/gpusim/device.hpp"
 #include "gala/gpusim/shared_memory.hpp"
@@ -197,6 +200,46 @@ TEST(Device, SharedArenaResetBetweenBlocks) {
     // Each block can claim the full budget: the arena was reset.
     ctx.shared->allocate<std::byte>(ctx.shared->capacity_bytes());
   });
+}
+
+/// A kernel scratch that counts its constructions and the blocks it serves,
+/// checking a workspace slab out once, as the real ones do.
+struct CountingScratch {
+  explicit CountingScratch(exec::Workspace& ws)
+      : slab(ws.take<std::uint64_t>(8, "test.kernel_scratch")) {
+    constructed.fetch_add(1);
+  }
+  exec::Workspace::Lease<std::uint64_t> slab;
+  std::uint64_t blocks = 0;
+  static inline std::atomic<int> constructed{0};
+};
+
+TEST(Device, TypedLaunchHoldsOneScratchPerChunk) {
+  exec::Workspace ws;
+  Device device({}, ws);
+  ThreadPool pool(4);
+  ThreadPool serial(1);
+  constexpr std::size_t kBlocks = 1000;
+  for (ThreadPool* p : {&pool, &serial}) {
+    CountingScratch::constructed = 0;
+    const std::uint64_t before = ws.stats().checkouts;
+    std::atomic<std::uint64_t> served{0};
+    const std::function<void(BlockContext&, CountingScratch&)> body =
+        [&](BlockContext& ctx, CountingScratch& scratch) {
+          ctx.stats->global_reads += 1;
+          if (scratch.blocks++ == 0) served.fetch_add(1);
+          scratch.slab[0] = ctx.block_id;
+        };
+    const LaunchStats stats = device.launch<CountingScratch>(*p, kBlocks, body);
+    EXPECT_EQ(stats.traffic.global_reads, kBlocks);
+    // One scratch (and one arena) per chunk: at most 4 chunks per thread.
+    const int chunks = CountingScratch::constructed.load();
+    EXPECT_GE(chunks, 1);
+    EXPECT_LE(chunks, static_cast<int>(4 * p->size()));
+    EXPECT_EQ(served.load(), static_cast<std::uint64_t>(chunks));
+    EXPECT_EQ(ws.stats().checkouts - before, 2u * static_cast<std::uint64_t>(chunks));
+    EXPECT_EQ(ws.stats().outstanding_bytes, 0u);
+  }
 }
 
 TEST(CostModel, CyclesAreLinearInTraffic) {

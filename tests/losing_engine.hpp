@@ -38,8 +38,8 @@ class LosingEngine final : public core::LouvainBackend {
   }
 
   core::AggregationResult contract(const graph::Graph& g, std::span<const cid_t> community,
-                                   exec::Workspace* workspace) override {
-    return real_->contract(g, community, workspace);
+                                   exec::Workspace* workspace, ThreadPool* pool) override {
+    return real_->contract(g, community, workspace, pool);
   }
 
  private:

@@ -7,9 +7,12 @@
 
 #include <cstring>
 
+#include "gala/common/thread_pool.hpp"
+#include "gala/core/backend.hpp"
 #include "gala/core/bsp_louvain.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/exec/context.hpp"
+#include "gala/graph/generators.hpp"
 #include "test_util.hpp"
 
 namespace gala::exec {
@@ -190,6 +193,58 @@ TEST(WorkspaceEngine, SteadyStateIterationsAllocateNothing) {
     EXPECT_EQ(result.iterations[i].ws_allocs, 0u) << "iteration " << i << " hit the heap";
   }
   EXPECT_GT(result.workspace.reuse_rate(), 0.5);
+}
+
+// A launch chunk holds its kernel scratch — the BSP hash scratch, the blas
+// gather's SPA — for every block it runs, as it holds its arena. So an
+// iteration checks out at most (chunks per launch) × (slabs per chunk) per
+// launch, however many hash-kernel vertices or 128-row blocks it runs.
+TEST(WorkspaceEngine, CheckoutsPerIterationBoundedByChunksNotBlocks) {
+  graph::PlantedPartitionParams p;
+  p.num_vertices = 20000;
+  p.num_communities = 50;
+  p.avg_degree = 40;
+  p.mixing = 0.3;
+  p.seed = 9;
+  const auto g = graph::planted_partition(p);
+  vid_t hash_vertices = 0;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) hash_vertices += g.out_degree(v) >= 32 ? 1 : 0;
+  const std::uint64_t blocks = (g.num_vertices() + 127) / 128;
+
+  ThreadPool pool(4);
+  // ThreadPool splits a call into at most 4 chunks per thread.
+  const std::uint64_t chunks = 4 * pool.size();
+  // Per chunk: the arena, plus the kernel scratch's slabs. BSP runs two
+  // decide launches, each chunk's hash scratch taken once and regrown at
+  // most twice on these degrees; blas runs a gather (three SPA slabs) and
+  // the weight update's two launches (arena only).
+  const std::uint64_t bsp_bound = 2 * chunks * (1 + 3);
+  const std::uint64_t blas_bound = chunks * (1 + 3) + 2 * chunks;
+  constexpr std::uint64_t kDriverSlack = 16;  // the run's own arrays, list growth
+  ASSERT_GT(hash_vertices, 10 * bsp_bound) << "too few hash-kernel vertices to tell";
+  ASSERT_GT(3 * blocks, 2 * blas_bound) << "too few gather blocks to tell";
+
+  for (const core::Backend backend : {core::Backend::Bsp, core::Backend::Blas}) {
+    SCOPED_TRACE(core::to_string(backend));
+    ExecutionContext ctx({}, 7, /*pooling=*/true, &pool);
+    core::BspConfig cfg;
+    cfg.context = &ctx;
+    cfg.parallel = true;
+    std::vector<std::uint64_t> checkouts{ctx.workspace().stats().checkouts};
+    cfg.on_iteration = [&](int, const core::IterationStats&, std::span<const std::uint8_t>,
+                           std::span<const std::uint8_t>, std::span<const cid_t>) {
+      checkouts.push_back(ctx.workspace().stats().checkouts);
+    };
+    const auto result = core::make_backend(backend)->run_level(g, cfg);
+    ASSERT_GE(result.iterations.size(), 2u);
+    ASSERT_EQ(checkouts.size(), result.iterations.size() + 1);
+    const std::uint64_t bound = backend == core::Backend::Bsp ? bsp_bound : blas_bound;
+    for (std::size_t i = 1; i < checkouts.size(); ++i) {
+      EXPECT_LE(checkouts[i] - checkouts[i - 1], bound + kDriverSlack)
+          << "iteration " << i - 1 << " of " << result.iterations[i - 1].active
+          << " active vertices";
+    }
+  }
 }
 
 // Multi-level pipeline: level N+1 runs entirely out of level N's slabs.
