@@ -215,93 +215,6 @@ int main() {
           .field("frag_pct", mem.frag_pct());
     }
   }
-  // Flight-recorder overhead row: the same sequential phase-1 run with the
-  // recorder armed and disarmed. The contract is twofold: the modeled
-  // counters must be untouched by instrumentation (flight_overhead_pct
-  // compares modeled time and gates absolutely — see gala_perf_diff's
-  // "_overhead_pct" rule), and the wall-clock cost of the armed ring stays
-  // informational (wall_* keys are skipped by the diff, printed for humans).
-  {
-    double modeled[2] = {0, 0};  // [disarmed, armed]
-    double wall_ms[2] = {0, 0};
-    std::uint64_t events = 0;
-    for (const int armed : {0, 1}) {
-      bench::RowScope row(rec);
-      if (!armed) row.flight().disarm();
-      core::BspConfig cfg;
-      cfg.parallel = false;
-      Timer t;
-      const auto r = core::bsp_phase1(graphs[1].g, cfg);
-      wall_ms[armed] = t.milliseconds();
-      for (const auto& it : r.iterations) {
-        modeled[armed] += cfg.device.modeled_ms(it.decide_traffic) +
-                          cfg.device.modeled_ms(it.update_traffic);
-      }
-      if (armed) events = row.flight().recorded();
-    }
-    const double modeled_overhead =
-        modeled[0] > 0 ? 100.0 * (modeled[1] - modeled[0]) / modeled[0] : 0.0;
-    const double wall_overhead =
-        wall_ms[0] > 0 ? 100.0 * (wall_ms[1] - wall_ms[0]) / wall_ms[0] : 0.0;
-    std::printf("%-16s %-13s %.4f modeled ms armed vs %.4f disarmed (%+.3f%%), "
-                "%llu events, wall %+.2f%%\n",
-                "flight_recorder", "overhead", modeled[1], modeled[0], modeled_overhead,
-                static_cast<unsigned long long>(events), wall_overhead);
-    rec.row()
-        .field("graph", "planted")
-        .field("policy", "flight_overhead")
-        .field("modeled_ms_armed", modeled[1])
-        .field("modeled_ms_disarmed", modeled[0])
-        .field("flight_overhead_pct", modeled_overhead)
-        .field("flight_events", events)
-        .field("wall_ms_armed", wall_ms[1])
-        .field("wall_ms_disarmed", wall_ms[0])
-        .field("wall_flight_overhead_pct", wall_overhead);
-  }
-  // Memtrace overhead row, same contract as the flight row: the registry
-  // only observes allocation sites (it never changes what the engine
-  // allocates), so the modeled time delta between armed and disarmed runs
-  // must be exactly zero — memtrace_overhead_pct rides the absolute
-  // "_overhead_pct" gate. Wall cost of the accounting map is informational.
-  {
-    double modeled[2] = {0, 0};  // [disarmed, armed]
-    double wall_ms[2] = {0, 0};
-    std::uint64_t tracked_allocs = 0;
-    for (const int armed : {0, 1}) {
-      bench::RowScope row(rec);
-      if (!armed) row.memory().disarm();
-      core::BspConfig cfg;
-      cfg.parallel = false;
-      Timer t;
-      const auto r = core::bsp_phase1(graphs[1].g, cfg);
-      wall_ms[armed] = t.milliseconds();
-      for (const auto& it : r.iterations) {
-        modeled[armed] += cfg.device.modeled_ms(it.decide_traffic) +
-                          cfg.device.modeled_ms(it.update_traffic);
-      }
-      if (armed) {
-        for (const auto& s : row.memory().report().subsystems) tracked_allocs += s.allocs;
-      }
-    }
-    const double modeled_overhead =
-        modeled[0] > 0 ? 100.0 * (modeled[1] - modeled[0]) / modeled[0] : 0.0;
-    const double wall_overhead =
-        wall_ms[0] > 0 ? 100.0 * (wall_ms[1] - wall_ms[0]) / wall_ms[0] : 0.0;
-    std::printf("%-16s %-13s %.4f modeled ms armed vs %.4f disarmed (%+.3f%%), "
-                "%llu tracked allocs, wall %+.2f%%\n",
-                "memtrace", "overhead", modeled[1], modeled[0], modeled_overhead,
-                static_cast<unsigned long long>(tracked_allocs), wall_overhead);
-    rec.row()
-        .field("graph", "planted")
-        .field("policy", "memtrace_overhead")
-        .field("modeled_ms_armed", modeled[1])
-        .field("modeled_ms_disarmed", modeled[0])
-        .field("memtrace_overhead_pct", modeled_overhead)
-        .field("memtrace_tracked_allocs", tracked_allocs)
-        .field("wall_ms_armed", wall_ms[1])
-        .field("wall_ms_disarmed", wall_ms[0])
-        .field("wall_memtrace_overhead_pct", wall_overhead);
-  }
   // Governor rows: the minimum feasible budget for each stand-in graph under
   // the default sequential config. The probe is a pure function of modeled
   // bytes (binary search over 4096-byte granules, each trial checked for

@@ -234,7 +234,8 @@ Decision hash_decide(const DecideInput& in, vid_t v, HashTablePolicy policy,
     // constructor, before any traffic is charged, so the retry accounts
     // cleanly. Decisions are policy-independent: same result, more global
     // traffic.
-    RunScope::current().registry().counter("resilience.hashtable_fallbacks").add(1);
+    telemetry::flight(telemetry::FlightKind::HashtableFallback, static_cast<double>(v),
+                      static_cast<double>(static_cast<int>(policy)));
     return hash_decide_impl(in, v, HashTablePolicy::GlobalOnly, arena, global_scratch, salt,
                             stats);
   }

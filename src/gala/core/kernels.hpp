@@ -73,8 +73,8 @@ Decision shuffle_decide(const DecideInput& in, vid_t v, gpusim::SharedMemoryAren
 /// `global_scratch` is the reusable global-memory bucket slab.
 /// Shared-memory exhaustion (gala::ResourceExhausted from the arena, real or
 /// fault-injected) degrades the vertex to GlobalOnly placement and retries —
-/// decisions are policy-independent, so the result is unchanged. Counted in
-/// the `resilience.hashtable_fallbacks` telemetry counter.
+/// decisions are policy-independent, so the result is unchanged. Each
+/// fallback records a `hashtable-fallback` flight event.
 Decision hash_decide(const DecideInput& in, vid_t v, HashTablePolicy policy,
                      gpusim::SharedMemoryArena& arena, HashScratch& global_scratch,
                      std::uint64_t salt, gpusim::MemoryStats& stats);

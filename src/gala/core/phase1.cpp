@@ -352,13 +352,6 @@ Phase1Result Phase1Driver::run() {
       iter_span.last_arg("modularity", stats.modularity);
       iter_span.last_arg("delta_q", stats.delta_q);
       iter_span.arg("ws_allocs", static_cast<double>(stats.ws_allocs));
-      auto& registry = RunScope::current().registry();
-      registry.counter("workspace.heap_allocs").add(stats.ws_allocs);
-      if (primary_) {
-        registry.counter("phase1.iterations").add(1);
-        registry.counter("phase1.moved").add(stats.moved);
-        registry.histogram("phase1.active_per_iteration").observe(stats.active);
-      }
     }
 
     if (primary_) {
@@ -394,20 +387,11 @@ Phase1Result Phase1Driver::run() {
     phase_span.arg("other_modeled_ms", result.other_modeled_ms);
     // Per-run deltas: span args sum across instances (one phase1 span per
     // level), so only deltas aggregate meaningfully. Snapshot totals live in
-    // Phase1Result::workspace and the gauges below.
+    // Phase1Result::workspace.
     phase_span.arg("ws_heap_allocs",
                    static_cast<double>(result.workspace.heap_allocs - ws_start.heap_allocs));
     phase_span.arg("ws_reuse_hits",
                    static_cast<double>(result.workspace.reuse_hits - ws_start.reuse_hits));
-    if (primary_) {
-      auto& registry = RunScope::current().registry();
-      registry.gauge("workspace.outstanding_bytes")
-          .set(static_cast<double>(result.workspace.outstanding_bytes));
-      registry.gauge("workspace.pooled_bytes")
-          .set(static_cast<double>(result.workspace.pooled_bytes));
-      registry.gauge("workspace.peak_bytes")
-          .set(static_cast<double>(result.workspace.peak_bytes));
-    }
   }
   return result;
 }

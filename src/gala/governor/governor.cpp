@@ -89,7 +89,6 @@ std::uint64_t Governor::admit(std::string_view tag, std::uint64_t bytes, bool ma
   // trimmed pool means the refusal below never strands idle host memory.
   run_reclaimers();
   denials_.fetch_add(1, std::memory_order_relaxed);
-  registry_.counter("governor.denials").add(1);
   if (!may_throw) return bytes;  // charges/gauges escalate but never throw mid-flight
   memory_.release(bytes);  // refused: the bytes never go live
   escalate_to(Rung::HostFallback, projected, budget);
@@ -114,7 +113,6 @@ void Governor::escalate_to(Rung target, std::uint64_t projected, std::uint64_t b
     flight_.record(telemetry::FlightKind::GovernorRung, static_cast<double>(t),
                    static_cast<double>(projected));
   }
-  registry_.counter("governor.rung_transitions").add(1);
   if (target == Rung::ReclaimSlabs) run_reclaimers();
 }
 
@@ -130,9 +128,7 @@ std::uint64_t Governor::run_reclaimers() {
     for (const auto& [key, fn] : reclaimers_) freed += fn();
   }
   reclaims_.fetch_add(1, std::memory_order_relaxed);
-  if (freed > 0) {
-    registry_.counter("governor.reclaimed_bytes").add(freed);
-  }
+  reclaimed_bytes_.fetch_add(freed, std::memory_order_relaxed);
   return freed;
 }
 
@@ -153,7 +149,6 @@ void Governor::shrink_budget(std::uint64_t new_total) {
     if (cur == 0 || new_total >= cur) return;
   } while (!total_.compare_exchange_weak(cur, new_total, std::memory_order_relaxed));
   shrinks_.fetch_add(1, std::memory_order_relaxed);
-  registry_.counter("governor.budget_shrinks").add(1);
   flight_.record(telemetry::FlightKind::GovernorShrink, static_cast<double>(new_total),
                  static_cast<double>(cur));
 }
@@ -180,6 +175,7 @@ void Governor::append_json(JsonWriter& w) const {
   w.key("denials").value(denials());
   w.key("shrinks").value(shrinks());
   w.key("reclaims").value(reclaims());
+  w.key("reclaimed_bytes").value(reclaimed_bytes());
   w.key("frontier_chunk").value(static_cast<std::uint64_t>(chunk_.load(std::memory_order_relaxed)));
   std::lock_guard lock(mutex_);
   w.key("subsystem_caps").begin_array();

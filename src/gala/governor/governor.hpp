@@ -71,7 +71,6 @@
 #include "gala/memtrace/memtrace.hpp"
 #include "gala/resilience/fault_injection.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
-#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::governor {
 
@@ -108,14 +107,14 @@ struct RungTransition {
 
 /// A run scope's budget enforcer. Install once per scope (CLI --mem-budget,
 /// tests, bench probes); every memtrace-instrumented allocation site of the
-/// scope then funnels through admit(). It charges `memory`, counts in
-/// `registry`, records rung events in `flight` and evaluates the
-/// budget-shrink site of `faults`, all of the same scope.
+/// scope then funnels through admit(). It charges `memory`, records rung
+/// events in `flight` and evaluates the budget-shrink site of `faults`, all
+/// of the same scope.
 class Governor {
  public:
-  Governor(memtrace::MemRegistry& memory, telemetry::Registry& registry,
-           telemetry::FlightRecorder& flight, resilience::FaultInjector& faults)
-      : memory_(memory), registry_(registry), flight_(flight), faults_(faults) {}
+  Governor(memtrace::MemRegistry& memory, telemetry::FlightRecorder& flight,
+           resilience::FaultInjector& faults)
+      : memory_(memory), flight_(flight), faults_(faults) {}
 
   /// True when a budget is installed (one relaxed load).
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -171,6 +170,10 @@ class Governor {
   std::uint64_t denials() const { return denials_.load(std::memory_order_relaxed); }
   std::uint64_t shrinks() const { return shrinks_.load(std::memory_order_relaxed); }
   std::uint64_t reclaims() const { return reclaims_.load(std::memory_order_relaxed); }
+  /// Host bytes the reclaimers have freed, over every reclaim.
+  std::uint64_t reclaimed_bytes() const {
+    return reclaimed_bytes_.load(std::memory_order_relaxed);
+  }
 
   /// Writes the run report's "governor" members into an open JSON object:
   /// budget, current rung, counts, and the ordered transition list.
@@ -182,7 +185,6 @@ class Governor {
   void maybe_shrink(std::string_view tag);
 
   memtrace::MemRegistry& memory_;
-  telemetry::Registry& registry_;
   telemetry::FlightRecorder& flight_;
   resilience::FaultInjector& faults_;
   std::atomic<bool> enabled_{false};
@@ -194,6 +196,7 @@ class Governor {
   std::atomic<std::uint64_t> denials_{0};
   std::atomic<std::uint64_t> shrinks_{0};
   std::atomic<std::uint64_t> reclaims_{0};
+  std::atomic<std::uint64_t> reclaimed_bytes_{0};
 
   mutable std::mutex mutex_;  // escalation, reclaimers, caps, transitions
   std::vector<std::pair<std::string, std::uint64_t>> subsystem_caps_;

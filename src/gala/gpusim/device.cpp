@@ -70,20 +70,17 @@ void attach_traffic(telemetry::ScopedSpan& span, const MemoryStats& stats,
 
 namespace {
 
-/// Finalises a launch: modeled cycles, span payload, launch counter, and the
-/// per-kernel profile when the profiler is enabled.
+/// Finalises a launch: modeled cycles, span payload, and the per-kernel
+/// profile when the profiler is enabled.
 void finish_launch(LaunchStats& result, const DeviceConfig& config, std::size_t num_blocks,
                    telemetry::ScopedSpan& span, std::string_view name,
                    std::span<const double> block_cycles) {
   result.modeled_cycles = config.cost_model.cycles(result.traffic);
-  RunScope& scope = RunScope::current();
   if (span.active()) {
     span.arg("num_blocks", static_cast<double>(num_blocks));
     attach_traffic(span, result.traffic, &config.cost_model);
-    scope.registry().counter("gpusim.launches").add(1);
-    scope.registry().histogram("gpusim.blocks_per_launch").observe(num_blocks);
   }
-  auto& profiler = scope.profiler();
+  auto& profiler = RunScope::current().profiler();
   if (profiler.enabled()) {
     profiler.record_launch(name, num_blocks, result.traffic, result.modeled_cycles,
                            config.modeled_ms(result.traffic), result.wall_seconds, block_cycles);

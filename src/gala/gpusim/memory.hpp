@@ -72,6 +72,8 @@ struct MemoryStats {
   std::array<std::uint64_t, kProbeBuckets> ht_probe_hist{};
   std::array<std::uint64_t, kOccupancyBuckets> ht_occupancy_hist{};
 
+  bool operator==(const MemoryStats&) const = default;
+
   /// Records one hashtable lookup that needed `probes` bucket probes.
   void record_probe_chain(std::uint64_t probes) {
     ht_lookups += 1;

@@ -26,7 +26,7 @@ void begin_run(JsonWriter& w, const graph::Graph& g) {
 void RunReport::capture(RunScope& scope, std::string_view reason, bool flight_only) {
   flight = scope.flight().json(reason);
   if (flight_only) return;
-  if (scope.tracer().enabled()) metrics = telemetry::metrics_json(scope.tracer(), scope.registry());
+  if (scope.tracer().enabled()) metrics = scope.tracer().summary_json();
   if (scope.profiler().enabled()) profile = scope.profiler().report_json();
   if (scope.memory().armed()) mem = scope.memory().report().json();
   if (scope.governor().enabled()) {

@@ -4,7 +4,7 @@
 //    "flight":{...},"health":{...},"mem":{...},"governor":{...},
 //    "provenance":{...}}
 //
-// Each section is the object its subsystem renders (telemetry::metrics_json,
+// Each section is the object its subsystem renders (Tracer::summary_json,
 // Profiler::report_json, FlightRecorder::json, HealthReport::json,
 // MemReport::json, Governor::append_json) and carries no stamp of its own;
 // the report's one provenance member covers them all. capture() renders the
@@ -25,8 +25,6 @@
 #include "gala/multigpu/dist_louvain.hpp"
 
 namespace gala::metrics {
-
-using ::gala::JsonWriter;  // writer lived here historically; keep the alias
 
 struct RunReport {
   static constexpr int kSchema = 1;

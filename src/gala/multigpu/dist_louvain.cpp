@@ -78,10 +78,7 @@ class RankEngine final : public core::Phase1Driver {
     t.compute_modeled_ms = config_.device.modeled_ms(t.traffic);
     t.comm = comm_;
     t.workspace = ctx_->workspace().stats();
-    auto& registry = RunScope::current().registry();
-    registry.counter("multigpu.overlap_hidden_us").add(static_cast<std::uint64_t>(comm_.hidden_us));
     if (rank_ != 0) return;
-    registry.gauge("multigpu.overlap_ratio").set(comm_.overlap_ratio());
     result.phase1 = std::move(r);
     result.iteration_log = log_;
   }
@@ -242,7 +239,8 @@ class RankEngine final : public core::Phase1Driver {
             sparse_now_ = false;
             recovered_dense_ = true;
             if (rank_ == 0) {
-              RunScope::current().registry().counter("multigpu.sync_fallback_dense").add(1);
+              telemetry::flight(telemetry::FlightKind::SyncFallbackDense,
+                                static_cast<double>(iter_), static_cast<double>(attempt));
             }
           }
         }
@@ -287,9 +285,6 @@ class RankEngine final : public core::Phase1Driver {
       sync_span_->last_arg("rank", static_cast<double>(rank_));
       sync_span_->last_arg("iteration", static_cast<double>(iter_));
       sync_span_->arg("bytes", static_cast<double>(out_msgs_.size() * sizeof(WeightMsg)));
-      RunScope::current().registry()
-          .counter("multigpu.weight_sync_bytes")
-          .add(out_msgs_.size() * sizeof(WeightMsg));
     }
     sync_span_.reset();
   }
@@ -378,13 +373,6 @@ class RankEngine final : public core::Phase1Driver {
       sync_span_->arg("bytes", static_cast<double>(shipped_bytes_));
       sync_span_->arg("moved_total", static_cast<double>(moved_total_));
       sync_span_->arg("overlap", dist_.overlap ? 1.0 : 0.0);
-      auto& registry = RunScope::current().registry();
-      registry.counter("multigpu.sync_bytes").add(shipped_bytes_);
-      if (sparse_now_ && compress_on_) {
-        registry.counter("multigpu.codec_raw_bytes")
-            .add(local_moves_.size() * sizeof(codec::MoveRecord));
-        registry.counter("multigpu.codec_encoded_bytes").add(enc_moves_.size());
-      }
     }
     sync_span_.reset();
   }

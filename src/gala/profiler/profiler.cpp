@@ -58,25 +58,8 @@ void Profiler::record_launch(std::string_view name, std::size_t num_blocks,
       launch.imbalance_samples = 1;
     }
   }
-  {
-    std::lock_guard lock(mutex_);
-    fold_locked(launch);
-  }
-
-  // Surface the launch through the telemetry registry so the metrics report and
-  // registry consumers see the same counters without a profile export.
-  registry_.counter("profiler.gather_requests").add(traffic.gather_requests);
-  registry_.counter("profiler.gather_transactions").add(traffic.gather_transactions);
-  registry_.counter("profiler.simt_lane_slots").add(traffic.simt_lane_slots);
-  registry_.counter("profiler.simt_active_lanes").add(traffic.simt_active_lanes);
-  registry_.counter("profiler.shared_requests").add(traffic.shared_requests);
-  registry_.counter("profiler.bank_conflicts").add(traffic.bank_conflicts());
-  if (traffic.ht_lookups > 0) {
-    auto& hist = registry_.histogram("profiler.ht_probe_length");
-    for (std::size_t len = 1; len < gpusim::MemoryStats::kProbeBuckets; ++len) {
-      if (traffic.ht_probe_hist[len] > 0) hist.observe_n(len, traffic.ht_probe_hist[len]);
-    }
-  }
+  std::lock_guard lock(mutex_);
+  fold_locked(launch);
 }
 
 void Profiler::merge(const Profiler& other) {
@@ -170,14 +153,11 @@ void append_roofline(JsonWriter& w, const KernelProfile& k, const RooflineCeilin
   const double ops = static_cast<double>(k.traffic.register_ops);
   const double ai = bytes > 0 ? ops / bytes : 0.0;  // ops per DRAM byte
   const double attainable_gops = std::min(c.peak_gops, ai * c.dram_gbps);
-  const double achieved_gops = k.modeled_ms > 0 ? ops / (k.modeled_ms * 1e6) : 0.0;
   w.key("roofline").begin_object();
   w.key("dram_bytes").value(bytes);
   w.key("ops").value(ops);
   w.key("arithmetic_intensity").value(ai);
-  w.key("achieved_gops").value(achieved_gops);
   w.key("attainable_gops").value(attainable_gops);
-  w.key("roof_fraction").value(attainable_gops > 0 ? achieved_gops / attainable_gops : 0.0);
   w.key("bound").value(ai * c.dram_gbps < c.peak_gops ? "memory" : "compute");
   w.end_object();
 }

@@ -27,7 +27,6 @@
 
 #include "gala/common/json.hpp"
 #include "gala/gpusim/memory.hpp"
-#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::profiler {
 
@@ -72,12 +71,9 @@ double gini(std::span<const double> values);
 double modeled_dram_bytes(const gpusim::MemoryStats& s);
 
 /// Thread-safe per-kernel profile registry (one per RunScope, beside the
-/// telemetry tracer and registry).
+/// telemetry tracer).
 class Profiler {
  public:
-  /// Launches also surface as profiler.* instruments of `registry`.
-  explicit Profiler(telemetry::Registry& registry) : registry_(registry) {}
-
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
@@ -86,8 +82,7 @@ class Profiler {
 
   /// Folds one kernel launch into the profile named `name`. `block_cycles`
   /// (may be empty) holds per-block modeled cycles for load-imbalance
-  /// statistics. Also surfaces the launch through the telemetry registry
-  /// (profiler.* counters and the probe-length histogram).
+  /// statistics.
   void record_launch(std::string_view name, std::size_t num_blocks,
                      const gpusim::MemoryStats& traffic, double modeled_cycles,
                      double modeled_ms, double wall_seconds,
@@ -113,7 +108,6 @@ class Profiler {
  private:
   void fold_locked(const KernelProfile& add);  // caller holds mutex_
 
-  telemetry::Registry& registry_;
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
   RooflineCeilings ceilings_{};

@@ -19,7 +19,6 @@ cid_t QueryExecutor::community_of(vid_t v) const {
   GALA_CHECK(v < snap->num_vertices(),
              "vertex " << v << " out of range for epoch " << snap->epoch() << " ("
                        << snap->num_vertices() << " vertices)");
-  RunScope::current().registry().counter("query.point_lookups").add(1);
   return snap->community_of(v);
 }
 
@@ -39,7 +38,6 @@ std::vector<cid_t> QueryExecutor::community_of(const Snapshot& snap,
         }
       },
       grain_);
-  RunScope::current().registry().counter("query.batch_lookups").add(vertices.size());
   return out;
 }
 
@@ -57,7 +55,6 @@ std::vector<vid_t> QueryExecutor::community_size_of(const Snapshot& snap,
         }
       },
       grain_);
-  RunScope::current().registry().counter("query.batch_lookups").add(vertices.size());
   return out;
 }
 
@@ -66,7 +63,6 @@ std::vector<vid_t> QueryExecutor::members(const Snapshot& snap, cid_t c) const {
                                                       << snap.epoch() << " ("
                                                       << snap.num_communities() << " communities)");
   auto row = snap.members(c);
-  RunScope::current().registry().counter("query.member_scans").add(1);
   return std::vector<vid_t>(row.begin(), row.end());
 }
 
@@ -79,7 +75,6 @@ std::vector<TopCommunity> QueryExecutor::top_k(const Snapshot& snap, std::size_t
     const cid_t c = order[i];
     out.push_back({c, snap.size(c), snap.weight(c), snap.modularity_of(c)});
   }
-  RunScope::current().registry().counter("query.top_k").add(1);
   return out;
 }
 
@@ -123,7 +118,6 @@ EpochDiff QueryExecutor::diff(const Snapshot& from, const Snapshot& to) const {
     result.moved.insert(result.moved.end(), chunk.begin(), chunk.end());
   }
   span.arg("moved", static_cast<double>(result.moved.size()));
-  RunScope::current().registry().counter("query.epoch_diffs").add(1);
   return result;
 }
 

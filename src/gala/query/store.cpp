@@ -89,7 +89,6 @@ std::uint64_t CommunityStore::publish(const graph::Graph& g, std::span<const cid
   span.arg("bytes", static_cast<double>(snap->bytes()));
   const std::uint64_t e = link_and_evict(std::move(snap));
   span.last_arg("epoch", static_cast<double>(e));
-  RunScope::current().registry().counter("query.epochs_published").add(1);
   return e;
 }
 
@@ -131,9 +130,6 @@ std::uint64_t CommunityStore::link_and_evict(std::unique_ptr<Snapshot> snap) {
     reclaim_locked();
   }
   update_residency(/*admitting=*/true);
-  if (newly_evicted != 0) {
-    RunScope::current().registry().counter("query.epochs_evicted").add(newly_evicted);
-  }
   return epoch;
 }
 
@@ -172,7 +168,6 @@ std::uint64_t CommunityStore::reclaim_locked() {
   }
   if (count != 0) {
     reclaimed_.fetch_add(count, std::memory_order_relaxed);
-    RunScope::current().registry().counter("query.snapshots_reclaimed").add(count);
   }
   return freed;
 }

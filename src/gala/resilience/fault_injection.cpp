@@ -131,7 +131,6 @@ bool FaultInjector::should_fire(FaultSite site, std::string_view label, int rank
     }
     ++fired_[i];
     const std::uint64_t total = fires_.fetch_add(1, std::memory_order_relaxed) + 1;
-    registry_.counter("resilience.faults_injected").add(1);
     flight_.record(telemetry::FlightKind::FaultFire, static_cast<double>(static_cast<int>(site)),
                    static_cast<double>(total), rank);
     if (fired_rule != nullptr) *fired_rule = rule;

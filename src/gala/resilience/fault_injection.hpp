@@ -35,7 +35,6 @@
 
 #include "gala/common/error.hpp"
 #include "gala/telemetry/flight_recorder.hpp"
-#include "gala/telemetry/telemetry.hpp"
 
 namespace gala::resilience {
 
@@ -87,12 +86,11 @@ struct FaultPlan {
 };
 
 /// A run scope's injector. Disarmed by default; arm() installs a plan and
-/// flips the fast-path flag that every instrumented site checks. Fires count
-/// in `registry` and append a flight event to `flight`.
+/// flips the fast-path flag that every instrumented site checks. Each fire
+/// appends a flight event to `flight`.
 class FaultInjector {
  public:
-  FaultInjector(telemetry::Registry& registry, telemetry::FlightRecorder& flight)
-      : registry_(registry), flight_(flight) {}
+  explicit FaultInjector(telemetry::FlightRecorder& flight) : flight_(flight) {}
 
   /// Fast disarmed check: a single relaxed load (the only cost instrumented
   /// sites pay in production).
@@ -116,7 +114,6 @@ class FaultInjector {
   std::uint64_t fires() const { return fires_.load(std::memory_order_relaxed); }
 
  private:
-  telemetry::Registry& registry_;
   telemetry::FlightRecorder& flight_;
   std::atomic<bool> armed_{false};
   mutable std::mutex mutex_;

@@ -95,7 +95,6 @@ class SupervisedEngine final : public core::LouvainBackend {
                             static_cast<double>(attempt));
           sr_.events.push_back({level, attempt, "phase1", "retry", e.what()});
           ++sr_.retries;
-          RunScope::current().registry().counter("resilience.retries").add(1);
           dump_flight(std::string("retry: ") + e.what());
           continue;
         }
@@ -111,7 +110,6 @@ class SupervisedEngine final : public core::LouvainBackend {
         telemetry::flight(telemetry::FlightKind::SequentialFallback, static_cast<double>(level),
                           static_cast<double>(attempt));
         sr_.events.push_back({level, attempt, "phase1", "sequential-fallback", e.what()});
-        RunScope::current().registry().counter("resilience.sequential_fallbacks").add(1);
         sr_.degraded = true;
         dump_flight(std::string("sequential-fallback: ") + e.what());
         monitor_.begin_level(level);  // drop the failed attempt's trajectory
@@ -234,7 +232,6 @@ SupervisedResult run_louvain_supervised(const graph::Graph& g, const core::GalaC
                          "level modularity " + std::to_string(sr.result.rejected->modularity) +
                              " below the held partition's " +
                              std::to_string(sr.result.modularity)});
-    RunScope::current().registry().counter("resilience.rollbacks").add(1);
     sr.rolled_back = true;
     envelope.dump_flight("rollback: modularity regressed at level " + std::to_string(level));
   }

@@ -30,9 +30,9 @@
 // unchanged (chaos suites use this to assert fail-closed behaviour). A
 // rejected level is the loop's stop rule, not a fault.
 //
-// Every recovery decision increments a telemetry counter
-// (resilience.retries / sequential_fallbacks / rollbacks) and is recorded in
-// SupervisedResult::events for the run report.
+// Every recovery decision appends a flight event (retry /
+// sequential-fallback), whose per-kind total the run report's flight section
+// counts, and is recorded in SupervisedResult::events for the run report.
 #pragma once
 
 #include <span>

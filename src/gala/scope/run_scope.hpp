@@ -1,6 +1,6 @@
-// RunScope — the observers one run owns: the span tracer, the instrument
-// registry, the flight recorder, the memory registry, the memory governor,
-// the kernel profiler and the fault injector. Two runs in one process (two
+// RunScope — the observers one run owns: the span tracer, the flight
+// recorder, the memory registry, the memory governor, the kernel profiler
+// and the fault injector. Two runs in one process (two
 // tests, an ingest epoch beside a detect) never share a counter, a flight
 // ring, a budget or a fault plan.
 //
@@ -47,7 +47,6 @@ class RunScope {
   }
 
   telemetry::Tracer& tracer() { return tracer_; }
-  telemetry::Registry& registry() { return registry_; }
   telemetry::FlightRecorder& flight() { return flight_; }
   memtrace::MemRegistry& memory() { return memory_; }
   governor::Governor& governor() { return governor_; }
@@ -68,12 +67,11 @@ class RunScope {
   // Declaration order is construction order: each observer is built after
   // the ones it records into.
   telemetry::Tracer tracer_;
-  telemetry::Registry registry_;
   telemetry::FlightRecorder flight_;
   memtrace::MemRegistry memory_{&tracer_};
-  profiler::Profiler profiler_{registry_};
-  resilience::FaultInjector faults_{registry_, flight_};
-  governor::Governor governor_{memory_, registry_, flight_, faults_};
+  profiler::Profiler profiler_;
+  resilience::FaultInjector faults_{flight_};
+  governor::Governor governor_{memory_, flight_, faults_};
   RunScope* prev_ = nullptr;  // the scope this one displaced on its thread
 };
 

@@ -67,6 +67,10 @@ const char* to_string(FlightKind kind) {
       return "governor-rung";
     case FlightKind::GovernorShrink:
       return "governor-shrink";
+    case FlightKind::HashtableFallback:
+      return "hashtable-fallback";
+    case FlightKind::SyncFallbackDense:
+      return "sync-fallback-dense";
   }
   return "?";
 }
@@ -150,6 +154,8 @@ FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
 void FlightRecorder::append(FlightKind kind, double a, double b, int rank) {
   Ring* ring = ring_for_this_thread();
   if (rank < 0) rank = RankScope::current();
+  // Counted before the push, so a drained event's kind total already holds it.
+  counts_[static_cast<std::size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
   ring->push(clock_.fetch_add(1, std::memory_order_relaxed), kind,
              static_cast<std::int32_t>(rank), a, b);
 }
@@ -203,6 +209,7 @@ void FlightRecorder::reset() {
                 std::memory_order_relaxed);
   rings_.clear();
   clock_.store(0, std::memory_order_relaxed);
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
 }
 
 std::string FlightRecorder::json(std::string_view reason, std::size_t last_n) const {
@@ -219,6 +226,12 @@ std::string FlightRecorder::json(std::string_view reason, std::size_t last_n) co
   w.key("depth").value(static_cast<std::uint64_t>(depth()));
   w.key("recorded").value(total);
   w.key("dropped").value(dropped);
+  w.key("counts").begin_object();
+  for (std::size_t k = 1; k < kFlightKinds; ++k) {
+    const FlightKind kind = static_cast<FlightKind>(k);
+    if (const std::uint64_t n = count(kind); n > 0) w.key(to_string(kind)).value(n);
+  }
+  w.end_object();
   w.key("events").begin_array();
   for (const FlightEvent& e : events) {
     w.begin_object();

@@ -7,21 +7,24 @@
 // summary, sync post/complete, fault fire, retry, rollback, workspace heap
 // allocation, ...) to its thread's ring; the ring overwrites its oldest
 // events, so memory is bounded and the last `depth` events per thread are
-// always available. The resilience supervisor drains the merged window into
-// a post-mortem run report on any validator failure, retry exhaustion, or
-// degradation event (docs/resilience.md), and the CLI's --report-out carries
-// the same window as its "flight" section.
+// always available. One total per kind counts every event ever recorded, so
+// recovery counts (retries, fallbacks, fault fires) survive the overwrite.
+// The resilience supervisor drains the merged window into a post-mortem run
+// report on any validator failure, retry exhaustion, or degradation event
+// (docs/resilience.md), and the CLI's --report-out carries the same window
+// and totals as its "flight" section.
 //
 // Each RunScope (gala/scope/run_scope.hpp) owns one recorder, and
 // telemetry::flight() appends to the calling thread's current scope.
 //
 // Cost discipline: the recorder is armed by default, and an armed append is
-// a handful of relaxed atomic word stores into a pre-allocated ring — no
-// locks, no strings, no allocation (a thread allocates its ring once, on its
-// first event). Disarmed, every site pays a single relaxed load, the same
-// contract as Tracer and FaultInjector. Because events never touch the
-// gpusim cost model, armed recording leaves every modeled counter
-// bit-identical (bench/perf_profile.cpp gates this at <= 2% forever).
+// a handful of relaxed atomic word stores into a pre-allocated ring plus one
+// relaxed add to the kind's total — no locks, no strings, no allocation (a
+// thread allocates its ring once, on its first event). Disarmed, every site
+// pays a single relaxed load, the same contract as Tracer and FaultInjector.
+// Because events never touch the gpusim cost model, armed recording leaves
+// every modeled counter bit-identical (tests/run_scope_test.cpp checks a run
+// with every observer armed against one with all of them disarmed).
 //
 // Concurrency: writers are wait-free and never coordinate; drain() snapshots
 // every ring through atomic word loads while writers keep appending, then
@@ -30,7 +33,9 @@
 // ranks, which trace_check validates in a report's flight section.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -59,6 +64,8 @@ namespace gala::telemetry {
 ///   HealthOscillation   a = level,          b = oscillating vertices
 ///   GovernorRung        a = rung ordinal,   b = projected modeled bytes
 ///   GovernorShrink      a = new budget,     b = old budget
+///   HashtableFallback   a = vertex,         b = policy ordinal it fell from
+///   SyncFallbackDense   a = iteration,      b = attempt
 enum class FlightKind : std::uint16_t {
   LevelBegin = 1,
   IterationBegin,
@@ -78,7 +85,13 @@ enum class FlightKind : std::uint16_t {
   HealthOscillation,
   GovernorRung,
   GovernorShrink,
+  HashtableFallback,
+  SyncFallbackDense,
 };
+
+/// One past the largest FlightKind ordinal.
+inline constexpr std::size_t kFlightKinds =
+    static_cast<std::size_t>(FlightKind::SyncFallbackDense) + 1;
 
 const char* to_string(FlightKind kind);
 
@@ -123,19 +136,25 @@ class FlightRecorder {
 
   /// Events ever recorded (including ones since overwritten).
   std::uint64_t recorded() const { return clock_.load(std::memory_order_relaxed); }
+  /// Events of `kind` ever recorded; ring overwrite never lowers it.
+  std::uint64_t count(FlightKind kind) const {
+    return counts_[static_cast<std::size_t>(kind)].load(std::memory_order_relaxed);
+  }
 
   /// Merged snapshot of every thread's ring, sorted by seq. Safe to call
   /// while writers are appending; events a writer lapped mid-copy are
   /// discarded rather than returned torn.
   std::vector<FlightEvent> drain() const;
 
-  /// Forgets all recorded events and restarts the clock. Armed state is
-  /// untouched.
+  /// Forgets all recorded events and restarts the clock and the per-kind
+  /// totals. Armed state is untouched.
   void reset();
 
   /// The post-mortem document: {"flight_schema":1,"reason":...,"depth":...,
-  /// "recorded":...,"dropped":...,"events":[...]} with events sorted by seq.
-  /// `last_n` > 0 keeps only the newest n events.
+  /// "recorded":...,"dropped":...,"counts":{...},"events":[...]} with events
+  /// sorted by seq. `counts` holds each recorded kind's total (kinds never
+  /// recorded are absent); they sum to `recorded`. `last_n` > 0 keeps only
+  /// the newest n events.
   std::string json(std::string_view reason, std::size_t last_n = 0) const;
 
  private:
@@ -147,6 +166,7 @@ class FlightRecorder {
   std::atomic<bool> armed_{true};
   const std::uint64_t id_;  // distinguishes recorder instances in the TLS cache
   std::atomic<std::uint64_t> clock_{0};
+  std::array<std::atomic<std::uint64_t>, kFlightKinds> counts_{};
   /// Packed ring configuration: depth in the low 32 bits, a generation
   /// counter in the high 32. Writers revalidate their cached ring against
   /// this word with one relaxed load per event.

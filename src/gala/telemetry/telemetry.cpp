@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "gala/common/error.hpp"
@@ -312,91 +313,6 @@ ScopedSpan::~ScopedSpan() {
   rec_.dur_us = tracer_->now_us() - rec_.start_us;
   --this_thread_depth();
   tracer_->record(std::move(rec_));
-}
-
-// --------------------------------------------------------------------------
-// Registry.
-
-Counter& Registry::counter(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>()).first;
-  }
-  return *it->second;
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-Histogram& Registry::histogram(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>()).first;
-  }
-  return *it->second;
-}
-
-void Registry::reset() {
-  std::lock_guard lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
-void Registry::append_json(JsonWriter& w) const {
-  std::lock_guard lock(mutex_);
-  w.key("counters").begin_object();
-  for (const auto& [name, c] : counters_) w.key(name).value(c->value());
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, g] : gauges_) w.key(name).value(g->value());
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    w.key(name).begin_object();
-    w.key("count").value(h->count());
-    w.key("sum").value(h->sum());
-    w.key("p50").value(h->percentile(0.50));
-    w.key("p95").value(h->percentile(0.95));
-    w.key("p99").value(h->percentile(0.99));
-    w.key("buckets").begin_array();
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      const std::uint64_t n = h->bucket_count(b);
-      if (n == 0) continue;
-      w.begin_object();
-      w.key("lo").value(Histogram::bucket_lo(b));
-      w.key("count").value(n);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-}
-
-std::string Registry::json() const {
-  JsonWriter w;
-  w.begin_object();
-  append_json(w);
-  w.end_object();
-  return w.str();
-}
-
-std::string metrics_json(const Tracer& tracer, const Registry& registry) {
-  JsonWriter w;
-  w.begin_object();
-  tracer.append_summary(w);
-  registry.append_json(w);
-  w.end_object();
-  return w.str();
 }
 
 }  // namespace gala::telemetry

@@ -1,19 +1,19 @@
-// Unified telemetry: span tracing, a counter/gauge/histogram registry, and
-// machine-readable exporters.
+// Span tracing and its machine-readable exporters.
 //
 // The tracer records nested begin/end spans (wall-clock microseconds plus
 // arbitrary numeric payloads such as modeled cycles or memory traffic) from
 // any thread. Spans export as Chrome `chrome://tracing` / Perfetto JSON, as
-// a flat per-span JSON dump, or as an aggregated summary. The registry
-// subsumes ad-hoc tallies: named monotonic counters, gauges, and log-2
-// bucketed histograms (degree / occupancy distributions), all thread-safe.
+// a flat per-span JSON dump, or as an aggregated summary (the run report's
+// "metrics" section). Counts live with the subsystem that owns them: the
+// kernel profile, the flight recorder's per-kind totals, the governor, the
+// per-iteration stats.
 //
 // Cost discipline: everything is off by default. When the tracer is
 // disabled, ScopedSpan's constructor is a single relaxed atomic load and no
 // strings are built — instrumented hot paths pay one predictable branch.
 //
-// Each RunScope (gala/scope/run_scope.hpp) owns one tracer and one registry;
-// instrumented code records into the calling thread's current scope.
+// Each RunScope (gala/scope/run_scope.hpp) owns one tracer; instrumented
+// code records into the calling thread's current scope.
 //
 // Usage:
 //   auto& tracer = RunScope::current().tracer();
@@ -28,12 +28,9 @@
 
 #include "gala/common/json.hpp"
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -260,138 +257,6 @@ class ScopedSpan {
   Tracer* tracer_ = nullptr;  // null when tracing was disabled at construction
   SpanRecord rec_;
 };
-
-// ---------------------------------------------------------------------------
-// Counter / gauge / histogram registry.
-
-/// Monotonic counter.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double delta) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + delta, std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0};
-};
-
-/// Histogram over unsigned values with fixed log-2 buckets: bucket 0 holds
-/// exact zeros, bucket i>=1 holds [2^(i-1), 2^i). Suited to degree and
-/// occupancy distributions.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;
-
-  void observe(std::uint64_t v) {
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  /// Records `n` observations of value `v` in one shot (bulk ingest from
-  /// pre-aggregated sources such as the profiler's probe-length counts).
-  void observe_n(std::uint64_t v, std::uint64_t n) {
-    if (n == 0) return;
-    buckets_[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
-    sum_.fetch_add(v * n, std::memory_order_relaxed);
-  }
-
-  /// Approximate quantile (q in [0, 1]): the inclusive lower bound of the
-  /// bucket holding the ceil(q * count)-th observation. Exact for
-  /// distributions concentrated on bucket boundaries; otherwise a lower
-  /// bound within one power of two. Returns 0 for an empty histogram.
-  std::uint64_t percentile(double q) const {
-    const std::uint64_t total = count();
-    if (total == 0) return 0;
-    q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-    std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
-    if (rank < q * static_cast<double>(total)) ++rank;  // ceil
-    if (rank == 0) rank = 1;
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      cumulative += bucket_count(i);
-      if (cumulative >= rank) return bucket_lo(i);
-    }
-    return bucket_lo(kBuckets - 1);
-  }
-
-  static std::size_t bucket_index(std::uint64_t v) {
-    std::size_t b = 0;
-    while (v != 0) {
-      ++b;
-      v >>= 1;
-    }
-    return b;  // 0 for 0, else bit_width(v) in [1, 64]
-  }
-
-  /// Inclusive lower bound of bucket i (0, 1, 2, 4, 8, ...).
-  static std::uint64_t bucket_lo(std::size_t i) {
-    return i == 0 ? 0 : (i == 1 ? 1 : (std::uint64_t{1} << (i - 1)));
-  }
-
-  std::uint64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  std::uint64_t count() const {
-    std::uint64_t total = 0;
-    for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
-    return total;
-  }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-
-  void reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_{0};
-};
-
-/// Named instrument registry. Lookup is mutex-protected; returned references
-/// are stable for the registry's lifetime, so hot paths should look up once
-/// and cache the reference.
-class Registry {
- public:
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
-
-  /// Zeroes every instrument (names stay registered).
-  void reset();
-
-  /// {"counters":{...},"gauges":{...},"histograms":{...}} — histograms list
-  /// only non-empty buckets as {"lo":..,"count":..}.
-  std::string json() const;
-  /// Writes the counters/gauges/histograms members into an open JSON object.
-  void append_json(JsonWriter& w) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-};
-
-/// Combined metrics document: the tracer's aggregated span summary plus the
-/// registry's instruments (the run report's "metrics" section).
-std::string metrics_json(const Tracer& tracer, const Registry& registry);
 
 void write_file(const std::string& path, const std::string& contents);
 

@@ -305,13 +305,21 @@ TEST_F(CliE2e, DetectEmitsTraceAndMetrics) {
   }
   EXPECT_GT(counter_events, 0u) << "trace missing the memory counter track";
 
-  // The metrics section carries the aggregated spans and the registry.
-  const gala::JsonValue metrics = report("run.json").at("metrics");
-  EXPECT_NE(metrics.at("spans").find("phase1/decide"), nullptr);
-  EXPECT_NE(metrics.at("spans").find("pipeline/phase1"), nullptr);
-  EXPECT_GT(metrics.at("counters").at("gpusim.launches").number, 0);
-  EXPECT_GT(metrics.at("counters").at("phase1.iterations").number, 0);
-  EXPECT_NE(metrics.at("histograms").find("gpusim.blocks_per_launch"), nullptr);
+  // The metrics section is the span summary alone; the flight section counts
+  // every event by kind, one iter-end per traced iteration.
+  const gala::JsonValue doc = report("run.json");
+  const gala::JsonValue& metrics = doc.at("metrics");
+  EXPECT_EQ(metrics.object.size(), 1u);
+  const gala::JsonValue& spans = metrics.at("spans");
+  EXPECT_NE(spans.find("phase1/decide"), nullptr);
+  EXPECT_NE(spans.find("pipeline/phase1"), nullptr);
+  const gala::JsonValue& flight = doc.at("flight");
+  double counted = 0;
+  for (const auto& [kind, n] : flight.at("counts").object) counted += n.number;
+  EXPECT_EQ(counted, flight.at("recorded").number);
+  EXPECT_GT(spans.at("phase1/iteration").at("count").number, 0);
+  EXPECT_EQ(flight.at("counts").at("iter-end").number,
+            spans.at("phase1/iteration").at("count").number);
 }
 
 TEST_F(CliE2e, DetectEmitsKernelProfile) {

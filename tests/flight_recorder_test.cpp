@@ -119,6 +119,42 @@ TEST_F(FlightRecorderTest, ConcurrentWritersProduceUniqueOrderedSeqs) {
   EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
 }
 
+TEST_F(FlightRecorderTest, KindTotalsSurviveRingWrapAcrossThreads) {
+  rec.set_depth(8);  // every thread laps its ring many times over
+  constexpr int kThreads = 4;
+  const FlightKind kinds[] = {FlightKind::Retry, FlightKind::FaultFire, FlightKind::Apply};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Kind k gets (k + 1) * 100 appends from each thread, interleaved.
+      for (int i = 0; i < 300; ++i) {
+        for (int k = 0; k < 3; ++k) {
+          if (i < (k + 1) * 100) rec.record(kinds[k], static_cast<double>(t), i);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_LE(rec.drain().size(), kThreads * rec.depth());
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(rec.count(kinds[k]), static_cast<std::uint64_t>(kThreads * (k + 1) * 100))
+        << to_string(kinds[k]);
+  }
+  EXPECT_EQ(rec.count(FlightKind::Rollback), 0u);
+  EXPECT_EQ(rec.recorded(), static_cast<std::uint64_t>(kThreads * 600));
+
+  const JsonValue doc = parse_json(rec.json("wrapped"));
+  const JsonValue& counts = doc.at("counts");
+  EXPECT_EQ(counts.object.size(), 3u) << "kinds never recorded are absent";
+  EXPECT_EQ(counts.at("retry").number, kThreads * 100);
+  EXPECT_EQ(counts.at("fault-fire").number, kThreads * 200);
+  EXPECT_EQ(counts.at("apply").number, kThreads * 300);
+
+  rec.reset();
+  for (const FlightKind kind : kinds) EXPECT_EQ(rec.count(kind), 0u);
+}
+
 TEST_F(FlightRecorderTest, DrainWhileWritersAppendNeverTearsEvents) {
   rec.set_depth(64);  // small ring maximizes lapping during the copy
   std::atomic<bool> stop{false};
@@ -176,6 +212,11 @@ TEST_F(FlightRecorderTest, PostMortemJsonRoundTripsThroughParser) {
   EXPECT_EQ(doc.at("reason").string, "test \"quoted\"\nreason");
   EXPECT_EQ(doc.at("recorded").number, 3);
   EXPECT_EQ(doc.at("dropped").number, 0);
+  const JsonValue& counts = doc.at("counts");
+  EXPECT_EQ(counts.object.size(), 3u);
+  for (const char* kind : {"fault-fire", "retry", "rollback"}) {
+    EXPECT_EQ(counts.at(kind).number, 1) << kind;
+  }
   const auto& events = doc.at("events").array;
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].at("kind").string, "fault-fire");
@@ -259,13 +300,14 @@ TEST_F(FlightRecorderTest, EveryInjectedFaultProducesNonEmptyPostMortem) {
 
 TEST_F(FlightRecorderTest, KindNamesAreUniqueAndNonEmpty) {
   std::set<std::string> names;
-  for (std::uint16_t k = 1; k <= static_cast<std::uint16_t>(FlightKind::HealthOscillation); ++k) {
+  for (std::size_t k = 1; k < kFlightKinds; ++k) {
     const char* name = to_string(static_cast<FlightKind>(k));
     ASSERT_NE(name, nullptr);
     EXPECT_FALSE(std::string(name).empty());
+    EXPECT_NE(std::string(name), "?");
     names.insert(name);
   }
-  EXPECT_EQ(names.size(), static_cast<std::size_t>(FlightKind::HealthOscillation));
+  EXPECT_EQ(names.size(), kFlightKinds - 1);
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ TEST(HashKernelOverflowTest, ExhaustedArenaDegradesToGlobalOnlyWithSameDecision)
       hash_decide(in, /*v=*/2, HashTablePolicy::Hierarchical, full, scratch_b, kSalt, stats_b);
 
   expect_same_decision(reference, degraded);
-  EXPECT_EQ(scope.registry().counter("resilience.hashtable_fallbacks").value(), 1u);
+  EXPECT_EQ(scope.flight().count(gala::telemetry::FlightKind::HashtableFallback), 1u);
 }
 
 TEST(HashKernelOverflowTest, AllPoliciesAgreeOnEveryVertex) {

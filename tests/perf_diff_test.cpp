@@ -68,11 +68,6 @@ TEST_F(PerfDiff, AnyGrowthInExactCountsFails) {
   }
 }
 
-TEST_F(PerfDiff, OverheadIsGatedInAbsolutePoints) {
-  EXPECT_EQ(diff(R"({"flight_overhead_pct":0})", R"({"flight_overhead_pct":1.9})"), 0);
-  EXPECT_EQ(diff(R"({"flight_overhead_pct":0})", R"({"flight_overhead_pct":2.1})"), 1);
-}
-
 TEST_F(PerfDiff, OtherCountersDriftNoMoreThanTwoPercent) {
   EXPECT_EQ(diff(R"({"blocks":100})", R"({"blocks":101})"), 0);
   EXPECT_EQ(diff(R"({"blocks":100})", R"({"blocks":99})"), 0);

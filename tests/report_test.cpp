@@ -14,7 +14,7 @@ namespace gala {
 namespace {
 
 TEST(JsonWriter, NestedStructuresAndCommas) {
-  metrics::JsonWriter w;
+  gala::JsonWriter w;
   w.begin_object();
   w.key("a").value(1);
   w.key("b").begin_array().value(1.5).value("x").value(true).end_array();
@@ -24,7 +24,7 @@ TEST(JsonWriter, NestedStructuresAndCommas) {
 }
 
 TEST(JsonWriter, EscapesStrings) {
-  metrics::JsonWriter w;
+  gala::JsonWriter w;
   w.begin_object();
   w.key("quote\"and\\slash").value("line\nbreak\ttab");
   w.end_object();
@@ -32,7 +32,7 @@ TEST(JsonWriter, EscapesStrings) {
 }
 
 TEST(JsonWriter, MismatchedEndThrows) {
-  metrics::JsonWriter w;
+  gala::JsonWriter w;
   w.begin_object();
   EXPECT_THROW(w.end_array(), Error);
 }

@@ -36,10 +36,6 @@ FaultRule rule(FaultSite site, std::string label = "", int rank = -1, int skip_f
   return r;
 }
 
-std::uint64_t counter_value(RunScope& scope, const char* name) {
-  return scope.registry().counter(name).value();
-}
-
 // ---- plan serialisation ----------------------------------------------------
 
 TEST(FaultPlanTest, JsonRoundTrip) {
@@ -275,7 +271,7 @@ TEST(SupervisedRunTest, PersistentFaultDegradesToSequentialHostPath) {
   bool saw_fallback = false;
   for (const auto& ev : r.events) saw_fallback |= ev.action == "sequential-fallback";
   EXPECT_TRUE(saw_fallback);
-  EXPECT_GT(counter_value(scope, "resilience.sequential_fallbacks"), 0u);
+  EXPECT_GT(scope.flight().count(telemetry::FlightKind::SequentialFallback), 0u);
   // The degraded path still yields a valid, decent partition.
   validate_partition(g, r.result.assignment);
   const wt_t audited = core::modularity(g, r.result.assignment);
@@ -307,7 +303,7 @@ TEST(SupervisedRunTest, MonotonicityGuardRollsBackToBestLevel) {
   bool saw_rollback = false;
   for (const auto& ev : r.events) saw_rollback |= ev.action == "rollback";
   EXPECT_TRUE(saw_rollback);
-  EXPECT_EQ(counter_value(scope, "resilience.rollbacks"), 1u);
+  EXPECT_EQ(scope.flight().count(telemetry::FlightKind::Rollback), 1u);
   validate_partition(g, r.result.assignment);
   EXPECT_NEAR(core::modularity(g, r.result.assignment), r.result.modularity, 1e-9);
 }
@@ -368,7 +364,7 @@ TEST(SupervisedRunTest, SharedArenaFaultDegradesInKernelWithExactParity) {
   const auto sup = run_louvain_supervised(g, cfg);
   EXPECT_EQ(sup.retries, 0);
   EXPECT_FALSE(sup.degraded);
-  EXPECT_GT(counter_value(scope, "resilience.hashtable_fallbacks"), 0u);
+  EXPECT_GT(scope.flight().count(telemetry::FlightKind::HashtableFallback), 0u);
   EXPECT_EQ(sup.result.assignment, fault_free.assignment);
   EXPECT_NEAR(sup.result.modularity, fault_free.modularity, 1e-9);
 }

@@ -17,6 +17,8 @@
 #include "gala/common/json.hpp"
 #include "gala/common/thread_pool.hpp"
 #include "gala/core/gala.hpp"
+#include "gala/core/bsp_louvain.hpp"
+#include "gala/graph/generators.hpp"
 #include "gala/metrics/health.hpp"
 #include "gala/metrics/report.hpp"
 #include "gala/multigpu/dist_louvain.hpp"
@@ -123,16 +125,14 @@ ReportedRun reported_run(const graph::Graph& g, core::Backend backend) {
 }
 
 /// The report paths two solo runs must agree on: the run section without
-/// wall fields, health, the non-wall profile counters, the registry's
-/// counters, and the mem fields that do not depend on worker timing. Left
-/// out, because they move with worker timing even between two solo runs:
-/// wall times, the flight window's thread ids and order, memory peaks, and
-/// the workspace pool's miss counters (how many chunk arenas a parallel
-/// launch holds at once).
+/// wall fields, health, the non-wall profile counters, and the mem fields
+/// that do not depend on worker timing. Left out, because they move with
+/// worker timing even between two solo runs: wall times, the flight window's
+/// thread ids and order, memory peaks, and the workspace pool's miss counters
+/// (how many chunk arenas a parallel launch holds at once).
 bool must_agree(const std::string& path) {
   if (path.find("wall") != std::string::npos) return false;
-  if (path.rfind(".metrics.counters.workspace.", 0) == 0) return false;
-  for (const char* prefix : {".run.", ".health.", ".metrics.counters.", ".profile.kernels["}) {
+  for (const char* prefix : {".run.", ".health.", ".profile.kernels["}) {
     if (path.rfind(prefix, 0) == 0) return true;
   }
   if (path.rfind(".mem.subsystems[", 0) != 0) return false;
@@ -190,6 +190,57 @@ TEST(RunScope, ConcurrentRunsReportWhatTheirSoloRunsReport) {
       ASSERT_NE(it, c.report.end()) << core::to_string(backend) << " " << path;
       EXPECT_EQ(it->second, value) << core::to_string(backend) << " " << path;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Observers watch the engine without changing what it does.
+
+struct ObservedRun {
+  std::vector<cid_t> partition;
+  std::vector<core::IterationStats> iterations;
+};
+
+/// One sequential phase 1 on a 600-vertex planted graph in its own scope,
+/// with the flight recorder, memory registry, tracer and profiler all armed
+/// or all disarmed.
+ObservedRun observed_phase1(bool armed) {
+  graph::PlantedPartitionParams pp;
+  pp.num_vertices = 600;
+  pp.num_communities = 12;
+  pp.avg_degree = 14.0;
+  pp.mixing = 0.25;
+  pp.seed = 7;
+  const graph::Graph g = graph::planted_partition(pp);
+  RunScope scope;
+  scope.tracer().set_enabled(armed);
+  scope.profiler().set_enabled(armed);
+  if (!armed) {
+    scope.flight().disarm();
+    scope.memory().disarm();
+  }
+  core::BspConfig cfg;
+  cfg.parallel = false;
+  core::Phase1Result r = core::bsp_phase1(g, cfg);
+  EXPECT_EQ(scope.flight().recorded() > 0, armed);
+  EXPECT_EQ(scope.tracer().span_count() > 0, armed);
+  EXPECT_EQ(scope.profiler().snapshot().empty(), !armed);
+  EXPECT_EQ(scope.memory().report().peak_total_bytes() > 0, armed);
+  return {std::move(r.community), std::move(r.iterations)};
+}
+
+TEST(RunScope, ArmedObserversLeaveThePartitionAndEveryModeledCounterUnchanged) {
+  const ObservedRun armed = observed_phase1(true);
+  const ObservedRun disarmed = observed_phase1(false);
+  EXPECT_EQ(armed.partition, disarmed.partition);
+  ASSERT_EQ(armed.iterations.size(), disarmed.iterations.size());
+  ASSERT_GT(armed.iterations.size(), 1u);
+  for (std::size_t i = 0; i < armed.iterations.size(); ++i) {
+    const core::IterationStats& a = armed.iterations[i];
+    const core::IterationStats& d = disarmed.iterations[i];
+    EXPECT_TRUE(a.decide_traffic == d.decide_traffic) << "iteration " << i;
+    EXPECT_TRUE(a.update_traffic == d.update_traffic) << "iteration " << i;
+    EXPECT_TRUE(a.bookkeeping_traffic == d.bookkeeping_traffic) << "iteration " << i;
   }
 }
 

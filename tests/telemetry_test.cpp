@@ -1,6 +1,6 @@
-// gala::telemetry: span tracing, the counter/gauge/histogram registry, the
-// sinks, JSON export validity (parsed back with gala::parse_json), and the
-// pipeline instrumentation contract (span payloads match Phase1Result).
+// gala::telemetry: span tracing, the sinks, JSON export validity (parsed
+// back with gala::parse_json), and the pipeline instrumentation contract
+// (span payloads match Phase1Result).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +16,7 @@
 #include "gala/core/bsp_louvain.hpp"
 #include "gala/core/gala.hpp"
 #include "gala/graph/generators.hpp"
+#include "gala/metrics/report.hpp"
 #include "gala/scope/run_scope.hpp"
 #include "test_util.hpp"
 
@@ -23,7 +24,6 @@ namespace gala {
 namespace {
 
 namespace fs = std::filesystem;
-using telemetry::Registry;
 using telemetry::ScopedSpan;
 using telemetry::SpanRecord;
 using telemetry::Tracer;
@@ -336,117 +336,6 @@ TEST(Sinks, ChromeTraceSinkWritesParseableFile) {
   EXPECT_EQ(doc.at("traceEvents").array[0].at("name").string, "synced");
 }
 
-// ---------------------------------------------------------------------------
-// Registry.
-
-TEST(Registry, CountersAggregateAcrossThreads) {
-  Registry registry;
-  constexpr int kThreads = 8, kAdds = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry] {
-      auto& counter = registry.counter("work.items");  // cached lookup per thread
-      for (int i = 0; i < kAdds; ++i) counter.add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(registry.counter("work.items").value(),
-            static_cast<std::uint64_t>(kThreads) * kAdds);
-}
-
-TEST(Registry, HistogramLog2BucketsAndThreadedObserve) {
-  using telemetry::Histogram;
-  EXPECT_EQ(Histogram::bucket_index(0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2), 2u);
-  EXPECT_EQ(Histogram::bucket_index(3), 2u);
-  EXPECT_EQ(Histogram::bucket_index(4), 3u);
-  EXPECT_EQ(Histogram::bucket_index(1023), 10u);
-  EXPECT_EQ(Histogram::bucket_index(1024), 11u);
-  EXPECT_EQ(Histogram::bucket_lo(0), 0u);
-  EXPECT_EQ(Histogram::bucket_lo(1), 1u);
-  EXPECT_EQ(Histogram::bucket_lo(11), 1024u);
-
-  Registry registry;
-  constexpr int kThreads = 4, kObs = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry] {
-      auto& h = registry.histogram("degrees");
-      for (int i = 0; i < kObs; ++i) h.observe(static_cast<std::uint64_t>(i % 8));
-    });
-  }
-  for (auto& t : threads) t.join();
-  auto& h = registry.histogram("degrees");
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kObs);
-  // i%8 hits 0 once per 8, 1 once, [2,4) twice, [4,8) four times.
-  EXPECT_EQ(h.bucket_count(0), static_cast<std::uint64_t>(kThreads) * kObs / 8);
-  EXPECT_EQ(h.bucket_count(2), static_cast<std::uint64_t>(kThreads) * kObs / 4);
-  EXPECT_EQ(h.bucket_count(3), static_cast<std::uint64_t>(kThreads) * kObs / 2);
-}
-
-TEST(Registry, HistogramBulkObserveAndPercentiles) {
-  using telemetry::Histogram;
-  Histogram h;
-  EXPECT_EQ(h.percentile(0.5), 0u);  // empty histogram
-  h.observe_n(1, 90);
-  h.observe_n(1024, 10);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.sum(), 90u + 10u * 1024u);
-  // Ranks 1..90 live in the value-1 bucket; ranks 91..100 in [1024, 2048).
-  EXPECT_EQ(h.percentile(0.50), 1u);
-  EXPECT_EQ(h.percentile(0.90), 1u);
-  EXPECT_EQ(h.percentile(0.95), 1024u);
-  EXPECT_EQ(h.percentile(0.99), 1024u);
-  EXPECT_EQ(h.percentile(1.0), 1024u);
-  EXPECT_EQ(h.percentile(0.0), 1u);  // clamps to the first observation
-  h.observe_n(5, 0);                 // zero-count bulk observe is a no-op
-  EXPECT_EQ(h.count(), 100u);
-}
-
-TEST(Registry, PercentilesAreBucketLowerBounds) {
-  telemetry::Histogram h;
-  for (int i = 0; i < 10; ++i) h.observe(6);  // bucket [4, 8)
-  EXPECT_EQ(h.percentile(0.5), 4u);
-  EXPECT_EQ(h.percentile(0.99), 4u);
-}
-
-TEST(Registry, JsonExportCarriesPercentileSummaries) {
-  Registry registry;
-  auto& h = registry.histogram("probe.len");
-  h.observe_n(1, 90);
-  h.observe_n(16, 10);
-  const JsonValue doc = parse_json(registry.json());
-  const JsonValue& hist = doc.at("histograms").at("probe.len");
-  EXPECT_EQ(hist.at("p50").number, 1);
-  EXPECT_EQ(hist.at("p95").number, 16);
-  EXPECT_EQ(hist.at("p99").number, 16);
-}
-
-TEST(Registry, GaugeSetAndAdd) {
-  Registry registry;
-  registry.gauge("occupancy").set(0.5);
-  registry.gauge("occupancy").add(0.25);
-  EXPECT_DOUBLE_EQ(registry.gauge("occupancy").value(), 0.75);
-  registry.reset();
-  EXPECT_DOUBLE_EQ(registry.gauge("occupancy").value(), 0.0);
-}
-
-TEST(Registry, JsonExportListsInstruments) {
-  Registry registry;
-  registry.counter("a.count").add(5);
-  registry.gauge("b.gauge").set(1.5);
-  registry.histogram("c.hist").observe(9);
-  const JsonValue doc = parse_json(registry.json());
-  EXPECT_EQ(doc.at("counters").at("a.count").number, 5);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("b.gauge").number, 1.5);
-  const JsonValue& hist = doc.at("histograms").at("c.hist");
-  EXPECT_EQ(hist.at("count").number, 1);
-  EXPECT_EQ(hist.at("sum").number, 9);
-  ASSERT_EQ(hist.at("buckets").array.size(), 1u);
-  EXPECT_EQ(hist.at("buckets").array[0].at("lo").number, 8);
-}
-
 TEST(Tracer, SummaryFoldsEachArgByItsRollup) {
   Tracer tracer;
   tracer.set_enabled(true);
@@ -617,18 +506,18 @@ TEST(PipelineTelemetry, LevelIdentifiersRollUpAsLastValues) {
   EXPECT_EQ(level.at("args").at("vertices").number, vertices);
 }
 
-TEST(PipelineTelemetry, MetricsJsonCombinesSpansAndRegistry) {
-  Tracer tracer;
-  tracer.set_enabled(true);
+TEST(PipelineTelemetry, MetricsSectionIsTheSpanSummary) {
+  RunScope scope;
+  scope.tracer().set_enabled(true);
   {
-    ScopedSpan span(tracer, "s", "c");
+    ScopedSpan span(scope.tracer(), "s", "c");
   }
-  Registry registry;
-  registry.counter("n").add(2);
-  const JsonValue doc = parse_json(telemetry::metrics_json(tracer, registry));
+  metrics::RunReport report;
+  report.capture(scope, "end-of-run");
+  EXPECT_EQ(report.metrics, scope.tracer().summary_json());
+  const JsonValue doc = parse_json(report.metrics);
+  EXPECT_EQ(doc.object.size(), 1u);
   EXPECT_EQ(doc.at("spans").at("c/s").at("count").number, 1);
-  EXPECT_EQ(doc.at("counters").at("n").number, 2);
-  EXPECT_TRUE(doc.at("histograms").is_object());
 }
 
 }  // namespace

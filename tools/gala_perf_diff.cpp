@@ -21,10 +21,6 @@
 //     trajectory is bit-deterministic, so for an unchanged configuration any
 //     growth in wire volume is a communication regression (shrinkage —
 //     better elision or compression — passes),
-//   - keys ending in "_overhead_pct" are compared absolutely, in percentage
-//     points (kOverheadPoints, 2): the baseline hovers near zero, so a
-//     relative rule would flag noise; the contract is "armed instrumentation
-//     stays under 2 points of overhead", not "matches the baseline",
 //   - keys matching "peak_*_bytes" gate at zero growth: memory high-water
 //     marks are modeled from deterministic request sequences, so any growth
 //     means a subsystem's footprint regressed (shrinkage passes),
@@ -61,9 +57,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr double kTolerance = 0.02;       // symmetric counter drift, efficiency drop
-constexpr double kMsTolerance = 0.10;     // modeled-ms / modeled-cycles growth
-constexpr double kOverheadPoints = 2.0;   // "*_overhead_pct" ceiling, percentage points
+constexpr double kTolerance = 0.02;    // symmetric counter drift, efficiency drop
+constexpr double kMsTolerance = 0.10;  // modeled-ms / modeled-cycles growth
 
 struct DiffState {
   int regressions = 0;
@@ -103,14 +98,6 @@ void diff_value(const gala::JsonValue& base, const gala::JsonValue& cur, const s
 void diff_number(double base, double cur, const std::string& path, DiffState& state) {
   const std::string key = leaf_key(path);
   if (starts_with(key, "wall")) return;  // nondeterministic by design
-  if (ends_with(key, "_overhead_pct")) {
-    // Overhead rows measure a ratio that should sit at ~0%, where relative
-    // comparison explodes; gate on the absolute ceiling instead.
-    if (cur > base + kOverheadPoints) {
-      state.report(path, base, cur, "instrumentation overhead regressed");
-    }
-    return;
-  }
   const double denom = std::max(std::fabs(base), 1e-12);
   const double rel = (cur - base) / denom;
   if (ends_with(key, "_efficiency")) {
